@@ -1,0 +1,212 @@
+// Golden-bytes pin: every AppKind x DesignKind run at 32x32, N = 256 and a
+// fixed seed, plus the Table IV faulty rows, stream-level FaultPlan rows
+// (through the FaultedBackend decorator) and a 3-replica vote row.  Each row
+// pins three values from runAppDetailed: the FNV-1a-64 of the output bytes,
+// the backend op count and a digest of the ReRAM event ledger.
+//
+// The other conformance suites compare two code paths of the SAME build with
+// each other; this table is the only check that holds across commits.  A
+// refactor that claims "no byte moved" must pass it unchanged.  A change
+// that moves bytes on purpose re-records the table (the failure message
+// prints the regenerated rows) and says so in its description.
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "apps/runner.hpp"
+#include "shard/wire.hpp"
+
+namespace aimsc::apps {
+namespace {
+
+constexpr std::uint64_t kSeed = 0x601d;
+
+struct Case {
+  std::string label;
+  AppKind app;
+  DesignKind design;
+  RunConfig cfg;
+};
+
+struct Pin {
+  const char* label;
+  std::uint64_t outputFnv;
+  std::uint64_t opCount;
+  std::uint64_t eventsFnv;
+};
+
+RunConfig baseConfig() {
+  RunConfig cfg;
+  cfg.width = 32;
+  cfg.height = 32;
+  cfg.streamLength = 256;
+  cfg.seed = kSeed;
+  return cfg;
+}
+
+const char* appTag(AppKind app) {
+  switch (app) {
+    case AppKind::Compositing: return "compositing";
+    case AppKind::Bilinear: return "bilinear";
+    case AppKind::Matting: return "matting";
+    case AppKind::Filters: return "filters";
+    case AppKind::Gamma: return "gamma";
+    case AppKind::Morphology: return "morphology";
+  }
+  return "?";
+}
+
+std::vector<Case> goldenCases() {
+  constexpr AppKind kApps[] = {AppKind::Compositing, AppKind::Bilinear,
+                               AppKind::Matting,     AppKind::Filters,
+                               AppKind::Gamma,       AppKind::Morphology};
+  constexpr DesignKind kDesigns[] = {
+      DesignKind::Reference, DesignKind::SwScLfsr, DesignKind::SwScSobol,
+      DesignKind::SwScSimd,  DesignKind::ReramSc,  DesignKind::BinaryCim,
+      DesignKind::SwScSfmt};
+  std::vector<Case> cases;
+  for (const AppKind app : kApps) {
+    for (const DesignKind design : kDesigns) {
+      cases.push_back({std::string(appTag(app)) + "/" + designKindName(design),
+                       app, design, baseConfig()});
+    }
+  }
+
+  // Table IV faulty columns: device variability on the native fault models.
+  RunConfig faulty = baseConfig();
+  faulty.faults = reliability::FaultPlan::deviceOnly(defaultFaultyDevice());
+  cases.push_back({"tableIV-faulty/compositing/ReRAM-SC", AppKind::Compositing,
+                   DesignKind::ReramSc, faulty});
+  cases.push_back({"tableIV-faulty/compositing/Binary CIM",
+                   AppKind::Compositing, DesignKind::BinaryCim, faulty});
+
+  // Stream/word-level classes, realised by the FaultedBackend decorator.
+  RunConfig plan = baseConfig();
+  plan.faults.transientFlipRate = 2e-3;
+  plan.faults.stuckAtRate = 0.02;
+  cases.push_back({"faultplan/compositing/SW-SC (LFSR)", AppKind::Compositing,
+                   DesignKind::SwScLfsr, plan});
+  cases.push_back({"faultplan/gamma/SW-SC (SIMD)", AppKind::Gamma,
+                   DesignKind::SwScSimd, plan});
+  cases.push_back({"faultplan/matting/ReRAM-SC", AppKind::Matting,
+                   DesignKind::ReramSc, plan});
+  cases.push_back({"faultplan/filters/Binary CIM", AppKind::Filters,
+                   DesignKind::BinaryCim, plan});
+
+  // N-modular redundancy: three replicas, per-pixel vote.
+  RunConfig voted = baseConfig();
+  voted.faults =
+      reliability::FaultPlan::deviceOnly(defaultFaultyDevice(), 4000);
+  voted.redundancy.replicas = 3;
+  cases.push_back({"vote3/compositing/ReRAM-SC", AppKind::Compositing,
+                   DesignKind::ReramSc, voted});
+  return cases;
+}
+
+std::uint64_t eventsDigest(const reram::EventCounts& ev) {
+  const std::uint64_t fields[] = {ev.slReads,        ev.rowWrites,
+                                  ev.cellWrites,     ev.latchOps,
+                                  ev.adcConversions, ev.trngBits,
+                                  ev.cordivIterations};
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint64_t f : fields) {
+    for (int b = 0; b < 8; ++b) {
+      bytes.push_back(static_cast<std::uint8_t>(f >> (8 * b)));
+    }
+  }
+  return shard::fnv1a64(bytes);
+}
+
+// clang-format off
+constexpr Pin kPins[] = {
+    {"compositing/Reference", 0xa7b89837a735dee5ull, 0ull, 0x8ac123d6f7dce585ull},
+    {"compositing/SW-SC (LFSR)", 0x0d2b93aaa2f9a386ull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"compositing/SW-SC (Sobol)", 0x0a1644e1351b54ccull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"compositing/SW-SC (SIMD)", 0x0d2b93aaa2f9a386ull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"compositing/ReRAM-SC", 0x39e23f309bca2c97ull, 0ull, 0xdb05911395e38d70ull},
+    {"compositing/Binary CIM", 0xc856da68e209f3dbull, 5875712ull, 0x8ac123d6f7dce585ull},
+    {"compositing/SW-SC (SFMT)", 0x0eb64fab71eacb06ull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"bilinear/Reference", 0x8b487b24909f15b7ull, 0ull, 0x8ac123d6f7dce585ull},
+    {"bilinear/SW-SC (LFSR)", 0x850a797324da25fdull, 12288ull, 0x8ac123d6f7dce585ull},
+    {"bilinear/SW-SC (Sobol)", 0xf4f0e1537352734aull, 12288ull, 0x8ac123d6f7dce585ull},
+    {"bilinear/SW-SC (SIMD)", 0x850a797324da25fdull, 12288ull, 0x8ac123d6f7dce585ull},
+    {"bilinear/ReRAM-SC", 0xaa967ec93843075eull, 0ull, 0xa20434ca736efc17ull},
+    {"bilinear/Binary CIM", 0xbcf028615aa1b14aull, 70508544ull, 0x8ac123d6f7dce585ull},
+    {"bilinear/SW-SC (SFMT)", 0x8d64875d55f8b97dull, 12288ull, 0x8ac123d6f7dce585ull},
+    {"matting/Reference", 0x52e17ed79dffc271ull, 0ull, 0x8ac123d6f7dce585ull},
+    {"matting/SW-SC (LFSR)", 0xfbba92068ec90ad1ull, 3072ull, 0x8ac123d6f7dce585ull},
+    {"matting/SW-SC (Sobol)", 0x546a74a32fb32393ull, 3072ull, 0x8ac123d6f7dce585ull},
+    {"matting/SW-SC (SIMD)", 0xfbba92068ec90ad1ull, 3072ull, 0x8ac123d6f7dce585ull},
+    {"matting/ReRAM-SC", 0xfc0a0ac114e3c2d4ull, 0ull, 0xdafbff385688b0ecull},
+    {"matting/Binary CIM", 0x821695ee6d5b9e5dull, 6291456ull, 0x8ac123d6f7dce585ull},
+    {"matting/SW-SC (SFMT)", 0xe085d9176ae1c7d3ull, 3072ull, 0x8ac123d6f7dce585ull},
+    {"filters/Reference", 0xfe8ddc0d5e5b679full, 0ull, 0x8ac123d6f7dce585ull},
+    {"filters/SW-SC (LFSR)", 0xd9cee647467c9caeull, 6300ull, 0x8ac123d6f7dce585ull},
+    {"filters/SW-SC (Sobol)", 0xad71d81c43e71e33ull, 6300ull, 0x8ac123d6f7dce585ull},
+    {"filters/SW-SC (SIMD)", 0xd9cee647467c9caeull, 6300ull, 0x8ac123d6f7dce585ull},
+    {"filters/ReRAM-SC", 0x05b6f02812b9ded3ull, 0ull, 0x80f52474d3832e59ull},
+    {"filters/Binary CIM", 0xf64a76b58968412aull, 2154600ull, 0x8ac123d6f7dce585ull},
+    {"filters/SW-SC (SFMT)", 0xc9f0284741dbbf1full, 6300ull, 0x8ac123d6f7dce585ull},
+    {"gamma/Reference", 0xed579ab9e25c63a1ull, 0ull, 0x8ac123d6f7dce585ull},
+    {"gamma/SW-SC (LFSR)", 0x9a98a566e044b205ull, 8192ull, 0x8ac123d6f7dce585ull},
+    {"gamma/SW-SC (Sobol)", 0xfcce7dd4db87f8e7ull, 8192ull, 0x8ac123d6f7dce585ull},
+    {"gamma/SW-SC (SIMD)", 0x9a98a566e044b205ull, 8192ull, 0x8ac123d6f7dce585ull},
+    {"gamma/ReRAM-SC", 0x2a359063fd854773ull, 0ull, 0x4579a71a007ade90ull},
+    {"gamma/Binary CIM", 0x73a35fe600950237ull, 58757120ull, 0x8ac123d6f7dce585ull},
+    {"gamma/SW-SC (SFMT)", 0x1c9ceccb3009b235ull, 8192ull, 0x8ac123d6f7dce585ull},
+    {"morphology/Reference", 0x59313049cbe4ce98ull, 0ull, 0x8ac123d6f7dce585ull},
+    {"morphology/SW-SC (LFSR)", 0x40bedfc0789cd0c4ull, 14400ull, 0x8ac123d6f7dce585ull},
+    {"morphology/SW-SC (Sobol)", 0xc1a1e62e3bf70520ull, 14400ull, 0x8ac123d6f7dce585ull},
+    {"morphology/SW-SC (SIMD)", 0x40bedfc0789cd0c4ull, 14400ull, 0x8ac123d6f7dce585ull},
+    {"morphology/ReRAM-SC", 0x0a43d88abc5a79fcull, 0ull, 0xd4bb18fda84cfb99ull},
+    {"morphology/Binary CIM", 0x59313049cbe4ce98ull, 4320000ull, 0x8ac123d6f7dce585ull},
+    {"morphology/SW-SC (SFMT)", 0x80c97403820a7671ull, 14400ull, 0x8ac123d6f7dce585ull},
+    {"tableIV-faulty/compositing/ReRAM-SC", 0xdabd5b2d74116fcaull, 0ull, 0x25c343aedd85b6f8ull},
+    {"tableIV-faulty/compositing/Binary CIM", 0x45026740fc5084acull, 5875712ull, 0x8ac123d6f7dce585ull},
+    {"faultplan/compositing/SW-SC (LFSR)", 0x5c256f65cd15e1b4ull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"faultplan/gamma/SW-SC (SIMD)", 0x82a7e5c701ecf013ull, 8192ull, 0x8ac123d6f7dce585ull},
+    {"faultplan/matting/ReRAM-SC", 0x4b439a20e989a19dull, 0ull, 0x1849b9b56e41cdccull},
+    {"faultplan/filters/Binary CIM", 0xb746197c095198e4ull, 2154600ull, 0x8ac123d6f7dce585ull},
+    {"vote3/compositing/ReRAM-SC", 0x4d70e94337dfbffeull, 0ull, 0x6e744fb498662639ull},
+};
+// clang-format on
+
+TEST(GoldenBytes, EveryRowMatchesThePinnedTable) {
+  const std::vector<Case> cases = goldenCases();
+  std::string regenerated;
+  bool mismatch = cases.size() != std::size(kPins);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    const RunResult r = runAppDetailed(c.app, c.design, c.cfg);
+    const Pin actual{c.label.c_str(), shard::fnv1a64(r.output.pixels()),
+                     r.opCount, eventsDigest(r.events)};
+    char line[256];
+    std::snprintf(line, sizeof line,
+                  "    {\"%s\", 0x%016" PRIx64 "ull, %" PRIu64
+                  "ull, 0x%016" PRIx64 "ull},\n",
+                  actual.label, actual.outputFnv, actual.opCount,
+                  actual.eventsFnv);
+    regenerated += line;
+    if (i >= std::size(kPins)) continue;
+    const Pin& want = kPins[i];
+    EXPECT_EQ(c.label, want.label) << "row " << i;
+    EXPECT_EQ(actual.outputFnv, want.outputFnv) << c.label << ": output bytes";
+    EXPECT_EQ(actual.opCount, want.opCount) << c.label << ": opCount";
+    EXPECT_EQ(actual.eventsFnv, want.eventsFnv) << c.label << ": EventCounts";
+    mismatch = mismatch || c.label != want.label ||
+               actual.outputFnv != want.outputFnv ||
+               actual.opCount != want.opCount ||
+               actual.eventsFnv != want.eventsFnv;
+  }
+  EXPECT_EQ(cases.size(), std::size(kPins)) << "row count";
+  if (mismatch) {
+    ADD_FAILURE() << "regenerated golden table:\n" << regenerated;
+  }
+}
+
+}  // namespace
+}  // namespace aimsc::apps
