@@ -11,12 +11,6 @@
 // backend (bulk LFSR + packed comparator), verifying the two are
 // bit-identical per seed.  Target: >= 8x at 256x256, N = 256.
 //
-// Part 4 measures the allocation-free hot path: the fused arena + *Into
-// compositing kernel against a verbatim copy of the pre-arena allocating
-// loop, on identically seeded SwScLfsr and ReRAM-SC backends.  Outputs must
-// be bit-identical; target >= 2x serial at 256x256 on both substrates.  The
-// fused kernel's steady-state arena growth is asserted to be zero.
-//
 // Results are also written to BENCH_throughput.json so the perf trajectory
 // is machine-trackable.
 //
@@ -32,7 +26,6 @@
 #include "core/backend_reram.hpp"
 #include "core/backend_swsc.hpp"
 #include "core/backend_swsc_simd.hpp"
-#include "core/stream_arena.hpp"
 #include "energy/report.hpp"
 #include "energy/system_model.hpp"
 #include "sc/bulk_sng.hpp"
@@ -69,60 +62,6 @@ struct SwScResult {
   bool sfmtBitIdenticalToPortable = false;
 };
 
-struct AllocResult {
-  double swscAllocPps = 0;
-  double swscFusedPps = 0;
-  double reramAllocPps = 0;
-  double reramFusedPps = 0;
-  bool swscBitIdentical = false;
-  bool reramBitIdentical = false;
-  bool swscZeroSteadyGrowth = false;
-  bool reramZeroSteadyGrowth = false;
-};
-
-/// Verbatim pre-arena compositing row loop (the PR-4 baseline call
-/// sequence): per-pixel allocating ops, per-row allocating encodes/decodes.
-aimsc::img::Image compositeAllocBaseline(
-    const aimsc::apps::CompositingScene& scene, aimsc::core::ScBackend& b) {
-  using namespace aimsc;
-  const std::size_t w = scene.background.width();
-  img::Image out(w, scene.background.height());
-  std::vector<std::uint8_t> frow(w);
-  std::vector<std::uint8_t> brow(w);
-  std::vector<std::uint8_t> arow(w);
-  std::vector<core::ScValue> blended(w);
-  for (std::size_t y = 0; y < out.height(); ++y) {
-    for (std::size_t x = 0; x < w; ++x) {
-      frow[x] = scene.foreground.at(x, y);
-      brow[x] = scene.background.at(x, y);
-      arow[x] = scene.alpha.at(x, y);
-    }
-    const auto fs = b.encodePixels(frow);
-    const auto bs = b.encodePixelsCorrelated(brow);
-    const auto as = b.encodePixels(arow);
-    for (std::size_t x = 0; x < w; ++x) {
-      blended[x] = b.majMux(fs[x], bs[x], as[x]);
-    }
-    const auto row = b.decodePixels(blended);
-    for (std::size_t x = 0; x < w; ++x) out.at(x, y) = row[x];
-  }
-  return out;
-}
-
-/// True when a warm arena adds no pool growth over the steady-state rows.
-bool steadyStateGrowthIsZero(const aimsc::apps::CompositingScene& scene,
-                             aimsc::core::ScBackend& b) {
-  using namespace aimsc;
-  core::StreamArena arena;
-  img::Image out(scene.background.width(), scene.background.height());
-  apps::compositeKernelRows(scene, b, arena, out, 0, 1);  // warm-up tile
-  const std::uint64_t warm = arena.stats().growthEvents();
-  const std::size_t rows = std::min<std::size_t>(out.height(), 4);
-  arena.reset();  // the tile boundary: cursors rewind, capacity stays
-  apps::compositeKernelRows(scene, b, arena, out, 1, rows);
-  return arena.stats().growthEvents() == warm;
-}
-
 /// Best-of-\p reps wall clock of one freshly seeded kernel run per rep
 /// (identical seeds, so every rep computes the same bits): small smoke
 /// sizes finish in a couple of milliseconds, where a single sample is
@@ -136,76 +75,6 @@ double bestSeconds(int reps, RunFn&& run) {
     if (sec < best) best = sec;
   }
   return best;
-}
-
-/// Part 4: the allocation-free hot path vs the allocating baseline.
-AllocResult measuredAllocVsFused(std::size_t size,
-                                 const aimsc::apps::CompositingScene& scene,
-                                 const aimsc::apps::RunConfig& cfg) {
-  using namespace aimsc;
-  const auto kPixels = static_cast<double>(size * size);
-  const int reps = size <= 96 ? 5 : 3;  // the alloc loop is the slow rep
-  AllocResult r;
-
-  core::SwScConfig swCfg;
-  swCfg.streamLength = 256;
-  {
-    img::Image allocOut;
-    img::Image fusedOut;
-    r.swscAllocPps = kPixels / bestSeconds(reps, [&] {
-      core::SwScBackend b(swCfg);
-      const auto t0 = std::chrono::steady_clock::now();
-      allocOut = compositeAllocBaseline(scene, b);
-      return secondsSince(t0);
-    });
-    r.swscFusedPps = kPixels / bestSeconds(reps, [&] {
-      core::SwScBackend b(swCfg);
-      const auto t0 = std::chrono::steady_clock::now();
-      fusedOut = apps::compositeKernel(scene, b);
-      return secondsSince(t0);
-    });
-    r.swscBitIdentical = fusedOut.pixels() == allocOut.pixels();
-
-    core::SwScBackend steadyBackend(swCfg);
-    r.swscZeroSteadyGrowth = steadyStateGrowthIsZero(scene, steadyBackend);
-  }
-  {
-    const auto matCfg = apps::tileConfigFor(cfg, apps::ParallelConfig{}).mat;
-    img::Image allocOut;
-    img::Image fusedOut;
-    r.reramAllocPps = kPixels / bestSeconds(reps, [&] {
-      core::ReramScBackend b(matCfg);
-      const auto t0 = std::chrono::steady_clock::now();
-      allocOut = compositeAllocBaseline(scene, b);
-      return secondsSince(t0);
-    });
-    r.reramFusedPps = kPixels / bestSeconds(reps, [&] {
-      core::ReramScBackend b(matCfg);
-      const auto t0 = std::chrono::steady_clock::now();
-      fusedOut = apps::compositeKernel(scene, b);
-      return secondsSince(t0);
-    });
-    r.reramBitIdentical = fusedOut.pixels() == allocOut.pixels();
-
-    core::ReramScBackend steadyBackend(matCfg);
-    r.reramZeroSteadyGrowth = steadyStateGrowthIsZero(scene, steadyBackend);
-  }
-
-  std::printf(
-      "\nAllocation-free hot path: %zux%zu compositing, N=256, serial\n"
-      "  SwScLfsr allocating loop: %10.0f pixels/s\n"
-      "  SwScLfsr fused kernel:    %10.0f pixels/s (%.1fx alloc)\n"
-      "  ReRAM-SC allocating loop: %10.0f pixels/s\n"
-      "  ReRAM-SC fused kernel:    %10.0f pixels/s (%.1fx alloc)\n"
-      "  bit-identical fused vs alloc: SwSc %s, ReRAM %s\n"
-      "  zero steady-state arena growth: SwSc %s, ReRAM %s\n",
-      size, size, r.swscAllocPps, r.swscFusedPps,
-      r.swscFusedPps / r.swscAllocPps, r.reramAllocPps, r.reramFusedPps,
-      r.reramFusedPps / r.reramAllocPps, r.swscBitIdentical ? "yes" : "NO (BUG)",
-      r.reramBitIdentical ? "yes" : "NO (BUG)",
-      r.swscZeroSteadyGrowth ? "yes" : "NO (BUG)",
-      r.reramZeroSteadyGrowth ? "yes" : "NO (BUG)");
-  return r;
 }
 
 /// Part 3: the software-SC substrate — scalar vs SIMD-batched (same design
@@ -373,7 +242,6 @@ void measuredSweep(std::size_t size) {
               bitIdentical ? "yes" : "NO (BUG)");
 
   const SwScResult sw = measuredSwScSweep(size, scene);
-  const AllocResult al = measuredAllocVsFused(size, scene, cfg);
 
   // Machine-readable trajectory for future PRs.
   FILE* f = std::fopen("BENCH_throughput.json", "w");
@@ -427,31 +295,11 @@ void measuredSweep(std::size_t size) {
                  "    \"sfmt_simd_speedup_vs_scalar\": %.2f,\n"
                  "    \"sfmt_bit_identical_to_scalar\": %s,\n"
                  "    \"sfmt_bit_identical_to_portable\": %s\n"
-                 "  },\n",
+                 "  }\n}\n",
                  sw.sfmtScalarPps, sw.sfmtSimdPps,
                  sw.sfmtSimdPps / sw.sfmtScalarPps,
                  sw.sfmtBitIdenticalToScalar ? "true" : "false",
                  sw.sfmtBitIdenticalToPortable ? "true" : "false");
-    std::fprintf(f,
-                 "  \"alloc\": {\n"
-                 "    \"swsc_alloc_pixels_per_sec\": %.1f,\n"
-                 "    \"swsc_fused_pixels_per_sec\": %.1f,\n"
-                 "    \"swsc_fused_speedup\": %.2f,\n"
-                 "    \"reram_alloc_pixels_per_sec\": %.1f,\n"
-                 "    \"reram_fused_pixels_per_sec\": %.1f,\n"
-                 "    \"reram_fused_speedup\": %.2f,\n"
-                 "    \"swsc_bit_identical\": %s,\n"
-                 "    \"reram_bit_identical\": %s,\n"
-                 "    \"swsc_zero_steady_state_growth\": %s,\n"
-                 "    \"reram_zero_steady_state_growth\": %s\n"
-                 "  }\n}\n",
-                 al.swscAllocPps, al.swscFusedPps,
-                 al.swscFusedPps / al.swscAllocPps, al.reramAllocPps,
-                 al.reramFusedPps, al.reramFusedPps / al.reramAllocPps,
-                 al.swscBitIdentical ? "true" : "false",
-                 al.reramBitIdentical ? "true" : "false",
-                 al.swscZeroSteadyGrowth ? "true" : "false",
-                 al.reramZeroSteadyGrowth ? "true" : "false");
     std::fclose(f);
     std::puts("  wrote BENCH_throughput.json");
   }

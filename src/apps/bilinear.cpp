@@ -52,8 +52,7 @@ void upscaleKernelRows(img::ImageView src, std::size_t factor,
     }
     b.encodePixelsInto(data, ds);
     b.encodePixelsInto(dxRow, sxs);
-    // Row-constant dy select: a fresh single-element epoch, exactly like
-    // the allocating kernel's encodePixel.
+    // Row-constant dy select: a fresh single-element epoch.
     b.encodePixelsInto(std::span<const std::uint8_t>(&cy.frac, 1),
                        std::span<core::ScValue>(&sy, 1));
     for (std::size_t X = 0; X < W; ++X) {
@@ -65,18 +64,12 @@ void upscaleKernelRows(img::ImageView src, std::size_t factor,
   }
 }
 
-void upscaleKernelRows(img::ImageView src, std::size_t factor,
-                       core::ScBackend& b, img::ImageSpan out,
-                       std::size_t rowBegin, std::size_t rowEnd) {
-  core::StreamArena arena;
-  upscaleKernelRows(src, factor, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image upscaleKernel(img::ImageView src, std::size_t factor,
                          core::ScBackend& b) {
   if (factor < 1) throw std::invalid_argument("upscale: bad factor");
   img::Image out(src.width() * factor, src.height() * factor);
-  upscaleKernelRows(src, factor, b, out, 0, out.height());
+  core::StreamArena arena;
+  upscaleKernelRows(src, factor, b, arena, out, 0, out.height());
   return out;
 }
 

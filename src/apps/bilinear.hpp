@@ -38,18 +38,13 @@ SampleCoord mapCoord(std::size_t outIndex, std::size_t outSize,
 /// select; decode is batched per row.
 ///
 /// FUSED: walks a fixed arena slot set through the *Into ops —
-/// bit-identical to the allocating call sequence, allocation-free when warm.
+/// allocation-free when warm.
 void upscaleKernelRows(img::ImageView src, std::size_t factor,
                        core::ScBackend& b, core::StreamArena& arena,
                        img::ImageSpan out, std::size_t rowBegin,
                        std::size_t rowEnd);
 
-/// Convenience overload with a call-local arena.
-void upscaleKernelRows(img::ImageView src, std::size_t factor,
-                       core::ScBackend& b, img::ImageSpan out,
-                       std::size_t rowBegin, std::size_t rowEnd);
-
-/// Whole-image form on a single backend.
+/// Whole-image form on a single backend (with a call-local arena).
 img::Image upscaleKernel(img::ImageView src, std::size_t factor,
                          core::ScBackend& b);
 

@@ -57,16 +57,10 @@ void compositeKernelRows(const CompositingFrames& scene, core::ScBackend& b,
   }
 }
 
-void compositeKernelRows(const CompositingFrames& scene, core::ScBackend& b,
-                         img::ImageSpan out, std::size_t rowBegin,
-                         std::size_t rowEnd) {
-  core::StreamArena arena;
-  compositeKernelRows(scene, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image compositeKernel(const CompositingFrames& scene, core::ScBackend& b) {
   img::Image out(scene.background.width(), scene.background.height());
-  compositeKernelRows(scene, b, out, 0, out.height());
+  core::StreamArena arena;
+  compositeKernelRows(scene, b, arena, out, 0, out.height());
   return out;
 }
 

@@ -54,18 +54,13 @@ struct CompositingFrames {
 /// decode is batched per row.
 ///
 /// FUSED: the row loop walks a fixed set of \p arena slots through the
-/// backend's destination-passing *Into ops — bit-identical to the
-/// allocating call sequence, zero heap traffic once the arena is warm.
+/// backend's destination-passing *Into ops — zero heap traffic once the
+/// arena is warm.
 void compositeKernelRows(const CompositingFrames& scene, core::ScBackend& b,
                          core::StreamArena& arena, img::ImageSpan out,
                          std::size_t rowBegin, std::size_t rowEnd);
 
-/// Convenience overload with a call-local arena (warm within the call).
-void compositeKernelRows(const CompositingFrames& scene, core::ScBackend& b,
-                         img::ImageSpan out, std::size_t rowBegin,
-                         std::size_t rowEnd);
-
-/// Whole-image form on a single backend.
+/// Whole-image form on a single backend (with a call-local arena).
 img::Image compositeKernel(const CompositingFrames& scene, core::ScBackend& b);
 
 /// Tile-parallel form: the SAME kernel sharded over the executor's lanes;

@@ -64,16 +64,10 @@ void smoothKernelRows(img::ImageView src, core::ScBackend& b,
   }
 }
 
-void smoothKernelRows(img::ImageView src, core::ScBackend& b,
-                      img::ImageSpan out, std::size_t rowBegin,
-                      std::size_t rowEnd) {
-  core::StreamArena arena;
-  smoothKernelRows(src, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image smoothKernel(img::ImageView src, core::ScBackend& b) {
   img::Image out = src.toImage();  // borders copy through
-  smoothKernelRows(src, b, out, 0, src.height());
+  core::StreamArena arena;
+  smoothKernelRows(src, b, arena, out, 0, src.height());
   return out;
 }
 
@@ -122,15 +116,10 @@ void edgeKernelRows(img::ImageView src, core::ScBackend& b,
   }
 }
 
-void edgeKernelRows(img::ImageView src, core::ScBackend& b, img::ImageSpan out,
-                    std::size_t rowBegin, std::size_t rowEnd) {
-  core::StreamArena arena;
-  edgeKernelRows(src, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image edgeKernel(img::ImageView src, core::ScBackend& b) {
   img::Image out(src.width(), src.height(), 0);
-  edgeKernelRows(src, b, out, 0, src.height());
+  core::StreamArena arena;
+  edgeKernelRows(src, b, arena, out, 0, src.height());
   return out;
 }
 
@@ -172,17 +161,11 @@ void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
   }
 }
 
-void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
-                     img::ImageSpan out, std::size_t rowBegin, std::size_t rowEnd,
-                     int degree) {
-  core::StreamArena arena;
-  gammaKernelRows(src, gamma, b, arena, out, rowBegin, rowEnd, degree);
-}
-
 img::Image gammaKernel(img::ImageView src, double gamma, core::ScBackend& b,
                        int degree) {
   img::Image out(src.width(), src.height());
-  gammaKernelRows(src, gamma, b, out, 0, src.height(), degree);
+  core::StreamArena arena;
+  gammaKernelRows(src, gamma, b, arena, out, 0, src.height(), degree);
   return out;
 }
 

@@ -29,15 +29,11 @@ namespace aimsc::apps {
 /// Rows are clamped to the interior; border pixels must be pre-filled.
 ///
 /// FUSED: walks a fixed arena slot set through the *Into ops —
-/// bit-identical to the allocating call sequence, allocation-free when warm.
+/// allocation-free when warm.  The whole-image forms below build a
+/// call-local arena.
 void smoothKernelRows(img::ImageView src, core::ScBackend& b,
                       core::StreamArena& arena, img::ImageSpan out,
                       std::size_t rowBegin, std::size_t rowEnd);
-
-/// Convenience overload with a call-local arena.
-void smoothKernelRows(img::ImageView src, core::ScBackend& b,
-                      img::ImageSpan out, std::size_t rowBegin,
-                      std::size_t rowEnd);
 
 /// Whole-image smoothing (border pixels copy through).
 img::Image smoothKernel(img::ImageView src, core::ScBackend& b);
@@ -53,10 +49,6 @@ void edgeKernelRows(img::ImageView src, core::ScBackend& b,
                     core::StreamArena& arena, img::ImageSpan out,
                     std::size_t rowBegin, std::size_t rowEnd);
 
-/// Convenience overload with a call-local arena.
-void edgeKernelRows(img::ImageView src, core::ScBackend& b, img::ImageSpan out,
-                    std::size_t rowBegin, std::size_t rowEnd);
-
 /// Whole-image edge magnitude (last row/column are zero).
 img::Image edgeKernel(img::ImageView src, core::ScBackend& b);
 
@@ -65,17 +57,12 @@ img::Image edgeKernelTiled(img::ImageView src, core::TileExecutor& exec);
 
 /// Row-range gamma correction v' = v^gamma via Bernstein synthesis
 /// (sc/bernstein.hpp): per pixel, `degree` independent encodings of the
-/// pixel (`encodeCopies`) select among degree+1 coefficient streams
-/// b_k = (k/n)^gamma through the backend's `bernsteinSelect` network.
+/// pixel (`encodeCopiesInto`) select among degree+1 coefficient streams
+/// b_k = (k/n)^gamma through the backend's `bernsteinSelectInto` network.
 /// FUSED (see smoothKernelRows).
 void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
                      core::StreamArena& arena, img::ImageSpan out,
                      std::size_t rowBegin, std::size_t rowEnd, int degree = 4);
-
-/// Convenience overload with a call-local arena.
-void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
-                     img::ImageSpan out, std::size_t rowBegin, std::size_t rowEnd,
-                     int degree = 4);
 
 /// Whole-image gamma correction on any backend.
 img::Image gammaKernel(img::ImageView src, double gamma, core::ScBackend& b,

@@ -51,16 +51,10 @@ void mattingKernelRows(const MattingFrames& scene, core::ScBackend& b,
   }
 }
 
-void mattingKernelRows(const MattingFrames& scene, core::ScBackend& b,
-                       img::ImageSpan out, std::size_t rowBegin,
-                       std::size_t rowEnd) {
-  core::StreamArena arena;
-  mattingKernelRows(scene, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image mattingKernel(const MattingFrames& scene, core::ScBackend& b) {
   img::Image out(scene.composite.width(), scene.composite.height());
-  mattingKernelRows(scene, b, out, 0, out.height());
+  core::StreamArena arena;
+  mattingKernelRows(scene, b, arena, out, 0, out.height());
   return out;
 }
 

@@ -54,18 +54,13 @@ struct MattingFrames {
 /// S-to-B path, batched per row.
 ///
 /// FUSED: walks a fixed arena slot set through the *Into ops —
-/// bit-identical to the allocating call sequence, allocation-free when warm
-/// (the serial CORDIV recurrence itself writes into a warm slot too).
+/// allocation-free when warm (the serial CORDIV recurrence itself writes
+/// into a warm slot too).
 void mattingKernelRows(const MattingFrames& scene, core::ScBackend& b,
                        core::StreamArena& arena, img::ImageSpan out,
                        std::size_t rowBegin, std::size_t rowEnd);
 
-/// Convenience overload with a call-local arena.
-void mattingKernelRows(const MattingFrames& scene, core::ScBackend& b,
-                       img::ImageSpan out, std::size_t rowBegin,
-                       std::size_t rowEnd);
-
-/// Whole-image form on a single backend.
+/// Whole-image form on a single backend (with a call-local arena).
 img::Image mattingKernel(const MattingFrames& scene, core::ScBackend& b);
 
 /// Tile-parallel form: the SAME kernel sharded over the executor's lanes.

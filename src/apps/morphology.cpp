@@ -65,7 +65,8 @@ const auto kMaxFold = [](core::ScBackend& b, core::ScValue& dst,
 template <typename RowsFn>
 img::Image wholeImage(img::ImageView src, RowsFn&& rows) {
   img::Image out = src.toImage();  // borders copy through
-  rows(out, std::size_t{0}, src.height());
+  core::StreamArena arena;
+  rows(arena, out, std::size_t{0}, src.height());
   return out;
 }
 
@@ -108,35 +109,23 @@ void erodeKernelRows(img::ImageView src, core::ScBackend& b,
   morphKernelRows(src, b, arena, out, rowBegin, rowEnd, kMinFold);
 }
 
-void erodeKernelRows(img::ImageView src, core::ScBackend& b,
-                     img::ImageSpan out, std::size_t rowBegin,
-                     std::size_t rowEnd) {
-  core::StreamArena arena;
-  erodeKernelRows(src, b, arena, out, rowBegin, rowEnd);
-}
-
 void dilateKernelRows(img::ImageView src, core::ScBackend& b,
                       core::StreamArena& arena, img::ImageSpan out,
                       std::size_t rowBegin, std::size_t rowEnd) {
   morphKernelRows(src, b, arena, out, rowBegin, rowEnd, kMaxFold);
 }
 
-void dilateKernelRows(img::ImageView src, core::ScBackend& b,
-                      img::ImageSpan out, std::size_t rowBegin,
-                      std::size_t rowEnd) {
-  core::StreamArena arena;
-  dilateKernelRows(src, b, arena, out, rowBegin, rowEnd);
-}
-
 img::Image erodeKernel(img::ImageView src, core::ScBackend& b) {
-  return wholeImage(src, [&](img::ImageSpan out, std::size_t r0, std::size_t r1) {
-    erodeKernelRows(src, b, out, r0, r1);
+  return wholeImage(src, [&](core::StreamArena& arena, img::ImageSpan out,
+                             std::size_t r0, std::size_t r1) {
+    erodeKernelRows(src, b, arena, out, r0, r1);
   });
 }
 
 img::Image dilateKernel(img::ImageView src, core::ScBackend& b) {
-  return wholeImage(src, [&](img::ImageSpan out, std::size_t r0, std::size_t r1) {
-    dilateKernelRows(src, b, out, r0, r1);
+  return wholeImage(src, [&](core::StreamArena& arena, img::ImageSpan out,
+                             std::size_t r0, std::size_t r1) {
+    dilateKernelRows(src, b, arena, out, r0, r1);
   });
 }
 

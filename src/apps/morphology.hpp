@@ -29,28 +29,18 @@ namespace aimsc::apps {
 /// to the interior; border pixels must be pre-filled.
 ///
 /// FUSED: the fold runs in place on a fixed arena slot set through the
-/// *Into ops (dst aliasing its first operand) — bit-identical to the
-/// allocating chain, allocation-free when warm.
+/// *Into ops (dst aliasing its first operand) — allocation-free when warm.
 void erodeKernelRows(img::ImageView src, core::ScBackend& b,
                      core::StreamArena& arena, img::ImageSpan out,
                      std::size_t rowBegin, std::size_t rowEnd);
-
-/// Convenience overload with a call-local arena.
-void erodeKernelRows(img::ImageView src, core::ScBackend& b,
-                     img::ImageSpan out, std::size_t rowBegin,
-                     std::size_t rowEnd);
 
 /// Row-range 3×3 dilation (window maximum): the mirrored `maximum` chain.
 void dilateKernelRows(img::ImageView src, core::ScBackend& b,
                       core::StreamArena& arena, img::ImageSpan out,
                       std::size_t rowBegin, std::size_t rowEnd);
 
-/// Convenience overload with a call-local arena.
-void dilateKernelRows(img::ImageView src, core::ScBackend& b,
-                      img::ImageSpan out, std::size_t rowBegin,
-                      std::size_t rowEnd);
-
-/// Whole-image erosion / dilation (border pixels copy through).
+/// Whole-image erosion / dilation (border pixels copy through; call-local
+/// arena).
 img::Image erodeKernel(img::ImageView src, core::ScBackend& b);
 img::Image dilateKernel(img::ImageView src, core::ScBackend& b);
 

@@ -55,18 +55,18 @@ DesignKind parseDesignKind(std::string_view name) {
                               std::string(name) + "' (valid: " + valid + ")");
 }
 
-ScValue ScBackend::encodePixel(std::uint8_t v) {
-  const std::array<std::uint8_t, 1> one{v};
-  return std::move(encodePixels(one).front());
+void ScBackend::requireSameSize(std::size_t values, std::size_t out,
+                                const char* who) {
+  if (values != out) {
+    throw std::invalid_argument(std::string(who) +
+                                ": destination size mismatch");
+  }
 }
 
-ScValue ScBackend::encodePixelCorrelated(std::uint8_t v) {
-  const std::array<std::uint8_t, 1> one{v};
-  return std::move(encodePixelsCorrelated(one).front());
-}
+namespace {
 
-ScValue ScBackend::bernsteinSelect(std::span<const ScValue> xCopies,
-                                   std::span<const ScValue> coeffSelects) {
+void checkBernsteinShape(std::span<const ScValue> xCopies,
+                         std::span<const ScValue> coeffSelects) {
   // The documented contract, enforced once for every substrate: n x-copies
   // select among n+1 coefficients.  Substrates may then index freely.
   if (xCopies.empty() || coeffSelects.size() != xCopies.size() + 1) {
@@ -74,143 +74,162 @@ ScValue ScBackend::bernsteinSelect(std::span<const ScValue> xCopies,
         "ScBackend::bernsteinSelect: need n x-copies (n >= 1) and n+1 "
         "coefficient selects");
   }
-  return doBernsteinSelect(xCopies, coeffSelects);
-}
-
-std::vector<ScValue> ScBackend::encodeCopies(std::uint8_t v, std::size_t k) {
-  // One fresh epoch per copy: mutually independent encodings of the same
-  // value (the Bernstein binomial-sampling precondition).
-  std::vector<ScValue> copies;
-  copies.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) copies.push_back(encodePixel(v));
-  return copies;
-}
-
-std::vector<std::uint8_t> ScBackend::decodePixelsStored(
-    std::span<ScValue> values) {
-  return decodePixels(values);
-}
-
-// --- destination-passing defaults: forward to the allocating forms ----------
-// These keep every substrate conformant (same bits, epochs, accounting);
-// hot substrates override them with genuinely in-place realisations.
-
-namespace {
-
-void checkSameSize(std::size_t values, std::size_t out, const char* who) {
-  if (values != out) {
-    throw std::invalid_argument(std::string(who) +
-                                ": destination size mismatch");
-  }
 }
 
 }  // namespace
 
-void ScBackend::encodePixelsInto(std::span<const std::uint8_t> values,
-                                 std::span<ScValue> out) {
-  checkSameSize(values.size(), out.size(), "ScBackend::encodePixelsInto");
-  auto encoded = encodePixels(values);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::move(encoded[i]);
-}
-
-void ScBackend::encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
-                                           std::span<ScValue> out) {
-  checkSameSize(values.size(), out.size(),
-                "ScBackend::encodePixelsCorrelatedInto");
-  auto encoded = encodePixelsCorrelated(values);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::move(encoded[i]);
-}
-
-void ScBackend::encodeProbInto(ScValue& dst, double p) { dst = encodeProb(p); }
-
-void ScBackend::halfStreamInto(ScValue& dst) { dst = halfStream(); }
+// --- derived defaults ---------------------------------------------------------
 
 void ScBackend::encodeCopiesInto(std::uint8_t v, std::span<ScValue> out) {
-  // One fresh epoch per copy, exactly like encodeCopies: a single-element
-  // fresh-epoch batch per slot.
+  // One fresh epoch per copy: a single-element fresh-epoch batch per slot.
   const std::array<std::uint8_t, 1> one{v};
   for (ScValue& slot : out) {
     encodePixelsInto(one, std::span<ScValue>(&slot, 1));
   }
 }
 
-void ScBackend::multiplyInto(ScValue& dst, const ScValue& x, const ScValue& y) {
-  dst = multiply(x, y);
-}
-
-void ScBackend::scaledAddInto(ScValue& dst, const ScValue& x, const ScValue& y,
-                              const ScValue& half) {
-  dst = scaledAdd(x, y, half);
-}
-
-void ScBackend::addApproxInto(ScValue& dst, const ScValue& x,
-                              const ScValue& y) {
-  dst = addApprox(x, y);
-}
-
-void ScBackend::absSubInto(ScValue& dst, const ScValue& x, const ScValue& y) {
-  dst = absSub(x, y);
-}
-
-void ScBackend::minimumInto(ScValue& dst, const ScValue& x, const ScValue& y) {
-  dst = minimum(x, y);
-}
-
-void ScBackend::maximumInto(ScValue& dst, const ScValue& x, const ScValue& y) {
-  dst = maximum(x, y);
-}
-
-void ScBackend::majMuxInto(ScValue& dst, const ScValue& x, const ScValue& y,
-                           const ScValue& sel) {
-  dst = majMux(x, y, sel);
-}
-
-void ScBackend::majMux4Into(ScValue& dst, const ScValue& i11,
-                            const ScValue& i12, const ScValue& i21,
-                            const ScValue& i22, const ScValue& sx,
-                            const ScValue& sy) {
-  dst = majMux4(i11, i12, i21, i22, sx, sy);
-}
-
-void ScBackend::divideInto(ScValue& dst, const ScValue& num,
-                           const ScValue& den) {
-  dst = divide(num, den);
-}
-
 void ScBackend::bernsteinSelectInto(ScValue& dst,
                                     std::span<const ScValue> xCopies,
                                     std::span<const ScValue> coeffSelects) {
-  // Same contract enforcement as the allocating wrapper.
-  if (xCopies.empty() || coeffSelects.size() != xCopies.size() + 1) {
-    throw std::invalid_argument(
-        "ScBackend::bernsteinSelect: need n x-copies (n >= 1) and n+1 "
-        "coefficient selects");
-  }
+  checkBernsteinShape(xCopies, coeffSelects);
   doBernsteinSelectInto(dst, xCopies, coeffSelects);
-}
-
-void ScBackend::doBernsteinSelectInto(ScValue& dst,
-                                      std::span<const ScValue> xCopies,
-                                      std::span<const ScValue> coeffSelects) {
-  dst = doBernsteinSelect(xCopies, coeffSelects);
-}
-
-void ScBackend::decodePixelsInto(std::span<ScValue> values,
-                                 std::span<std::uint8_t> out) {
-  checkSameSize(values.size(), out.size(), "ScBackend::decodePixelsInto");
-  // The allocating form consumes the batch; arena destinations are reused
-  // by the caller afterwards, which is fine — their payload is dead either
-  // way until the next *Into write resizes it.
-  auto decoded = decodePixels(values);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = decoded[i];
 }
 
 void ScBackend::decodePixelsStoredInto(std::span<ScValue> values,
                                        std::span<std::uint8_t> out) {
-  checkSameSize(values.size(), out.size(),
-                "ScBackend::decodePixelsStoredInto");
-  auto decoded = decodePixelsStored(values);
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = decoded[i];
+  decodePixelsInto(values, out);
+}
+
+// --- allocating wrappers: size the destination, call the *Into form --------
+
+std::vector<ScValue> ScBackend::encodePixels(
+    std::span<const std::uint8_t> values) {
+  std::vector<ScValue> out(values.size());
+  encodePixelsInto(values, out);
+  return out;
+}
+
+std::vector<ScValue> ScBackend::encodePixelsCorrelated(
+    std::span<const std::uint8_t> values) {
+  std::vector<ScValue> out(values.size());
+  encodePixelsCorrelatedInto(values, out);
+  return out;
+}
+
+ScValue ScBackend::encodeProb(double p) {
+  ScValue v;
+  encodeProbInto(v, p);
+  return v;
+}
+
+ScValue ScBackend::halfStream() {
+  ScValue v;
+  halfStreamInto(v);
+  return v;
+}
+
+ScValue ScBackend::encodePixel(std::uint8_t v) {
+  const std::array<std::uint8_t, 1> one{v};
+  ScValue out;
+  encodePixelsInto(one, std::span<ScValue>(&out, 1));
+  return out;
+}
+
+ScValue ScBackend::encodePixelCorrelated(std::uint8_t v) {
+  const std::array<std::uint8_t, 1> one{v};
+  ScValue out;
+  encodePixelsCorrelatedInto(one, std::span<ScValue>(&out, 1));
+  return out;
+}
+
+std::vector<ScValue> ScBackend::encodeCopies(std::uint8_t v, std::size_t k) {
+  std::vector<ScValue> copies(k);
+  encodeCopiesInto(v, copies);
+  return copies;
+}
+
+ScValue ScBackend::multiply(const ScValue& x, const ScValue& y) {
+  ScValue v;
+  multiplyInto(v, x, y);
+  return v;
+}
+
+ScValue ScBackend::scaledAdd(const ScValue& x, const ScValue& y,
+                             const ScValue& half) {
+  ScValue v;
+  scaledAddInto(v, x, y, half);
+  return v;
+}
+
+ScValue ScBackend::addApprox(const ScValue& x, const ScValue& y) {
+  ScValue v;
+  addApproxInto(v, x, y);
+  return v;
+}
+
+ScValue ScBackend::absSub(const ScValue& x, const ScValue& y) {
+  ScValue v;
+  absSubInto(v, x, y);
+  return v;
+}
+
+ScValue ScBackend::minimum(const ScValue& x, const ScValue& y) {
+  ScValue v;
+  minimumInto(v, x, y);
+  return v;
+}
+
+ScValue ScBackend::maximum(const ScValue& x, const ScValue& y) {
+  ScValue v;
+  maximumInto(v, x, y);
+  return v;
+}
+
+ScValue ScBackend::majMux(const ScValue& x, const ScValue& y,
+                          const ScValue& sel) {
+  ScValue v;
+  majMuxInto(v, x, y, sel);
+  return v;
+}
+
+ScValue ScBackend::majMux4(const ScValue& i11, const ScValue& i12,
+                           const ScValue& i21, const ScValue& i22,
+                           const ScValue& sx, const ScValue& sy) {
+  ScValue v;
+  majMux4Into(v, i11, i12, i21, i22, sx, sy);
+  return v;
+}
+
+ScValue ScBackend::divide(const ScValue& num, const ScValue& den) {
+  ScValue v;
+  divideInto(v, num, den);
+  return v;
+}
+
+ScValue ScBackend::bernsteinSelect(std::span<const ScValue> xCopies,
+                                   std::span<const ScValue> coeffSelects) {
+  checkBernsteinShape(xCopies, coeffSelects);
+  return doBernsteinSelect(xCopies, coeffSelects);
+}
+
+ScValue ScBackend::doBernsteinSelect(std::span<const ScValue> xCopies,
+                                     std::span<const ScValue> coeffSelects) {
+  ScValue v;
+  doBernsteinSelectInto(v, xCopies, coeffSelects);
+  return v;
+}
+
+std::vector<std::uint8_t> ScBackend::decodePixels(std::span<ScValue> values) {
+  std::vector<std::uint8_t> out(values.size());
+  decodePixelsInto(values, out);
+  return out;
+}
+
+std::vector<std::uint8_t> ScBackend::decodePixelsStored(
+    std::span<ScValue> values) {
+  std::vector<std::uint8_t> out(values.size());
+  decodePixelsStoredInto(values, out);
+  return out;
 }
 
 std::uint8_t ScBackend::decodePixel(ScValue v) {

@@ -6,10 +6,10 @@
 /// -> ADC S-to-B) is ONE dataflow executed on different substrates.  An
 /// `ScBackend` exposes exactly the contract the apps use:
 ///
-///  * stage 1 — batched encode: `encodePixels` opens a fresh randomness
+///  * stage 1 — batched encode: `encodePixelsInto` opens a fresh randomness
 ///    epoch (all streams of the batch mutually correlated, the epoch
-///    independent of earlier encodes); `encodePixelsCorrelated` joins the
-///    current epoch (Sec. II-B correlation control);
+///    independent of earlier encodes); `encodePixelsCorrelatedInto` joins
+///    the current epoch (Sec. II-B correlation control);
 ///  * stage 2 — the full ImOps vocabulary: multiply / scaledAdd /
 ///    addApprox / absSub / minimum / maximum / majMux / majMux4 / divide /
 ///    bernsteinSelect (Qian & Riedel polynomial synthesis);
@@ -98,40 +98,35 @@ struct ScValue {
   sc::Bitstream stream;    ///< stream substrates (ReRAM-SC, SW-SC)
   double prob = 0.0;       ///< floating-point reference
   std::uint32_t word = 0;  ///< binary CIM integer domain
-
-  /// Wraps a bit-stream payload (stream substrates).
-  static ScValue ofStream(sc::Bitstream s) {
-    ScValue v;
-    v.stream = std::move(s);
-    return v;
-  }
-  /// Wraps a probability payload (reference substrate).
-  static ScValue ofProb(double p) {
-    ScValue v;
-    v.prob = p;
-    return v;
-  }
-  /// Wraps an integer-word payload (binary CIM substrate).
-  static ScValue ofWord(std::uint32_t w) {
-    ScValue v;
-    v.word = w;
-    return v;
-  }
 };
 
-/// Borrows the stream payloads of a value batch (stream substrates' view
-/// of a `ScValue` span; the values must outlive the returned pointers).
-inline std::vector<const sc::Bitstream*> borrowStreams(
-    std::span<const ScValue> values) {
-  std::vector<const sc::Bitstream*> ptrs;
-  ptrs.reserve(values.size());
-  for (const ScValue& v : values) ptrs.push_back(&v.stream);
+/// Borrows the stream payloads of a value batch into \p ptrs (stream
+/// substrates' view of a `ScValue` span, staged through reused scratch so
+/// per-pixel networks do not churn; the values must outlive the pointers).
+inline std::span<const sc::Bitstream* const> borrowStreams(
+    std::span<const ScValue> values, std::vector<const sc::Bitstream*>& ptrs) {
+  ptrs.resize(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) ptrs[i] = &values[i].stream;
   return ptrs;
 }
 
 /// Abstract execution engine for the three-stage SC dataflow.  Backends are
 /// stateful (randomness epochs, event ledgers) and not thread-safe; the
 /// tile executor gives each lane its own instance.
+///
+/// A substrate implements ONE surface: the destination-passing `*Into`
+/// forms (pure virtual below).  Destinations are resized in place (buffers
+/// reused), which is what makes a warm `StreamArena` row loop run without
+/// heap traffic.  Stage-2 destinations MAY alias their operands (morphology
+/// folds in place); `divideInto` and `bernsteinSelectInto` are the
+/// exceptions — their serial recurrence / selection network reads inputs
+/// after output positions are written.
+///
+/// The allocating forms (`encodePixels`, `multiply`, `decodePixels`, ...)
+/// are base-class wrappers that size a destination and call the matching
+/// `*Into` form, so the two can never disagree in bits, randomness-epoch
+/// advance or cost/event accounting.  They stay virtual only so forwarding
+/// decorators can intercept them; substrates do not override them.
 class ScBackend {
  public:
   virtual ~ScBackend() = default;
@@ -142,16 +137,17 @@ class ScBackend {
 
   // --- stage 1: binary -> backend domain ----------------------------------
 
-  /// Opens a fresh randomness epoch and encodes the whole batch against it:
-  /// streams within the batch are mutually correlated, the epoch is
-  /// independent of any earlier encode.
-  virtual std::vector<ScValue> encodePixels(
-      std::span<const std::uint8_t> values) = 0;
+  /// Opens a fresh randomness epoch and encodes the whole batch against it,
+  /// stream i into `out[i]`: streams within the batch are mutually
+  /// correlated, the epoch is independent of any earlier encode.  Requires
+  /// `out.size() == values.size()` (throws std::invalid_argument).
+  virtual void encodePixelsInto(std::span<const std::uint8_t> values,
+                                std::span<ScValue> out) = 0;
 
   /// Encodes the batch against the CURRENT epoch: maximally correlated with
   /// the previous encode* call (operand families for XOR / CORDIV).
-  virtual std::vector<ScValue> encodePixelsCorrelated(
-      std::span<const std::uint8_t> values) = 0;
+  virtual void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
+                                          std::span<ScValue> out) = 0;
 
   /// Encodes an arbitrary constant probability (coefficients, selects),
   /// independent of every data batch.  Repeated calls within one epoch
@@ -159,64 +155,67 @@ class ScBackend {
   /// current data epoch; the SW-SC backends serve them from a cached pool
   /// without advancing the epoch counter (the ReRAM substrate still draws
   /// fresh TRNG planes per constant).
-  virtual ScValue encodeProb(double p) = 0;
+  virtual void encodeProbInto(ScValue& dst, double p) = 0;
 
   /// Independent P=0.5 select stream for MAJ/MUX scaled addition
-  /// (equivalent to `encodeProb(0.5)`; same constant-pool semantics).
-  virtual ScValue halfStream() = 0;
+  /// (equivalent to `encodeProbInto(dst, 0.5)`; same constant-pool
+  /// semantics).
+  virtual void halfStreamInto(ScValue& dst) = 0;
 
-  /// Single-pixel conveniences (fresh epoch / current epoch).
-  virtual ScValue encodePixel(std::uint8_t v);
-  virtual ScValue encodePixelCorrelated(std::uint8_t v);
-
-  /// \p k encodings of the same pixel value, each against its OWN fresh
-  /// randomness epoch: the returned copies are mutually independent and
+  /// `out.size()` encodings of the same pixel value, each against its OWN
+  /// fresh randomness epoch: the copies are mutually independent and
   /// independent of every earlier encode — the binomial-sampling
   /// precondition of `bernsteinSelect` (each stream position must draw k
-  /// independent Bernoulli(x) trials).  Epoch semantics mirror
-  /// `encodeProb`'s independence rules, but unlike constants the copies DO
+  /// independent Bernoulli(x) trials).  Unlike constants the copies DO
   /// advance the epoch counter: after the call the current epoch is the
   /// last copy's epoch (correlated follow-up encodes join it).  The default
-  /// issues k `encodePixel` calls; value-domain substrates (reference,
-  /// binary CIM) return k identical exact values.
-  virtual std::vector<ScValue> encodeCopies(std::uint8_t v, std::size_t k);
+  /// issues one single-element `encodePixelsInto` per copy; value-domain
+  /// substrates (reference, binary CIM) yield identical exact values.
+  virtual void encodeCopiesInto(std::uint8_t v, std::span<ScValue> out);
 
   // --- stage 2: SC arithmetic (the ImOps vocabulary) ----------------------
 
   /// Multiplication of independent inputs: p = px * py.
-  virtual ScValue multiply(const ScValue& x, const ScValue& y) = 0;
+  virtual void multiplyInto(ScValue& dst, const ScValue& x,
+                            const ScValue& y) = 0;
 
   /// Scaled addition p = (px + py) / 2 with select stream \p half.
-  virtual ScValue scaledAdd(const ScValue& x, const ScValue& y,
-                            const ScValue& half) = 0;
+  virtual void scaledAddInto(ScValue& dst, const ScValue& x, const ScValue& y,
+                             const ScValue& half) = 0;
 
   /// Approximate (unscaled) addition of independent inputs: the OR gate,
   /// p = px + py - px*py — accurate for inputs in [0, 0.5] (Fig. 2 note).
-  virtual ScValue addApprox(const ScValue& x, const ScValue& y) = 0;
+  virtual void addApproxInto(ScValue& dst, const ScValue& x,
+                             const ScValue& y) = 0;
 
   /// Absolute subtraction of correlated inputs: p = |px - py|.
-  virtual ScValue absSub(const ScValue& x, const ScValue& y) = 0;
+  virtual void absSubInto(ScValue& dst, const ScValue& x,
+                          const ScValue& y) = 0;
 
   /// Minimum of CORRELATED inputs (AND on shared-epoch streams):
   /// p = min(px, py).
-  virtual ScValue minimum(const ScValue& x, const ScValue& y) = 0;
+  virtual void minimumInto(ScValue& dst, const ScValue& x,
+                           const ScValue& y) = 0;
 
   /// Maximum of CORRELATED inputs (OR on shared-epoch streams):
   /// p = max(px, py).
-  virtual ScValue maximum(const ScValue& x, const ScValue& y) = 0;
+  virtual void maximumInto(ScValue& dst, const ScValue& x,
+                           const ScValue& y) = 0;
 
   /// 2-to-1 blend, sel favours x: p = psel*px + (1-psel)*py.
-  virtual ScValue majMux(const ScValue& x, const ScValue& y,
-                         const ScValue& sel) = 0;
+  virtual void majMuxInto(ScValue& dst, const ScValue& x, const ScValue& y,
+                          const ScValue& sel) = 0;
 
   /// 4-to-1 blend (bilinear kernel): p = (1-sx)(1-sy) p11 + (1-sx) sy p12 +
   /// sx (1-sy) p21 + sx sy p22.
-  virtual ScValue majMux4(const ScValue& i11, const ScValue& i12,
-                          const ScValue& i21, const ScValue& i22,
-                          const ScValue& sx, const ScValue& sy) = 0;
+  virtual void majMux4Into(ScValue& dst, const ScValue& i11, const ScValue& i12,
+                           const ScValue& i21, const ScValue& i22,
+                           const ScValue& sx, const ScValue& sy) = 0;
 
-  /// Division p = pnum / pden over a correlated pair (pnum <= pden).
-  virtual ScValue divide(const ScValue& num, const ScValue& den) = 0;
+  /// Division p = pnum / pden over a correlated pair (pnum <= pden); dst
+  /// must not alias an operand.
+  virtual void divideInto(ScValue& dst, const ScValue& num,
+                          const ScValue& den) = 0;
 
   /// Bernstein selection network (Qian & Riedel polynomial synthesis; the
   /// gamma kernel's op): selects per stream position among the degree+1
@@ -224,93 +223,84 @@ class ScBackend {
   /// (validated here, once, for every substrate — throws
   /// std::invalid_argument): `xCopies` non-empty and
   /// `coeffSelects.size() == xCopies.size() + 1`.  The x copies must be
-  /// mutually independent (use `encodeCopies`) and the coefficient selects
-  /// independent of them and of each other (use `encodeProb`).  Expected
-  /// result is the Bernstein form B_n(x) = sum_k b_k C(n,k) x^k (1-x)^(n-k).
-  ScValue bernsteinSelect(std::span<const ScValue> xCopies,
-                          std::span<const ScValue> coeffSelects);
-
-  // --- stage 3: backend domain -> binary ----------------------------------
-
-  /// Batched pixel decode (ADC / counter / rounding, per backend).
-  /// CONSUMES the values: stream payloads may be moved out, so the batch is
-  /// dead after the call (kernels decode a row and discard it anyway).
-  virtual std::vector<std::uint8_t> decodePixels(std::span<ScValue> values) = 0;
-
-  /// Resistance-mode decode for CORDIV outputs; defaults to decodePixels.
-  /// Consumes the values like decodePixels.
-  virtual std::vector<std::uint8_t> decodePixelsStored(
-      std::span<ScValue> values);
-
-  /// Single-value convenience over decodePixels (consumes \p v).
-  std::uint8_t decodePixel(ScValue v);
-  /// Single-value convenience over decodePixelsStored (consumes \p v).
-  std::uint8_t decodePixelStored(ScValue v);
-
-  // --- destination-passing forms (the allocation-free hot path) ------------
-  //
-  // Every *Into form produces EXACTLY the bits, randomness-epoch advance and
-  // cost/event accounting of its allocating counterpart — kernels may mix
-  // the two freely and the conformance suite compares them call for call.
-  // Destinations are resized in place (buffers reused), which is what makes
-  // a warm `StreamArena` row loop run without heap traffic.  Stage-2
-  // destinations MAY alias their operands (morphology folds in place);
-  // `divideInto` and `bernsteinSelectInto` are the exceptions — their
-  // serial recurrence / selection network reads inputs after output
-  // positions are written.  The default implementations fall back to the
-  // allocating forms, so every substrate is conformant by construction;
-  // performance-critical substrates override them natively.
-
-  /// In-place `encodePixels`: fresh epoch, stream i into `out[i]`.
-  /// Requires `out.size() == values.size()` (throws std::invalid_argument).
-  virtual void encodePixelsInto(std::span<const std::uint8_t> values,
-                                std::span<ScValue> out);
-  /// In-place `encodePixelsCorrelated` (current epoch).
-  virtual void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
-                                          std::span<ScValue> out);
-  /// In-place `encodeProb` (constant-pool semantics preserved).
-  virtual void encodeProbInto(ScValue& dst, double p);
-  /// In-place `halfStream`.
-  virtual void halfStreamInto(ScValue& dst);
-  /// In-place `encodeCopies`: `out.size()` independent encodings of \p v,
-  /// one fresh epoch per copy (identical epoch walk to `encodeCopies`).
-  virtual void encodeCopiesInto(std::uint8_t v, std::span<ScValue> out);
-
-  /// dst = multiply(x, y).
-  virtual void multiplyInto(ScValue& dst, const ScValue& x, const ScValue& y);
-  /// dst = scaledAdd(x, y, half).
-  virtual void scaledAddInto(ScValue& dst, const ScValue& x, const ScValue& y,
-                             const ScValue& half);
-  /// dst = addApprox(x, y).
-  virtual void addApproxInto(ScValue& dst, const ScValue& x, const ScValue& y);
-  /// dst = absSub(x, y).
-  virtual void absSubInto(ScValue& dst, const ScValue& x, const ScValue& y);
-  /// dst = minimum(x, y).
-  virtual void minimumInto(ScValue& dst, const ScValue& x, const ScValue& y);
-  /// dst = maximum(x, y).
-  virtual void maximumInto(ScValue& dst, const ScValue& x, const ScValue& y);
-  /// dst = majMux(x, y, sel).
-  virtual void majMuxInto(ScValue& dst, const ScValue& x, const ScValue& y,
-                          const ScValue& sel);
-  /// dst = majMux4(i11, i12, i21, i22, sx, sy).
-  virtual void majMux4Into(ScValue& dst, const ScValue& i11, const ScValue& i12,
-                           const ScValue& i21, const ScValue& i22,
-                           const ScValue& sx, const ScValue& sy);
-  /// dst = divide(num, den); dst must not alias an operand.
-  virtual void divideInto(ScValue& dst, const ScValue& num, const ScValue& den);
-  /// dst = bernsteinSelect(xCopies, coeffSelects); same precondition
-  /// validation as the allocating wrapper; dst must not alias an operand.
+  /// mutually independent (use `encodeCopiesInto`) and the coefficient
+  /// selects independent of them and of each other (use `encodeProbInto`).
+  /// Expected result is the Bernstein form
+  /// B_n(x) = sum_k b_k C(n,k) x^k (1-x)^(n-k); dst must not alias an
+  /// operand.
   void bernsteinSelectInto(ScValue& dst, std::span<const ScValue> xCopies,
                            std::span<const ScValue> coeffSelects);
 
-  /// In-place batched decode.  Unlike `decodePixels` this BORROWS the
-  /// values (arena slots outlive the call and are reused next row); the
-  /// decoded bytes land in \p out (`out.size() == values.size()`).
+  // --- stage 3: backend domain -> binary ----------------------------------
+
+  /// Batched pixel decode (ADC / counter / rounding, per backend) into
+  /// \p out (`out.size() == values.size()`).  BORROWS the values: arena
+  /// slots outlive the call and are reused next row.
   virtual void decodePixelsInto(std::span<ScValue> values,
-                                std::span<std::uint8_t> out);
-  /// In-place resistance-mode decode (CORDIV outputs).
+                                std::span<std::uint8_t> out) = 0;
+
+  /// Resistance-mode decode for CORDIV outputs; defaults to
+  /// `decodePixelsInto`.
   virtual void decodePixelsStoredInto(std::span<ScValue> values,
                                       std::span<std::uint8_t> out);
+
+  // --- allocating wrappers (tests, oracles, one-off calls) ----------------
+  //
+  // Each sizes its destination and calls the matching *Into form above.
+
+  /// Returns `encodePixelsInto(values, ...)` as a fresh batch.
+  virtual std::vector<ScValue> encodePixels(
+      std::span<const std::uint8_t> values);
+  /// Returns `encodePixelsCorrelatedInto(values, ...)` as a fresh batch.
+  virtual std::vector<ScValue> encodePixelsCorrelated(
+      std::span<const std::uint8_t> values);
+  /// Returns `encodeProbInto(..., p)`.
+  virtual ScValue encodeProb(double p);
+  /// Returns `halfStreamInto(...)`.
+  virtual ScValue halfStream();
+  /// One pixel against a fresh epoch (a single-element `encodePixelsInto`).
+  virtual ScValue encodePixel(std::uint8_t v);
+  /// One pixel against the current epoch.
+  virtual ScValue encodePixelCorrelated(std::uint8_t v);
+  /// Returns \p k independent copies (`encodeCopiesInto`).
+  virtual std::vector<ScValue> encodeCopies(std::uint8_t v, std::size_t k);
+
+  /// Returns `multiplyInto(..., x, y)`.
+  virtual ScValue multiply(const ScValue& x, const ScValue& y);
+  /// Returns `scaledAddInto(..., x, y, half)`.
+  virtual ScValue scaledAdd(const ScValue& x, const ScValue& y,
+                            const ScValue& half);
+  /// Returns `addApproxInto(..., x, y)`.
+  virtual ScValue addApprox(const ScValue& x, const ScValue& y);
+  /// Returns `absSubInto(..., x, y)`.
+  virtual ScValue absSub(const ScValue& x, const ScValue& y);
+  /// Returns `minimumInto(..., x, y)`.
+  virtual ScValue minimum(const ScValue& x, const ScValue& y);
+  /// Returns `maximumInto(..., x, y)`.
+  virtual ScValue maximum(const ScValue& x, const ScValue& y);
+  /// Returns `majMuxInto(..., x, y, sel)`.
+  virtual ScValue majMux(const ScValue& x, const ScValue& y,
+                         const ScValue& sel);
+  /// Returns `majMux4Into(..., i11, i12, i21, i22, sx, sy)`.
+  virtual ScValue majMux4(const ScValue& i11, const ScValue& i12,
+                          const ScValue& i21, const ScValue& i22,
+                          const ScValue& sx, const ScValue& sy);
+  /// Returns `divideInto(..., num, den)`.
+  virtual ScValue divide(const ScValue& num, const ScValue& den);
+  /// Returns `bernsteinSelectInto(..., xCopies, coeffSelects)` (same
+  /// precondition validation).
+  ScValue bernsteinSelect(std::span<const ScValue> xCopies,
+                          std::span<const ScValue> coeffSelects);
+
+  /// Returns `decodePixelsInto(values, ...)` as a fresh byte vector.
+  virtual std::vector<std::uint8_t> decodePixels(std::span<ScValue> values);
+  /// Returns `decodePixelsStoredInto(values, ...)` as a fresh byte vector.
+  virtual std::vector<std::uint8_t> decodePixelsStored(
+      std::span<ScValue> values);
+  /// Single-value convenience over `decodePixels`.
+  std::uint8_t decodePixel(ScValue v);
+  /// Single-value convenience over `decodePixelsStored`.
+  std::uint8_t decodePixelStored(ScValue v);
 
   // --- accounting ----------------------------------------------------------
 
@@ -324,16 +314,22 @@ class ScBackend {
   virtual std::uint64_t opCount() const { return 0; }
 
  protected:
-  /// Substrate realisation of `bernsteinSelect`; inputs are pre-validated
-  /// by the public wrapper, so implementations may index freely.
-  virtual ScValue doBernsteinSelect(std::span<const ScValue> xCopies,
-                                    std::span<const ScValue> coeffSelects) = 0;
+  /// Throws std::invalid_argument ("<who>: destination size mismatch")
+  /// unless a batch and its destination have the same length.
+  static void requireSameSize(std::size_t values, std::size_t out,
+                              const char* who);
 
-  /// Substrate realisation of `bernsteinSelectInto` (pre-validated inputs).
-  /// Default falls back to the allocating form.
+  /// Substrate realisation of `bernsteinSelectInto`; inputs are
+  /// pre-validated by the public wrapper, so implementations may index
+  /// freely.
   virtual void doBernsteinSelectInto(ScValue& dst,
                                      std::span<const ScValue> xCopies,
-                                     std::span<const ScValue> coeffSelects);
+                                     std::span<const ScValue> coeffSelects) = 0;
+
+  /// Allocating twin of `doBernsteinSelectInto` behind `bernsteinSelect`
+  /// (a wrapper like the public allocating forms).
+  virtual ScValue doBernsteinSelect(std::span<const ScValue> xCopies,
+                                    std::span<const ScValue> coeffSelects);
 };
 
 /// Gate-level temporal-redundancy knob for the binary CIM substrate

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
-#include <vector>
 
 namespace aimsc::core {
 
@@ -23,71 +21,79 @@ BinaryCimBackend::BinaryCimBackend(const BinaryCimConfig& config)
   engine_->setProtection(config.protection);
 }
 
-std::vector<ScValue> BinaryCimBackend::encodePixels(
-    std::span<const std::uint8_t> values) {
+void BinaryCimBackend::encodePixelsInto(std::span<const std::uint8_t> values,
+                                        std::span<ScValue> out) {
   // Binary CIM computes on the 8-bit words directly — no conversion stage.
-  std::vector<ScValue> out;
-  out.reserve(values.size());
-  for (const std::uint8_t v : values) out.push_back(ScValue::ofWord(v));
-  return out;
+  requireSameSize(values.size(), out.size(),
+                  "BinaryCimBackend::encodePixelsInto");
+  for (std::size_t i = 0; i < values.size(); ++i) out[i].word = values[i];
 }
 
-std::vector<ScValue> BinaryCimBackend::encodePixelsCorrelated(
-    std::span<const std::uint8_t> values) {
-  return encodePixels(values);
+void BinaryCimBackend::encodePixelsCorrelatedInto(
+    std::span<const std::uint8_t> values, std::span<ScValue> out) {
+  encodePixelsInto(values, out);
 }
 
-ScValue BinaryCimBackend::encodeProb(double p) {
-  return ScValue::ofWord(static_cast<std::uint32_t>(
-      std::lround(std::clamp(p, 0.0, 1.0) * 255.0)));
+void BinaryCimBackend::encodeProbInto(ScValue& dst, double p) {
+  dst.word = static_cast<std::uint32_t>(
+      std::lround(std::clamp(p, 0.0, 1.0) * 255.0));
 }
 
-ScValue BinaryCimBackend::multiply(const ScValue& x, const ScValue& y) {
+// Every stage-2 form reads all of its operands before the single store to
+// dst, so dst may alias an operand.
+
+void BinaryCimBackend::multiplyInto(ScValue& dst, const ScValue& x,
+                                    const ScValue& y) {
   // (x * y) / 255 with the wiring-shift /256 and +128 rounding term.
   const std::uint32_t t = pim_.mul(x.word, y.word, 8);
   const std::uint32_t rounded = pim_.add(t, 128, 16);
-  return ScValue::ofWord(std::min<std::uint32_t>(rounded >> 8, 255));
+  dst.word = std::min<std::uint32_t>(rounded >> 8, 255);
 }
 
-ScValue BinaryCimBackend::scaledAdd(const ScValue& x, const ScValue& y,
-                                    const ScValue& /*half*/) {
+void BinaryCimBackend::scaledAddInto(ScValue& dst, const ScValue& x,
+                                     const ScValue& y,
+                                     const ScValue& /*half*/) {
   // (x + y + 1) / 2 — the gate sequence of the legacy edge kernel.
   const std::uint32_t sum = pim_.add(x.word, y.word, 9);
   const std::uint32_t rounded = pim_.add(sum, 1, 10);
-  return ScValue::ofWord(std::min<std::uint32_t>(rounded >> 1, 255));
+  dst.word = std::min<std::uint32_t>(rounded >> 1, 255);
 }
 
-ScValue BinaryCimBackend::addApprox(const ScValue& x, const ScValue& y) {
+void BinaryCimBackend::addApproxInto(ScValue& dst, const ScValue& x,
+                                     const ScValue& y) {
   // x + y - x*y/255: the exact value the OR gate computes on independent
   // streams (rounded product, saturating subtract).
   const std::uint32_t sum = pim_.add(x.word, y.word, 9);
   const std::uint32_t t = pim_.mul(x.word, y.word, 8);
   const std::uint32_t prod = pim_.add(t, 128, 16) >> 8;
   const std::uint32_t v = pim_.subSaturating(sum, prod, 9);
-  return ScValue::ofWord(std::min<std::uint32_t>(v, 255));
+  dst.word = std::min<std::uint32_t>(v, 255);
 }
 
-ScValue BinaryCimBackend::absSub(const ScValue& x, const ScValue& y) {
+void BinaryCimBackend::absSubInto(ScValue& dst, const ScValue& x,
+                                  const ScValue& y) {
   // Saturating subtraction both ways; one side is zero.
   const std::uint32_t a = pim_.subSaturating(x.word, y.word, 8);
   const std::uint32_t b = pim_.subSaturating(y.word, x.word, 8);
-  return ScValue::ofWord(a | b);
+  dst.word = a | b;
 }
 
-ScValue BinaryCimBackend::minimum(const ScValue& x, const ScValue& y) {
+void BinaryCimBackend::minimumInto(ScValue& dst, const ScValue& x,
+                                   const ScValue& y) {
   // min(x, y) = x - max(x - y, 0), two saturating subtractions.
   const std::uint32_t d = pim_.subSaturating(x.word, y.word, 8);
-  return ScValue::ofWord(pim_.subSaturating(x.word, d, 8));
+  dst.word = pim_.subSaturating(x.word, d, 8);
 }
 
-ScValue BinaryCimBackend::maximum(const ScValue& x, const ScValue& y) {
+void BinaryCimBackend::maximumInto(ScValue& dst, const ScValue& x,
+                                   const ScValue& y) {
   // max(x, y) = y + max(x - y, 0); the sum never exceeds 255.
   const std::uint32_t d = pim_.subSaturating(x.word, y.word, 8);
-  return ScValue::ofWord(pim_.add(y.word, d, 8));
+  dst.word = pim_.add(y.word, d, 8);
 }
 
-ScValue BinaryCimBackend::majMux(const ScValue& x, const ScValue& y,
-                                 const ScValue& sel) {
+void BinaryCimBackend::majMuxInto(ScValue& dst, const ScValue& x,
+                                  const ScValue& y, const ScValue& sel) {
   // x*sel + y*(255-sel), /256 wiring shift after the +128 rounding term —
   // the exact gate sequence of the legacy compositing kernel.
   const std::uint32_t nsel = pim_.subSaturating(255, sel.word, 8);
@@ -96,7 +102,7 @@ ScValue BinaryCimBackend::majMux(const ScValue& x, const ScValue& y,
   const std::uint32_t sum = pim_.add(t1, t2, 16);  // 17-bit
   const std::uint32_t rounded = pim_.add(sum, 128, 17);
   const std::uint32_t v = rounded >> 8;
-  return ScValue::ofWord(v > 255 ? 255 : v);
+  dst.word = v > 255 ? 255 : v;
 }
 
 std::uint32_t BinaryCimBackend::lerp(std::uint32_t a, std::uint32_t b,
@@ -112,122 +118,29 @@ std::uint32_t BinaryCimBackend::lerp(std::uint32_t a, std::uint32_t b,
   return v > 255 ? 255 : v;
 }
 
-ScValue BinaryCimBackend::majMux4(const ScValue& i11, const ScValue& i12,
-                                  const ScValue& i21, const ScValue& i22,
-                                  const ScValue& sx, const ScValue& sy) {
-  const std::uint32_t top = lerp(i11.word, i21.word, sx.word);
-  const std::uint32_t bottom = lerp(i12.word, i22.word, sx.word);
-  return ScValue::ofWord(lerp(top, bottom, sy.word));
-}
-
-ScValue BinaryCimBackend::divide(const ScValue& num, const ScValue& den) {
-  // alpha = num * 255 / den: 16-bit numerator, restoring division.
-  const std::uint32_t num16 = pim_.mul(num.word, 255, 8);
-  const std::uint32_t q = pim_.div(num16, den.word, 16, 8);
-  return ScValue::ofWord(q);
-}
-
-ScValue BinaryCimBackend::doBernsteinSelect(
-    std::span<const ScValue> xCopies, std::span<const ScValue> coeffSelects) {
-  // De Casteljau on the coefficient words: n rounds of 8-bit lerps at
-  // t = x evaluate the degree-n Bernstein form exactly (modulo per-lerp
-  // rounding), and every lerp runs through the MAGIC gate engine so the
-  // cycle ledger charges the real integer decomposition.
-  const std::uint32_t t = xCopies.front().word;
-  std::vector<std::uint32_t> c;
-  c.reserve(coeffSelects.size());
-  for (const ScValue& v : coeffSelects) c.push_back(v.word);
-  for (std::size_t round = c.size() - 1; round > 0; --round) {
-    for (std::size_t k = 0; k < round; ++k) c[k] = lerp(c[k], c[k + 1], t);
-  }
-  return ScValue::ofWord(c[0]);
-}
-
-std::vector<std::uint8_t> BinaryCimBackend::decodePixels(
-    std::span<ScValue> values) {
-  std::vector<std::uint8_t> out;
-  out.reserve(values.size());
-  for (const ScValue& v : values) {
-    out.push_back(
-        static_cast<std::uint8_t>(std::min<std::uint32_t>(v.word, 255)));
-  }
-  return out;
-}
-
-// --- destination-passing forms ----------------------------------------------
-
-void BinaryCimBackend::encodePixelsInto(std::span<const std::uint8_t> values,
-                                        std::span<ScValue> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "BinaryCimBackend::encodePixelsInto: destination size mismatch");
-  }
-  for (std::size_t i = 0; i < values.size(); ++i) out[i].word = values[i];
-}
-
-void BinaryCimBackend::encodePixelsCorrelatedInto(
-    std::span<const std::uint8_t> values, std::span<ScValue> out) {
-  encodePixelsInto(values, out);
-}
-
-void BinaryCimBackend::encodeProbInto(ScValue& dst, double p) {
-  dst.word = encodeProb(p).word;
-}
-
-void BinaryCimBackend::halfStreamInto(ScValue& dst) { dst.word = 128; }
-
-void BinaryCimBackend::multiplyInto(ScValue& dst, const ScValue& x,
-                                    const ScValue& y) {
-  dst.word = multiply(x, y).word;
-}
-
-void BinaryCimBackend::scaledAddInto(ScValue& dst, const ScValue& x,
-                                     const ScValue& y, const ScValue& half) {
-  dst.word = scaledAdd(x, y, half).word;
-}
-
-void BinaryCimBackend::addApproxInto(ScValue& dst, const ScValue& x,
-                                     const ScValue& y) {
-  dst.word = addApprox(x, y).word;
-}
-
-void BinaryCimBackend::absSubInto(ScValue& dst, const ScValue& x,
-                                  const ScValue& y) {
-  dst.word = absSub(x, y).word;
-}
-
-void BinaryCimBackend::minimumInto(ScValue& dst, const ScValue& x,
-                                   const ScValue& y) {
-  dst.word = minimum(x, y).word;
-}
-
-void BinaryCimBackend::maximumInto(ScValue& dst, const ScValue& x,
-                                   const ScValue& y) {
-  dst.word = maximum(x, y).word;
-}
-
-void BinaryCimBackend::majMuxInto(ScValue& dst, const ScValue& x,
-                                  const ScValue& y, const ScValue& sel) {
-  dst.word = majMux(x, y, sel).word;
-}
-
 void BinaryCimBackend::majMux4Into(ScValue& dst, const ScValue& i11,
                                    const ScValue& i12, const ScValue& i21,
                                    const ScValue& i22, const ScValue& sx,
                                    const ScValue& sy) {
-  dst.word = majMux4(i11, i12, i21, i22, sx, sy).word;
+  const std::uint32_t top = lerp(i11.word, i21.word, sx.word);
+  const std::uint32_t bottom = lerp(i12.word, i22.word, sx.word);
+  dst.word = lerp(top, bottom, sy.word);
 }
 
 void BinaryCimBackend::divideInto(ScValue& dst, const ScValue& num,
                                   const ScValue& den) {
-  dst.word = divide(num, den).word;
+  // alpha = num * 255 / den: 16-bit numerator, restoring division.
+  const std::uint32_t num16 = pim_.mul(num.word, 255, 8);
+  dst.word = pim_.div(num16, den.word, 16, 8);
 }
 
 void BinaryCimBackend::doBernsteinSelectInto(
     ScValue& dst, std::span<const ScValue> xCopies,
     std::span<const ScValue> coeffSelects) {
-  // Same de Casteljau lerp chain as doBernsteinSelect, staged through the
-  // reused coefficient scratch row.
+  // De Casteljau on the coefficient words: n rounds of 8-bit lerps at
+  // t = x evaluate the degree-n Bernstein form exactly (modulo per-lerp
+  // rounding), and every lerp runs through the MAGIC gate engine so the
+  // cycle ledger charges the real integer decomposition.
   const std::uint32_t t = xCopies.front().word;
   bernScratch_.resize(coeffSelects.size());
   for (std::size_t i = 0; i < coeffSelects.size(); ++i) {
@@ -243,10 +156,8 @@ void BinaryCimBackend::doBernsteinSelectInto(
 
 void BinaryCimBackend::decodePixelsInto(std::span<ScValue> values,
                                         std::span<std::uint8_t> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "BinaryCimBackend::decodePixelsInto: destination size mismatch");
-  }
+  requireSameSize(values.size(), out.size(),
+                  "BinaryCimBackend::decodePixelsInto");
   for (std::size_t i = 0; i < values.size(); ++i) {
     out[i] =
         static_cast<std::uint8_t>(std::min<std::uint32_t>(values[i].word, 255));

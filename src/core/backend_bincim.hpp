@@ -41,38 +41,14 @@ class BinaryCimBackend final : public ScBackend {
 
   const char* name() const override { return "Binary CIM"; }
 
-  std::vector<ScValue> encodePixels(
-      std::span<const std::uint8_t> values) override;
-  std::vector<ScValue> encodePixelsCorrelated(
-      std::span<const std::uint8_t> values) override;
-  ScValue encodeProb(double p) override;
-  ScValue halfStream() override { return ScValue::ofWord(128); }
-
-  ScValue multiply(const ScValue& x, const ScValue& y) override;
-  ScValue scaledAdd(const ScValue& x, const ScValue& y,
-                    const ScValue& half) override;
-  ScValue addApprox(const ScValue& x, const ScValue& y) override;
-  ScValue absSub(const ScValue& x, const ScValue& y) override;
-  ScValue minimum(const ScValue& x, const ScValue& y) override;
-  ScValue maximum(const ScValue& x, const ScValue& y) override;
-  ScValue majMux(const ScValue& x, const ScValue& y,
-                 const ScValue& sel) override;
-  ScValue majMux4(const ScValue& i11, const ScValue& i12, const ScValue& i21,
-                  const ScValue& i22, const ScValue& sx,
-                  const ScValue& sy) override;
-  ScValue divide(const ScValue& num, const ScValue& den) override;
-
-  std::vector<std::uint8_t> decodePixels(std::span<ScValue> values) override;
-
-  // Destination-passing forms: integer words carry no buffers, so these are
-  // plain stores — the overrides only skip the defaults' vector round-trips
-  // (gate-cycle ledgers identical by construction).
+  // Integer words carry no buffers, so the destination-passing forms are
+  // plain stores of the gate-sequence results.
   void encodePixelsInto(std::span<const std::uint8_t> values,
                         std::span<ScValue> out) override;
   void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
                                   std::span<ScValue> out) override;
   void encodeProbInto(ScValue& dst, double p) override;
-  void halfStreamInto(ScValue& dst) override;
+  void halfStreamInto(ScValue& dst) override { dst.word = 128; }
   void multiplyInto(ScValue& dst, const ScValue& x, const ScValue& y) override;
   void scaledAddInto(ScValue& dst, const ScValue& x, const ScValue& y,
                      const ScValue& half) override;
@@ -94,8 +70,6 @@ class BinaryCimBackend final : public ScBackend {
   bincim::MagicEngine& engine() { return *engine_; }
 
  protected:
-  ScValue doBernsteinSelect(std::span<const ScValue> xCopies,
-                            std::span<const ScValue> coeffSelects) override;
   void doBernsteinSelectInto(ScValue& dst, std::span<const ScValue> xCopies,
                              std::span<const ScValue> coeffSelects) override;
 

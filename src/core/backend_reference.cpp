@@ -8,96 +8,10 @@
 
 namespace aimsc::core {
 
-std::vector<ScValue> ReferenceBackend::encodePixels(
-    std::span<const std::uint8_t> values) {
-  std::vector<ScValue> out;
-  out.reserve(values.size());
-  for (const std::uint8_t v : values) {
-    out.push_back(ScValue::ofProb(static_cast<double>(v) / 255.0));
-  }
-  return out;
-}
-
-std::vector<ScValue> ReferenceBackend::encodePixelsCorrelated(
-    std::span<const std::uint8_t> values) {
-  return encodePixels(values);  // exact values carry no randomness
-}
-
-ScValue ReferenceBackend::multiply(const ScValue& x, const ScValue& y) {
-  return ScValue::ofProb(x.prob * y.prob);
-}
-
-ScValue ReferenceBackend::scaledAdd(const ScValue& x, const ScValue& y,
-                                    const ScValue& /*half*/) {
-  return ScValue::ofProb((x.prob + y.prob) / 2.0);
-}
-
-ScValue ReferenceBackend::addApprox(const ScValue& x, const ScValue& y) {
-  // Exact probability of the OR gate on independent streams.
-  return ScValue::ofProb(x.prob + y.prob - x.prob * y.prob);
-}
-
-ScValue ReferenceBackend::absSub(const ScValue& x, const ScValue& y) {
-  return ScValue::ofProb(std::abs(x.prob - y.prob));
-}
-
-ScValue ReferenceBackend::minimum(const ScValue& x, const ScValue& y) {
-  return ScValue::ofProb(std::min(x.prob, y.prob));
-}
-
-ScValue ReferenceBackend::maximum(const ScValue& x, const ScValue& y) {
-  return ScValue::ofProb(std::max(x.prob, y.prob));
-}
-
-ScValue ReferenceBackend::majMux(const ScValue& x, const ScValue& y,
-                                 const ScValue& sel) {
-  // Written exactly as the float compositing formula so the generic kernel
-  // reproduces the historic reference output bit for bit.
-  return ScValue::ofProb(x.prob * sel.prob + y.prob * (1.0 - sel.prob));
-}
-
-ScValue ReferenceBackend::majMux4(const ScValue& i11, const ScValue& i12,
-                                  const ScValue& i21, const ScValue& i22,
-                                  const ScValue& sx, const ScValue& sy) {
-  // The expanded four-term bilinear blend (same form as upscaleReference).
-  const double dx = sx.prob;
-  const double dy = sy.prob;
-  return ScValue::ofProb((1 - dx) * (1 - dy) * i11.prob +
-                         (1 - dx) * dy * i12.prob +
-                         dx * (1 - dy) * i21.prob + dx * dy * i22.prob);
-}
-
-ScValue ReferenceBackend::divide(const ScValue& num, const ScValue& den) {
-  // Alpha unspecified where the denominator vanishes (|F - B| < 1 LSB);
-  // downstream blends are insensitive there.
-  if (den.prob * 255.0 < 1.0) return ScValue::ofProb(0.0);
-  return ScValue::ofProb(std::clamp(num.prob / den.prob, 0.0, 1.0));
-}
-
-ScValue ReferenceBackend::doBernsteinSelect(
-    std::span<const ScValue> xCopies, std::span<const ScValue> coeffSelects) {
-  std::vector<double> b;
-  b.reserve(coeffSelects.size());
-  for (const ScValue& c : coeffSelects) b.push_back(c.prob);
-  return ScValue::ofProb(sc::bernsteinValue(b, xCopies.front().prob));
-}
-
-std::vector<std::uint8_t> ReferenceBackend::decodePixels(
-    std::span<ScValue> values) {
-  std::vector<std::uint8_t> out;
-  out.reserve(values.size());
-  for (const ScValue& v : values) out.push_back(img::Image::fromProb(v.prob));
-  return out;
-}
-
-// --- destination-passing forms ----------------------------------------------
-
 void ReferenceBackend::encodePixelsInto(std::span<const std::uint8_t> values,
                                         std::span<ScValue> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "ReferenceBackend::encodePixelsInto: destination size mismatch");
-  }
+  requireSameSize(values.size(), out.size(),
+                  "ReferenceBackend::encodePixelsInto");
   for (std::size_t i = 0; i < values.size(); ++i) {
     out[i].prob = static_cast<double>(values[i]) / 255.0;
   }
@@ -107,10 +21,6 @@ void ReferenceBackend::encodePixelsCorrelatedInto(
     std::span<const std::uint8_t> values, std::span<ScValue> out) {
   encodePixelsInto(values, out);  // exact values carry no randomness
 }
-
-void ReferenceBackend::encodeProbInto(ScValue& dst, double p) { dst.prob = p; }
-
-void ReferenceBackend::halfStreamInto(ScValue& dst) { dst.prob = 0.5; }
 
 void ReferenceBackend::multiplyInto(ScValue& dst, const ScValue& x,
                                     const ScValue& y) {
@@ -125,6 +35,7 @@ void ReferenceBackend::scaledAddInto(ScValue& dst, const ScValue& x,
 
 void ReferenceBackend::addApproxInto(ScValue& dst, const ScValue& x,
                                      const ScValue& y) {
+  // Exact probability of the OR gate on independent streams.
   dst.prob = x.prob + y.prob - x.prob * y.prob;
 }
 
@@ -145,6 +56,8 @@ void ReferenceBackend::maximumInto(ScValue& dst, const ScValue& x,
 
 void ReferenceBackend::majMuxInto(ScValue& dst, const ScValue& x,
                                   const ScValue& y, const ScValue& sel) {
+  // Written exactly as the float compositing formula so the generic kernel
+  // reproduces the historic reference output bit for bit.
   dst.prob = x.prob * sel.prob + y.prob * (1.0 - sel.prob);
 }
 
@@ -152,6 +65,7 @@ void ReferenceBackend::majMux4Into(ScValue& dst, const ScValue& i11,
                                    const ScValue& i12, const ScValue& i21,
                                    const ScValue& i22, const ScValue& sx,
                                    const ScValue& sy) {
+  // The expanded four-term bilinear blend (same form as upscaleReference).
   const double dx = sx.prob;
   const double dy = sy.prob;
   dst.prob = (1 - dx) * (1 - dy) * i11.prob + (1 - dx) * dy * i12.prob +
@@ -160,6 +74,8 @@ void ReferenceBackend::majMux4Into(ScValue& dst, const ScValue& i11,
 
 void ReferenceBackend::divideInto(ScValue& dst, const ScValue& num,
                                   const ScValue& den) {
+  // Alpha unspecified where the denominator vanishes (|F - B| < 1 LSB);
+  // downstream blends are insensitive there.
   if (den.prob * 255.0 < 1.0) {
     dst.prob = 0.0;
     return;
@@ -167,12 +83,20 @@ void ReferenceBackend::divideInto(ScValue& dst, const ScValue& num,
   dst.prob = std::clamp(num.prob / den.prob, 0.0, 1.0);
 }
 
+void ReferenceBackend::doBernsteinSelectInto(
+    ScValue& dst, std::span<const ScValue> xCopies,
+    std::span<const ScValue> coeffSelects) {
+  coeffScratch_.resize(coeffSelects.size());
+  for (std::size_t i = 0; i < coeffSelects.size(); ++i) {
+    coeffScratch_[i] = coeffSelects[i].prob;
+  }
+  dst.prob = sc::bernsteinValue(coeffScratch_, xCopies.front().prob);
+}
+
 void ReferenceBackend::decodePixelsInto(std::span<ScValue> values,
                                         std::span<std::uint8_t> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "ReferenceBackend::decodePixelsInto: destination size mismatch");
-  }
+  requireSameSize(values.size(), out.size(),
+                  "ReferenceBackend::decodePixelsInto");
   for (std::size_t i = 0; i < values.size(); ++i) {
     out[i] = img::Image::fromProb(values[i].prob);
   }

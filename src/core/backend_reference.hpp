@@ -4,6 +4,8 @@
 ///        ideal result the stochastic designs approximate.
 #pragma once
 
+#include <vector>
+
 #include "core/backend.hpp"
 
 namespace aimsc::core {
@@ -12,37 +14,13 @@ class ReferenceBackend final : public ScBackend {
  public:
   const char* name() const override { return "Reference"; }
 
-  std::vector<ScValue> encodePixels(
-      std::span<const std::uint8_t> values) override;
-  std::vector<ScValue> encodePixelsCorrelated(
-      std::span<const std::uint8_t> values) override;
-  ScValue encodeProb(double p) override { return ScValue::ofProb(p); }
-  ScValue halfStream() override { return ScValue::ofProb(0.5); }
-
-  ScValue multiply(const ScValue& x, const ScValue& y) override;
-  ScValue scaledAdd(const ScValue& x, const ScValue& y,
-                    const ScValue& half) override;
-  ScValue addApprox(const ScValue& x, const ScValue& y) override;
-  ScValue absSub(const ScValue& x, const ScValue& y) override;
-  ScValue minimum(const ScValue& x, const ScValue& y) override;
-  ScValue maximum(const ScValue& x, const ScValue& y) override;
-  ScValue majMux(const ScValue& x, const ScValue& y,
-                 const ScValue& sel) override;
-  ScValue majMux4(const ScValue& i11, const ScValue& i12, const ScValue& i21,
-                  const ScValue& i22, const ScValue& sx,
-                  const ScValue& sy) override;
-  ScValue divide(const ScValue& num, const ScValue& den) override;
-
-  std::vector<std::uint8_t> decodePixels(std::span<ScValue> values) override;
-
-  // Destination-passing forms: exact-probability math is allocation-free by
-  // nature; the overrides just skip the vector round-trips of the defaults.
   void encodePixelsInto(std::span<const std::uint8_t> values,
                         std::span<ScValue> out) override;
   void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
                                   std::span<ScValue> out) override;
-  void encodeProbInto(ScValue& dst, double p) override;
-  void halfStreamInto(ScValue& dst) override;
+  void encodeProbInto(ScValue& dst, double p) override { dst.prob = p; }
+  void halfStreamInto(ScValue& dst) override { dst.prob = 0.5; }
+
   void multiplyInto(ScValue& dst, const ScValue& x, const ScValue& y) override;
   void scaledAddInto(ScValue& dst, const ScValue& x, const ScValue& y,
                      const ScValue& half) override;
@@ -56,12 +34,16 @@ class ReferenceBackend final : public ScBackend {
                    const ScValue& i21, const ScValue& i22, const ScValue& sx,
                    const ScValue& sy) override;
   void divideInto(ScValue& dst, const ScValue& num, const ScValue& den) override;
+
   void decodePixelsInto(std::span<ScValue> values,
                         std::span<std::uint8_t> out) override;
 
  protected:
-  ScValue doBernsteinSelect(std::span<const ScValue> xCopies,
-                            std::span<const ScValue> coeffSelects) override;
+  void doBernsteinSelectInto(ScValue& dst, std::span<const ScValue> xCopies,
+                             std::span<const ScValue> coeffSelects) override;
+
+ private:
+  std::vector<double> coeffScratch_;  ///< Bernstein coefficient row
 };
 
 }  // namespace aimsc::core

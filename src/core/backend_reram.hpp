@@ -27,41 +27,15 @@ class ReramScBackend final : public ScBackend {
 
   const char* name() const override { return "ReRAM-SC"; }
 
-  std::vector<ScValue> encodePixels(
-      std::span<const std::uint8_t> values) override;
-  std::vector<ScValue> encodePixelsCorrelated(
-      std::span<const std::uint8_t> values) override;
-  ScValue encodeProb(double p) override;
-  ScValue halfStream() override;
-  ScValue encodePixel(std::uint8_t v) override;
-  ScValue encodePixelCorrelated(std::uint8_t v) override;
-
-  ScValue multiply(const ScValue& x, const ScValue& y) override;
-  ScValue scaledAdd(const ScValue& x, const ScValue& y,
-                    const ScValue& half) override;
-  ScValue addApprox(const ScValue& x, const ScValue& y) override;
-  ScValue absSub(const ScValue& x, const ScValue& y) override;
-  ScValue minimum(const ScValue& x, const ScValue& y) override;
-  ScValue maximum(const ScValue& x, const ScValue& y) override;
-  ScValue majMux(const ScValue& x, const ScValue& y,
-                 const ScValue& sel) override;
-  ScValue majMux4(const ScValue& i11, const ScValue& i12, const ScValue& i21,
-                  const ScValue& i22, const ScValue& sx,
-                  const ScValue& sy) override;
-  ScValue divide(const ScValue& num, const ScValue& den) override;
-
-  std::vector<std::uint8_t> decodePixels(std::span<ScValue> values) override;
-  std::vector<std::uint8_t> decodePixelsStored(
-      std::span<ScValue> values) override;
-
-  // Destination-passing forms: encode through the batched IMSNG Into path,
-  // stage-2 through the ScoutingLogic Into ops, decode through the
-  // per-stream ADC — bits and event ledgers identical to the allocating
-  // forms, zero steady-state heap traffic under Ideal sensing.
+  // Encode through the batched IMSNG Into path, stage-2 through the
+  // ScoutingLogic Into ops, decode through the per-stream ADC — zero
+  // steady-state heap traffic under Ideal sensing.
   void encodePixelsInto(std::span<const std::uint8_t> values,
                         std::span<ScValue> out) override;
   void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
                                   std::span<ScValue> out) override;
+  void encodeProbInto(ScValue& dst, double p) override;
+  void halfStreamInto(ScValue& dst) override;
   void multiplyInto(ScValue& dst, const ScValue& x, const ScValue& y) override;
   void scaledAddInto(ScValue& dst, const ScValue& x, const ScValue& y,
                      const ScValue& half) override;
@@ -86,12 +60,12 @@ class ReramScBackend final : public ScBackend {
   Accelerator& accelerator() { return *acc_; }
 
  protected:
-  ScValue doBernsteinSelect(std::span<const ScValue> xCopies,
-                            std::span<const ScValue> coeffSelects) override;
   void doBernsteinSelectInto(ScValue& dst, std::span<const ScValue> xCopies,
                              std::span<const ScValue> coeffSelects) override;
 
  private:
+  std::span<sc::Bitstream* const> borrowOut(std::span<ScValue> out);
+
   std::unique_ptr<Accelerator> owned_;
   Accelerator* acc_;
   // Borrowed-pointer staging for the batched Into encode and the per-pixel

@@ -1,7 +1,6 @@
 #include "core/backend_swsc.hpp"
 
 #include <array>
-#include <stdexcept>
 
 #include "img/image.hpp"
 #include "sc/bernstein.hpp"
@@ -90,7 +89,7 @@ std::unique_ptr<sc::RandomSource> swScConstantSource(const SwScConfig& config,
   return std::make_unique<sc::Sobol>(dim, skip);
 }
 
-const sc::Bitstream& SwScConstantPool::next(double p) {
+void SwScConstantPool::getInto(sc::Bitstream& dst, double p) {
   const std::uint32_t x = sc::quantizeProbability(p, 8);
   Bank& bank = pool_[x];
   if (bank.stamp != epochStamp_) {
@@ -103,12 +102,8 @@ const sc::Bitstream& SwScConstantPool::next(double p) {
         config_, x, static_cast<std::uint32_t>(bank.streams.size()));
     bank.streams.push_back(sc::generateSbs(*src, x, 8, config_.streamLength));
   }
-  return bank.streams[k];
+  dst = bank.streams[k];
 }
-
-sc::Bitstream SwScConstantPool::get(double p) { return next(p); }
-
-void SwScConstantPool::getInto(sc::Bitstream& dst, double p) { dst = next(p); }
 
 void SwScConstantPool::onNewEpoch() { ++epochStamp_; }
 
@@ -118,90 +113,6 @@ void SwScConstantPool::onNewEpoch() { ++epochStamp_; }
 
 SwScGateBackend::SwScGateBackend(const SwScConfig& config)
     : config_(config), constants_(config) {}
-
-ScValue SwScGateBackend::encodeProb(double p) {
-  return ScValue::ofStream(constants_.get(p));
-}
-
-ScValue SwScGateBackend::halfStream() { return encodeProb(0.5); }
-
-ScValue SwScGateBackend::multiply(const ScValue& x, const ScValue& y) {
-  ++opPasses_;
-  return ScValue::ofStream(sc::scMultiply(x.stream, y.stream));
-}
-
-ScValue SwScGateBackend::scaledAdd(const ScValue& x, const ScValue& y,
-                                   const ScValue& half) {
-  ++opPasses_;
-  return ScValue::ofStream(sc::scScaledAddMux(x.stream, y.stream, half.stream));
-}
-
-ScValue SwScGateBackend::addApprox(const ScValue& x, const ScValue& y) {
-  ++opPasses_;
-  return ScValue::ofStream(sc::scAddOr(x.stream, y.stream));
-}
-
-ScValue SwScGateBackend::absSub(const ScValue& x, const ScValue& y) {
-  ++opPasses_;
-  return ScValue::ofStream(sc::scAbsSub(x.stream, y.stream));
-}
-
-ScValue SwScGateBackend::minimum(const ScValue& x, const ScValue& y) {
-  ++opPasses_;
-  return ScValue::ofStream(sc::scMin(x.stream, y.stream));
-}
-
-ScValue SwScGateBackend::maximum(const ScValue& x, const ScValue& y) {
-  ++opPasses_;
-  return ScValue::ofStream(sc::scMax(x.stream, y.stream));
-}
-
-ScValue SwScGateBackend::majMux(const ScValue& x, const ScValue& y,
-                                const ScValue& sel) {
-  // The CMOS design uses an exact 2-to-1 MUX (sel = 1 selects x).
-  ++opPasses_;
-  return ScValue::ofStream(sc::Bitstream::mux(x.stream, y.stream, sel.stream));
-}
-
-ScValue SwScGateBackend::majMux4(const ScValue& i11, const ScValue& i12,
-                                 const ScValue& i21, const ScValue& i22,
-                                 const ScValue& sx, const ScValue& sy) {
-  opPasses_ += 3;  // three serial MUX stages
-  return ScValue::ofStream(sc::scMux4(i11.stream, i12.stream, i21.stream,
-                                      i22.stream, sx.stream, sy.stream));
-}
-
-ScValue SwScGateBackend::divide(const ScValue& num, const ScValue& den) {
-  ++opPasses_;
-  return ScValue::ofStream(divideStreams(num.stream, den.stream));
-}
-
-ScValue SwScGateBackend::doBernsteinSelect(
-    std::span<const ScValue> xCopies, std::span<const ScValue> coeffSelects) {
-  const auto copies = borrowStreams(xCopies);
-  const auto coeffs = borrowStreams(coeffSelects);
-  sc::Bitstream out = sc::scBernsteinSelect(
-      std::span<const sc::Bitstream* const>(copies),
-      std::span<const sc::Bitstream* const>(coeffs));
-  // A (copies + coeffs - 1)-deep select network, one serial pass per level
-  // (same charge as the in-memory MUX-tree realisation); charged after the
-  // width checks so a rejected call cannot corrupt the counter.
-  opPasses_ += xCopies.size() + coeffSelects.size() - 1;
-  return ScValue::ofStream(std::move(out));
-}
-
-std::vector<std::uint8_t> SwScGateBackend::decodePixels(
-    std::span<ScValue> values) {
-  // log2(N)-bit output counter: popcount / N.
-  std::vector<std::uint8_t> out;
-  out.reserve(values.size());
-  for (const ScValue& v : values) {
-    out.push_back(img::Image::fromProb(v.stream.value()));
-  }
-  return out;
-}
-
-// --- destination-passing forms ----------------------------------------------
 
 void SwScGateBackend::encodeProbInto(ScValue& dst, double p) {
   constants_.getInto(dst.stream, p);
@@ -249,6 +160,7 @@ void SwScGateBackend::maximumInto(ScValue& dst, const ScValue& x,
 
 void SwScGateBackend::majMuxInto(ScValue& dst, const ScValue& x,
                                  const ScValue& y, const ScValue& sel) {
+  // The CMOS design uses an exact 2-to-1 MUX (sel = 1 selects x).
   ++opPasses_;
   sc::Bitstream::muxInto(dst.stream, x.stream, y.stream, sel.stream);
 }
@@ -272,28 +184,20 @@ void SwScGateBackend::divideInto(ScValue& dst, const ScValue& num,
 void SwScGateBackend::doBernsteinSelectInto(
     ScValue& dst, std::span<const ScValue> xCopies,
     std::span<const ScValue> coeffSelects) {
-  // Borrowed-pointer staging through member scratch: gamma calls the
-  // network once per pixel, so even the pointer vectors must not churn.
-  copyPtrScratch_.resize(xCopies.size());
-  for (std::size_t i = 0; i < xCopies.size(); ++i) {
-    copyPtrScratch_[i] = &xCopies[i].stream;
-  }
-  coeffPtrScratch_.resize(coeffSelects.size());
-  for (std::size_t i = 0; i < coeffSelects.size(); ++i) {
-    coeffPtrScratch_[i] = &coeffSelects[i].stream;
-  }
-  sc::scBernsteinSelectInto(
-      dst.stream, std::span<const sc::Bitstream* const>(copyPtrScratch_),
-      std::span<const sc::Bitstream* const>(coeffPtrScratch_));
+  sc::scBernsteinSelectInto(dst.stream,
+                            borrowStreams(xCopies, copyPtrScratch_),
+                            borrowStreams(coeffSelects, coeffPtrScratch_));
+  // A (copies + coeffs - 1)-deep select network, one serial pass per level
+  // (same charge as the in-memory MUX-tree realisation); charged after the
+  // width checks so a rejected call cannot corrupt the counter.
   opPasses_ += xCopies.size() + coeffSelects.size() - 1;
 }
 
 void SwScGateBackend::decodePixelsInto(std::span<ScValue> values,
                                        std::span<std::uint8_t> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "SwScGateBackend::decodePixelsInto: destination size mismatch");
-  }
+  // log2(N)-bit output counter: popcount / N.
+  requireSameSize(values.size(), out.size(),
+                  "SwScGateBackend::decodePixelsInto");
   for (std::size_t i = 0; i < values.size(); ++i) {
     out[i] = img::Image::fromProb(values[i].stream.value());
   }
@@ -341,33 +245,11 @@ void SwScBackend::newEpoch() {
   SwScGateBackend::onNewEpoch();
 }
 
-sc::Bitstream SwScBackend::encodeWithEpoch(double p) {
-  // Restarting the source per stream yields maximal correlation within the
-  // epoch — the software analogue of converting against shared TRNG planes.
-  epochSource_->reset();
-  return sc::generateSbsFromProb(*epochSource_, p, 8, config().streamLength);
-}
-
-std::vector<ScValue> SwScBackend::encodePixels(
-    std::span<const std::uint8_t> values) {
-  newEpoch();
-  return encodePixelsCorrelated(values);
-}
-
-std::vector<ScValue> SwScBackend::encodePixelsCorrelated(
-    std::span<const std::uint8_t> values) {
-  std::vector<ScValue> out;
-  out.reserve(values.size());
-  for (const std::uint8_t v : values) {
-    out.push_back(
-        ScValue::ofStream(encodeWithEpoch(static_cast<double>(v) / 255.0)));
-  }
-  return out;
-}
-
 void SwScBackend::refreshEpochCache() {
   if (epochCacheStamp_ == epoch_) return;
-  // Every stream of an epoch replays the same restarted source, so the
+  // Restarting the source per stream yields maximal correlation within the
+  // epoch — the software analogue of converting against shared TRNG planes.
+  // Every stream of an epoch therefore replays the same draws, so the
   // comparator draws R_0..R_{N-1} are an epoch invariant: draw them once
   // (identical call sequence to one generateSbs pass) and let the packed
   // comparator evaluate each pixel word-level.  Forcing the portable mode
@@ -385,30 +267,20 @@ void SwScBackend::refreshEpochCache() {
 
 void SwScBackend::encodePixelsInto(std::span<const std::uint8_t> values,
                                    std::span<ScValue> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "SwScBackend::encodePixelsInto: destination size mismatch");
-  }
+  requireSameSize(values.size(), out.size(), "SwScBackend::encodePixelsInto");
   newEpoch();
   encodePixelsCorrelatedInto(values, out);
 }
 
 void SwScBackend::encodePixelsCorrelatedInto(
     std::span<const std::uint8_t> values, std::span<ScValue> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "SwScBackend::encodePixelsCorrelatedInto: destination size mismatch");
-  }
+  requireSameSize(values.size(), out.size(),
+                  "SwScBackend::encodePixelsCorrelatedInto");
   refreshEpochCache();
   for (std::size_t i = 0; i < values.size(); ++i) {
     epochPlanes_.encode(swScPixelThreshold(values[i]), out[i].stream,
                         sc::SimdMode::Portable);
   }
-}
-
-sc::Bitstream SwScBackend::divideStreams(const sc::Bitstream& num,
-                                         const sc::Bitstream& den) {
-  return sc::cordivDivide(num, den);
 }
 
 void SwScBackend::divideStreamsInto(sc::Bitstream& dst,

@@ -1,7 +1,6 @@
 #include "core/backend_swsc_simd.hpp"
 
 #include <array>
-#include <stdexcept>
 
 #include "sc/cordiv.hpp"
 #include "sc/sng.hpp"
@@ -80,51 +79,23 @@ void SwScSimdBackend::newEpoch() {
   SwScGateBackend::onNewEpoch();
 }
 
-std::vector<ScValue> SwScSimdBackend::encodePixels(
-    std::span<const std::uint8_t> values) {
-  newEpoch();
-  return encodePixelsCorrelated(values);
-}
-
-std::vector<ScValue> SwScSimdBackend::encodePixelsCorrelated(
-    std::span<const std::uint8_t> values) {
-  // Thresholds come from the table shared with the scalar backend
-  // (swScPixelThreshold), so the two engines cannot drift in quantization.
-  std::vector<ScValue> out;
-  out.reserve(values.size());
-  for (const std::uint8_t v : values) {
-    sc::Bitstream s;
-    planes_.encode(swScPixelThreshold(v), s, simd_);
-    out.push_back(ScValue::ofStream(std::move(s)));
-  }
-  return out;
-}
-
 void SwScSimdBackend::encodePixelsInto(std::span<const std::uint8_t> values,
                                        std::span<ScValue> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "SwScSimdBackend::encodePixelsInto: destination size mismatch");
-  }
+  requireSameSize(values.size(), out.size(),
+                  "SwScSimdBackend::encodePixelsInto");
   newEpoch();
   encodePixelsCorrelatedInto(values, out);
 }
 
 void SwScSimdBackend::encodePixelsCorrelatedInto(
     std::span<const std::uint8_t> values, std::span<ScValue> out) {
-  if (values.size() != out.size()) {
-    throw std::invalid_argument(
-        "SwScSimdBackend::encodePixelsCorrelatedInto: destination size "
-        "mismatch");
-  }
+  requireSameSize(values.size(), out.size(),
+                  "SwScSimdBackend::encodePixelsCorrelatedInto");
+  // Thresholds come from the table shared with the scalar backend
+  // (swScPixelThreshold), so the two engines cannot drift in quantization.
   for (std::size_t i = 0; i < values.size(); ++i) {
     planes_.encode(swScPixelThreshold(values[i]), out[i].stream, simd_);
   }
-}
-
-sc::Bitstream SwScSimdBackend::divideStreams(const sc::Bitstream& num,
-                                             const sc::Bitstream& den) {
-  return sc::cordivDivideWordLevel(num, den);
 }
 
 void SwScSimdBackend::divideStreamsInto(sc::Bitstream& dst,

@@ -53,21 +53,14 @@ class SwScSimdBackend final : public SwScGateBackend {
 
   const char* name() const override;
 
-  std::vector<ScValue> encodePixels(
-      std::span<const std::uint8_t> values) override;
-  std::vector<ScValue> encodePixelsCorrelated(
-      std::span<const std::uint8_t> values) override;
-
-  /// Destination-passing stage-1 forms: the packed comparator writes each
-  /// pixel's stream into its warm arena slot (no per-pixel allocation).
+  /// Stage-1 forms: the packed comparator writes each pixel's stream into
+  /// its warm arena slot (no per-pixel allocation).
   void encodePixelsInto(std::span<const std::uint8_t> values,
                         std::span<ScValue> out) override;
   void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
                                   std::span<ScValue> out) override;
 
  protected:
-  sc::Bitstream divideStreams(const sc::Bitstream& num,
-                              const sc::Bitstream& den) override;
   void divideStreamsInto(sc::Bitstream& dst, const sc::Bitstream& num,
                          const sc::Bitstream& den) override;
 

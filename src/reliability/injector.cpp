@@ -149,151 +149,8 @@ void FaultedBackend::corruptBatch(std::span<core::ScValue> batch) {
 }
 
 // --- stage 1 -----------------------------------------------------------------
-
-std::vector<core::ScValue> FaultedBackend::encodePixels(
-    std::span<const std::uint8_t> values) {
-  auto out = inner_->encodePixels(values);
-  corruptBatch(out);
-  return out;
-}
-
-std::vector<core::ScValue> FaultedBackend::encodePixelsCorrelated(
-    std::span<const std::uint8_t> values) {
-  auto out = inner_->encodePixelsCorrelated(values);
-  corruptBatch(out);
-  return out;
-}
-
-core::ScValue FaultedBackend::encodeProb(double p) {
-  core::ScValue v = inner_->encodeProb(p);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::halfStream() {
-  core::ScValue v = inner_->halfStream();
-  corrupt(v);
-  return v;
-}
-
-std::vector<core::ScValue> FaultedBackend::encodeCopies(std::uint8_t v,
-                                                        std::size_t k) {
-  auto out = inner_->encodeCopies(v, k);
-  corruptBatch(out);
-  return out;
-}
-
-// --- stage 2 -----------------------------------------------------------------
-
-core::ScValue FaultedBackend::multiply(const core::ScValue& x,
-                                       const core::ScValue& y) {
-  core::ScValue v = inner_->multiply(x, y);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::scaledAdd(const core::ScValue& x,
-                                        const core::ScValue& y,
-                                        const core::ScValue& half) {
-  core::ScValue v = inner_->scaledAdd(x, y, half);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::addApprox(const core::ScValue& x,
-                                        const core::ScValue& y) {
-  core::ScValue v = inner_->addApprox(x, y);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::absSub(const core::ScValue& x,
-                                     const core::ScValue& y) {
-  core::ScValue v = inner_->absSub(x, y);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::minimum(const core::ScValue& x,
-                                      const core::ScValue& y) {
-  core::ScValue v = inner_->minimum(x, y);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::maximum(const core::ScValue& x,
-                                      const core::ScValue& y) {
-  core::ScValue v = inner_->maximum(x, y);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::majMux(const core::ScValue& x,
-                                     const core::ScValue& y,
-                                     const core::ScValue& sel) {
-  core::ScValue v = inner_->majMux(x, y, sel);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::majMux4(const core::ScValue& i11,
-                                      const core::ScValue& i12,
-                                      const core::ScValue& i21,
-                                      const core::ScValue& i22,
-                                      const core::ScValue& sx,
-                                      const core::ScValue& sy) {
-  core::ScValue v = inner_->majMux4(i11, i12, i21, i22, sx, sy);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::divide(const core::ScValue& num,
-                                     const core::ScValue& den) {
-  core::ScValue v = inner_->divide(num, den);
-  corrupt(v);
-  return v;
-}
-
-core::ScValue FaultedBackend::doBernsteinSelect(
-    std::span<const core::ScValue> xCopies,
-    std::span<const core::ScValue> coeffSelects) {
-  core::ScValue v = inner_->bernsteinSelect(xCopies, coeffSelects);
-  corrupt(v);
-  return v;
-}
-
-void FaultedBackend::doBernsteinSelectInto(
-    core::ScValue& dst, std::span<const core::ScValue> xCopies,
-    std::span<const core::ScValue> coeffSelects) {
-  inner_->bernsteinSelectInto(dst, xCopies, coeffSelects);
-  corrupt(dst);
-}
-
-// --- stage 3: decode stays clean ---------------------------------------------
-
-std::vector<std::uint8_t> FaultedBackend::decodePixels(
-    std::span<core::ScValue> values) {
-  return inner_->decodePixels(values);
-}
-
-std::vector<std::uint8_t> FaultedBackend::decodePixelsStored(
-    std::span<core::ScValue> values) {
-  return inner_->decodePixelsStored(values);
-}
-
-void FaultedBackend::decodePixelsInto(std::span<core::ScValue> values,
-                                      std::span<std::uint8_t> out) {
-  inner_->decodePixelsInto(values, out);
-}
-
-void FaultedBackend::decodePixelsStoredInto(std::span<core::ScValue> values,
-                                            std::span<std::uint8_t> out) {
-  inner_->decodePixelsStoredInto(values, out);
-}
-
-// --- destination-passing forms -----------------------------------------------
-// Each forwards to the inner Into form and then corrupts, burning exactly
-// the epochs of its allocating twin — conformance is inherited.
+// Each form forwards to the inner substrate and then corrupts the values it
+// produced, one fault epoch per value.
 
 void FaultedBackend::encodePixelsInto(std::span<const std::uint8_t> values,
                                       std::span<core::ScValue> out) {
@@ -319,9 +176,13 @@ void FaultedBackend::halfStreamInto(core::ScValue& dst) {
 
 void FaultedBackend::encodeCopiesInto(std::uint8_t v,
                                       std::span<core::ScValue> out) {
+  // All copies first, then the corruption walk: the inner substrate's
+  // ledger (the wear proxy) sees the whole batch before any fault draw.
   inner_->encodeCopiesInto(v, out);
   corruptBatch(out);
 }
+
+// --- stage 2 -----------------------------------------------------------------
 
 void FaultedBackend::multiplyInto(core::ScValue& dst, const core::ScValue& x,
                                   const core::ScValue& y) {
@@ -381,6 +242,25 @@ void FaultedBackend::divideInto(core::ScValue& dst, const core::ScValue& num,
                                 const core::ScValue& den) {
   inner_->divideInto(dst, num, den);
   corrupt(dst);
+}
+
+void FaultedBackend::doBernsteinSelectInto(
+    core::ScValue& dst, std::span<const core::ScValue> xCopies,
+    std::span<const core::ScValue> coeffSelects) {
+  inner_->bernsteinSelectInto(dst, xCopies, coeffSelects);
+  corrupt(dst);
+}
+
+// --- stage 3: decode stays clean ---------------------------------------------
+
+void FaultedBackend::decodePixelsInto(std::span<core::ScValue> values,
+                                      std::span<std::uint8_t> out) {
+  inner_->decodePixelsInto(values, out);
+}
+
+void FaultedBackend::decodePixelsStoredInto(std::span<core::ScValue> values,
+                                            std::span<std::uint8_t> out) {
+  inner_->decodePixelsStoredInto(values, out);
 }
 
 // --- factory -----------------------------------------------------------------

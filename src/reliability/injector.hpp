@@ -17,10 +17,9 @@
 ///
 /// Determinism: each corrupted value opens one fault epoch on the lane's
 /// counter-based `FaultRng` (fault_rng.hpp) and draws per bit-site.  The
-/// allocating and `*Into` forms of an op burn identical epochs, so the
-/// decorator preserves the Into/allocating conformance contract, and the
-/// lane-pinned tile schedule makes faulty tiled runs bit-identical at any
-/// worker-thread count.
+/// decorator implements only the `*Into` surface (the allocating forms are
+/// the base wrappers over it), and the lane-pinned tile schedule makes
+/// faulty tiled runs bit-identical at any worker-thread count.
 ///
 /// Value-domain mapping (`Domain`):
 ///  * `Stream` — SW-SC scalar/SIMD, ReRAM-SC: faults land on stream bit
@@ -71,43 +70,6 @@ class FaultedBackend final : public core::ScBackend {
   const char* name() const override { return inner_->name(); }
 
   // --- stage 1 --------------------------------------------------------------
-  std::vector<core::ScValue> encodePixels(
-      std::span<const std::uint8_t> values) override;
-  std::vector<core::ScValue> encodePixelsCorrelated(
-      std::span<const std::uint8_t> values) override;
-  core::ScValue encodeProb(double p) override;
-  core::ScValue halfStream() override;
-  std::vector<core::ScValue> encodeCopies(std::uint8_t v,
-                                          std::size_t k) override;
-
-  // --- stage 2 --------------------------------------------------------------
-  core::ScValue multiply(const core::ScValue& x,
-                         const core::ScValue& y) override;
-  core::ScValue scaledAdd(const core::ScValue& x, const core::ScValue& y,
-                          const core::ScValue& half) override;
-  core::ScValue addApprox(const core::ScValue& x,
-                          const core::ScValue& y) override;
-  core::ScValue absSub(const core::ScValue& x, const core::ScValue& y) override;
-  core::ScValue minimum(const core::ScValue& x,
-                        const core::ScValue& y) override;
-  core::ScValue maximum(const core::ScValue& x,
-                        const core::ScValue& y) override;
-  core::ScValue majMux(const core::ScValue& x, const core::ScValue& y,
-                       const core::ScValue& sel) override;
-  core::ScValue majMux4(const core::ScValue& i11, const core::ScValue& i12,
-                        const core::ScValue& i21, const core::ScValue& i22,
-                        const core::ScValue& sx,
-                        const core::ScValue& sy) override;
-  core::ScValue divide(const core::ScValue& num,
-                       const core::ScValue& den) override;
-
-  // --- stage 3 (clean — see file comment) -----------------------------------
-  std::vector<std::uint8_t> decodePixels(
-      std::span<core::ScValue> values) override;
-  std::vector<std::uint8_t> decodePixelsStored(
-      std::span<core::ScValue> values) override;
-
-  // --- destination-passing forms (same epochs as the allocating twins) ------
   void encodePixelsInto(std::span<const std::uint8_t> values,
                         std::span<core::ScValue> out) override;
   void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
@@ -115,6 +77,8 @@ class FaultedBackend final : public core::ScBackend {
   void encodeProbInto(core::ScValue& dst, double p) override;
   void halfStreamInto(core::ScValue& dst) override;
   void encodeCopiesInto(std::uint8_t v, std::span<core::ScValue> out) override;
+
+  // --- stage 2 --------------------------------------------------------------
   void multiplyInto(core::ScValue& dst, const core::ScValue& x,
                     const core::ScValue& y) override;
   void scaledAddInto(core::ScValue& dst, const core::ScValue& x,
@@ -136,6 +100,8 @@ class FaultedBackend final : public core::ScBackend {
                    const core::ScValue& sy) override;
   void divideInto(core::ScValue& dst, const core::ScValue& num,
                   const core::ScValue& den) override;
+
+  // --- stage 3 (clean — see file comment) -----------------------------------
   void decodePixelsInto(std::span<core::ScValue> values,
                         std::span<std::uint8_t> out) override;
   void decodePixelsStoredInto(std::span<core::ScValue> values,
@@ -152,9 +118,6 @@ class FaultedBackend final : public core::ScBackend {
   std::uint64_t faultEpochs() const { return rng_.epoch(); }
 
  protected:
-  core::ScValue doBernsteinSelect(
-      std::span<const core::ScValue> xCopies,
-      std::span<const core::ScValue> coeffSelects) override;
   void doBernsteinSelectInto(
       core::ScValue& dst, std::span<const core::ScValue> xCopies,
       std::span<const core::ScValue> coeffSelects) override;

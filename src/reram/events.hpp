@@ -5,9 +5,7 @@
 /// integrates them into NVMain [36] via traces.  We reproduce the same
 /// accounting by counting the primitive events each array performs; the
 /// cost model (src/energy) turns counts into ns / nJ using the calibrated
-/// constants in energy/calibration.hpp.  An optional TraceSink receives the
-/// time-ordered event stream (the "trace" of the paper's methodology) —
-/// see energy/trace.hpp for the recorder/replayer.
+/// constants in energy/calibration.hpp.
 #pragma once
 
 #include <cstdint>
@@ -24,19 +22,6 @@ enum class EventKind {
   TrngBit,         ///< true-random bit deposited by the TRNG
   CordivIteration, ///< serial CORDIV bit iteration
 };
-
-inline const char* eventKindName(EventKind k) {
-  switch (k) {
-    case EventKind::SlRead: return "SLREAD";
-    case EventKind::RowWrite: return "ROWWRITE";
-    case EventKind::CellWrite: return "CELLWRITE";
-    case EventKind::LatchOp: return "LATCH";
-    case EventKind::AdcConversion: return "ADC";
-    case EventKind::TrngBit: return "TRNGBIT";
-    case EventKind::CordivIteration: return "CORDIV";
-  }
-  return "?";
-}
 
 /// Aggregated event counters.
 struct EventCounts {
@@ -94,31 +79,19 @@ struct EventCounts {
   void reset() { *this = EventCounts{}; }
 };
 
-/// Receives the time-ordered event stream (implemented by TraceRecorder).
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void onEvent(EventKind kind, std::uint64_t count) = 0;
-};
-
 /// Mutable event sink shared by array / scouting / periphery components.
 class EventLog {
  public:
-  /// Records \p count events of \p kind (counters + optional trace).
+  /// Records \p count events of \p kind.
   void add(EventKind kind, std::uint64_t count = 1) {
     counts_.of(kind) += count;
-    if (sink_ != nullptr && count > 0) sink_->onEvent(kind, count);
   }
 
   const EventCounts& counts() const { return counts_; }
   void reset() { counts_.reset(); }
 
-  /// Attaches (or detaches with nullptr) a trace sink; not owned.
-  void attachSink(TraceSink* sink) { sink_ = sink; }
-
  private:
   EventCounts counts_;
-  TraceSink* sink_ = nullptr;
 };
 
 }  // namespace aimsc::reram

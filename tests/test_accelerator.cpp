@@ -1,6 +1,8 @@
 // Full accelerator facade: end-to-end B-to-S -> op -> S-to-B flows.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/accelerator.hpp"
 #include "sc/correlation.hpp"
 
@@ -135,6 +137,47 @@ TEST(Accelerator, TrngBiasDegradesAccuracyGracefully) {
   EXPECT_GT(v, 0.2);
   EXPECT_LT(v, 0.8);
 }
+
+class AcceleratorIntoForms : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AcceleratorIntoForms, EncodePixelsMatchesEncodePixelsInto) {
+  // Identically seeded mats, one encoding through the allocating batch forms
+  // and one through the destination-passing forms: same streams, epochs and
+  // events under Ideal sensing (byte-cache path, memoized duplicates, the
+  // p = 1 constant) and under Probabilistic sensing (per-value dataflow).
+  AcceleratorConfig cfg = idealConfig(256);
+  if (GetParam()) {
+    cfg.deviceVariability = true;
+    cfg.device.sigmaLrs = 0.12;
+    cfg.device.sigmaHrs = 1.2;
+    cfg.faultModelSamples = 20000;
+  }
+  Accelerator a(cfg);
+  Accelerator i(cfg);
+  const std::vector<std::uint8_t> rows[] = {
+      {0, 17, 128, 17, 255, 200}, {3, 3, 3}, {90, 250, 1, 128}};
+  for (const auto& values : rows) {
+    for (const bool correlated : {false, true}) {
+      const std::vector<sc::Bitstream> want =
+          correlated ? a.encodePixelsCorrelated(values) : a.encodePixels(values);
+      std::vector<sc::Bitstream> got(values.size(), sc::Bitstream(7, true));
+      std::vector<sc::Bitstream*> outs;
+      for (auto& s : got) outs.push_back(&s);
+      if (correlated) {
+        i.encodePixelsCorrelatedInto(values, outs);
+      } else {
+        i.encodePixelsInto(values, outs);
+      }
+      EXPECT_EQ(got, want);
+    }
+  }
+  EXPECT_EQ(a.events(), i.events());
+}
+
+INSTANTIATE_TEST_SUITE_P(Fidelity, AcceleratorIntoForms, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Probabilistic" : "Ideal";
+                         });
 
 }  // namespace
 }  // namespace aimsc::core

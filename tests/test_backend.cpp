@@ -5,10 +5,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sc/bernstein.hpp"
+#include "sc/rng.hpp"
+#include "sc/sfmt.hpp"
+#include "sc/sng.hpp"
 
 #include "apps/bilinear.hpp"
 #include "apps/compositing.hpp"
@@ -512,6 +518,88 @@ TEST(BackendEquivalence, AcceleratorBatchedDecodeMatchesScalar) {
   // Identical event accounting (per-stream charges, nothing amortized away).
   EXPECT_EQ(batched.events(), scalar.events());
 }
+
+// --- SW-SC word-level encode vs the per-bit SNG path -----------------------
+//
+// SwScBackend encodes through a per-epoch comparator byte cache.  The oracle
+// below is the per-bit path it replaced: every stream restarts the epoch's
+// source and draws N comparator bytes through sc::generateSbsFromProb.
+
+std::unique_ptr<sc::RandomSource> perBitEpochSource(const SwScConfig& cfg,
+                                                    std::uint64_t epoch) {
+  switch (cfg.sng) {
+    case SwScSng::Lfsr:
+      return std::make_unique<sc::Lfsr>(
+          sc::Lfsr::paper8Bit(swScLfsrSeedForEpoch(cfg.seed, epoch)));
+    case SwScSng::Sobol: {
+      const SwScSobolEpoch p = swScSobolForEpoch(cfg.seed, epoch);
+      return std::make_unique<sc::Sobol>(p.dimension, p.skip);
+    }
+    case SwScSng::Sfmt:
+      return std::make_unique<sc::Sfmt>(swScSfmtSeedForEpoch(cfg.seed, epoch));
+  }
+  return nullptr;
+}
+
+std::vector<sc::Bitstream> perBitEncode(sc::RandomSource& epochSource,
+                                        const SwScConfig& cfg,
+                                        std::span<const std::uint8_t> values) {
+  std::vector<sc::Bitstream> out;
+  for (const std::uint8_t v : values) {
+    epochSource.reset();
+    out.push_back(sc::generateSbsFromProb(
+        epochSource, static_cast<double>(v) / 255.0, 8, cfg.streamLength));
+  }
+  return out;
+}
+
+class SwScPerBitPath : public ::testing::TestWithParam<SwScSng> {};
+
+TEST_P(SwScPerBitPath, WordLevelEncodeMatchesPerBitSng) {
+  SwScConfig cfg;
+  cfg.sng = GetParam();
+  cfg.streamLength = 200;  // not a word multiple: exercises the tail
+  cfg.seed = 0x5eedf00d;
+  SwScBackend backend(cfg);
+  // The constructor opens epoch 1; every fresh-epoch encode opens the next.
+  std::uint64_t epoch = 1;
+  std::unique_ptr<sc::RandomSource> source;
+  const std::vector<std::uint8_t> rows[] = {
+      {0, 1, 17, 128, 254, 255}, {200, 3, 77}, {128, 128, 9, 250}};
+  for (int round = 0; round < 6; ++round) {
+    for (const auto& values : rows) {
+      // Fresh epoch, then two correlated joins of the same epoch.
+      std::vector<ScValue> got(values.size());
+      backend.encodePixelsInto(values, got);
+      source = perBitEpochSource(cfg, ++epoch);
+      auto want = perBitEncode(*source, cfg, values);
+      for (int join = 0; join < 3; ++join) {
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          EXPECT_EQ(got[i].stream, want[i])
+              << swScSngName(cfg.sng) << " epoch " << epoch << " value "
+              << int{values[i]} << " join " << join;
+        }
+        backend.encodePixelsCorrelatedInto(values, got);
+        want = perBitEncode(*source, cfg, values);
+      }
+    }
+  }
+  // Constants come from the pool and must not advance the epoch counter.
+  ScValue constant;
+  backend.encodeProbInto(constant, 0.3);
+  std::vector<ScValue> got(1);
+  const std::vector<std::uint8_t> one{99};
+  backend.encodePixelsInto(one, got);
+  source = perBitEpochSource(cfg, ++epoch);
+  EXPECT_EQ(got[0].stream, perBitEncode(*source, cfg, one)[0]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, SwScPerBitPath,
+                         ::testing::Values(SwScSng::Lfsr, SwScSng::Sobol,
+                                           SwScSng::Sfmt),
+                         [](const ::testing::TestParamInfo<SwScSng>& info) {
+                           return std::string(swScSngName(info.param));
+                         });
 
 // --- generic (non-ReRAM) lane fleets ---------------------------------------
 

@@ -88,6 +88,39 @@ TEST(CordivDivide, BothVariantsSameStream) {
             cordivDivide(x, y, CordivVariant::JkFlipFlop));
 }
 
+TEST(CordivDivide, IntoFormsMatchAllocatingForms) {
+  // Serial and word-level CORDIV, both flip-flop variants, into fresh and
+  // stale-width destinations; lengths straddle the 64-bit word boundary so
+  // the word-level carry and tail handling are covered.
+  Mt19937Source src(10);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{63},
+                              std::size_t{64}, std::size_t{65},
+                              std::size_t{256}, std::size_t{1000}}) {
+    for (const auto [px, py] : {std::pair{0.1, 0.5}, std::pair{0.45, 0.9},
+                                std::pair{0.7, 0.7}}) {
+      const auto [x, y] = makeCorrelatedPair(src, px, py, 8, n);
+      for (const CordivVariant v :
+           {CordivVariant::DFlipFlop, CordivVariant::JkFlipFlop}) {
+        const Bitstream want = cordivDivide(x, y, v);
+        Bitstream fresh;
+        cordivDivideInto(fresh, x, y, v);
+        EXPECT_EQ(fresh, want) << "n=" << n;
+        Bitstream stale(n + 17, true);
+        cordivDivideInto(stale, x, y, v);
+        EXPECT_EQ(stale, want) << "n=" << n;
+      }
+      const Bitstream wantWord = cordivDivideWordLevel(x, y);
+      EXPECT_EQ(wantWord, cordivDivide(x, y)) << "n=" << n;
+      Bitstream fresh;
+      cordivDivideWordLevelInto(fresh, x, y);
+      EXPECT_EQ(fresh, wantWord) << "n=" << n;
+      Bitstream stale(n / 2, true);
+      cordivDivideWordLevelInto(stale, x, y);
+      EXPECT_EQ(stale, wantWord) << "n=" << n;
+    }
+  }
+}
+
 TEST(CordivDivide, ZeroDivisorYieldsInitialStateStream) {
   const Bitstream x(64);
   const Bitstream y(64);

@@ -67,6 +67,40 @@ TEST_P(ScOpsAccuracy, MinMaxCorrelated) {
   EXPECT_NEAR(scMax(x, y).value(), std::max(px, py), 0.03);
 }
 
+TEST_P(ScOpsAccuracy, IntoFormsMatchAllocatingForms) {
+  // Each *Into form into a fresh, a stale-width and an aliased destination
+  // (dst may alias any operand) emits exactly the allocating form's bits.
+  const auto [px, py] = GetParam();
+  const auto [x, y] = makeIndependentPair(src_, px, py, kBits, kN);
+  const Bitstream sel = generateSbsFromProb(src_, 0.5, kBits, kN);
+  const auto check = [&](const Bitstream& want, auto&& into, const char* op) {
+    Bitstream fresh;
+    into(fresh, x, y);
+    EXPECT_EQ(fresh, want) << op << " (fresh)";
+    Bitstream stale(kN / 3, true);
+    into(stale, x, y);
+    EXPECT_EQ(stale, want) << op << " (stale width)";
+    Bitstream aliased = x;
+    into(aliased, aliased, y);
+    EXPECT_EQ(aliased, want) << op << " (dst aliases x)";
+  };
+  check(scMultiply(x, y), scMultiplyInto, "multiply");
+  check(scAddOr(x, y), scAddOrInto, "addOr");
+  check(scAbsSub(x, y), scAbsSubInto, "absSub");
+  check(scMin(x, y), scMinInto, "min");
+  check(scMax(x, y), scMaxInto, "max");
+  check(scScaledAddMux(x, y, sel),
+        [&](Bitstream& d, const Bitstream& a, const Bitstream& b) {
+          scScaledAddMuxInto(d, a, b, sel);
+        },
+        "scaledAddMux");
+  check(scScaledAddMaj(x, y, sel),
+        [&](Bitstream& d, const Bitstream& a, const Bitstream& b) {
+          scScaledAddMajInto(d, a, b, sel);
+        },
+        "scaledAddMaj");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Pairs, ScOpsAccuracy,
     ::testing::Values(OpCase{0.2, 0.7}, OpCase{0.5, 0.5}, OpCase{0.9, 0.1},
