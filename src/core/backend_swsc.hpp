@@ -184,8 +184,9 @@ class SwScGateBackend : public ScBackend {
 };
 
 /// Scalar software-SC execution engine (the Table III/IV "CMOS SC"
-/// baseline): one virtual RNG call per stream bit.  `SwScSimdBackend` is
-/// the word-parallel drop-in replacement with identical output.
+/// baseline): one virtual RNG call per bit of each randomness epoch.
+/// `SwScSimdBackend` is the word-parallel drop-in replacement with
+/// identical output.
 class SwScBackend final : public SwScGateBackend {
  public:
   explicit SwScBackend(const SwScConfig& config);
