@@ -78,7 +78,7 @@ void checkBernsteinShape(std::span<const ScValue> xCopies,
 
 }  // namespace
 
-// --- derived defaults ---------------------------------------------------------
+// --- derived defaults --------------------------------------------------------
 
 void ScBackend::encodeCopiesInto(std::uint8_t v, std::span<ScValue> out) {
   // One fresh epoch per copy: a single-element fresh-epoch batch per slot.

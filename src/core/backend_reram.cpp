@@ -2,27 +2,31 @@
 
 namespace aimsc::core {
 
-std::span<sc::Bitstream* const> ReramScBackend::borrowOut(
-    std::span<ScValue> out) {
-  outPtrScratch_.resize(out.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    outPtrScratch_[i] = &out[i].stream;
-  }
-  return outPtrScratch_;
+namespace {
+
+/// Points \p ptrs at the stream payloads of \p out: the Accelerator's batched
+/// encode writes through borrowed destinations.
+std::span<sc::Bitstream* const> borrowOut(std::span<ScValue> out,
+                                          std::vector<sc::Bitstream*>& ptrs) {
+  ptrs.resize(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) ptrs[i] = &out[i].stream;
+  return ptrs;
 }
+
+}  // namespace
 
 void ReramScBackend::encodePixelsInto(std::span<const std::uint8_t> values,
                                       std::span<ScValue> out) {
   requireSameSize(values.size(), out.size(),
                   "ReramScBackend::encodePixelsInto");
-  acc_->encodePixelsInto(values, borrowOut(out));
+  acc_->encodePixelsInto(values, borrowOut(out, outPtrScratch_));
 }
 
 void ReramScBackend::encodePixelsCorrelatedInto(
     std::span<const std::uint8_t> values, std::span<ScValue> out) {
   requireSameSize(values.size(), out.size(),
                   "ReramScBackend::encodePixelsCorrelatedInto");
-  acc_->encodePixelsCorrelatedInto(values, borrowOut(out));
+  acc_->encodePixelsCorrelatedInto(values, borrowOut(out, outPtrScratch_));
 }
 
 void ReramScBackend::encodeProbInto(ScValue& dst, double p) {
@@ -84,9 +88,9 @@ void ReramScBackend::divideInto(ScValue& dst, const ScValue& num,
 void ReramScBackend::doBernsteinSelectInto(
     ScValue& dst, std::span<const ScValue> xCopies,
     std::span<const ScValue> coeffSelects) {
-  acc_->ops().bernsteinSelectInto(dst.stream,
-                                  borrowStreams(xCopies, copyPtrScratch_),
-                                  borrowStreams(coeffSelects, coeffPtrScratch_));
+  acc_->ops().bernsteinSelectInto(
+      dst.stream, borrowStreams(xCopies, copyPtrScratch_),
+      borrowStreams(coeffSelects, coeffPtrScratch_));
 }
 
 void ReramScBackend::decodePixelsInto(std::span<ScValue> values,

@@ -64,8 +64,6 @@ class ReramScBackend final : public ScBackend {
                              std::span<const ScValue> coeffSelects) override;
 
  private:
-  std::span<sc::Bitstream* const> borrowOut(std::span<ScValue> out);
-
   std::unique_ptr<Accelerator> owned_;
   Accelerator* acc_;
   // Borrowed-pointer staging for the batched Into encode and the per-pixel

@@ -159,7 +159,8 @@ TEST_P(AcceleratorIntoForms, EncodePixelsMatchesEncodePixelsInto) {
   for (const auto& values : rows) {
     for (const bool correlated : {false, true}) {
       const std::vector<sc::Bitstream> want =
-          correlated ? a.encodePixelsCorrelated(values) : a.encodePixels(values);
+          correlated ? a.encodePixelsCorrelated(values)
+                     : a.encodePixels(values);
       std::vector<sc::Bitstream> got(values.size(), sc::Bitstream(7, true));
       std::vector<sc::Bitstream*> outs;
       for (auto& s : got) outs.push_back(&s);

@@ -1,8 +1,8 @@
-// Conformance of the destination-passing (*Into) ScBackend forms: every op
-// and every fused app kernel must produce EXACTLY the payloads, randomness
-// epochs and event/op accounting of the allocating forms, on every
-// substrate.  The kernel-level oracles below are verbatim copies of the
-// pre-arena (PR-4) allocating row loops.
+// Conformance of the destination-passing (*Into) ScBackend forms on every
+// substrate.  The allocating forms are base wrappers over the *Into forms,
+// so the op-level test checks that plumbing (destination sizing, epochs,
+// event/op accounting); the kernel-level oracles below are verbatim copies
+// of the pre-arena allocating row loops, run against the fused kernels.
 #include <gtest/gtest.h>
 
 #include <cmath>
