@@ -1,6 +1,7 @@
 // Golden-bytes pin: every AppKind x DesignKind run at 32x32, N = 256 and a
 // fixed seed, plus the Table IV faulty rows, stream-level FaultPlan rows
-// (through the FaultedBackend decorator) and a 3-replica vote row.  Each row
+// (through the FaultedBackend decorator), a 3-replica vote row and 16x16
+// binary-CIM rows on a high-variability corner.  Each row
 // pins three values from runAppDetailed: the FNV-1a-64 of the output bytes,
 // the backend op count and a digest of the ReRAM event ledger.
 //
@@ -104,6 +105,28 @@ std::vector<Case> goldenCases() {
   voted.redundancy.replicas = 3;
   cases.push_back({"vote3/compositing/ReRAM-SC", AppKind::Compositing,
                    DesignKind::ReramSc, voted});
+
+  // Binary CIM at 16x16 on a corner with 3x the HRS spread: misdecisions
+  // are frequent enough that most full adders take the gate-by-gate walk
+  // (retry-and-vote, restoring division and the lerp chain included).
+  RunConfig hot = baseConfig();
+  hot.width = 16;
+  hot.height = 16;
+  reram::DeviceParams hotDevice = defaultFaultyDevice();
+  hotDevice.sigmaHrs *= 3;
+  hot.faults = reliability::FaultPlan::deviceOnly(hotDevice);
+  RunConfig hotDmr = hot;
+  hotDmr.bincimProtection = core::CimProtection::Dmr;
+  RunConfig hotTmr = hot;
+  hotTmr.bincimProtection = core::CimProtection::Tmr;
+  cases.push_back({"hrs3x/compositing/Binary CIM+DMR", AppKind::Compositing,
+                   DesignKind::BinaryCim, hotDmr});
+  cases.push_back({"hrs3x/compositing/Binary CIM+TMR", AppKind::Compositing,
+                   DesignKind::BinaryCim, hotTmr});
+  cases.push_back({"hrs3x/matting/Binary CIM", AppKind::Matting,
+                   DesignKind::BinaryCim, hot});
+  cases.push_back({"hrs3x/bilinear/Binary CIM", AppKind::Bilinear,
+                   DesignKind::BinaryCim, hot});
   return cases;
 }
 
@@ -172,6 +195,10 @@ constexpr Pin kPins[] = {
     {"faultplan/matting/ReRAM-SC", 0x4b439a20e989a19dull, 0ull, 0x1849b9b56e41cdccull},
     {"faultplan/filters/Binary CIM", 0xb746197c095198e4ull, 2154600ull, 0x8ac123d6f7dce585ull},
     {"vote3/compositing/ReRAM-SC", 0x4d70e94337dfbffeull, 0ull, 0x6e744fb498662639ull},
+    {"hrs3x/compositing/Binary CIM+DMR", 0x4dae12936ed5e4a8ull, 3000771ull, 0x8ac123d6f7dce585ull},
+    {"hrs3x/compositing/Binary CIM+TMR", 0x6bee8d2d7df6c038ull, 4406784ull, 0x8ac123d6f7dce585ull},
+    {"hrs3x/matting/Binary CIM", 0x9e7ba2fbcd8d4b70ull, 1572864ull, 0x8ac123d6f7dce585ull},
+    {"hrs3x/bilinear/Binary CIM", 0x0ce721b0e819d475ull, 17627136ull, 0x8ac123d6f7dce585ull},
 };
 // clang-format on
 
