@@ -1,9 +1,10 @@
 // Golden-bytes pin: every AppKind x DesignKind run at 32x32, N = 256 and a
 // fixed seed, plus the Table IV faulty rows, stream-level FaultPlan rows
-// (through the FaultedBackend decorator), a 3-replica vote row and 16x16
-// binary-CIM rows on a high-variability corner.  Each row
-// pins three values from runAppDetailed: the FNV-1a-64 of the output bytes,
-// the backend op count and a digest of the ReRAM event ledger.
+// (through the FaultedBackend decorator), a 3-replica vote row, 16x16
+// binary-CIM rows on a high-variability corner and a 16x16 faulty ReRAM
+// matting row.  Each row pins three values from runAppDetailed: the
+// FNV-1a-64 of the output bytes, the backend op count and a digest of the
+// ReRAM event ledger.
 //
 // The other conformance suites compare two code paths of the SAME build with
 // each other; this table is the only check that holds across commits.  A
@@ -127,6 +128,13 @@ std::vector<Case> goldenCases() {
                    DesignKind::BinaryCim, hot});
   cases.push_back({"hrs3x/bilinear/Binary CIM", AppKind::Bilinear,
                    DesignKind::BinaryCim, hot});
+
+  // Faulty ReRAM CORDIV, which draws its own per-iteration misdecisions.
+  RunConfig faultyMatting = faulty;
+  faultyMatting.width = 16;
+  faultyMatting.height = 16;
+  cases.push_back({"tableIV-faulty-16/matting/ReRAM-SC", AppKind::Matting,
+                   DesignKind::ReramSc, faultyMatting});
   return cases;
 }
 
@@ -199,6 +207,7 @@ constexpr Pin kPins[] = {
     {"hrs3x/compositing/Binary CIM+TMR", 0x6bee8d2d7df6c038ull, 4406784ull, 0x8ac123d6f7dce585ull},
     {"hrs3x/matting/Binary CIM", 0x9e7ba2fbcd8d4b70ull, 1572864ull, 0x8ac123d6f7dce585ull},
     {"hrs3x/bilinear/Binary CIM", 0x0ce721b0e819d475ull, 17627136ull, 0x8ac123d6f7dce585ull},
+    {"tableIV-faulty-16/matting/ReRAM-SC", 0x9cfedc5d52313646ull, 0ull, 0xd3a8fb57a07fdb3full},
 };
 // clang-format on
 
