@@ -1,7 +1,7 @@
 // Golden-bytes pin: every AppKind x DesignKind run at 32x32, N = 256 and a
 // fixed seed, plus the Table IV faulty rows, stream-level FaultPlan rows
 // (through the FaultedBackend decorator), a 3-replica vote row, 16x16
-// binary-CIM rows on a high-variability corner and a 16x16 faulty ReRAM
+// binary-CIM rows on high-variability corners and a 16x16 faulty ReRAM
 // matting row.  Each row pins three values from runAppDetailed: the
 // FNV-1a-64 of the output bytes, the backend op count and a digest of the
 // ReRAM event ledger.
@@ -135,6 +135,17 @@ std::vector<Case> goldenCases() {
   faultyMatting.height = 16;
   cases.push_back({"tableIV-faulty-16/matting/ReRAM-SC", AppKind::Matting,
                    DesignKind::ReramSc, faultyMatting});
+
+  // Binary CIM with a wide LRS spread as well: all five MAGIC patterns
+  // misdecide, so the order of sibling gates inside a full adder shows in
+  // the bytes.
+  RunConfig wide = hot;
+  reram::DeviceParams wideDevice = defaultFaultyDevice();
+  wideDevice.sigmaLrs = 0.8;
+  wideDevice.sigmaHrs = 2.4;
+  wide.faults = reliability::FaultPlan::deviceOnly(wideDevice);
+  cases.push_back({"lrs-hrs-wide/compositing/Binary CIM", AppKind::Compositing,
+                   DesignKind::BinaryCim, wide});
   return cases;
 }
 
@@ -208,6 +219,7 @@ constexpr Pin kPins[] = {
     {"hrs3x/matting/Binary CIM", 0x9e7ba2fbcd8d4b70ull, 1572864ull, 0x8ac123d6f7dce585ull},
     {"hrs3x/bilinear/Binary CIM", 0x0ce721b0e819d475ull, 17627136ull, 0x8ac123d6f7dce585ull},
     {"tableIV-faulty-16/matting/ReRAM-SC", 0x9cfedc5d52313646ull, 0ull, 0xd3a8fb57a07fdb3full},
+    {"lrs-hrs-wide/compositing/Binary CIM", 0x240b690f785e229dull, 1468928ull, 0x8ac123d6f7dce585ull},
 };
 // clang-format on
 
