@@ -1,74 +1,80 @@
 #include "bincim/aritpim.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 namespace aimsc::bincim {
 
 namespace {
 
-std::vector<bool> toBits(std::uint32_t v, int bits) {
-  std::vector<bool> out(static_cast<std::size_t>(bits));
-  for (int i = 0; i < bits; ++i) out[static_cast<std::size_t>(i)] = (v >> i) & 1u;
-  return out;
-}
+std::uint32_t lowMask(int bits) { return (std::uint32_t{1} << bits) - 1; }
 
-std::uint32_t fromBits(const std::vector<bool>& bits) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i]) v |= std::uint32_t{1} << i;
-  }
-  return v;
-}
+std::uint64_t width(int bits) { return static_cast<std::uint64_t>(bits); }
 
 }  // namespace
 
 std::uint32_t AritPim::add(std::uint32_t a, std::uint32_t b, int bits) {
   if (bits < 1 || bits > 31) throw std::invalid_argument("AritPim::add: bad width");
-  const auto av = toBits(a, bits);
-  const auto bv = toBits(b, bits);
-  std::vector<bool> sum(static_cast<std::size_t>(bits) + 1);
-  bool carry = false;
+  a &= lowMask(bits);
+  b &= lowMask(bits);
+  if (engine_.faultFree()) {
+    engine_.chargeFaultFree(MagicEngine::kFullAdderGates * width(bits));
+    return a + b;
+  }
+  std::uint32_t sum = 0;
+  std::uint32_t carry = 0;
   for (int i = 0; i < bits; ++i) {
-    const auto fa = engine_.fullAdder(av[static_cast<std::size_t>(i)],
-                                      bv[static_cast<std::size_t>(i)], carry);
-    sum[static_cast<std::size_t>(i)] = fa.sum;
+    const auto fa = engine_.fullAdder((a >> i) & 1u, (b >> i) & 1u, carry);
+    sum |= fa.sum << i;
     carry = fa.carry;
   }
-  sum[static_cast<std::size_t>(bits)] = carry;
-  return fromBits(sum);
+  return sum | carry << bits;
+}
+
+/// \p bits-wide a + NOT(b) + 1 (two's complement); the carry out, 1 when
+/// a >= b, lands at bit \p bits.  Operands must already fit \p bits.
+std::uint32_t AritPim::subtract(std::uint32_t a, std::uint32_t b, int bits) {
+  if (engine_.faultFree()) {
+    engine_.chargeFaultFree((MagicEngine::kNotGates + MagicEngine::kFullAdderGates) *
+                            width(bits));
+    return a + (~b & lowMask(bits)) + 1;
+  }
+  std::uint32_t diff = 0;
+  std::uint32_t carry = 1;  // +1 of the two's complement
+  for (int i = 0; i < bits; ++i) {
+    const std::uint32_t nb = engine_.notGate((b >> i) & 1u);
+    const auto fa = engine_.fullAdder((a >> i) & 1u, nb, carry);
+    diff |= fa.sum << i;
+    carry = fa.carry;
+  }
+  return diff | carry << bits;
 }
 
 std::uint32_t AritPim::subSaturating(std::uint32_t a, std::uint32_t b, int bits) {
   if (bits < 1 || bits > 31) throw std::invalid_argument("AritPim::sub: bad width");
-  const auto av = toBits(a, bits);
-  const auto bv = toBits(b, bits);
-  std::vector<bool> diff(static_cast<std::size_t>(bits));
-  bool carry = true;  // +1 of the two's complement
-  for (int i = 0; i < bits; ++i) {
-    const bool nb = engine_.notGate(bv[static_cast<std::size_t>(i)]);
-    const auto fa = engine_.fullAdder(av[static_cast<std::size_t>(i)], nb, carry);
-    diff[static_cast<std::size_t>(i)] = fa.sum;
-    carry = fa.carry;
-  }
+  const std::uint32_t diff = subtract(a & lowMask(bits), b & lowMask(bits), bits);
   // carry == 0 -> borrow -> negative -> clamp to 0.
-  if (!carry) return 0;
-  return fromBits(diff);
+  return (diff >> bits) != 0 ? diff & lowMask(bits) : 0;
 }
 
 std::uint32_t AritPim::mul(std::uint32_t a, std::uint32_t b, int bits) {
   if (bits < 1 || bits > 15) throw std::invalid_argument("AritPim::mul: bad width");
+  if (engine_.faultFree()) {
+    // `bits` rows, each `bits` ANDs and a 2*bits-wide add.
+    const std::uint64_t n = width(bits);
+    engine_.chargeFaultFree(n * (n * MagicEngine::kAndGates +
+                                 2 * n * MagicEngine::kFullAdderGates));
+    return (a & lowMask(bits)) * (b & lowMask(bits));
+  }
   std::uint32_t acc = 0;
   const int accBits = 2 * bits;
   for (int i = 0; i < bits; ++i) {
     // Partial product: AND of b's bit i with every bit of a, shifted by i.
     std::uint32_t pp = 0;
-    const bool bi = (b >> i) & 1u;
+    const std::uint32_t bi = (b >> i) & 1u;
     for (int j = 0; j < bits; ++j) {
-      const bool pj = engine_.andGate(bi, (a >> j) & 1u);
-      if (pj) pp |= std::uint32_t{1} << (i + j);
+      pp |= engine_.andGate(bi, (a >> j) & 1u) << (i + j);
     }
-    acc = add(acc, pp, accBits) & ((std::uint32_t{1} << accBits) - 1);
+    acc = add(acc, pp, accBits) & lowMask(accBits);
   }
   return acc;
 }
@@ -78,29 +84,21 @@ std::uint32_t AritPim::div(std::uint32_t num, std::uint32_t den, int numBits,
   if (numBits < 1 || numBits > 24 || denBits < 1 || denBits > 24) {
     throw std::invalid_argument("AritPim::div: bad width");
   }
-  const std::uint32_t qMax = (std::uint32_t{1} << numBits) - 1;
-  // Restoring division over numBits quotient bits; remainder width is
-  // denBits + 1.  A zero denominator saturates (matches the catastrophic
-  // behaviour the paper observes for faulty integer division in matting).
+  const std::uint32_t qMax = lowMask(numBits);
+  // Restoring division over numBits quotient bits; the remainder register
+  // is denBits + 2 wide.  A zero denominator saturates (matches the
+  // catastrophic behaviour the paper observes for faulty integer division
+  // in matting).
+  const int remBits = denBits + 2;
+  const std::uint32_t remMask = lowMask(remBits);
+  const std::uint32_t d = den & remMask;
   std::uint32_t rem = 0;
   std::uint32_t q = 0;
-  const int remBits = denBits + 2;
   for (int i = numBits - 1; i >= 0; --i) {
-    rem = (rem << 1) | ((num >> i) & 1u);
-    rem &= (std::uint32_t{1} << remBits) - 1;
-    // Trial subtraction rem - den through the gate engine.
-    const auto rv = toBits(rem, remBits);
-    const auto dv = toBits(den, remBits);
-    std::vector<bool> diff(static_cast<std::size_t>(remBits));
-    bool carry = true;
-    for (int j = 0; j < remBits; ++j) {
-      const bool nd = engine_.notGate(dv[static_cast<std::size_t>(j)]);
-      const auto fa = engine_.fullAdder(rv[static_cast<std::size_t>(j)], nd, carry);
-      diff[static_cast<std::size_t>(j)] = fa.sum;
-      carry = fa.carry;
-    }
-    if (carry) {  // rem >= den: commit subtraction, set quotient bit
-      rem = fromBits(diff);
+    rem = ((rem << 1) | ((num >> i) & 1u)) & remMask;
+    const std::uint32_t diff = subtract(rem, d, remBits);
+    if ((diff >> remBits) != 0) {  // rem >= den: commit, set quotient bit
+      rem = diff & remMask;
       q |= std::uint32_t{1} << i;
     }
   }

@@ -10,7 +10,17 @@
 ///
 /// Complexities mirror the paper's discussion: addition O(n) (ripple),
 /// multiplication O(n^2) (shift-add), division O(n^2) (restoring, "requires
-/// O(n^2) write cycles").
+/// O(n^2) write cycles").  Gate counts: 18n for add, 19n for subtract,
+/// 39n^2 for multiply and 19 per remainder bit per quotient bit for
+/// divide; TMR triples them, DMR doubles them and adds one gate per
+/// disagreement.
+///
+/// Operands are words; each op reads only its low `bits` (divide: the
+/// numerator's low `numBits`, the denominator's low `denBits + 2`), as its
+/// bit-serial datapath does.  On a fault-free engine an op returns the
+/// closed form of that datapath and charges its gate count; otherwise it
+/// walks the engine's full adders, inverters and ANDs bit by bit.  Both
+/// give the same words, counts and draws (docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cstdint>
@@ -19,8 +29,10 @@
 
 namespace aimsc::bincim {
 
+/// Integer arithmetic on a MagicEngine (not owned).
 class AritPim {
  public:
+  /// Binds the arithmetic to \p engine.
   explicit AritPim(MagicEngine& engine) : engine_(engine) {}
 
   /// \p bits-wide ripple-carry addition; result is (bits+1) wide.
@@ -34,12 +46,16 @@ class AritPim {
 
   /// Restoring division: \p numBits-wide numerator / \p denBits-wide
   /// denominator -> numBits-wide quotient (saturates on overflow/zero-div).
+  /// The remainder register is denBits + 2 wide and wraps like the gates.
   std::uint32_t div(std::uint32_t num, std::uint32_t den, int numBits,
                     int denBits);
 
+  /// The gate engine the ops run on.
   MagicEngine& engine() { return engine_; }
 
  private:
+  std::uint32_t subtract(std::uint32_t a, std::uint32_t b, int bits);
+
   MagicEngine& engine_;
 };
 

@@ -1,55 +1,53 @@
 // Binary CIM baseline: gate engine + AritPIM arithmetic (exactness when
-// fault-free, gate-count complexity, fault vulnerability).
+// fault-free, gate-count complexity, fault vulnerability), and the
+// word-level engine checked draw for draw against a gate-by-gate oracle.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <random>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "bincim/aritpim.hpp"
 
 namespace aimsc::bincim {
 namespace {
 
-TEST(MagicEngine, PrimitiveGateTruth) {
-  MagicEngine e;
-  EXPECT_TRUE(e.norGate(false, false));
-  EXPECT_FALSE(e.norGate(true, false));
-  EXPECT_FALSE(e.norGate(false, true));
-  EXPECT_FALSE(e.norGate(true, true));
-  EXPECT_TRUE(e.notGate(false));
-  EXPECT_FALSE(e.notGate(true));
-}
+using Protection = MagicEngine::Protection;
 
-TEST(MagicEngine, CompositeGateTruth) {
+TEST(MagicEngine, GateTruthTables) {
   MagicEngine e;
-  for (const bool a : {false, true}) {
-    for (const bool b : {false, true}) {
-      EXPECT_EQ(e.orGate(a, b), a || b);
-      EXPECT_EQ(e.andGate(a, b), a && b);
-      EXPECT_EQ(e.xorGate(a, b), a != b);
-    }
-  }
-}
-
-TEST(MagicEngine, FullAdderExhaustive) {
-  MagicEngine e;
-  for (int a = 0; a <= 1; ++a) {
-    for (int b = 0; b <= 1; ++b) {
-      for (int c = 0; c <= 1; ++c) {
+  EXPECT_EQ(e.notGate(0), 1u);
+  EXPECT_EQ(e.notGate(1), 0u);
+  for (std::uint32_t a = 0; a <= 1; ++a) {
+    for (std::uint32_t b = 0; b <= 1; ++b) {
+      EXPECT_EQ(e.andGate(a, b), a & b);
+      for (std::uint32_t c = 0; c <= 1; ++c) {
         const auto fa = e.fullAdder(a, b, c);
-        const int total = a + b + c;
-        EXPECT_EQ(fa.sum, total % 2 == 1);
-        EXPECT_EQ(fa.carry, total >= 2);
+        EXPECT_EQ(fa.sum, (a + b + c) % 2);
+        EXPECT_EQ(fa.carry, (a + b + c) / 2);
       }
     }
   }
 }
 
 TEST(MagicEngine, GateOpsCounted) {
-  MagicEngine e;
-  e.norGate(true, false);
-  EXPECT_EQ(e.gateOps(), 1u);
-  e.xorGate(true, false);  // 5 primitives (4-NOR XNOR + inverter)
-  EXPECT_EQ(e.gateOps(), 6u);
-  e.resetCounter();
-  EXPECT_EQ(e.gateOps(), 0u);
+  for (const auto& [prot, copies] :
+       {std::pair{Protection::None, 1u}, std::pair{Protection::Dmr, 2u},
+        std::pair{Protection::Tmr, 3u}}) {
+    MagicEngine e;
+    e.setProtection(prot);
+    e.notGate(1);
+    EXPECT_EQ(e.gateOps(), copies);
+    e.andGate(1, 0);  // NOR(NOT a, NOT b)
+    EXPECT_EQ(e.gateOps(), 4 * copies);
+    e.fullAdder(1, 0, 1);  // two 5-gate XORs, two ANDs, NOR + NOT
+    EXPECT_EQ(e.gateOps(), 22 * copies);
+    e.resetCounter();
+    EXPECT_EQ(e.gateOps(), 0u);
+  }
 }
 
 TEST(AritPim, AddExhaustive6Bit) {
@@ -135,6 +133,28 @@ TEST(AritPim, ComplexityOrdering) {
   EXPECT_GT(divOps, addOps * 5);
 }
 
+TEST(AritPim, FaultFreeGateCountsAreDataIndependent) {
+  // 18n, 19n, 39n^2 and 19 * numBits * (denBits + 2), times the copies.
+  for (const auto& [prot, copies] :
+       {std::pair{Protection::None, 1u}, std::pair{Protection::Dmr, 2u},
+        std::pair{Protection::Tmr, 3u}}) {
+    MagicEngine e;
+    e.setProtection(prot);
+    AritPim pim(e);
+    const auto cost = [&](auto op) {
+      e.resetCounter();
+      op();
+      return e.gateOps();
+    };
+    for (const std::uint32_t x : {0u, 77u, 0xffffffffu}) {
+      EXPECT_EQ(cost([&] { pim.add(x, 5, 9); }), 18u * 9 * copies);
+      EXPECT_EQ(cost([&] { pim.subSaturating(x, 5, 10); }), 19u * 10 * copies);
+      EXPECT_EQ(cost([&] { pim.mul(x, 200, 8); }), 39u * 64 * copies);
+      EXPECT_EQ(cost([&] { pim.div(x, 3, 16, 8); }), 19u * 16 * 10 * copies);
+    }
+  }
+}
+
 TEST(AritPim, WidthValidation) {
   MagicEngine e;
   AritPim pim(e);
@@ -166,6 +186,292 @@ TEST(AritPim, FaultFreeWithNullModel) {
   MagicEngine e(nullptr);
   AritPim pim(e);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(pim.mul(123, 45, 8), 123u * 45u);
+}
+
+// --- differential check against the gate-by-gate engine --------------------
+
+// The engine AritPim ran on before it worked on words: one bool per
+// primitive, one uniform draw per execution of a gate whose pattern has
+// p > 0, probabilities read from the model at every gate.  Nested calls
+// are spelled out in the order the original evaluated them (arguments
+// right to left): AND inverts b first, XOR takes NOR(b, n1) first.
+class GateByGate {
+ public:
+  GateByGate(const reram::FaultModel* model, std::uint64_t seed, double scale,
+             Protection prot)
+      : model_(model), scale_(scale), prot_(prot), eng_(seed) {}
+
+  bool nor(bool a, bool b) {
+    return inject(!(a || b), reram::SlOp::Nor, (a ? 1 : 0) + (b ? 1 : 0), 2);
+  }
+  bool inv(bool a) { return inject(!a, reram::SlOp::Not, a ? 1 : 0, 1); }
+  bool andGate(bool a, bool b) {
+    const bool nb = inv(b);
+    const bool na = inv(a);
+    return nor(na, nb);
+  }
+  bool xorGate(bool a, bool b) {
+    const bool n1 = nor(a, b);
+    const bool x2 = nor(b, n1);
+    const bool x1 = nor(a, n1);
+    return inv(nor(x1, x2));
+  }
+  std::pair<bool, bool> fullAdder(bool a, bool b, bool cin) {
+    const bool axb = xorGate(a, b);
+    const bool sum = xorGate(axb, cin);
+    const bool t1 = andGate(a, b);
+    const bool t2 = andGate(cin, axb);
+    return {sum, inv(nor(t1, t2))};
+  }
+
+  std::uint64_t gateOps() const { return gateOps_; }
+  std::uint64_t nextRawDraw() { return eng_(); }
+
+ private:
+  bool once(bool ideal, double p) {
+    ++gateOps_;
+    if (p > 0.0 && unit_(eng_) < p) return !ideal;
+    return ideal;
+  }
+  bool inject(bool ideal, reram::SlOp op, int ones, int rows) {
+    const double p =
+        model_ == nullptr ? 0.0 : scale_ * model_->misdecisionProb(op, ones, rows);
+    const bool first = once(ideal, p);
+    if (prot_ == Protection::None) return first;
+    if (prot_ == Protection::Dmr) {
+      const bool second = once(ideal, p);
+      if (first == second) return first;
+      return once(ideal, p);
+    }
+    const bool second = once(ideal, p);
+    const bool third = once(ideal, p);
+    return (first && second) || (first && third) || (second && third);
+  }
+
+  const reram::FaultModel* model_;
+  double scale_;
+  Protection prot_;
+  std::uint64_t gateOps_ = 0;
+  std::mt19937_64 eng_;
+  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+};
+
+// AritPim as it was on the gate-by-gate engine (bit-vector operands).
+class GateByGatePim {
+ public:
+  explicit GateByGatePim(GateByGate& g) : g_(g) {}
+
+  std::uint32_t add(std::uint32_t a, std::uint32_t b, int bits) {
+    const auto av = toBits(a, bits);
+    const auto bv = toBits(b, bits);
+    std::vector<bool> sum(static_cast<std::size_t>(bits) + 1);
+    bool carry = false;
+    for (std::size_t i = 0; i < av.size(); ++i) {
+      const auto [s, c] = g_.fullAdder(av[i], bv[i], carry);
+      sum[i] = s;
+      carry = c;
+    }
+    sum.back() = carry;
+    return fromBits(sum);
+  }
+
+  std::uint32_t subSaturating(std::uint32_t a, std::uint32_t b, int bits) {
+    bool carry = true;
+    const auto diff = subtract(toBits(a, bits), toBits(b, bits), carry);
+    return carry ? fromBits(diff) : 0;
+  }
+
+  std::uint32_t mul(std::uint32_t a, std::uint32_t b, int bits) {
+    std::uint32_t acc = 0;
+    const int accBits = 2 * bits;
+    for (int i = 0; i < bits; ++i) {
+      std::uint32_t pp = 0;
+      const bool bi = (b >> i) & 1u;
+      for (int j = 0; j < bits; ++j) {
+        if (g_.andGate(bi, (a >> j) & 1u)) pp |= std::uint32_t{1} << (i + j);
+      }
+      acc = add(acc, pp, accBits) & ((std::uint32_t{1} << accBits) - 1);
+    }
+    return acc;
+  }
+
+  std::uint32_t div(std::uint32_t num, std::uint32_t den, int numBits,
+                    int denBits) {
+    const std::uint32_t qMax = (std::uint32_t{1} << numBits) - 1;
+    const int remBits = denBits + 2;
+    std::uint32_t rem = 0;
+    std::uint32_t q = 0;
+    for (int i = numBits - 1; i >= 0; --i) {
+      rem = (rem << 1) | ((num >> i) & 1u);
+      rem &= (std::uint32_t{1} << remBits) - 1;
+      bool carry = true;
+      const auto diff =
+          subtract(toBits(rem, remBits), toBits(den, remBits), carry);
+      if (carry) {
+        rem = fromBits(diff);
+        q |= std::uint32_t{1} << i;
+      }
+    }
+    if (den == 0) return qMax;
+    return q > qMax ? qMax : q;
+  }
+
+ private:
+  static std::vector<bool> toBits(std::uint32_t v, int bits) {
+    std::vector<bool> out(static_cast<std::size_t>(bits));
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = (v >> i) & 1u;
+    return out;
+  }
+  static std::uint32_t fromBits(const std::vector<bool>& bits) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+      if (bits[i]) v |= std::uint32_t{1} << i;
+    }
+    return v;
+  }
+  // a + NOT(b) + carry, NOT then full adder per bit.
+  std::vector<bool> subtract(const std::vector<bool>& av,
+                             const std::vector<bool>& bv, bool& carry) {
+    std::vector<bool> diff(av.size());
+    for (std::size_t i = 0; i < av.size(); ++i) {
+      const bool nb = g_.inv(bv[i]);
+      const auto [s, c] = g_.fullAdder(av[i], nb, carry);
+      diff[i] = s;
+      carry = c;
+    }
+    return diff;
+  }
+
+  GateByGate& g_;
+};
+
+// Operands mixing zero, in-width, just-over-width and full 32-bit words.
+std::uint32_t operand(std::mt19937& rng, int bits) {
+  const std::uint32_t r = static_cast<std::uint32_t>(rng());
+  switch (r % 5) {
+    case 0: return 0;
+    case 1: return static_cast<std::uint32_t>(rng());
+    case 2: return static_cast<std::uint32_t>(rng()) & ((4u << bits) - 1);
+    default: return static_cast<std::uint32_t>(rng()) & ((1u << bits) - 1);
+  }
+}
+
+TEST(AritPimDifferential, MatchesGateByGateEngineDrawForDraw) {
+  reram::DeviceParams tableIV;  // apps::defaultFaultyDevice()
+  tableIV.sigmaLrs = 0.15;
+  tableIV.sigmaHrs = 1.20;
+  reram::DeviceParams hot = tableIV;
+  hot.sigmaHrs *= 3;
+  reram::DeviceParams wide = tableIV;  // every NOR and NOT pattern faulty
+  wide.sigmaLrs = 0.8;
+  wide.sigmaHrs = 2.4;
+  const reram::FaultModel tableIVModel(tableIV, 0x7ab1e, 20000);
+  const reram::FaultModel hotModel(hot, 0x4e7, 20000);
+  const reram::FaultModel wideModel(wide, 0x1de, 20000);
+
+  const struct {
+    const char* name;
+    const reram::FaultModel* model;
+    double scale;
+  } settings[] = {
+      {"no model", nullptr, 1.0},
+      {"Table IV x0", &tableIVModel, 0.0},
+      {"Table IV x0.25", &tableIVModel, 0.25},
+      {"Table IV x0.05", &tableIVModel, 0.05},
+      {"Table IV x0.5", &tableIVModel, 0.5},
+      {"3x HRS x0.25", &hotModel, 0.25},
+      {"3x HRS x4 (p >= 1)", &hotModel, 4.0},
+      {"wide LRS+HRS x0.25", &wideModel, 0.25},
+  };
+  constexpr int kAddWidths[] = {8, 9, 10, 16, 17};
+  constexpr int kMulWidths[] = {8, 9, 10};
+
+  for (const auto& s : settings) {
+    for (const Protection prot :
+         {Protection::None, Protection::Dmr, Protection::Tmr}) {
+      const std::uint64_t seed = 0xd1ff + static_cast<std::uint64_t>(prot);
+      MagicEngine engine(s.model, seed, s.scale);
+      engine.setProtection(prot);
+      AritPim pim(engine);
+      GateByGate oracle(s.model, seed, s.scale, prot);
+      GateByGatePim want(oracle);
+
+      std::mt19937 rng(0x0a11 + static_cast<unsigned>(prot));
+      for (int step = 0; step < 160; ++step) {
+        std::uint32_t got = 0;
+        std::uint32_t expected = 0;
+        const int kind = static_cast<int>(rng() % 5);
+        const int w = kind >= 2 ? kMulWidths[rng() % 3] : kAddWidths[rng() % 5];
+        const std::uint32_t a = operand(rng, w);
+        const std::uint32_t b = operand(rng, w);
+        switch (kind) {
+          case 0:
+            got = pim.add(a, b, w);
+            expected = want.add(a, b, w);
+            break;
+          case 1:
+            got = pim.subSaturating(a, b, w);
+            expected = want.subSaturating(a, b, w);
+            break;
+          case 2:
+            got = pim.mul(a, b, w);
+            expected = want.mul(a, b, w);
+            break;
+          case 3: {  // the matting divider: 16-bit numerator, 8-bit den
+            const std::uint32_t num = operand(rng, 16);
+            const std::uint32_t den = operand(rng, 8);
+            got = pim.div(num, den, 16, 8);
+            expected = want.div(num, den, 16, 8);
+            break;
+          }
+          default:
+            got = pim.div(a, b, w, w - 1);
+            expected = want.div(a, b, w, w - 1);
+            break;
+        }
+        ASSERT_EQ(got, expected) << s.name << " prot=" << static_cast<int>(prot)
+                                 << " step=" << step << " kind=" << kind;
+        ASSERT_EQ(engine.gateOps(), oracle.gateOps())
+            << s.name << " prot=" << static_cast<int>(prot) << " step=" << step;
+        if (step % 40 == 39) {
+          ASSERT_EQ(engine.nextRawDraw(), oracle.nextRawDraw())
+              << s.name << " prot=" << static_cast<int>(prot) << " step=" << step;
+        }
+      }
+      EXPECT_EQ(engine.nextRawDraw(), oracle.nextRawDraw()) << s.name;
+    }
+  }
+}
+
+TEST(AritPimDifferential, ScreenedGatesMatchGateByGate) {
+  // The three networks on their own, every input, on a device whose
+  // misdecisions are frequent on every pattern: screened passes and walks
+  // interleave.
+  reram::DeviceParams wide;
+  wide.sigmaLrs = 0.8;
+  wide.sigmaHrs = 2.4;
+  const reram::FaultModel model(wide, 0x1de, 20000);
+  for (const Protection prot :
+       {Protection::None, Protection::Dmr, Protection::Tmr}) {
+    MagicEngine engine(&model, 0x5a7e, 0.25);
+    engine.setProtection(prot);
+    GateByGate oracle(&model, 0x5a7e, 0.25, prot);
+    for (int round = 0; round < 200; ++round) {
+      for (std::uint32_t in = 0; in < 8; ++in) {
+        const std::uint32_t a = in & 1u;
+        const std::uint32_t b = (in >> 1) & 1u;
+        const std::uint32_t c = in >> 2;
+        const auto fa = engine.fullAdder(a, b, c);
+        const auto [sum, carry] = oracle.fullAdder(a, b, c);
+        ASSERT_EQ(fa.sum, sum ? 1u : 0u);
+        ASSERT_EQ(fa.carry, carry ? 1u : 0u);
+        ASSERT_EQ(engine.andGate(a, b), oracle.andGate(a, b) ? 1u : 0u);
+        ASSERT_EQ(engine.notGate(c), oracle.inv(c) ? 1u : 0u);
+        ASSERT_EQ(engine.gateOps(), oracle.gateOps());
+      }
+    }
+    EXPECT_EQ(engine.nextRawDraw(), oracle.nextRawDraw());
+  }
 }
 
 }  // namespace
