@@ -14,12 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "core/backend.hpp"
 #include "core/imops.hpp"
 #include "core/ims2b.hpp"
 #include "core/imsng.hpp"
@@ -31,17 +31,6 @@
 #include "reram/trng.hpp"
 
 namespace aimsc::core {
-
-/// Supplier of misdecision tables for mats that would otherwise build their
-/// own: called with exactly the (device, seed, samples) triple the mat's
-/// per-mat `FaultModel` constructor would receive.  A FaultModel's entries
-/// are a pure function of that triple, so a provider that memoizes models by
-/// it (service::FaultModelCache) is bit-identical to per-mat construction —
-/// it only skips repeating the Monte-Carlo.
-using FaultModelProvider =
-    std::function<std::shared_ptr<const reram::FaultModel>(
-        const reram::DeviceParams& device, std::uint64_t seed,
-        std::size_t samples)>;
 
 struct AcceleratorConfig {
   std::size_t streamLength = 256;  ///< N = array columns

@@ -286,6 +286,7 @@ std::unique_ptr<ScBackend> makeInnerBackend(
       ac.deviceVariability = plan.deviceVariability;
       if (plan.deviceVariability) ac.device = plan.device;
       ac.faultModelSamples = plan.faultModelSamples;
+      ac.faultModelProvider = config.faultModelProvider;
       return std::make_unique<ReramScBackend>(ac);
     }
     case DesignKind::BinaryCim: {
@@ -296,6 +297,7 @@ std::unique_ptr<ScBackend> makeInnerBackend(
       bc.faultModelSamples = plan.faultModelSamples;
       bc.faultScale = config.bincimFaultScale;
       bc.protection = toEngineProtection(config.bincimProtection);
+      bc.faultModelProvider = config.faultModelProvider;
       return std::make_unique<BinaryCimBackend>(bc);
     }
   }

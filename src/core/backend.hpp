@@ -39,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -53,6 +54,10 @@
 
 /// \namespace aimsc
 /// \brief Root namespace of the all-in-memory SC reproduction.
+
+namespace aimsc::reram {
+class FaultModel;
+}  // namespace aimsc::reram
 
 /// \namespace aimsc::core
 /// \brief Execution layer: the `ScBackend` contract, its substrates, the
@@ -337,6 +342,18 @@ class ScBackend {
 /// header free of bincim includes).
 enum class CimProtection { None, Dmr, Tmr };
 
+/// Supplier of misdecision tables for substrates that would otherwise build
+/// their own (ReRAM-SC mats, binary-CIM gate engines): called with exactly
+/// the (device, seed, samples) triple the substrate's own `FaultModel`
+/// constructor would receive.  A FaultModel's entries are a pure function
+/// of that triple, so a provider that memoizes models by it
+/// (service::FaultModelCache) is bit-identical to per-substrate
+/// construction — it only skips repeating the Monte-Carlo.
+using FaultModelProvider =
+    std::function<std::shared_ptr<const reram::FaultModel>(
+        const reram::DeviceParams& device, std::uint64_t seed,
+        std::size_t samples)>;
+
 /// Knobs for the backend factory; a RunConfig-independent superset so the
 /// factory serves the runner, benches and tests alike.
 struct BackendFactoryConfig {
@@ -362,6 +379,12 @@ struct BackendFactoryConfig {
   double bincimFaultScale = 0.25;
   /// Gate-level retry-and-vote for the binary CIM MAGIC ledger.
   CimProtection bincimProtection = CimProtection::None;
+
+  /// Optional memoizing source of the device-variability tables (ReRAM-SC
+  /// and binary CIM); empty = each substrate builds its own.  Bytes are
+  /// the same either way.  Called while the backend is built; the backend
+  /// keeps the returned model alive.
+  FaultModelProvider faultModelProvider;
 };
 
 /// Creates an owning backend for \p design.

@@ -5,17 +5,29 @@
 
 namespace aimsc::core {
 
+namespace {
+
+std::shared_ptr<const reram::FaultModel> faultModelFor(
+    const BinaryCimConfig& config) {
+  if (!config.deviceVariability) return nullptr;
+  const std::uint64_t seed = config.seed ^ 0xb1f;
+  if (config.faultModelProvider) {
+    return config.faultModelProvider(config.device, seed,
+                                     config.faultModelSamples);
+  }
+  return std::make_shared<const reram::FaultModel>(config.device, seed,
+                                                   config.faultModelSamples);
+}
+
+}  // namespace
+
 BinaryCimBackend::BinaryCimBackend(bincim::MagicEngine& engine)
     : engine_(&engine), pim_(engine) {}
 
 BinaryCimBackend::BinaryCimBackend(const BinaryCimConfig& config)
-    : ownedFaults_(config.deviceVariability
-                       ? std::make_unique<reram::FaultModel>(
-                             config.device, config.seed ^ 0xb1f,
-                             config.faultModelSamples)
-                       : nullptr),
+    : faults_(faultModelFor(config)),
       ownedEngine_(std::make_unique<bincim::MagicEngine>(
-          ownedFaults_.get(), config.seed ^ 0xe6, config.faultScale)),
+          faults_.get(), config.seed ^ 0xe6, config.faultScale)),
       engine_(ownedEngine_.get()),
       pim_(*ownedEngine_) {
   engine_->setProtection(config.protection);

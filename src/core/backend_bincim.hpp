@@ -29,6 +29,9 @@ struct BinaryCimConfig {
   /// Gate-level temporal redundancy (retry-and-vote; see MagicEngine).
   bincim::MagicEngine::Protection protection =
       bincim::MagicEngine::Protection::None;
+  /// Optional memoizing source of the engine's misdecision table, called
+  /// with (device, seed ^ 0xb1f, faultModelSamples); empty = build it here.
+  FaultModelProvider faultModelProvider;
 };
 
 class BinaryCimBackend final : public ScBackend {
@@ -76,7 +79,7 @@ class BinaryCimBackend final : public ScBackend {
  private:
   std::uint32_t lerp(std::uint32_t a, std::uint32_t b, std::uint32_t t);
 
-  std::unique_ptr<reram::FaultModel> ownedFaults_;
+  std::shared_ptr<const reram::FaultModel> faults_;
   std::unique_ptr<bincim::MagicEngine> ownedEngine_;
   bincim::MagicEngine* engine_;
   bincim::AritPim pim_;

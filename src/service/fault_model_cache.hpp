@@ -1,21 +1,21 @@
 /// \file fault_model_cache.hpp
 /// \brief Memoized misdecision tables — the daemon's warm-state win.
 ///
-/// A per-mat `reram::FaultModel` is a pure function of its constructor
-/// triple (device params, seed, samples): every table entry is Monte-Carlo
-/// sampled from a seed derived deterministically from that triple and the
-/// query pattern.  One-shot `apps::runApp` therefore re-pays the full
-/// Monte-Carlo campaign on EVERY call with a device-variability FaultPlan
-/// (~75x the fault-free kernel cost at 64x64, see BENCH_service.json); a
-/// persistent service can keep the tables.
+/// A ReRAM mat's or binary-CIM engine's `reram::FaultModel` is a pure
+/// function of its constructor triple (device params, seed, samples): every
+/// table entry is Monte-Carlo sampled from a seed derived deterministically
+/// from that triple and the query pattern.  One-shot `apps::runApp`
+/// therefore re-pays the full Monte-Carlo campaign on EVERY call with a
+/// device-variability FaultPlan (~75x the fault-free kernel cost at 64x64,
+/// see BENCH_service.json); a persistent service can keep the tables.
 ///
 /// The cache memoizes whole models by their constructor triple and hands
 /// them out through the `core::FaultModelProvider` hook.  Because a hit
-/// returns a model built from exactly the arguments the mat would have used
-/// itself, cached runs are bit-identical to cold runs — the request seed
-/// still namespaces the tables, tenants with different seeds or device
-/// corners get distinct entries, and `FaultModel`'s internal memo table is
-/// mutex-guarded so concurrent lanes may query one model safely.
+/// returns a model built from exactly the arguments the substrate would
+/// have used itself, cached runs are bit-identical to cold runs — the
+/// request seed still namespaces the tables, tenants with different seeds
+/// or device corners get distinct entries, and `FaultModel`'s internal memo
+/// table is mutex-guarded so concurrent lanes may query one model safely.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,7 @@
 #include <mutex>
 #include <tuple>
 
-#include "core/accelerator.hpp"
+#include "core/backend.hpp"
 #include "reram/device.hpp"
 #include "reram/fault_model.hpp"
 
@@ -37,7 +37,8 @@ class FaultModelCache {
       const reram::DeviceParams& device, std::uint64_t seed,
       std::size_t samples);
 
-  /// Provider bound to this cache (for AcceleratorConfig::faultModelProvider).
+  /// Provider bound to this cache (for the `faultModelProvider` of
+  /// AcceleratorConfig, BinaryCimConfig and BackendFactoryConfig).
   /// The cache must outlive every executor built with the provider.
   core::FaultModelProvider provider();
 

@@ -31,6 +31,7 @@ std::unique_ptr<core::TileExecutor> makeRequestExecutor(
   bc.streamLength = q.streamLength;
   bc.seed = seed;
   bc.faults = q.faults;
+  bc.faultModelProvider = faultCache.provider();
   core::ParallelConfig par;
   par.lanes = shape.lanes;
   par.threads = 0;

@@ -31,8 +31,9 @@ struct ExecShape {
 /// Per-replica lane fleet for one request — the exact configuration
 /// apps::runReplica builds, so a service request is bit-identical to the
 /// equivalent runApp call (tests assert this).  The daemon-only difference
-/// is warm state: device-variability mats draw their misdecision tables
-/// from \p faultCache instead of re-running the Monte-Carlo per call (a
+/// is warm state: device-variability ReRAM mats and binary-CIM engines draw
+/// their misdecision tables from \p faultCache instead of re-running the
+/// Monte-Carlo per call (a
 /// bit-preserving memoization — see fault_model_cache.hpp).  \p seed is the
 /// fleet master seed (already namespaced and replica-strided); lanes derive
 /// their own seeds from it inside the executor.

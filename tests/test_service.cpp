@@ -181,6 +181,45 @@ TEST(Service, FaultModelCacheIsBitPreservingAndWarm) {
   EXPECT_EQ(svc.stats().faultModelCacheSize, 8u);
 }
 
+TEST(Service, BinaryCimFaultTablesComeFromTheCache) {
+  // Binary-CIM lanes take their MAGIC misdecision tables from the same
+  // cache, one per lane engine seed.  Cold and warm requests must both
+  // match the one-shot runner, whose engines build their own tables.
+  const reliability::FaultPlan plan =
+      reliability::FaultPlan::deviceOnly(apps::defaultFaultyDevice(), 2000);
+
+  apps::RunConfig cfg;
+  cfg.width = 12;
+  cfg.height = 12;
+  cfg.streamLength = 64;
+  cfg.seed = 5;
+  cfg.faults = plan;
+  apps::ParallelConfig par;
+  par.lanes = 4;
+  par.threads = 1;
+  par.rowsPerTile = 4;
+  const apps::RunResult oracle = apps::runAppDetailed(
+      apps::AppKind::Compositing, core::DesignKind::BinaryCim, cfg, par);
+
+  AcceleratorService svc(smallServiceConfig());
+  ClientJob job = makeJob(apps::AppKind::Compositing,
+                          core::DesignKind::BinaryCim, 12, 5);
+  job.request.faults = plan;
+
+  const service::RequestResult cold = svc.run(1, job.request);
+  EXPECT_EQ(job.out.pixels(), oracle.output.pixels()) << "cold (cache miss)";
+  EXPECT_EQ(cold.opCount, oracle.opCount);
+  EXPECT_EQ(svc.stats().faultModelCacheMisses, 4u);
+  EXPECT_EQ(svc.stats().faultModelCacheHits, 0u);
+
+  std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
+  const service::RequestResult warm = svc.run(1, job.request);
+  EXPECT_EQ(job.out.pixels(), oracle.output.pixels()) << "warm (cache hit)";
+  EXPECT_EQ(warm.opCount, oracle.opCount);
+  EXPECT_EQ(svc.stats().faultModelCacheMisses, 4u);
+  EXPECT_EQ(svc.stats().faultModelCacheHits, 4u);
+}
+
 /// The hammer's mixed workload: apps × designs × tenants × sizes, some
 /// redundant, some faulty.
 std::vector<ClientJob> hammerJobs() {
