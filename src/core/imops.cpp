@@ -146,15 +146,19 @@ void ImOps::divideInto(sc::Bitstream& dst, const sc::Bitstream& x,
       // Each iteration senses two terms: t = AND(x_i, y_i) and
       // h = AND(d, NOT y_i); model their misdecisions as input-bit flips
       // drawn from the corresponding AND pattern probabilities.
-      const int ones = (xb ? 1 : 0) + (yb ? 1 : 0);
-      const double pT = faultModel_->misdecisionProb(SlOp::And, ones, 2);
+      const double pT = andMisdecision((xb ? 1 : 0) + (yb ? 1 : 0));
       if (pT > 0.0 && unit(eng_) < pT) xb = !xb;
-      const double pH =
-          faultModel_->misdecisionProb(SlOp::And, yb ? 0 : 1, 2);
+      const double pH = andMisdecision(yb ? 0 : 1);
       if (pH > 0.0 && unit(eng_) < pH) yb = !yb;
     }
     if (unit_ff.clock(xb, yb)) dst.set(i, true);
   }
+}
+
+double ImOps::andMisdecision(int ones) {
+  double& p = andProb_[static_cast<std::size_t>(ones)];
+  if (p < 0.0) p = faultModel_->misdecisionProb(SlOp::And, ones, 2);
+  return p;
 }
 
 void ImOps::majMuxInto(sc::Bitstream& dst, const sc::Bitstream& x,

@@ -12,6 +12,7 @@
 /// the FaultModel (two sensed terms per iteration).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <random>
@@ -110,8 +111,12 @@ class ImOps {
   reram::ScoutingLogic& scouting() { return scouting_; }
 
  private:
+  /// faultModel_'s 2-row AND misdecision for \p ones, read once per ImOps.
+  double andMisdecision(int ones);
+
   reram::ScoutingLogic& scouting_;
   const reram::FaultModel* faultModel_;
+  std::array<double, 3> andProb_{-1.0, -1.0, -1.0};  ///< -1 = not read yet
   std::mt19937_64 eng_;
   // MAJ-tree stage scratch (an ImOps instance is single-threaded; each
   // tile-engine lane owns its own).
