@@ -2,8 +2,10 @@
 // artifact — useful for keeping the simulator itself fast).
 #include <benchmark/benchmark.h>
 
+#include "apps/runner.hpp"
 #include "bincim/aritpim.hpp"
 #include "core/accelerator.hpp"
+#include "core/backend_bincim.hpp"
 #include "sc/cordiv.hpp"
 #include "sc/correlation.hpp"
 #include "sc/ops.hpp"
@@ -79,6 +81,7 @@ void BM_Cordiv(benchmark::State& state) {
 }
 BENCHMARK(BM_Cordiv);
 
+// Fault-free: the closed form plus its gate charge.
 void BM_AritPimMul8(benchmark::State& state) {
   bincim::MagicEngine engine;
   bincim::AritPim pim(engine);
@@ -89,6 +92,20 @@ void BM_AritPimMul8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AritPimMul8);
+
+// Table IV device at the binary-CIM fault scale: screened gates and walks.
+void BM_AritPimMul8Faulty(benchmark::State& state) {
+  const reram::FaultModel faults(apps::defaultFaultyDevice(), 0xb1f, 40000);
+  bincim::MagicEngine engine(&faults, 0xe6, core::BinaryCimConfig{}.faultScale);
+  bincim::AritPim pim(engine);
+  pim.mul(1, 1, 8);  // freeze the misdecision table (Monte-Carlo)
+  std::uint32_t a = 123;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pim.mul(a, 45, 8));
+    a = (a * 7 + 1) & 0xff;
+  }
+}
+BENCHMARK(BM_AritPimMul8Faulty);
 
 void BM_EndToEndPixelMultiply(benchmark::State& state) {
   core::AcceleratorConfig cfg;

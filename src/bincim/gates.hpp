@@ -60,7 +60,11 @@ class MagicEngine {
   /// residual error ~p^2); Tmr always executes three times and takes the
   /// majority (3x gate cycles, residual error ~3p^2 — the retry-and-vote
   /// knob of the reliability campaign, cost-predictable unlike Dmr).
-  enum class Protection { None, Dmr, Tmr };
+  enum class Protection {
+    None,  ///< one execution per gate
+    Dmr,   ///< two executions, a third on disagreement
+    Tmr,   ///< three executions, majority vote
+  };
   /// Selects the protection mode for every later gate.
   void setProtection(Protection p);
   /// The active protection mode.

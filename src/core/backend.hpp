@@ -49,15 +49,12 @@
 #include "reliability/fault_plan.hpp"
 #include "reram/device.hpp"
 #include "reram/events.hpp"
+#include "reram/fault_model.hpp"
 #include "sc/bitstream.hpp"
 #include "sc/simd_caps.hpp"
 
 /// \namespace aimsc
 /// \brief Root namespace of the all-in-memory SC reproduction.
-
-namespace aimsc::reram {
-class FaultModel;
-}  // namespace aimsc::reram
 
 /// \namespace aimsc::core
 /// \brief Execution layer: the `ScBackend` contract, its substrates, the
