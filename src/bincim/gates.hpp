@@ -44,6 +44,7 @@ namespace aimsc::bincim {
 /// the write-cycle ledger.  One engine per lane; not thread-safe.
 class MagicEngine {
  public:
+  /// Engine drawing its misdecisions from \p faultModel (not owned).
   /// \param faultModel nullptr = fault-free execution
   /// \param seed       seed of the engine's `mt19937_64` draw sequence
   /// \param faultScale scales each gate's misdecision probability.  Our
