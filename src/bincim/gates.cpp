@@ -100,11 +100,6 @@ void MagicEngine::setProtection(Protection p) {
   copies_ = p == Protection::None ? 1 : p == Protection::Dmr ? 2 : 3;
 }
 
-bool MagicEngine::faultFree() {
-  if (!frozen_) freeze();
-  return faultFree_;
-}
-
 void MagicEngine::freeze() {
   // Read once, inside the lane that first uses the engine (a cold model
   // runs its Monte-Carlo there, in parallel with the other lanes).

@@ -96,7 +96,10 @@ class MagicEngine {
   /// model, zero scale or zero variability): no gate draws or flips, so
   /// an op may compute its closed form and charge its gates with
   /// `chargeFaultFree`.  Freezes the probability table on first call.
-  bool faultFree();
+  bool faultFree() {
+    if (!frozen_) freeze();
+    return faultFree_;
+  }
   /// Charges \p gates fault-free primitive evaluations, each executed once
   /// per protection copy (x1 / x2 / x3), without drawing.
   void chargeFaultFree(std::uint64_t gates) { gateOps_ += gates * copies_; }
