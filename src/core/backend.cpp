@@ -286,7 +286,6 @@ std::unique_ptr<ScBackend> makeInnerBackend(
       ac.deviceVariability = plan.deviceVariability;
       if (plan.deviceVariability) ac.device = plan.device;
       ac.faultModelSamples = plan.faultModelSamples;
-      ac.faultModelProvider = config.faultModelProvider;
       return std::make_unique<ReramScBackend>(ac);
     }
     case DesignKind::BinaryCim: {

@@ -377,10 +377,11 @@ struct BackendFactoryConfig {
   /// Gate-level retry-and-vote for the binary CIM MAGIC ledger.
   CimProtection bincimProtection = CimProtection::None;
 
-  /// Optional memoizing source of the device-variability tables (ReRAM-SC
-  /// and binary CIM); empty = each substrate builds its own.  Bytes are
-  /// the same either way.  Called while the backend is built; the backend
-  /// keeps the returned model alive.
+  /// Optional memoizing source of the binary-CIM engines' device-variability
+  /// tables; empty = each engine builds its own.  Bytes are the same either
+  /// way.  Called while the backend is built; the backend keeps the
+  /// returned model alive.  (ReRAM-SC mats take theirs through
+  /// `AcceleratorConfig::faultModelProvider`, i.e. `TileExecutorConfig::mat`.)
   FaultModelProvider faultModelProvider;
 };
 
