@@ -10,6 +10,8 @@ std::uint32_t lowMask(int bits) { return (std::uint32_t{1} << bits) - 1; }
 
 std::uint64_t width(int bits) { return static_cast<std::uint64_t>(bits); }
 
+using Net = MagicEngine::Net;
+
 }  // namespace
 
 std::uint32_t AritPim::add(std::uint32_t a, std::uint32_t b, int bits) {
@@ -17,7 +19,7 @@ std::uint32_t AritPim::add(std::uint32_t a, std::uint32_t b, int bits) {
   a &= lowMask(bits);
   b &= lowMask(bits);
   if (engine_.faultFree()) {
-    engine_.chargeFaultFree(MagicEngine::kFullAdderGates * width(bits));
+    engine_.chargeFaultFree(Net::FullAdder, width(bits));
     return a + b;
   }
   std::uint32_t sum = 0;
@@ -34,8 +36,8 @@ std::uint32_t AritPim::add(std::uint32_t a, std::uint32_t b, int bits) {
 /// a >= b, lands at bit \p bits.  Operands must already fit \p bits.
 std::uint32_t AritPim::subtract(std::uint32_t a, std::uint32_t b, int bits) {
   if (engine_.faultFree()) {
-    engine_.chargeFaultFree((MagicEngine::kNotGates + MagicEngine::kFullAdderGates) *
-                            width(bits));
+    engine_.chargeFaultFree(Net::Not, width(bits));
+    engine_.chargeFaultFree(Net::FullAdder, width(bits));
     return a + (~b & lowMask(bits)) + 1;
   }
   std::uint32_t diff = 0;
@@ -61,8 +63,8 @@ std::uint32_t AritPim::mul(std::uint32_t a, std::uint32_t b, int bits) {
   if (engine_.faultFree()) {
     // `bits` rows, each `bits` ANDs and a 2*bits-wide add.
     const std::uint64_t n = width(bits);
-    engine_.chargeFaultFree(n * (n * MagicEngine::kAndGates +
-                                 2 * n * MagicEngine::kFullAdderGates));
+    engine_.chargeFaultFree(Net::And, n * n);
+    engine_.chargeFaultFree(Net::FullAdder, n * 2 * n);
     return (a & lowMask(bits)) * (b & lowMask(bits));
   }
   std::uint32_t acc = 0;

@@ -20,6 +20,11 @@ constexpr std::size_t kAndInputs = 10;
 // original gate-by-gate engine were evaluated (arguments right to left).
 
 template <class G>
+std::uint32_t notNet(G& g, std::uint32_t a) {
+  return g.inv(a);
+}
+
+template <class G>
 std::uint32_t andNet(G& g, std::uint32_t a, std::uint32_t b) {
   const std::uint32_t nb = g.inv(b);
   const std::uint32_t na = g.inv(a);
@@ -47,15 +52,19 @@ MagicEngine::FullAdderOut fullAdderNet(G& g, std::uint32_t a, std::uint32_t b,
   return {sum, g.inv(g.nor(t1, t2))};
 }
 
-/// Evaluator counting the drawing gates (p > 0) of a fault-free walk.
-struct DrawCounter {
+/// Evaluator counting the gates of a fault-free walk, and those of them
+/// that draw (p > 0).
+struct Counter {
   const std::array<double, 5>& p;
+  std::uint8_t gates = 0;
   std::uint8_t draws = 0;
   std::uint32_t nor(std::uint32_t a, std::uint32_t b) {
+    ++gates;
     draws += p[a + b] > 0.0 ? 1 : 0;
     return (a | b) ^ 1u;
   }
   std::uint32_t inv(std::uint32_t a) {
+    ++gates;
     draws += p[kNotSlot + a] > 0.0 ? 1 : 0;
     return a ^ 1u;
   }
@@ -117,21 +126,24 @@ void MagicEngine::freeze() {
   const double pMax = *std::max_element(p_.begin(), p_.end());
   faultFree_ = !(pMax > 0.0);
 
-  for (std::uint32_t in = 0; in < 8; ++in) {
-    DrawCounter c{p_};
+  // Walk each network on every input: its gate count (the same for every
+  // input) and the draws each input's walk takes.
+  const auto count = [&](Net net, std::size_t offset, std::uint32_t inputs,
+                         auto walk) {
+    for (std::uint32_t in = 0; in < inputs; ++in) {
+      Counter c{p_};
+      walk(c, in);
+      gatesPerNet_[static_cast<std::size_t>(net)] = c.gates;
+      drawsPerInput_[offset + in] = c.draws;
+    }
+  };
+  count(Net::FullAdder, kFullAdderInputs, 8, [](Counter& c, std::uint32_t in) {
     fullAdderNet(c, in & 1u, (in >> 1) & 1u, in >> 2);
-    drawsPerInput_[kFullAdderInputs + in] = c.draws;
-  }
-  for (std::uint32_t in = 0; in < 2; ++in) {
-    DrawCounter c{p_};
-    c.inv(in);
-    drawsPerInput_[kNotInputs + in] = c.draws;
-  }
-  for (std::uint32_t in = 0; in < 4; ++in) {
-    DrawCounter c{p_};
-    andNet(c, in & 1u, in >> 1);
-    drawsPerInput_[kAndInputs + in] = c.draws;
-  }
+  });
+  count(Net::Not, kNotInputs, 2,
+        [](Counter& c, std::uint32_t in) { notNet(c, in); });
+  count(Net::And, kAndInputs, 4,
+        [](Counter& c, std::uint32_t in) { andNet(c, in & 1u, in >> 1); });
   hitBound_ = faultFree_ ? 0 : largestRawBelow(pMax);
   nextHit_ = firstHit(pos_);
 }
@@ -209,7 +221,7 @@ MagicEngine::FullAdderOut MagicEngine::fullAdder(std::uint32_t a,
                                                  std::uint32_t b,
                                                  std::uint32_t cin) {
   if (screen(kFullAdderInputs + (a | b << 1 | cin << 2))) {
-    chargeFaultFree(kFullAdderGates);
+    chargeFaultFree(Net::FullAdder, 1);
     return {a ^ b ^ cin, (a & b) | (cin & (a ^ b))};
   }
   Walker w{*this};
@@ -218,15 +230,16 @@ MagicEngine::FullAdderOut MagicEngine::fullAdder(std::uint32_t a,
 
 std::uint32_t MagicEngine::notGate(std::uint32_t a) {
   if (screen(kNotInputs + a)) {
-    chargeFaultFree(kNotGates);
+    chargeFaultFree(Net::Not, 1);
     return a ^ 1u;
   }
-  return inject(a ^ 1u, kNotSlot + a);
+  Walker w{*this};
+  return notNet(w, a);
 }
 
 std::uint32_t MagicEngine::andGate(std::uint32_t a, std::uint32_t b) {
   if (screen(kAndInputs + (a | b << 1))) {
-    chargeFaultFree(kAndGates);
+    chargeFaultFree(Net::And, 1);
     return a & b;
   }
   Walker w{*this};

@@ -77,13 +77,12 @@ class MagicEngine {
     std::uint32_t carry;  ///< MAJ(a, b, cin)
   };
 
-  /// Primitives per full adder: two XORs (4 NOR + NOT each), two ANDs and
-  /// a NOR+NOT OR.
-  static constexpr std::uint64_t kFullAdderGates = 18;
-  /// Primitives per inverter.
-  static constexpr std::uint64_t kNotGates = 1;
-  /// Primitives per AND, NOR(NOT a, NOT b).
-  static constexpr std::uint64_t kAndGates = 3;
+  /// The gate networks the engine evaluates.
+  enum class Net {
+    FullAdder,  ///< fullAdder(): two XORs, two ANDs and an OR
+    Not,        ///< notGate(): one inverter
+    And,        ///< andGate(): NOR(NOT a, NOT b)
+  };
 
   /// Full adder on bits (0 or 1).
   FullAdderOut fullAdder(std::uint32_t a, std::uint32_t b, std::uint32_t cin);
@@ -100,9 +99,13 @@ class MagicEngine {
     if (!frozen_) freeze();
     return faultFree_;
   }
-  /// Charges \p gates fault-free primitive evaluations, each executed once
-  /// per protection copy (x1 / x2 / x3), without drawing.
-  void chargeFaultFree(std::uint64_t gates) { gateOps_ += gates * copies_; }
+  /// Charges \p count fault-free evaluations of \p net without drawing:
+  /// each of its primitives executes once per protection copy (x1 / x2 /
+  /// x3).
+  void chargeFaultFree(Net net, std::uint64_t count) {
+    if (!frozen_) freeze();
+    gateOps_ += count * gatesPerNet_[static_cast<std::size_t>(net)] * copies_;
+  }
 
   /// Total primitive gate executions (MAGIC write cycles) so far.
   std::uint64_t gateOps() const { return gateOps_; }
@@ -141,6 +144,8 @@ class MagicEngine {
   bool faultFree_ = true;
   /// Scaled misdecision probability: NOR with 0/1/2 ones, NOT with 0/1.
   std::array<double, 5> p_{};
+  /// Primitives per network, in Net order, counted on the networks.
+  std::array<std::uint64_t, 3> gatesPerNet_{};
   /// Drawing gates of each network's fault-free walk, per input: full
   /// adder (a | b<<1 | cin<<2), then NOT (a), then AND (a | b<<1).
   std::array<std::uint8_t, 14> drawsPerInput_{};
