@@ -81,6 +81,27 @@ void BM_Cordiv(benchmark::State& state) {
 }
 BENCHMARK(BM_Cordiv);
 
+// In-memory CORDIV on a Table IV mat: two AND-pattern draws per stream bit.
+void BM_ImOpsDivideFaulty(benchmark::State& state) {
+  core::AcceleratorConfig cfg;
+  cfg.streamLength = 256;
+  cfg.deviceVariability = true;
+  cfg.device = apps::defaultFaultyDevice();
+  cfg.faultModelSamples = 40000;
+  core::Accelerator acc(cfg);
+  const sc::Bitstream y = acc.encodeProb(0.6);
+  const sc::Bitstream x = acc.encodeProbCorrelated(0.3);
+  sc::Bitstream q;
+  acc.ops().divideInto(q, x, y);  // warm the fault table
+  for (auto _ : state) {
+    acc.ops().divideInto(q, x, y);
+    benchmark::DoNotOptimize(q.words().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 256);
+}
+BENCHMARK(BM_ImOpsDivideFaulty);
+
 // Fault-free: the closed form plus its gate charge.
 void BM_AritPimMul8(benchmark::State& state) {
   bincim::MagicEngine engine;
