@@ -290,7 +290,7 @@ void AcceleratorService::dispatchLoop() {
 void AcceleratorService::executeBatchSharded(
     std::vector<std::shared_ptr<Pending>>& batch) {
   const auto batchStart = Clock::now();
-  std::size_t served = 0;
+  countBatch(batch.size());
   // Publish the fabric's cumulative counters.  The supervisor is
   // dispatcher-thread-only, so copying under statsMutex_ is the one place
   // they become visible to concurrent stats() readers; it runs BEFORE each
@@ -330,8 +330,8 @@ void AcceleratorService::executeBatchSharded(
       ledger.opCount += res.opCount;
       ledger.events += res.events;
       if (res.degraded) ++stats_.degradedRequests;
+      ++stats_.requestsServed;
       snapshotFabricLocked();
-      ++served;
     } catch (const std::exception& e) {
       {
         std::lock_guard<std::mutex> slock(statsMutex_);
@@ -348,15 +348,6 @@ void AcceleratorService::executeBatchSharded(
     p->done = true;
     ticketCv_.notify_all();
   }
-
-  std::lock_guard<std::mutex> lock(statsMutex_);
-  stats_.requestsServed += served;
-  stats_.batches += 1;
-  if (stats_.batchOccupancy.size() <= batch.size()) {
-    stats_.batchOccupancy.resize(batch.size() + 1, 0);
-  }
-  stats_.batchOccupancy[batch.size()] += 1;
-  snapshotFabricLocked();
 }
 
 void AcceleratorService::executeBatch(
@@ -441,7 +432,7 @@ void AcceleratorService::executeBatch(
 
   const auto batchEnd = Clock::now();
   const double execMicros = microsSince(batchStart, batchEnd);
-  std::size_t served = 0;
+  countBatch(batch.size());
 
   // Join: vote, write through the client span, bill the tenant.
   for (auto& p : batch) {
@@ -479,8 +470,8 @@ void AcceleratorService::executeBatch(
         ledger.replicasRun += p->execs.size();
         ledger.opCount += res.opCount;
         ledger.events += res.events;
+        ++stats_.requestsServed;
       }
-      ++served;
     } catch (const std::exception& e) {
       std::lock_guard<std::mutex> lock(ticketMutex_);
       p->error = e.what();
@@ -499,14 +490,15 @@ void AcceleratorService::executeBatch(
     p->done = true;
     ticketCv_.notify_all();
   }
+}
 
+void AcceleratorService::countBatch(std::size_t size) {
   std::lock_guard<std::mutex> lock(statsMutex_);
-  stats_.requestsServed += served;
   stats_.batches += 1;
-  if (stats_.batchOccupancy.size() <= batch.size()) {
-    stats_.batchOccupancy.resize(batch.size() + 1, 0);
+  if (stats_.batchOccupancy.size() <= size) {
+    stats_.batchOccupancy.resize(size + 1, 0);
   }
-  stats_.batchOccupancy[batch.size()] += 1;
+  stats_.batchOccupancy[size] += 1;
 }
 
 }  // namespace aimsc::service

@@ -170,6 +170,10 @@ class AcceleratorService {
   void dispatchLoop();
   void executeBatch(std::vector<std::shared_ptr<Pending>>& batch);
   void executeBatchSharded(std::vector<std::shared_ptr<Pending>>& batch);
+  /// Counts a batch of \p size in the stats before any of its tickets
+  /// resolves (as each served request is), so a client that redeems its
+  /// ticket and then reads stats() sees the batch it rode.
+  void countBatch(std::size_t size);
   std::shared_ptr<Pending> makePending(TenantId tenant, const Request& request);
   Ticket registerTicket(const std::shared_ptr<Pending>& pending);
 
