@@ -1,8 +1,10 @@
 // Golden-bytes pin: every AppKind x DesignKind run at 32x32, N = 256 and a
 // fixed seed, plus the Table IV faulty rows, stream-level FaultPlan rows
 // (through the FaultedBackend decorator), a 3-replica vote row, 16x16
-// binary-CIM rows on high-variability corners and a 16x16 faulty ReRAM
-// matting row.  Each row pins three values from runAppDetailed: the
+// binary-CIM rows on high-variability corners, a 16x16 faulty ReRAM
+// matting row, and rows on the service's lane-fleet shape (4 lanes, one
+// worker thread, 4 rows per tile).  Each row pins three values from
+// runAppDetailed: the
 // FNV-1a-64 of the output bytes, the backend op count and a digest of the
 // ReRAM event ledger.
 //
@@ -32,6 +34,7 @@ struct Case {
   AppKind app;
   DesignKind design;
   RunConfig cfg;
+  ParallelConfig par{};
 };
 
 struct Pin {
@@ -146,6 +149,27 @@ std::vector<Case> goldenCases() {
   wide.faults = reliability::FaultPlan::deviceOnly(wideDevice);
   cases.push_back({"lrs-hrs-wide/compositing/Binary CIM", AppKind::Compositing,
                    DesignKind::BinaryCim, wide});
+
+  // The lane-fleet shape the service and the shard workers run: every
+  // design tiled over 4 independently seeded lanes, on a one-stage and the
+  // two-stage (erode, then dilate) app, plus a voted and a faulty fleet.
+  ParallelConfig fleet;
+  fleet.lanes = 4;
+  fleet.threads = 1;
+  fleet.rowsPerTile = 4;
+  for (const AppKind app : {AppKind::Compositing, AppKind::Morphology}) {
+    for (const DesignKind design : kDesigns) {
+      cases.push_back({std::string("fleet4/") + appTag(app) + "/" +
+                           designKindName(design),
+                       app, design, baseConfig(), fleet});
+    }
+  }
+  RunConfig fleetVoted = baseConfig();
+  fleetVoted.redundancy.replicas = 3;
+  cases.push_back({"fleet4-vote3/filters/SW-SC (LFSR)", AppKind::Filters,
+                   DesignKind::SwScLfsr, fleetVoted, fleet});
+  cases.push_back({"fleet4-tableIV-faulty/compositing/ReRAM-SC",
+                   AppKind::Compositing, DesignKind::ReramSc, faulty, fleet});
   return cases;
 }
 
@@ -220,6 +244,22 @@ constexpr Pin kPins[] = {
     {"hrs3x/bilinear/Binary CIM", 0x0ce721b0e819d475ull, 17627136ull, 0x8ac123d6f7dce585ull},
     {"tableIV-faulty-16/matting/ReRAM-SC", 0x9cfedc5d52313646ull, 0ull, 0xd3a8fb57a07fdb3full},
     {"lrs-hrs-wide/compositing/Binary CIM", 0x240b690f785e229dull, 1468928ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/compositing/Reference", 0xa7b89837a735dee5ull, 0ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/compositing/SW-SC (LFSR)", 0x5fa6fae87833a5b1ull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/compositing/SW-SC (Sobol)", 0x0c929cabc2ed70d5ull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/compositing/SW-SC (SIMD)", 0x5fa6fae87833a5b1ull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/compositing/ReRAM-SC", 0xa76ec1f8b65eaa4eull, 0ull, 0xb4c56c79ffb1d6a8ull},
+    {"fleet4/compositing/Binary CIM", 0xc856da68e209f3dbull, 5875712ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/compositing/SW-SC (SFMT)", 0x521f01be2349e782ull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/morphology/Reference", 0x59313049cbe4ce98ull, 0ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/morphology/SW-SC (LFSR)", 0xb9c2e8fe666e2d09ull, 14400ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/morphology/SW-SC (Sobol)", 0xb55b254714d8f210ull, 14400ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/morphology/SW-SC (SIMD)", 0xb9c2e8fe666e2d09ull, 14400ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/morphology/ReRAM-SC", 0x79bc553764e31565ull, 0ull, 0x8ec030ad08c12568ull},
+    {"fleet4/morphology/Binary CIM", 0x59313049cbe4ce98ull, 4320000ull, 0x8ac123d6f7dce585ull},
+    {"fleet4/morphology/SW-SC (SFMT)", 0x29ec8bfc77afe1f2ull, 14400ull, 0x8ac123d6f7dce585ull},
+    {"fleet4-vote3/filters/SW-SC (LFSR)", 0x5015c5c22e8fcd6bull, 18900ull, 0x8ac123d6f7dce585ull},
+    {"fleet4-tableIV-faulty/compositing/ReRAM-SC", 0x99562642d99e2057ull, 0ull, 0xba9275d040e76281ull},
 };
 // clang-format on
 
@@ -229,7 +269,7 @@ TEST(GoldenBytes, EveryRowMatchesThePinnedTable) {
   bool mismatch = cases.size() != std::size(kPins);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const Case& c = cases[i];
-    const RunResult r = runAppDetailed(c.app, c.design, c.cfg);
+    const RunResult r = runAppDetailed(c.app, c.design, c.cfg, c.par);
     const Pin actual{c.label.c_str(), shard::fnv1a64(r.output.pixels()),
                      r.opCount, eventsDigest(r.events)};
     char line[256];
