@@ -160,7 +160,7 @@ SwScResult measuredSwScSweep(std::size_t size,
       core::makeBackendLanes(core::DesignKind::SwScSimd, fleetCfg, par.lanes),
       par);
   const auto t0 = std::chrono::steady_clock::now();
-  apps::compositeKernelTiled(scene, exec);
+  apps::runTiled(apps::framesOf(scene), exec);
   r.simdTiledPps = kPixels / secondsSince(t0);
 
   std::printf(
@@ -226,7 +226,7 @@ void measuredSweep(std::size_t size) {
     par.threads = threads;
     core::TileExecutor exec(apps::tileConfigFor(cfg, par));
     const auto t1 = std::chrono::steady_clock::now();
-    const img::Image tiled = apps::compositeKernelTiled(scene, exec);
+    const img::Image tiled = apps::runTiled(apps::framesOf(scene), exec);
     const double sec = secondsSince(t1);
     const double pps = static_cast<double>(kPixels) / sec;
     sweep.push_back({threads, pps, pps / serialPps});

@@ -1,6 +1,6 @@
-// Sharded MatGroup fan-out under measurement: the multi-process
-// ShardCoordinator (fork()ed workers over socketpairs, byte-exact wire
-// codec) against the one-shot runner oracle, at shard counts {1, 2, 4}.
+// Sharded MatGroup fan-out under measurement: the sharded AcceleratorService
+// (fork()ed workers over socketpairs, byte-exact wire codec) against the
+// one-shot runner oracle, at shard counts {1, 2, 4}.
 //
 // The headline numbers here are CONTRACTS, not speedups: on a 1-CPU host
 // the fan-out buys resilience and address-space isolation, not wall-clock.
@@ -14,10 +14,11 @@
 //                       bit-exactly; mean wire frame size recorded
 //   1. solo oracle    — apps::runAppDetailed on the matching lane fleet
 //                       (lanes=4, threads=1, rowsPerTile=4)
-//   2. shard sweep    — subprocess coordinators with 1, 2, 4 workers;
-//                       every output byte-compared to the oracle
-//   3. sharded daemon — AcceleratorService with shards=2; outputs
-//                       byte-compared to the oracle again
+//   2. shard sweep    — one request at a time through sharded services
+//                       with 1, 2, 4 subprocess workers; every output
+//                       byte-compared to the oracle
+//   3. sharded daemon — AcceleratorService with shards=2 and batching;
+//                       outputs byte-compared to the oracle again
 //   4. chaos recovery — supervised 2-shard fabric under a ShardFaultPlan
 //                       firing every site (drop/crash/hang/garbage) on a
 //                       quarter of all dispatches; every recovered output
@@ -54,6 +55,9 @@ namespace {
 
 using namespace aimsc;
 using Clock = std::chrono::steady_clock;
+
+constexpr std::size_t kLanes = 4;
+constexpr std::size_t kRowsPerTile = 4;
 
 double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -182,6 +186,19 @@ shard::RetryPolicy chaosRetry() {
   return rp;
 }
 
+/// A sharded service over \p shards subprocess workers that serves one
+/// request at a time, so each run() is one request's replicas fanned out
+/// across the shards in turn.
+service::ServiceConfig shardedConfig(std::size_t shards) {
+  service::ServiceConfig sc;
+  sc.lanes = kLanes;
+  sc.rowsPerTile = kRowsPerTile;
+  sc.maxBatch = 1;
+  sc.shards = shards;
+  sc.shardTransport = shard::ShardTransportKind::Subprocess;
+  return sc;
+}
+
 /// Nearest-rank percentile over an unsorted sample (0 when empty).
 double percentileMs(std::vector<double> sample, double p) {
   if (sample.empty()) return 0.0;
@@ -203,8 +220,6 @@ int main(int argc, char** argv) {
   }
   const auto size = static_cast<std::size_t>(sizeArg);
   const auto rounds = static_cast<std::size_t>(roundsArg);
-  constexpr std::size_t kLanes = 4;
-  constexpr std::size_t kRowsPerTile = 4;
 
   std::vector<TrafficItem> items = makeTraffic(size);
   const std::size_t total = items.size() * rounds;
@@ -252,16 +267,12 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::uint8_t>> firstSweepBytes(items.size());
   for (std::size_t si = 0; si < 3; ++si) {
     const std::size_t shards = shardCounts[si];
-    shard::ShardCoordinator coord(
-        shard::makeShardChannels(shard::ShardTransportKind::Subprocess,
-                                 shards),
-        kLanes, kRowsPerTile);
+    service::AcceleratorService svc(shardedConfig(shards));
     t0 = Clock::now();
     for (std::size_t r = 0; r < rounds; ++r) {
       for (std::size_t i = 0; i < items.size(); ++i) {
         img::Image out(items[i].outWidth, items[i].outHeight);
-        const service::Request q = requestFor(items[i], out);
-        coord.runReplicated(/*tenant=*/1, q, /*seedNamespace=*/0, q.seed);
+        svc.run(/*tenant=*/1, requestFor(items[i], out));
         if (r == 0) {
           if (out.pixels() != oracle[i].output.pixels()) {
             matchesOneShot = false;
@@ -308,7 +319,9 @@ int main(int argc, char** argv) {
       tickets.push_back(
           svc.submit(1, requestFor(items[g % items.size()], outs[g])));
     }
-    for (const service::Ticket& t : tickets) svc.wait(t);
+    // A failed request leaves its output unwritten, which the byte check
+    // below reports.
+    for (const service::Ticket& t : tickets) svc.waitOutcome(t);
     const double secs = secondsSince(t0);
     serviceRps = static_cast<double>(total) / secs;
     for (std::size_t g = 0; g < total; ++g) {
@@ -334,24 +347,22 @@ int main(int argc, char** argv) {
   std::uint64_t chaosRetries = 0, chaosRespawns = 0, chaosFaults = 0;
   double recoveryP50 = 0.0, recoveryP95 = 0.0;
   {
-    shard::ShardCoordinator coord(
-        shard::makeSupervisedFabric(shard::ShardTransportKind::Subprocess, 2,
-                                    chaosDeadlines(), chaosRetry(),
-                                    shard::ShardFaultPlan::uniform(0xc4a05,
-                                                                   0.25)),
-        kLanes, kRowsPerTile);
+    service::ServiceConfig sc = shardedConfig(2);
+    sc.shardDeadlines = chaosDeadlines();
+    sc.shardRetry = chaosRetry();
+    sc.shardFaults = shard::ShardFaultPlan::uniform(0xc4a05, 0.25);
+    service::AcceleratorService svc(sc);
     std::vector<double> recoveryMs;  // latency of requests that recovered
     t0 = Clock::now();
     for (std::size_t r = 0; r < rounds; ++r) {
       for (std::size_t i = 0; i < items.size(); ++i) {
         img::Image out(items[i].outWidth, items[i].outHeight);
-        const service::Request q = requestFor(items[i], out);
-        const std::uint64_t retriesBefore = coord.fabric().stats().retries;
+        const std::uint64_t retriesBefore = svc.stats().shardRetries;
         const Clock::time_point q0 = Clock::now();
-        coord.runReplicated(/*tenant=*/1, q, /*seedNamespace=*/0, q.seed);
+        svc.run(/*tenant=*/1, requestFor(items[i], out));
         const double ms = secondsSince(q0) * 1e3;
         if (ms > 30000.0) noHang = false;
-        if (coord.fabric().stats().retries > retriesBefore) {
+        if (svc.stats().shardRetries > retriesBefore) {
           recoveryMs.push_back(ms);
         }
         if (out.pixels() != oracle[i].output.pixels()) {
@@ -360,11 +371,11 @@ int main(int argc, char** argv) {
       }
     }
     const double secs = secondsSince(t0);
-    const shard::FabricStats& fs = coord.fabric().stats();
-    chaosRetries = fs.retries;
-    chaosRespawns = fs.respawns;
-    chaosFaults = fs.faultsInjected;
-    if (fs.deadShards != 0) recoveredIdentical = false;  // budget too small
+    const service::ServiceStats st = svc.stats();
+    chaosRetries = st.shardRetries;
+    chaosRespawns = st.shardRespawns;
+    chaosFaults = st.shardFaultsInjected;
+    if (st.deadShards != 0) recoveredIdentical = false;  // budget too small
     recoveryP50 = percentileMs(recoveryMs, 0.50);
     recoveryP95 = percentileMs(recoveryMs, 0.95);
     std::printf(
@@ -381,29 +392,27 @@ int main(int argc, char** argv) {
   // --- phase 5: degraded mode (dead shard's frames served by survivor) -----
   bool degradedIdentical = true;
   {
-    shard::RetryPolicy rp = chaosRetry();
-    rp.maxAttempts = 1;   // first failure -> dead
-    rp.maxRespawns = 0;
-    shard::ShardCoordinator coord(
-        shard::makeSupervisedFabric(shard::ShardTransportKind::Subprocess, 2,
-                                    chaosDeadlines(), rp),
-        kLanes, kRowsPerTile);
-    const int pid = coord.fabric().workerPid(0);
+    service::ServiceConfig sc = shardedConfig(2);
+    sc.shardDeadlines = chaosDeadlines();
+    sc.shardRetry = chaosRetry();
+    sc.shardRetry.maxAttempts = 1;  // first failure -> dead
+    sc.shardRetry.maxRespawns = 0;
+    service::AcceleratorService svc(sc);
+    const int pid = svc.shardCoordinator()->fabric().workerPid(0);
     if (pid > 0) ::kill(pid, SIGKILL);
     for (std::size_t i = 0; i < items.size(); ++i) {
       img::Image out(items[i].outWidth, items[i].outHeight);
-      const service::Request q = requestFor(items[i], out);
-      coord.runReplicated(/*tenant=*/1, q, /*seedNamespace=*/0, q.seed);
+      svc.run(/*tenant=*/1, requestFor(items[i], out));
       if (out.pixels() != oracle[i].output.pixels()) degradedIdentical = false;
     }
-    if (coord.fabric().stats().deadShards != 1 ||
-        coord.reassignedDispatches() == 0) {
+    const service::ServiceStats st = svc.stats();
+    if (st.deadShards != 1 || st.reassignedDispatches == 0) {
       degradedIdentical = false;  // the scenario itself failed to happen
     }
     std::printf("  degraded sweep (shard 0 dead, survivor serves both): %zu "
                 "requests, %llu re-dispatches, bytes %s\n",
                 items.size(),
-                static_cast<unsigned long long>(coord.reassignedDispatches()),
+                static_cast<unsigned long long>(st.reassignedDispatches),
                 degradedIdentical ? "identical" : "DIFFER (BUG)");
   }
 

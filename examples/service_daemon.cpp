@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
               "%.0fus\n", tmr.batchSize, tmr.queueMicros, tmr.execMicros);
 
   for (const service::Ticket& t : tickets) {
-    const service::RequestResult r = daemon.wait(t);
+    const service::RequestResult r = daemon.waitOutcome(t).result;
     std::printf("ticket %llu: batch of %zu, queue %.0fus, exec %.0fus\n",
                 static_cast<unsigned long long>(t.id), r.batchSize,
                 r.queueMicros, r.execMicros);

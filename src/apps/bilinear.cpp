@@ -73,18 +73,6 @@ img::Image upscaleKernel(img::ImageView src, std::size_t factor,
   return out;
 }
 
-img::Image upscaleKernelTiled(img::ImageView src, std::size_t factor,
-                              core::TileExecutor& exec) {
-  if (factor < 1) throw std::invalid_argument("upscale: bad factor");
-  img::Image out(src.width() * factor, src.height() * factor);
-  exec.forEachTile(
-      out.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        upscaleKernelRows(src, factor, lane, arena, out, r0, r1);
-      });
-  return out;
-}
-
 img::Image upscaleReference(img::ImageView src, std::size_t factor) {
   core::ReferenceBackend b;
   return upscaleKernel(src, factor, b);

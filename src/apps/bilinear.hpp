@@ -14,7 +14,7 @@
 #include <cstdint>
 
 #include "core/backend.hpp"
-#include "core/tile_executor.hpp"
+#include "core/stream_arena.hpp"
 #include "img/image.hpp"
 
 namespace aimsc::apps {
@@ -44,13 +44,10 @@ void upscaleKernelRows(img::ImageView src, std::size_t factor,
                        img::ImageSpan out, std::size_t rowBegin,
                        std::size_t rowEnd);
 
-/// Whole-image form on a single backend (with a call-local arena).
+/// Whole-image form on a single backend (with a call-local arena).  The
+/// tile-parallel form is `runTiled` (schedule.hpp).
 img::Image upscaleKernel(img::ImageView src, std::size_t factor,
                          core::ScBackend& b);
-
-/// Tile-parallel form: the SAME kernel sharded over the executor's lanes.
-img::Image upscaleKernelTiled(img::ImageView src, std::size_t factor,
-                              core::TileExecutor& exec);
 
 // --- reference (quality oracle) -------------------------------------------
 

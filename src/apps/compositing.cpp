@@ -64,17 +64,6 @@ img::Image compositeKernel(const CompositingFrames& scene, core::ScBackend& b) {
   return out;
 }
 
-img::Image compositeKernelTiled(const CompositingFrames& scene,
-                                core::TileExecutor& exec) {
-  img::Image out(scene.background.width(), scene.background.height());
-  exec.forEachTile(
-      out.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        compositeKernelRows(scene, lane, arena, out, r0, r1);
-      });
-  return out;
-}
-
 img::Image compositeReference(const CompositingScene& scene) {
   core::ReferenceBackend b;
   return compositeKernel(scene, b);

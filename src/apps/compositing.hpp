@@ -13,7 +13,7 @@
 #include <cstdint>
 
 #include "core/backend.hpp"
-#include "core/tile_executor.hpp"
+#include "core/stream_arena.hpp"
 #include "img/image.hpp"
 
 namespace aimsc::apps {
@@ -60,13 +60,9 @@ void compositeKernelRows(const CompositingFrames& scene, core::ScBackend& b,
                          core::StreamArena& arena, img::ImageSpan out,
                          std::size_t rowBegin, std::size_t rowEnd);
 
-/// Whole-image form on a single backend (with a call-local arena).
+/// Whole-image form on a single backend (with a call-local arena).  The
+/// tile-parallel form is `runTiled(framesOf(scene), exec)` (schedule.hpp).
 img::Image compositeKernel(const CompositingFrames& scene, core::ScBackend& b);
-
-/// Tile-parallel form: the SAME kernel sharded over the executor's lanes;
-/// bit-identical for any thread count.
-img::Image compositeKernelTiled(const CompositingFrames& scene,
-                                core::TileExecutor& exec);
 
 // --- reference (quality oracle) -------------------------------------------
 

@@ -71,17 +71,6 @@ img::Image smoothKernel(img::ImageView src, core::ScBackend& b) {
   return out;
 }
 
-img::Image smoothKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  img::Image out = src.toImage();
-  if (src.width() < 3 || src.height() < 3) return out;
-  exec.forEachTile(
-      src.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        smoothKernelRows(src, lane, arena, out, r0, r1);
-      });
-  return out;
-}
-
 void edgeKernelRows(img::ImageView src, core::ScBackend& b,
                     core::StreamArena& arena, img::ImageSpan out,
                     std::size_t rowBegin, std::size_t rowEnd) {
@@ -123,17 +112,6 @@ img::Image edgeKernel(img::ImageView src, core::ScBackend& b) {
   return out;
 }
 
-img::Image edgeKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  img::Image out(src.width(), src.height(), 0);
-  if (src.width() < 2 || src.height() < 2) return out;
-  exec.forEachTile(
-      src.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        edgeKernelRows(src, lane, arena, out, r0, r1);
-      });
-  return out;
-}
-
 void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
                      core::StreamArena& arena, img::ImageSpan out,
                      std::size_t rowBegin, std::size_t rowEnd, int degree) {
@@ -166,17 +144,6 @@ img::Image gammaKernel(img::ImageView src, double gamma, core::ScBackend& b,
   img::Image out(src.width(), src.height());
   core::StreamArena arena;
   gammaKernelRows(src, gamma, b, arena, out, 0, src.height(), degree);
-  return out;
-}
-
-img::Image gammaKernelTiled(img::ImageView src, double gamma,
-                            core::TileExecutor& exec, int degree) {
-  img::Image out(src.width(), src.height());
-  exec.forEachTile(
-      src.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        gammaKernelRows(src, gamma, lane, arena, out, r0, r1, degree);
-      });
   return out;
 }
 

@@ -16,7 +16,7 @@
 #pragma once
 
 #include "core/backend.hpp"
-#include "core/tile_executor.hpp"
+#include "core/stream_arena.hpp"
 #include "img/image.hpp"
 
 namespace aimsc::apps {
@@ -35,11 +35,11 @@ void smoothKernelRows(img::ImageView src, core::ScBackend& b,
                       core::StreamArena& arena, img::ImageSpan out,
                       std::size_t rowBegin, std::size_t rowEnd);
 
-/// Whole-image smoothing (border pixels copy through).
+/// Whole-image smoothing (border pixels copy through).  The tile-parallel
+/// forms of smoothing and gamma are `runTiled` (schedule.hpp); edge
+/// detection, which is not an app, tiles its row form through
+/// `TileExecutor::forEachTile`.
 img::Image smoothKernel(img::ImageView src, core::ScBackend& b);
-
-/// Tile-parallel smoothing: the SAME kernel over the executor's lanes.
-img::Image smoothKernelTiled(img::ImageView src, core::TileExecutor& exec);
 
 /// Row-range Roberts-cross edge magnitude
 /// (|I(x,y)-I(x+1,y+1)| + |I(x+1,y)-I(x,y+1)|)/2: per row one epoch for the
@@ -51,9 +51,6 @@ void edgeKernelRows(img::ImageView src, core::ScBackend& b,
 
 /// Whole-image edge magnitude (last row/column are zero).
 img::Image edgeKernel(img::ImageView src, core::ScBackend& b);
-
-/// Tile-parallel edge detection: the SAME kernel over the executor's lanes.
-img::Image edgeKernelTiled(img::ImageView src, core::TileExecutor& exec);
 
 /// Row-range gamma correction v' = v^gamma via Bernstein synthesis
 /// (sc/bernstein.hpp): per pixel, `degree` independent encodings of the
@@ -67,11 +64,6 @@ void gammaKernelRows(img::ImageView src, double gamma, core::ScBackend& b,
 /// Whole-image gamma correction on any backend.
 img::Image gammaKernel(img::ImageView src, double gamma, core::ScBackend& b,
                        int degree = 4);
-
-/// Tile-parallel gamma correction: the SAME kernel over the executor's
-/// lanes.
-img::Image gammaKernelTiled(img::ImageView src, double gamma,
-                            core::TileExecutor& exec, int degree = 4);
 
 // --- references (quality oracles) -----------------------------------------
 

@@ -58,17 +58,6 @@ img::Image mattingKernel(const MattingFrames& scene, core::ScBackend& b) {
   return out;
 }
 
-img::Image mattingKernelTiled(const MattingFrames& scene,
-                              core::TileExecutor& exec) {
-  img::Image out(scene.composite.width(), scene.composite.height());
-  exec.forEachTile(
-      out.height(), [&](core::ScBackend& lane, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        mattingKernelRows(scene, lane, arena, out, r0, r1);
-      });
-  return out;
-}
-
 img::Image mattingReference(const MattingScene& scene) {
   core::ReferenceBackend b;
   return mattingKernel(scene, b);

@@ -60,12 +60,9 @@ void mattingKernelRows(const MattingFrames& scene, core::ScBackend& b,
                        core::StreamArena& arena, img::ImageSpan out,
                        std::size_t rowBegin, std::size_t rowEnd);
 
-/// Whole-image form on a single backend (with a call-local arena).
+/// Whole-image form on a single backend (with a call-local arena).  The
+/// tile-parallel form is `runTiled(framesOf(scene), exec)` (schedule.hpp).
 img::Image mattingKernel(const MattingFrames& scene, core::ScBackend& b);
-
-/// Tile-parallel form: the SAME kernel sharded over the executor's lanes.
-img::Image mattingKernelTiled(const MattingFrames& scene,
-                              core::TileExecutor& exec);
 
 // --- reference (quality oracle) -------------------------------------------
 

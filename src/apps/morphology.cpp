@@ -1,7 +1,11 @@
 #include "apps/morphology.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
+
+#include "apps/schedule.hpp"
+#include "core/backend_reference.hpp"
 
 namespace aimsc::apps {
 
@@ -70,19 +74,6 @@ img::Image wholeImage(img::ImageView src, RowsFn&& rows) {
   return out;
 }
 
-template <typename RowsFn>
-img::Image tiled(img::ImageView src, core::TileExecutor& exec,
-                 RowsFn&& rows) {
-  img::Image out = src.toImage();
-  if (src.width() < 3 || src.height() < 3) return out;
-  exec.forEachTile(src.height(),
-                   [&](core::ScBackend& lane, core::StreamArena& arena,
-                       std::size_t r0, std::size_t r1) {
-                     rows(lane, arena, out, r0, r1);
-                   });
-  return out;
-}
-
 /// Integer reference fold over the 3×3 window.
 template <typename Fold>
 img::Image morphReference(img::ImageView src, Fold&& fold) {
@@ -130,51 +121,13 @@ img::Image dilateKernel(img::ImageView src, core::ScBackend& b) {
 }
 
 img::Image openKernel(img::ImageView src, core::ScBackend& b) {
-  return dilateKernel(erodeKernel(src, b), b);
-}
-
-img::Image closeKernel(img::ImageView src, core::ScBackend& b) {
-  return erodeKernel(dilateKernel(src, b), b);
-}
-
-img::Image erodeKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  return tiled(src, exec,
-               [&](core::ScBackend& lane, core::StreamArena& arena,
-                   img::ImageSpan out, std::size_t r0, std::size_t r1) {
-                 erodeKernelRows(src, lane, arena, out, r0, r1);
-               });
-}
-
-img::Image dilateKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  return tiled(src, exec,
-               [&](core::ScBackend& lane, core::StreamArena& arena,
-                   img::ImageSpan out, std::size_t r0, std::size_t r1) {
-                 dilateKernelRows(src, lane, arena, out, r0, r1);
-               });
-}
-
-img::Image openKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  const img::Image eroded = erodeKernelTiled(src, exec);
-  img::Image out = eroded;
-  if (src.width() < 3 || src.height() < 3) return out;
-  exec.forEachTile(src.height(),
-                   [&](core::ScBackend& lane, core::StreamArena& arena,
-                       std::size_t r0, std::size_t r1) {
-                     dilateKernelRows(eroded, lane, arena, out, r0, r1);
-                   });
-  return out;
-}
-
-img::Image closeKernelTiled(img::ImageView src, core::TileExecutor& exec) {
-  const img::Image dilated = dilateKernelTiled(src, exec);
-  img::Image out = dilated;
-  if (src.width() < 3 || src.height() < 3) return out;
-  exec.forEachTile(src.height(),
-                   [&](core::ScBackend& lane, core::StreamArena& arena,
-                       std::size_t r0, std::size_t r1) {
-                     erodeKernelRows(dilated, lane, arena, out, r0, r1);
-                   });
-  return out;
+  StagedRun run(framesOf(AppKind::Morphology, src));
+  core::StreamArena arena;
+  for (std::size_t s = 0; s < run.stages(); ++s) {
+    arena.reset();
+    run.stage(s)(b, arena, 0, run.height());
+  }
+  return std::move(run.output());
 }
 
 img::Image erodeReference(img::ImageView src) {
@@ -188,7 +141,8 @@ img::Image dilateReference(img::ImageView src) {
 }
 
 img::Image openReference(img::ImageView src) {
-  return dilateReference(erodeReference(src));
+  core::ReferenceBackend b;
+  return openKernel(src, b);
 }
 
 img::Image closeReference(img::ImageView src) {

@@ -10,14 +10,14 @@
 /// compute the exact window min/max up to decode noise (Sec. II-B
 /// correlation control, same precondition as XOR subtraction).
 ///
-/// Opening (erode ∘ dilate) and closing (dilate ∘ erode) compose two full
-/// passes; the tiled forms run each pass through the executor's lane-pinned
-/// schedule, so the composition inherits the thread-count-invariant
-/// determinism contract.
+/// Opening (erode, then dilate) composes two full passes.  The pass order
+/// lives in the app schedule (schedule.hpp), which runs the opening on a
+/// lane fleet as two stages with a full barrier between, so the composition
+/// inherits the thread-count-invariant determinism contract.
 #pragma once
 
 #include "core/backend.hpp"
-#include "core/tile_executor.hpp"
+#include "core/stream_arena.hpp"
 #include "img/image.hpp"
 
 namespace aimsc::apps {
@@ -44,24 +44,23 @@ void dilateKernelRows(img::ImageView src, core::ScBackend& b,
 img::Image erodeKernel(img::ImageView src, core::ScBackend& b);
 img::Image dilateKernel(img::ImageView src, core::ScBackend& b);
 
-/// Morphological opening (dilate(erode(src))) and closing
-/// (erode(dilate(src))) on a single backend.
+/// Morphological opening (dilate(erode(src))) on a single backend: the
+/// morphology schedule's two stages, each over the whole image.  The
+/// tile-parallel form is `runTiled(framesOf(AppKind::Morphology, src),
+/// exec)` (schedule.hpp).
 img::Image openKernel(img::ImageView src, core::ScBackend& b);
-img::Image closeKernel(img::ImageView src, core::ScBackend& b);
-
-/// Tile-parallel forms: the SAME kernels over the executor's lanes (the
-/// compositions run two lane-pinned passes with a full barrier between).
-img::Image erodeKernelTiled(img::ImageView src, core::TileExecutor& exec);
-img::Image dilateKernelTiled(img::ImageView src, core::TileExecutor& exec);
-img::Image openKernelTiled(img::ImageView src, core::TileExecutor& exec);
-img::Image closeKernelTiled(img::ImageView src, core::TileExecutor& exec);
 
 // --- integer references (quality oracles) ---------------------------------
 
 /// Exact integer window min / max (border pixels copy through).
 img::Image erodeReference(img::ImageView src);
 img::Image dilateReference(img::ImageView src);
+
+/// Exact opening: the opening kernel on the floating-point ReferenceBackend,
+/// whose window min/max are exact.
 img::Image openReference(img::ImageView src);
+
+/// Exact closing: integer dilation, then integer erosion.
 img::Image closeReference(img::ImageView src);
 
 }  // namespace aimsc::apps

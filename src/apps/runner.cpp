@@ -1,6 +1,7 @@
 #include "apps/runner.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -74,114 +75,85 @@ core::AcceleratorConfig accelConfigFor(const RunConfig& cfg) {
   return ac;
 }
 
-img::Image srcImageFor(const RunConfig& cfg) {
-  return img::naturalScene(cfg.width, cfg.height, cfg.seed ^ 0xb111);
-}
+/// The inputs runApp synthesizes from cfg.seed.  Replicas re-seed only
+/// their fleets, so every replica processes these same frames.
+struct Scene {
+  AppKind app;
+  CompositingScene compositing;  ///< compositing only
+  MattingScene matting;          ///< matting only
+  img::Image src;                ///< every other app
+  std::size_t upscaleFactor;
 
-/// Runs the app's backend-generic kernel serially (\p backend) or tiled
-/// (\p exec; exactly one of the two is non-null) and returns the RAW output
-/// image (the alpha matte for matting).  Scenes derive from cfg.seed, so
-/// replicas that re-seed only their backends process the same inputs.
-img::Image runKernelOn(AppKind app, const RunConfig& cfg,
-                       core::ScBackend* backend, core::TileExecutor* exec) {
-  switch (app) {
-    case AppKind::Compositing: {
-      const CompositingScene scene =
-          makeCompositingScene(cfg.width, cfg.height, cfg.seed);
-      return exec != nullptr ? compositeKernelTiled(scene, *exec)
-                             : compositeKernel(scene, *backend);
-    }
-    case AppKind::Bilinear: {
-      const img::Image src = srcImageFor(cfg);
-      return exec != nullptr ? upscaleKernelTiled(src, cfg.upscaleFactor, *exec)
-                             : upscaleKernel(src, cfg.upscaleFactor, *backend);
-    }
-    case AppKind::Matting: {
-      const MattingScene scene =
-          makeMattingScene(cfg.width, cfg.height, cfg.seed);
-      return exec != nullptr ? mattingKernelTiled(scene, *exec)
-                             : mattingKernel(scene, *backend);
-    }
-    case AppKind::Filters: {
-      const img::Image src = srcImageFor(cfg);
-      return exec != nullptr ? smoothKernelTiled(src, *exec)
-                             : smoothKernel(src, *backend);
-    }
-    case AppKind::Gamma: {
-      const img::Image src = srcImageFor(cfg);
-      return exec != nullptr ? gammaKernelTiled(src, kGammaValue, *exec)
-                             : gammaKernel(src, kGammaValue, *backend);
-    }
-    case AppKind::Morphology: {
-      const img::Image src = srcImageFor(cfg);
-      return exec != nullptr ? openKernelTiled(src, *exec)
-                             : openKernel(src, *backend);
-    }
+  AppFrames frames() const {
+    AppFrames f = app == AppKind::Compositing ? framesOf(compositing)
+                  : app == AppKind::Matting   ? framesOf(matting)
+                                              : framesOf(app, src);
+    f.gamma = kGammaValue;
+    f.upscaleFactor = upscaleFactor;
+    return f;
   }
-  throw std::invalid_argument("runApp: bad app");
+};
+
+Scene sceneFor(AppKind app, const RunConfig& cfg) {
+  Scene s{app, {}, {}, {}, cfg.upscaleFactor};
+  switch (app) {
+    case AppKind::Compositing:
+      s.compositing = makeCompositingScene(cfg.width, cfg.height, cfg.seed);
+      break;
+    case AppKind::Matting:
+      s.matting = makeMattingScene(cfg.width, cfg.height, cfg.seed);
+      break;
+    default:
+      s.src = img::naturalScene(cfg.width, cfg.height, cfg.seed ^ 0xb111);
+      break;
+  }
+  return s;
 }
 
 /// Scores a raw kernel output per the Table IV protocol (matting: blend the
-/// estimated alpha and compare composites).  References rebuild from
-/// cfg.seed, so scoring a voted image uses the same ground truth as every
-/// replica.
-Quality scoreOutput(AppKind app, const RunConfig& cfg, const img::Image& out) {
-  switch (app) {
-    case AppKind::Compositing: {
-      const CompositingScene scene =
-          makeCompositingScene(cfg.width, cfg.height, cfg.seed);
-      return compareQuality(out, compositeReference(scene));
-    }
+/// estimated alpha and compare composites).
+Quality scoreOutput(const Scene& scene, const img::Image& out) {
+  switch (scene.app) {
+    case AppKind::Compositing:
+      return compareQuality(out, compositeReference(scene.compositing));
     case AppKind::Bilinear:
-      return compareQuality(
-          out, upscaleReference(srcImageFor(cfg), cfg.upscaleFactor));
-    case AppKind::Matting: {
-      const MattingScene scene =
-          makeMattingScene(cfg.width, cfg.height, cfg.seed);
-      return compareQuality(blendWithAlpha(scene, out), scene.composite);
-    }
+      return compareQuality(out,
+                            upscaleReference(scene.src, scene.upscaleFactor));
+    case AppKind::Matting:
+      return compareQuality(blendWithAlpha(scene.matting, out),
+                            scene.matting.composite);
     case AppKind::Filters:
-      return compareQuality(out, smoothReference(srcImageFor(cfg)));
+      return compareQuality(out, smoothReference(scene.src));
     case AppKind::Gamma:
-      return compareQuality(out, gammaReference(srcImageFor(cfg), kGammaValue));
+      return compareQuality(out, gammaReference(scene.src, kGammaValue));
     case AppKind::Morphology:
-      return compareQuality(out, openReference(srcImageFor(cfg)));
+      return compareQuality(out, openReference(scene.src));
   }
   throw std::invalid_argument("runApp: bad app");
 }
 
-/// One replica: builds the substrate with \p seed (scenes stay on cfg.seed)
-/// and accumulates its cost ledgers into \p events / \p ops.
-img::Image runReplica(AppKind app, DesignKind design, const RunConfig& cfg,
-                      const ParallelConfig& par, std::uint64_t seed,
-                      reram::EventCounts& events, std::uint64_t& ops) {
+/// One replica's lane fleet, with \p seed as its master seed (scenes stay
+/// on cfg.seed).
+std::unique_ptr<core::TileExecutor> makeFleet(DesignKind design,
+                                              const RunConfig& cfg,
+                                              const ParallelConfig& par,
+                                              std::uint64_t seed) {
   if (design == DesignKind::ReramSc) {
     core::TileExecutorConfig tc = tileConfigFor(cfg, par);
     tc.mat.seed = seed;
-    core::TileExecutor exec(tc);
-    img::Image out = runKernelOn(app, cfg, nullptr, &exec);
-    events += exec.totalEvents();
-    for (std::size_t i = 0; i < exec.lanes(); ++i) {
-      ops += exec.backend(i).opCount();
-    }
-    return out;
+    return std::make_unique<core::TileExecutor>(tc);
   }
   core::BackendFactoryConfig bc = backendConfigFor(cfg);
   bc.seed = seed;
   if (par.threads > 0) {
-    core::TileExecutor exec(core::makeBackendLanes(design, bc, par.lanes), par);
-    img::Image out = runKernelOn(app, cfg, nullptr, &exec);
-    events += exec.totalEvents();
-    for (std::size_t i = 0; i < exec.lanes(); ++i) {
-      ops += exec.backend(i).opCount();
-    }
-    return out;
+    return std::make_unique<core::TileExecutor>(
+        core::makeBackendLanes(design, bc, par.lanes), par);
   }
-  const auto backend = core::makeBackend(design, bc);
-  img::Image out = runKernelOn(app, cfg, backend.get(), nullptr);
-  events += backend->events();
-  ops += backend->opCount();
-  return out;
+  // Serial: one lane seeded with the replica seed itself, where lane i of
+  // a fleet takes a seed derived from it (makeBackendLanes).
+  std::vector<std::unique_ptr<core::ScBackend>> lane;
+  lane.push_back(core::makeBackend(design, bc));
+  return std::make_unique<core::TileExecutor>(std::move(lane), par);
 }
 
 }  // namespace
@@ -207,18 +179,21 @@ core::TileExecutorConfig tileConfigFor(const RunConfig& cfg,
 RunResult runAppDetailed(AppKind app, DesignKind design, const RunConfig& cfg,
                          const ParallelConfig& par) {
   const std::size_t replicas = std::max<std::size_t>(cfg.redundancy.replicas, 1);
+  const Scene scene = sceneFor(app, cfg);
   RunResult result;
 
-  // Replica 0 runs on the unmodified seed, so replicas = 1 IS the old
-  // single-run path bit for bit; later replicas re-key backend randomness
+  // Replica 0 runs on the unmodified seed, so replicas = 1 IS the
+  // unmitigated run bit for bit; later replicas re-key backend randomness
   // and fault draws while processing the same scene.
   std::vector<std::vector<std::uint8_t>> outputs;
   outputs.reserve(replicas);
   img::Image shape;
   for (std::size_t r = 0; r < replicas; ++r) {
-    img::Image out =
-        runReplica(app, design, cfg, par, reliability::replicaSeed(cfg.seed, r),
-                   result.events, result.opCount);
+    const auto exec =
+        makeFleet(design, cfg, par, reliability::replicaSeed(cfg.seed, r));
+    img::Image out = runTiled(scene.frames(), *exec);
+    result.events += exec->totalEvents();
+    result.opCount += exec->totalOpCount();
     if (r == 0) shape = out;
     outputs.push_back(std::move(out.pixels()));
   }
@@ -230,7 +205,7 @@ RunResult runAppDetailed(AppKind app, DesignKind design, const RunConfig& cfg,
                                         : reliability::voteImages(outputs, vote);
   result.output = img::Image(shape.width(), shape.height());
   result.output.pixels() = std::move(voted);
-  result.quality = scoreOutput(app, cfg, result.output);
+  result.quality = scoreOutput(scene, result.output);
   return result;
 }
 

@@ -18,17 +18,13 @@
 #include "apps/filters.hpp"
 #include "apps/matting.hpp"
 #include "apps/morphology.hpp"
+#include "apps/schedule.hpp"
 #include "core/backend.hpp"
 #include "core/tile_executor.hpp"
 #include "energy/system_model.hpp"
 #include "reliability/redundancy.hpp"
 
 namespace aimsc::apps {
-
-/// The workload axis of the Table IV matrix: the paper's three evaluation
-/// apps plus the extension kernels (filters, Bernstein gamma, morphology).
-enum class AppKind { Compositing, Bilinear, Matting, Filters, Gamma,
-                     Morphology };
 
 const char* appName(AppKind app);
 
@@ -97,12 +93,13 @@ struct RunResult {
   std::uint64_t opCount = 0;
 };
 
-/// Runs one (app, design) pair through the backend-generic kernel and
-/// returns quality vs the Table IV reference.  The ReRAM-SC design always
-/// runs on the tile-parallel engine under \p par; every other design runs
-/// serially when `par.threads == 0` (the default) and on an independently
-/// seeded backend lane fleet when `par.threads > 0`.  Tiled results are
-/// bit-identical for any nonzero `threads` given fixed
+/// Runs one (app, design) pair through the app's stage schedule
+/// (schedule.hpp) on a `TileExecutor` and returns quality vs the Table IV
+/// reference.  The ReRAM-SC design always tiles a MatGroup fleet under
+/// \p par.  Every other design tiles `par.lanes` independently seeded
+/// backends when `par.threads > 0`; when `par.threads == 0` (the default)
+/// it runs on a one-lane fleet whose backend takes the replica seed itself.
+/// Tiled results are bit-identical for any nonzero `threads` given fixed
 /// `lanes`/`rowsPerTile` (lane-pinned schedule; see docs/ARCHITECTURE.md) —
 /// including under fault injection (counter-based fault RNG) and
 /// redundancy (replicas run sequentially in replica order).

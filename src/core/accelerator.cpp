@@ -24,20 +24,16 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
       rows, config_.streamLength, config_.device, config_.seed);
 
   if (config_.deviceVariability) {
-    if (config_.sharedFaultModel != nullptr) {
-      activeFaultModel_ = config_.sharedFaultModel;
-    } else if (config_.faultModelProvider) {
-      cachedFaultModel_ = config_.faultModelProvider(
-          config_.device, config_.seed ^ 0xf417, config_.faultModelSamples);
-      activeFaultModel_ = cachedFaultModel_.get();
-    } else {
-      faultModel_ = std::make_unique<reram::FaultModel>(
-          config_.device, config_.seed ^ 0xf417, config_.faultModelSamples);
-      activeFaultModel_ = faultModel_.get();
-    }
+    faultModel_ =
+        config_.faultModelProvider
+            ? config_.faultModelProvider(config_.device, config_.seed ^ 0xf417,
+                                         config_.faultModelSamples)
+            : std::make_shared<const reram::FaultModel>(
+                  config_.device, config_.seed ^ 0xf417,
+                  config_.faultModelSamples);
     scouting_ = std::make_unique<reram::ScoutingLogic>(
         *array_, reram::ScoutingLogic::Fidelity::Probabilistic,
-        activeFaultModel_, config_.seed ^ 0x5c);
+        faultModel_.get(), config_.seed ^ 0x5c);
   } else {
     scouting_ = std::make_unique<reram::ScoutingLogic>(
         *array_, reram::ScoutingLogic::Fidelity::Ideal, nullptr,
@@ -58,7 +54,7 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
   ic.wearWindowRows = config_.wearWindowRows;
   imsng_ = std::make_unique<Imsng>(*array_, *scouting_, *periphery_, *trng_, ic);
 
-  imops_ = std::make_unique<ImOps>(*scouting_, activeFaultModel_,
+  imops_ = std::make_unique<ImOps>(*scouting_, faultModel_.get(),
                                    config_.seed ^ 0x1305);
   ims2b_ = std::make_unique<ImS2B>(*array_, config_.adc, config_.seed ^ 0x52b);
 }

@@ -40,17 +40,11 @@ struct AcceleratorConfig {
   reram::DeviceParams device{};    ///< device variability parameters
   bool deviceVariability = false;       ///< probabilistic CIM misdecisions
   std::size_t faultModelSamples = 100000;
-  /// Opt-in shared misdecision table: when non-null (and injecting), this
-  /// model is used instead of constructing a per-mat one — a lane fleet
-  /// then pays the Monte-Carlo cost once (FaultModel is thread-safe).
-  /// Default stays per-mat construction, which keeps historic faulty-run
-  /// bit streams unchanged.  The pointee must outlive the Accelerator.
-  const reram::FaultModel* sharedFaultModel = nullptr;
-  /// Optional memoizing supplier for the per-mat model (lower priority than
-  /// sharedFaultModel).  Unlike sharing, the provider preserves per-mat
-  /// tables bit-for-bit: it is invoked with this mat's own (device, seed ^
-  /// 0xf417, samples) key and must return a model constructed from exactly
-  /// those arguments.  The Accelerator keeps the returned model alive.
+  /// Optional memoizing supplier for the per-mat model.  It preserves
+  /// per-mat tables bit-for-bit: it is invoked with this mat's own (device,
+  /// seed ^ 0xf417, samples) key and must return a model constructed from
+  /// exactly those arguments.  The Accelerator keeps the returned model
+  /// alive.
   FaultModelProvider faultModelProvider;
   /// Wear-leveling window (rows) for the TRNG plane region; 0 = planes stay
   /// at a fixed base (historic geometry).  When >= mBits, plane deposits
@@ -142,16 +136,14 @@ class Accelerator {
 
   reram::CrossbarArray& array() { return *array_; }
   Imsng& imsng() { return *imsng_; }
-  /// The active misdecision table: the shared one when configured, else the
-  /// owned per-mat model (nullptr when not injecting).
-  const reram::FaultModel* faultModel() const { return activeFaultModel_; }
+  /// This mat's misdecision table: the provider's or an owned one (nullptr
+  /// when not injecting).
+  const reram::FaultModel* faultModel() const { return faultModel_.get(); }
 
  private:
   AcceleratorConfig config_;
   std::unique_ptr<reram::CrossbarArray> array_;
-  std::unique_ptr<reram::FaultModel> faultModel_;  ///< owned (per-mat) model
-  std::shared_ptr<const reram::FaultModel> cachedFaultModel_;  ///< provider's
-  const reram::FaultModel* activeFaultModel_ = nullptr;
+  std::shared_ptr<const reram::FaultModel> faultModel_;
   std::unique_ptr<reram::ScoutingLogic> scouting_;
   std::unique_ptr<reram::Periphery> periphery_;
   std::unique_ptr<reram::ReramTrng> trng_;

@@ -29,14 +29,7 @@ MatGroupConfig groupConfigFor(const TileExecutorConfig& cfg) {
 TileExecutor::TileExecutor(const TileExecutorConfig& config)
     : par_(config) {
   validate(par_);
-  TileExecutorConfig cfg = config;
-  if (cfg.shareFaultModel && cfg.mat.deviceVariability) {
-    // One mutex-guarded misdecision table for the whole fleet: the
-    // Monte-Carlo cost is paid once instead of once per mat.
-    sharedFaults_ = std::make_unique<reram::FaultModel>(
-        cfg.mat.device, cfg.mat.seed ^ 0xf417, cfg.mat.faultModelSamples);
-    cfg.mat.sharedFaultModel = sharedFaults_.get();
-  }
+  const TileExecutorConfig& cfg = config;
   group_ = std::make_unique<MatGroup>(groupConfigFor(cfg));
   backends_.reserve(group_->size());
   for (std::size_t i = 0; i < group_->size(); ++i) {
@@ -149,14 +142,6 @@ std::vector<std::function<void()>> TileExecutor::laneTasks(
 }
 
 void TileExecutor::forEachTile(std::size_t imageHeight,
-                               const BackendTileKernel& kernel) {
-  runTiles(imageHeight, [this, &kernel](std::size_t lane, std::size_t r0,
-                                        std::size_t r1) {
-    kernel(*backends_[lane], r0, r1);
-  });
-}
-
-void TileExecutor::forEachTile(std::size_t imageHeight,
                                const ArenaTileKernel& kernel) {
   runTiles(imageHeight, [this, &kernel](std::size_t lane, std::size_t r0,
                                         std::size_t r1) {
@@ -184,6 +169,12 @@ reram::EventCounts TileExecutor::totalEvents() const {
   // equals the MatGroup sum for the default configuration.
   reram::EventCounts total;
   for (const auto& b : backends_) total += b->events();
+  return total;
+}
+
+std::uint64_t TileExecutor::totalOpCount() const {
+  std::uint64_t total = 0;
+  for (const auto& b : backends_) total += b->opCount();
   return total;
 }
 

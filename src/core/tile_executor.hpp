@@ -63,12 +63,6 @@ struct TileExecutorConfig : ParallelConfig {
   /// keyed (mat seed, lane index) so faulty tiled runs stay bit-identical
   /// at any worker-thread count.
   reliability::FaultPlan faults{};
-
-  /// Build ONE mutex-guarded FaultModel and share it across all mats
-  /// instead of the per-mat Monte-Carlo tables.  Opt-in: sharing changes
-  /// which misdecision table lanes sample (one table, seed = mat seed),
-  /// so historic per-mat faulty bit streams are preserved by default.
-  bool shareFaultModel = false;
 };
 
 class TileExecutor {
@@ -77,16 +71,12 @@ class TileExecutor {
   /// pinned to the tile, rows [rowBegin, rowEnd) are the tile's image rows.
   /// Kernels for different tiles of the SAME lane run sequentially in tile
   /// order on one thread; kernels on different lanes may run concurrently
-  /// and must only touch disjoint output rows.
-  using BackendTileKernel = std::function<void(
-      ScBackend& lane, std::size_t rowBegin, std::size_t rowEnd)>;
-
-  /// Arena-aware kernel: \p arena is the lane's private StreamArena, reset
-  /// by the executor BEFORE each tile so the kernel re-acquires the same
-  /// warm slot set (zero steady-state allocations; see stream_arena.hpp).
-  /// Arena state never carries values between tiles — only buffer capacity
-  /// — so the lane-pinned bit-identical-at-any-thread-count contract is
-  /// untouched.
+  /// and must only touch disjoint output rows.  \p arena is the lane's
+  /// private StreamArena, reset by the executor BEFORE each tile so the
+  /// kernel re-acquires the same warm slot set (zero steady-state
+  /// allocations; see stream_arena.hpp).  Arena state never carries values
+  /// between tiles — only buffer capacity — so the lane-pinned
+  /// bit-identical-at-any-thread-count contract is untouched.
   using ArenaTileKernel =
       std::function<void(ScBackend& lane, StreamArena& arena,
                          std::size_t rowBegin, std::size_t rowEnd)>;
@@ -108,7 +98,6 @@ class TileExecutor {
   /// Shards [0, imageHeight) into tiles and runs \p kernel over all of them
   /// with the lane-pinned schedule.  Rethrows the first kernel exception
   /// after all lanes have drained.
-  void forEachTile(std::size_t imageHeight, const BackendTileKernel& kernel);
   void forEachTile(std::size_t imageHeight, const ArenaTileKernel& kernel);
   void forEachTile(std::size_t imageHeight, const TileKernel& kernel);
 
@@ -153,6 +142,9 @@ class TileExecutor {
 
   /// Merged event counts across lanes (sum after join; lock-free).
   reram::EventCounts totalEvents() const;
+
+  /// Backend op count summed across lanes.
+  std::uint64_t totalOpCount() const;
   void resetEvents();
 
   /// Wall-clock estimate under concurrent lanes (slowest lane finishes
@@ -178,7 +170,6 @@ class TileExecutor {
 
   ParallelConfig par_;
   std::unique_ptr<MatGroup> group_;  ///< ReRAM fleets only
-  std::unique_ptr<reram::FaultModel> sharedFaults_;  ///< shareFaultModel
   std::vector<std::unique_ptr<ScBackend>> backends_;
   std::vector<std::unique_ptr<StreamArena>> arenas_;  ///< one per lane
   std::unique_ptr<ThreadPool> pool_;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "apps/schedule.hpp"
 #include "core/tile_executor.hpp"
 #include "reliability/fault_rng.hpp"
 #include "service/request_kernels.hpp"
@@ -40,22 +41,31 @@ std::unique_ptr<shard::ShardCoordinator> makeCoordinator(
       config.lanes, config.rowsPerTile);
 }
 
+/// The request seed inside tenant namespace \p ns (0 = identity).
+std::uint64_t namespacedSeed(std::uint64_t ns, std::uint64_t seed) {
+  if (ns == 0) return seed;
+  // Re-key through the mixer so tenant universes never collide with each
+  // other or with the lane/replica seed strides.
+  return reliability::mix64(ns ^ (seed + 0x9e3779b97f4a7c15ull));
+}
+
 }  // namespace
 
 /// Everything one queued request carries through the pipeline.  The frame
-/// views alias client memory; replica outputs are service-owned staging
+/// views alias client memory; replica images are service-owned staging
 /// that dies with the batch (the voted bytes leave through `request.out`).
 struct AcceleratorService::Pending {
   TenantId tenant = 0;
   Request request;
+  std::uint64_t seedNamespace = 0;
   std::uint64_t effectiveSeed = 0;
   std::uint64_t id = 0;
   Clock::time_point submitTime;
 
-  // Batch-local execution state (dispatcher only).
-  std::vector<std::unique_ptr<core::TileExecutor>> execs;  // one per replica
-  std::vector<img::Image> replicaOut;                      // one per replica
-  std::vector<img::Image> morphTmp;  // morphology stage-0 intermediates
+  // Batch-local execution state (in-process dispatch only), one entry per
+  // replica: the lane fleet and the app schedule running on it.
+  std::vector<std::unique_ptr<core::TileExecutor>> fleets;
+  std::vector<apps::StagedRun> runs;
 
   // Completion (guarded by the service ticket mutex).
   bool done = false;
@@ -74,26 +84,17 @@ AcceleratorService::AcceleratorService(const ServiceConfig& config)
 
 AcceleratorService::~AcceleratorService() { shutdown(); }
 
-std::uint64_t AcceleratorService::namespacedSeed(TenantId tenant,
-                                                 std::uint64_t seed) const {
-  std::uint64_t ns = 0;
-  {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    const auto it = ledgers_.find(tenant);
-    if (it != ledgers_.end()) ns = it->second.seedNamespace;
-  }
-  if (ns == 0) return seed;
-  // Re-key through the mixer so tenant universes never collide with each
-  // other or with the lane/replica seed strides.
-  return reliability::mix64(ns ^ (seed + 0x9e3779b97f4a7c15ull));
-}
-
 std::shared_ptr<AcceleratorService::Pending> AcceleratorService::makePending(
     TenantId tenant, const Request& request) {
   auto p = std::make_shared<Pending>();
   p->tenant = tenant;
   p->request = request;
-  p->effectiveSeed = namespacedSeed(tenant, request.seed);
+  {
+    std::lock_guard<std::mutex> lock(statsMutex_);
+    const auto it = ledgers_.find(tenant);
+    if (it != ledgers_.end()) p->seedNamespace = it->second.seedNamespace;
+  }
+  p->effectiveSeed = namespacedSeed(p->seedNamespace, request.seed);
   p->submitTime = Clock::now();
   return p;
 }
@@ -138,8 +139,8 @@ bool AcceleratorService::poll(const Ticket& ticket) const {
   return it == tickets_.end() || it->second->done;
 }
 
-std::optional<RequestResult> AcceleratorService::waitFor(
-    const Ticket& ticket, std::chrono::microseconds timeout) {
+std::optional<TicketOutcome> AcceleratorService::redeem(
+    const Ticket& ticket, std::optional<std::chrono::microseconds> timeout) {
   std::shared_ptr<Pending> pending;
   {
     std::unique_lock<std::mutex> lock(ticketMutex_);
@@ -149,43 +150,12 @@ std::optional<RequestResult> AcceleratorService::waitFor(
           "AcceleratorService: unknown or already-redeemed ticket");
     }
     pending = it->second;
-    if (!ticketCv_.wait_for(lock, timeout, [&] { return pending->done; })) {
+    const auto resolved = [&] { return pending->done; };
+    if (!timeout) {
+      ticketCv_.wait(lock, resolved);
+    } else if (!ticketCv_.wait_for(lock, *timeout, resolved)) {
       return std::nullopt;  // still pending; ticket stays redeemable
     }
-    tickets_.erase(ticket.id);
-  }
-  if (!pending->error.empty()) throw std::runtime_error(pending->error);
-  return pending->result;
-}
-
-RequestResult AcceleratorService::wait(const Ticket& ticket) {
-  std::shared_ptr<Pending> pending;
-  {
-    std::unique_lock<std::mutex> lock(ticketMutex_);
-    const auto it = tickets_.find(ticket.id);
-    if (it == tickets_.end()) {
-      throw std::invalid_argument(
-          "AcceleratorService: unknown or already-redeemed ticket");
-    }
-    pending = it->second;
-    ticketCv_.wait(lock, [&] { return pending->done; });
-    tickets_.erase(ticket.id);
-  }
-  if (!pending->error.empty()) throw std::runtime_error(pending->error);
-  return pending->result;
-}
-
-TicketOutcome AcceleratorService::waitOutcome(const Ticket& ticket) {
-  std::shared_ptr<Pending> pending;
-  {
-    std::unique_lock<std::mutex> lock(ticketMutex_);
-    const auto it = tickets_.find(ticket.id);
-    if (it == tickets_.end()) {
-      throw std::invalid_argument(
-          "AcceleratorService: unknown or already-redeemed ticket");
-    }
-    pending = it->second;
-    ticketCv_.wait(lock, [&] { return pending->done; });
     tickets_.erase(ticket.id);
   }
   TicketOutcome outcome;
@@ -198,38 +168,23 @@ TicketOutcome AcceleratorService::waitOutcome(const Ticket& ticket) {
   outcome.status = pending->result.degraded ? TicketStatus::Degraded
                                             : TicketStatus::Ok;
   return outcome;
+}
+
+TicketOutcome AcceleratorService::waitOutcome(const Ticket& ticket) {
+  return *redeem(ticket, std::nullopt);
 }
 
 std::optional<TicketOutcome> AcceleratorService::waitOutcomeFor(
     const Ticket& ticket, std::chrono::microseconds timeout) {
-  std::shared_ptr<Pending> pending;
-  {
-    std::unique_lock<std::mutex> lock(ticketMutex_);
-    const auto it = tickets_.find(ticket.id);
-    if (it == tickets_.end()) {
-      throw std::invalid_argument(
-          "AcceleratorService: unknown or already-redeemed ticket");
-    }
-    pending = it->second;
-    if (!ticketCv_.wait_for(lock, timeout, [&] { return pending->done; })) {
-      return std::nullopt;  // still pending; ticket stays redeemable
-    }
-    tickets_.erase(ticket.id);
-  }
-  TicketOutcome outcome;
-  if (!pending->error.empty()) {
-    outcome.status = TicketStatus::Failed;
-    outcome.error = pending->error;
-    return outcome;
-  }
-  outcome.result = pending->result;
-  outcome.status = pending->result.degraded ? TicketStatus::Degraded
-                                            : TicketStatus::Ok;
-  return outcome;
+  return redeem(ticket, timeout);
 }
 
 RequestResult AcceleratorService::run(TenantId tenant, const Request& request) {
-  return wait(submit(tenant, request));
+  TicketOutcome outcome = waitOutcome(submit(tenant, request));
+  if (outcome.status == TicketStatus::Failed) {
+    throw std::runtime_error(outcome.error);
+  }
+  return outcome.result;
 }
 
 void AcceleratorService::setTenantSeedNamespace(TenantId tenant,
@@ -287,209 +242,164 @@ void AcceleratorService::dispatchLoop() {
   }
 }
 
-void AcceleratorService::executeBatchSharded(
+void AcceleratorService::executeBatch(
     std::vector<std::shared_ptr<Pending>>& batch) {
   const auto batchStart = Clock::now();
   countBatch(batch.size());
-  // Publish the fabric's cumulative counters.  The supervisor is
-  // dispatcher-thread-only, so copying under statsMutex_ is the one place
-  // they become visible to concurrent stats() readers; it runs BEFORE each
-  // ticket resolves so a client that waits on a ticket and then reads
-  // stats() sees the recovery work its own request caused.
-  const auto snapshotFabricLocked = [this]() {
-    const shard::FabricStats& fs = coordinator_->fabric().stats();
-    stats_.shardRetries = fs.retries;
-    stats_.shardRespawns = fs.respawns;
-    stats_.shardTimeouts = fs.timeouts;
-    stats_.shardGarbageReplies = fs.garbageReplies;
-    stats_.shardFaultsInjected = fs.faultsInjected;
-    stats_.deadShards = fs.deadShards;
-    stats_.reassignedDispatches = coordinator_->reassignedDispatches();
+  const auto stamp = [&](const Pending& p, RequestResult& res,
+                         double execMicros) {
+    res.queueMicros = microsSince(p.submitTime, batchStart);
+    res.execMicros = execMicros;
+    res.batchSize = batch.size();
   };
-  for (auto& p : batch) {
-    const Request& q = p->request;
-    RequestResult res;
-    try {
-      std::uint64_t ns = 0;
-      {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        const auto it = ledgers_.find(p->tenant);
-        if (it != ledgers_.end()) ns = it->second.seedNamespace;
-      }
-      res = coordinator_->runReplicated(p->tenant, q, ns, p->effectiveSeed);
-      res.queueMicros = microsSince(p->submitTime, batchStart);
-      res.execMicros = microsSince(batchStart, Clock::now());
-      res.batchSize = batch.size();
 
-      const OutputShape shape = outputShapeFor(q);
-      std::lock_guard<std::mutex> lock(statsMutex_);
-      TenantLedger& ledger = ledgers_[p->tenant];
-      ledger.requests += 1;
-      ledger.pixels += shape.width * shape.height;
-      ledger.replicasRun += std::max<std::size_t>(q.redundancy.replicas, 1);
-      ledger.opCount += res.opCount;
-      ledger.events += res.events;
-      if (res.degraded) ++stats_.degradedRequests;
-      ++stats_.requestsServed;
-      snapshotFabricLocked();
-    } catch (const std::exception& e) {
-      {
-        std::lock_guard<std::mutex> slock(statsMutex_);
-        snapshotFabricLocked();
-      }
-      std::lock_guard<std::mutex> lock(ticketMutex_);
-      p->error = e.what();
-      p->done = true;
-      ticketCv_.notify_all();
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(ticketMutex_);
-    p->result = res;
-    p->done = true;
-    ticketCv_.notify_all();
-  }
-}
-
-void AcceleratorService::executeBatch(
-    std::vector<std::shared_ptr<Pending>>& batch) {
   if (coordinator_ != nullptr) {
-    executeBatchSharded(batch);
+    // Shard back-end: each replica fans out across the shards in turn, and
+    // a request resolves as soon as its own replicas return.
+    for (auto& p : batch) {
+      const Request& q = p->request;
+      const std::size_t replicas =
+          std::max<std::size_t>(q.redundancy.replicas, 1);
+      std::vector<std::vector<std::uint8_t>> outputs;
+      RequestResult res;
+      try {
+        for (std::size_t r = 0; r < replicas; ++r) {
+          shard::ShardCoordinator::ReplicaRun run = coordinator_->runReplica(
+              q, p->tenant, p->seedNamespace,
+              reliability::replicaSeed(p->effectiveSeed, r));
+          res.events += run.events;
+          res.opCount += run.opCount;
+          res.degraded = res.degraded || run.degraded;
+          outputs.push_back(std::move(run.pixels));
+        }
+      } catch (const std::exception& e) {
+        fail(*p, e.what());
+        continue;
+      }
+      stamp(*p, res, microsSince(batchStart, Clock::now()));
+      join(*p, outputs, res);
+    }
     return;
   }
-  const auto batchStart = Clock::now();
 
-  // Stage 0: every request builds its per-replica lane fleets and
-  // contributes its lane tasks to ONE merged wave.  Tasks are
-  // self-contained (own backends/arenas, disjoint rows of the request's
-  // own staging image), so wave composition cannot change any bit.
-  std::vector<std::function<void()>> wave;
+  // In-process back-end.  Every request builds one lane fleet and one app
+  // schedule per replica; stage s of every schedule in the batch then runs
+  // as ONE merged pool wave.  Lane tasks are self-contained (own backends
+  // and arenas, disjoint rows of their own replica's stage image), so wave
+  // composition cannot change any bit.
+  std::size_t stages = 0;
   for (auto& p : batch) {
     try {
       const Request& q = p->request;
-      const OutputShape shape = outputShapeFor(q);
-      const std::size_t replicas = std::max<std::size_t>(
-          q.redundancy.replicas, 1);
-      p->execs.reserve(replicas);
-      p->replicaOut.reserve(replicas);
-      if (q.app == apps::AppKind::Morphology) p->morphTmp.reserve(replicas);
+      const std::size_t replicas =
+          std::max<std::size_t>(q.redundancy.replicas, 1);
       const ExecShape es{config_.lanes, config_.rowsPerTile};
+      p->fleets.reserve(replicas);
+      p->runs.reserve(replicas);
       for (std::size_t r = 0; r < replicas; ++r) {
-        p->execs.push_back(makeRequestExecutor(
+        p->fleets.push_back(makeRequestExecutor(
             es, q, reliability::replicaSeed(p->effectiveSeed, r),
             faultCache_));
-        // Staging init mirrors each app's whole-image form (shared with the
-        // shard worker — see request_kernels.hpp): morphology's source copy
-        // is the erode intermediate, its output starts blank.
-        if (q.app == apps::AppKind::Morphology) {
-          p->morphTmp.push_back(makeStage0Staging(q, shape));
-          p->replicaOut.push_back(img::Image(shape.width, shape.height));
-        } else {
-          p->replicaOut.push_back(makeStage0Staging(q, shape));
-        }
-        img::Image& stage0Out = q.app == apps::AppKind::Morphology
-                                    ? p->morphTmp[r]
-                                    : p->replicaOut[r];
-        auto tasks = p->execs[r]->laneTasks(stage0Out.height(),
-                                            stage0Kernel(q, stage0Out));
-        for (auto& t : tasks) wave.push_back(std::move(t));
+        p->runs.emplace_back(framesOf(q));
       }
+      stages = std::max(stages, p->runs.front().stages());
     } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lock(ticketMutex_);
-      p->error = e.what();
-      p->done = true;
-      ticketCv_.notify_all();
+      fail(*p, e.what());
     }
   }
-
   try {
-    pool_.run(std::move(wave));
-
-    // Stage 1 (morphology riders only): seed the dilate staging from the
-    // eroded intermediate, then run the second merged wave on the SAME
-    // lane fleets — exactly openKernelTiled's two-pass schedule.
-    std::vector<std::function<void()>> wave1;
-    for (auto& p : batch) {
-      if (p->done || p->request.app != apps::AppKind::Morphology) continue;
-      for (std::size_t r = 0; r < p->execs.size(); ++r) {
-        p->replicaOut[r].pixels() = p->morphTmp[r].pixels();
-        auto tasks = p->execs[r]->laneTasks(
-            p->replicaOut[r].height(),
-            stage1Kernel(p->morphTmp[r], p->replicaOut[r]));
-        for (auto& t : tasks) wave1.push_back(std::move(t));
+    for (std::size_t s = 0; s < stages; ++s) {
+      std::vector<std::function<void()>> wave;
+      for (auto& p : batch) {
+        if (p->done) continue;  // failed in setup
+        for (std::size_t r = 0; r < p->runs.size(); ++r) {
+          if (s >= p->runs[r].stages()) continue;
+          for (auto& t : p->runs[r].laneTasks(*p->fleets[r], s)) {
+            wave.push_back(std::move(t));
+          }
+        }
       }
+      pool_.run(std::move(wave));
     }
-    if (!wave1.empty()) pool_.run(std::move(wave1));
   } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(ticketMutex_);
     for (auto& p : batch) {
-      if (p->done) continue;
-      p->error = std::string("batch execution failed: ") + e.what();
-      p->done = true;
+      if (!p->done) fail(*p, std::string("batch execution failed: ") + e.what());
     }
-    ticketCv_.notify_all();
     return;
   }
+  const double execMicros = microsSince(batchStart, Clock::now());
 
-  const auto batchEnd = Clock::now();
-  const double execMicros = microsSince(batchStart, batchEnd);
-  countBatch(batch.size());
-
-  // Join: vote, write through the client span, bill the tenant.
   for (auto& p : batch) {
-    if (p->done) continue;  // failed in setup
-    const Request& q = p->request;
+    if (p->done) continue;
+    std::vector<std::vector<std::uint8_t>> outputs;
     RequestResult res;
-    try {
-      std::vector<std::vector<std::uint8_t>> outputs;
-      outputs.reserve(p->replicaOut.size());
-      for (auto& image : p->replicaOut) {
-        outputs.push_back(std::move(image.pixels()));
-      }
-      const reliability::Vote vote =
-          reliability::resolveVote(q.redundancy.vote, q.design);
-      const std::vector<std::uint8_t> voted =
-          outputs.size() == 1 ? std::move(outputs.front())
-                              : reliability::voteImages(outputs, vote);
-      q.out.assign(voted);
-
-      for (auto& exec : p->execs) {
-        res.events += exec->totalEvents();
-        for (std::size_t i = 0; i < exec->lanes(); ++i) {
-          res.opCount += exec->backend(i).opCount();
-        }
-      }
-      res.queueMicros = microsSince(p->submitTime, batchStart);
-      res.execMicros = execMicros;
-      res.batchSize = batch.size();
-
-      {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        TenantLedger& ledger = ledgers_[p->tenant];
-        ledger.requests += 1;
-        ledger.pixels += voted.size();
-        ledger.replicasRun += p->execs.size();
-        ledger.opCount += res.opCount;
-        ledger.events += res.events;
-        ++stats_.requestsServed;
-      }
-    } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lock(ticketMutex_);
-      p->error = e.what();
-      p->done = true;
-      ticketCv_.notify_all();
-      continue;
+    for (std::size_t r = 0; r < p->runs.size(); ++r) {
+      outputs.push_back(std::move(p->runs[r].output().pixels()));
+      res.events += p->fleets[r]->totalEvents();
+      res.opCount += p->fleets[r]->totalOpCount();
     }
-
     // Free the batch-local execution state before handing the result over.
-    p->execs.clear();
-    p->replicaOut.clear();
-    p->morphTmp.clear();
-
-    std::lock_guard<std::mutex> lock(ticketMutex_);
-    p->result = res;
-    p->done = true;
-    ticketCv_.notify_all();
+    p->runs.clear();
+    p->fleets.clear();
+    stamp(*p, res, execMicros);
+    join(*p, outputs, res);
   }
+}
+
+void AcceleratorService::join(Pending& p,
+                              std::vector<std::vector<std::uint8_t>>& outputs,
+                              const RequestResult& res) {
+  const Request& q = p.request;
+  try {
+    const std::vector<std::uint8_t> voted =
+        outputs.size() == 1
+            ? std::move(outputs.front())
+            : reliability::voteImages(
+                  outputs,
+                  reliability::resolveVote(q.redundancy.vote, q.design));
+    q.out.assign(voted);
+
+    std::lock_guard<std::mutex> lock(statsMutex_);
+    TenantLedger& ledger = ledgers_[p.tenant];
+    ledger.requests += 1;
+    ledger.pixels += voted.size();
+    ledger.replicasRun += outputs.size();
+    ledger.opCount += res.opCount;
+    ledger.events += res.events;
+    if (res.degraded) ++stats_.degradedRequests;
+    ++stats_.requestsServed;
+    publishFabricStatsLocked();
+  } catch (const std::exception& e) {
+    fail(p, e.what());
+    return;
+  }
+  std::lock_guard<std::mutex> lock(ticketMutex_);
+  p.result = res;
+  p.done = true;
+  ticketCv_.notify_all();
+}
+
+void AcceleratorService::fail(Pending& p, const std::string& error) {
+  {
+    std::lock_guard<std::mutex> lock(statsMutex_);
+    publishFabricStatsLocked();
+  }
+  std::lock_guard<std::mutex> lock(ticketMutex_);
+  p.error = error;
+  p.done = true;
+  ticketCv_.notify_all();
+}
+
+void AcceleratorService::publishFabricStatsLocked() {
+  if (coordinator_ == nullptr) return;
+  const shard::FabricStats& fs = coordinator_->fabric().stats();
+  stats_.shardRetries = fs.retries;
+  stats_.shardRespawns = fs.respawns;
+  stats_.shardTimeouts = fs.timeouts;
+  stats_.shardGarbageReplies = fs.garbageReplies;
+  stats_.shardFaultsInjected = fs.faultsInjected;
+  stats_.deadShards = fs.deadShards;
+  stats_.reassignedDispatches = coordinator_->reassignedDispatches();
 }
 
 void AcceleratorService::countBatch(std::size_t size) {

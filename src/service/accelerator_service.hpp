@@ -6,23 +6,26 @@
 /// Serving model (docs/SERVICE.md):
 ///
 ///   clients --submit/trySubmit--> [BoundedQueue] --popBatch--> dispatcher
-///        <--poll/wait-- tickets <--join/vote/bill-- [one pool wave/batch]
+///        <--poll/waitOutcome-- tickets <--join/vote/bill-- [stage waves]
 ///
 /// * **Queue**: bounded MPMC; `submit` blocks while full (backpressure),
 ///   `trySubmit` refuses.  The dispatcher drains up to `maxBatch` requests,
 ///   waiting at most `flushDeadline` past the first for stragglers.
 /// * **Batching**: each request builds its own independently-seeded lane
-///   fleet (a `TileExecutor` per replica), but the lane *tasks* of every
-///   request in the batch are merged into ONE worker-pool wave, so a
-///   2-request batch fills the pool twice as densely as two solo runs.
+///   fleet (a `TileExecutor` per replica) and runs the app schedule on it
+///   (apps/schedule.hpp), but the stage-s lane *tasks* of every request in
+///   the batch are merged into ONE worker-pool wave, so a 2-request batch
+///   fills the pool twice as densely as two solo runs.  With `shards > 0`
+///   the replicas go to the shard coordinator instead, one after another.
 /// * **Determinism**: a lane task is self-contained (own backends, own
 ///   arenas, disjoint output rows in its own request's buffer), so which
 ///   pool thread runs it — and which strangers share the wave — cannot
 ///   change any bit.  Output bytes are a pure function of (request fields,
 ///   tenant seed namespace).  `tests/test_service.cpp` hammers this.
-/// * **Accounting**: at join the request's replica outputs are voted
-///   (reliability::voteImages), written into the client's `ImageSpan`, and
-///   the replica-summed event/op ledgers are billed to the tenant.
+/// * **Accounting**: both back-ends feed one join: the request's replica
+///   outputs are voted (reliability::voteImages), written into the client's
+///   `ImageSpan`, the replica-summed event/op ledgers are billed to the
+///   tenant, and the ticket resolves.
 #pragma once
 
 #include <chrono>
@@ -111,22 +114,11 @@ class AcceleratorService {
   /// True once the ticket's request has resolved (result ready or failed).
   bool poll(const Ticket& ticket) const;
 
-  /// Blocks until resolved, then redeems the ticket (single use).  Throws
-  /// std::runtime_error if the request failed in execution,
-  /// std::invalid_argument for an unknown/already-redeemed ticket.
-  RequestResult wait(const Ticket& ticket);
-
-  /// wait() with a deadline: nullopt when the ticket is still unresolved
-  /// after \p timeout (the ticket stays live and redeemable later); the
-  /// same exceptions as wait() otherwise.
-  std::optional<RequestResult> waitFor(const Ticket& ticket,
-                                       std::chrono::microseconds timeout);
-
-  /// Typed redemption: NEVER throws on execution failure — a Failed
-  /// outcome carries the error string instead, and Degraded marks a
-  /// request that recovered onto stand-in shards (bytes identical either
-  /// way).  Still throws std::invalid_argument for an unknown or
-  /// already-redeemed ticket.
+  /// Blocks until resolved, then redeems the ticket (single use).  NEVER
+  /// throws on execution failure — a Failed outcome carries the error
+  /// string instead, and Degraded marks a request that recovered onto
+  /// stand-in shards (bytes identical either way).  Throws
+  /// std::invalid_argument for an unknown or already-redeemed ticket.
   TicketOutcome waitOutcome(const Ticket& ticket);
 
   /// waitOutcome() with a deadline: nullopt while unresolved (the ticket
@@ -134,7 +126,8 @@ class AcceleratorService {
   std::optional<TicketOutcome> waitOutcomeFor(
       const Ticket& ticket, std::chrono::microseconds timeout);
 
-  /// Blocking convenience wrapper: submit + wait.
+  /// Blocking convenience wrapper: submit + waitOutcome.  Throws
+  /// std::runtime_error if the request failed in execution.
   RequestResult run(TenantId tenant, const Request& request);
 
   /// Gives \p tenant its own seed universe (see TenantLedger::seedNamespace;
@@ -166,10 +159,28 @@ class AcceleratorService {
  private:
   struct Pending;
 
-  std::uint64_t namespacedSeed(TenantId tenant, std::uint64_t seed) const;
+  /// The one redemption path: blocks for at most \p timeout (forever when
+  /// empty); nullopt while the ticket is still unresolved.
+  std::optional<TicketOutcome> redeem(
+      const Ticket& ticket, std::optional<std::chrono::microseconds> timeout);
   void dispatchLoop();
+  /// Runs a batch on the shard coordinator (`shards > 0`) or as merged
+  /// in-process stage waves, then joins every request.
   void executeBatch(std::vector<std::shared_ptr<Pending>>& batch);
-  void executeBatchSharded(std::vector<std::shared_ptr<Pending>>& batch);
+  /// The join both back-ends feed: votes \p outputs (one per replica),
+  /// writes the voted bytes through the client span, bills the tenant and
+  /// resolves the ticket with \p res.
+  void join(Pending& p, std::vector<std::vector<std::uint8_t>>& outputs,
+            const RequestResult& res);
+  /// Resolves \p p's ticket as failed.
+  void fail(Pending& p, const std::string& error);
+  /// Copies the shard fabric's cumulative counters into the stats (caller
+  /// holds statsMutex_; no-op in-process).  The supervisor is
+  /// dispatcher-thread-only, so this copy is the one place they become
+  /// visible to stats() readers; it runs before each ticket resolves, so a
+  /// client that redeems its ticket sees the recovery work its own request
+  /// caused.
+  void publishFabricStatsLocked();
   /// Counts a batch of \p size in the stats before any of its tickets
   /// resolves (as each served request is), so a client that redeems its
   /// ticket and then reads stats() sees the batch it rode.

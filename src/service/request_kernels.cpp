@@ -1,13 +1,5 @@
 #include "service/request_kernels.hpp"
 
-#include <stdexcept>
-
-#include "apps/bilinear.hpp"
-#include "apps/compositing.hpp"
-#include "apps/filters.hpp"
-#include "apps/matting.hpp"
-#include "apps/morphology.hpp"
-
 namespace aimsc::service {
 
 std::unique_ptr<core::TileExecutor> makeRequestExecutor(
@@ -40,76 +32,30 @@ std::unique_ptr<core::TileExecutor> makeRequestExecutor(
       core::makeBackendLanes(q.design, bc, shape.lanes), par);
 }
 
-img::Image makeStage0Staging(const Request& q, const OutputShape& shape) {
-  // Staging init mirrors each app's whole-image form: smoothing and
-  // morphology copy the source through (borders), the rest start blank and
-  // are fully overwritten.
-  if (q.app == apps::AppKind::Filters || q.app == apps::AppKind::Morphology) {
-    return q.src.toImage();
-  }
-  return img::Image(shape.width, shape.height);
+apps::AppFrames framesOf(const Request& q) {
+  apps::AppFrames f;
+  f.app = q.app;
+  f.src = q.src;
+  f.aux1 = q.aux1;
+  f.aux2 = q.aux2;
+  f.gamma = q.gamma;
+  f.upscaleFactor = q.upscaleFactor;
+  return f;
+}
+
+img::Image makeStage0Staging(const Request& q, const OutputShape&) {
+  return apps::stagingImage(framesOf(q));
 }
 
 core::TileExecutor::ArenaTileKernel stage0Kernel(const Request& q,
                                                  img::Image& out) {
-  const img::ImageSpan dst(out);
-  switch (q.app) {
-    case apps::AppKind::Compositing: {
-      const apps::CompositingFrames frames(q.src, q.aux1, q.aux2);
-      return [frames, dst](core::ScBackend& b, core::StreamArena& arena,
-                           std::size_t r0, std::size_t r1) {
-        apps::compositeKernelRows(frames, b, arena, dst, r0, r1);
-      };
-    }
-    case apps::AppKind::Matting: {
-      const apps::MattingFrames frames(q.src, q.aux1, q.aux2);
-      return [frames, dst](core::ScBackend& b, core::StreamArena& arena,
-                           std::size_t r0, std::size_t r1) {
-        apps::mattingKernelRows(frames, b, arena, dst, r0, r1);
-      };
-    }
-    case apps::AppKind::Bilinear: {
-      const img::ImageView src = q.src;
-      const std::size_t factor = q.upscaleFactor;
-      return [src, factor, dst](core::ScBackend& b, core::StreamArena& arena,
-                                std::size_t r0, std::size_t r1) {
-        apps::upscaleKernelRows(src, factor, b, arena, dst, r0, r1);
-      };
-    }
-    case apps::AppKind::Filters: {
-      const img::ImageView src = q.src;
-      return [src, dst](core::ScBackend& b, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        apps::smoothKernelRows(src, b, arena, dst, r0, r1);
-      };
-    }
-    case apps::AppKind::Gamma: {
-      const img::ImageView src = q.src;
-      const double gamma = q.gamma;
-      return [src, gamma, dst](core::ScBackend& b, core::StreamArena& arena,
-                               std::size_t r0, std::size_t r1) {
-        apps::gammaKernelRows(src, gamma, b, arena, dst, r0, r1);
-      };
-    }
-    case apps::AppKind::Morphology: {
-      const img::ImageView src = q.src;
-      return [src, dst](core::ScBackend& b, core::StreamArena& arena,
-                        std::size_t r0, std::size_t r1) {
-        apps::erodeKernelRows(src, b, arena, dst, r0, r1);
-      };
-    }
-  }
-  throw std::invalid_argument("service: bad app");
+  return apps::stageKernel(framesOf(q), 0, out);
 }
 
 core::TileExecutor::ArenaTileKernel stage1Kernel(const img::Image& tmp,
                                                  img::Image& out) {
-  const img::ImageView src(tmp);
-  const img::ImageSpan dst(out);
-  return [src, dst](core::ScBackend& b, core::StreamArena& arena,
-                    std::size_t r0, std::size_t r1) {
-    apps::dilateKernelRows(src, b, arena, dst, r0, r1);
-  };
+  return apps::stageKernel(apps::framesOf(apps::AppKind::Morphology, tmp), 1,
+                           out);
 }
 
 }  // namespace aimsc::service

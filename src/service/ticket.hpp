@@ -7,12 +7,11 @@
 /// drops its side of the bookkeeping when a wait resolves, so a ticket is
 /// single-redemption.
 ///
-/// Two redemption styles exist: `wait`/`waitFor` return a bare
-/// `RequestResult` and THROW on execution failure; `waitOutcome` /
-/// `waitOutcomeFor` return a `TicketOutcome` whose `TicketStatus` encodes
-/// failure as data — the form supervision-aware clients use, since a
-/// degraded-but-byte-identical success and a hard failure deserve
-/// different handling, not different control flow.
+/// `waitOutcome` / `waitOutcomeFor` return a `TicketOutcome` whose
+/// `TicketStatus` encodes failure as data: a degraded-but-byte-identical
+/// success and a hard failure deserve different handling, not different
+/// control flow.  `AcceleratorService::run` is the blocking shorthand that
+/// returns the bare `RequestResult` and throws on failure.
 #pragma once
 
 #include <cstdint>

@@ -5,8 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "reliability/redundancy.hpp"
-
 namespace aimsc::shard {
 
 namespace {
@@ -163,33 +161,6 @@ ShardCoordinator::ReplicaRun ShardCoordinator::runReplica(
     throw std::runtime_error("shard merge: lane ledger missing");
   }
   return run;
-}
-
-service::RequestResult ShardCoordinator::runReplicated(
-    service::TenantId tenant, const service::Request& q,
-    std::uint64_t seedNamespace, std::uint64_t effectiveSeed) {
-  const std::size_t replicas =
-      std::max<std::size_t>(q.redundancy.replicas, 1);
-
-  service::RequestResult res;
-  std::vector<std::vector<std::uint8_t>> outputs;
-  outputs.reserve(replicas);
-  for (std::size_t r = 0; r < replicas; ++r) {
-    ReplicaRun run = runReplica(q, tenant, seedNamespace,
-                                reliability::replicaSeed(effectiveSeed, r));
-    res.events += run.events;
-    res.opCount += run.opCount;
-    res.degraded = res.degraded || run.degraded;
-    outputs.push_back(std::move(run.pixels));
-  }
-
-  const reliability::Vote vote =
-      reliability::resolveVote(q.redundancy.vote, q.design);
-  const std::vector<std::uint8_t> voted =
-      outputs.size() == 1 ? std::move(outputs.front())
-                          : reliability::voteImages(outputs, vote);
-  q.out.assign(voted);
-  return res;
 }
 
 }  // namespace aimsc::shard

@@ -65,19 +65,11 @@ class ShardCoordinator {
   /// the row segments into the full output image.  Throws
   /// std::runtime_error on deterministic worker failure, incomplete row
   /// coverage, or when every shard is dead.
+  /// The sharded AcceleratorService runs every replica of a request
+  /// through here and votes them in its join.
   ReplicaRun runReplica(const service::Request& q, service::TenantId tenant,
                         std::uint64_t seedNamespace,
                         std::uint64_t replicaSeed);
-
-  /// Full request execution equal to the solo path: runs every replica
-  /// through runReplica, votes (reliability::voteImages), writes the voted
-  /// bytes through `q.out`, and returns the replica-summed ledgers (with
-  /// `degraded` set if any replica ran degraded).  \p effectiveSeed is the
-  /// tenant-namespaced request seed.
-  service::RequestResult runReplicated(service::TenantId tenant,
-                                       const service::Request& q,
-                                       std::uint64_t seedNamespace,
-                                       std::uint64_t effectiveSeed);
 
   ShardSupervisor& fabric() { return *fabric_; }
   const ShardSupervisor& fabric() const { return *fabric_; }

@@ -1,6 +1,5 @@
 #include "shard/transport.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -249,17 +248,109 @@ std::vector<std::uint8_t> LoopbackChannel::receive() {
   return reply;
 }
 
-SubprocessChannel::SubprocessChannel(ChannelDeadlines deadlines)
-    : deadlines_(deadlines) {
+namespace {
+
+/// A fork()ed worker process over a connected stream socket — the one
+/// channel both process transports use.  They differ only in how the fd is
+/// made (spawnSocketpairWorker, spawnTcpWorker).  SHOULD be built before
+/// the parent spawns threads (fork-safety); AcceleratorService orders its
+/// members so the initial coordinator forks ahead of the worker pool.
+/// (Supervisor respawns fork later by necessity — glibc's fork handlers
+/// make the child's allocator usable, and the child only runs the
+/// self-contained worker loop.)  The destructor closes the socket (the
+/// worker sees EOF and exits) and reaps the child.
+class FdChannel final : public ShardChannel {
+ public:
+  FdChannel(int fd, int pid, ChannelDeadlines deadlines)
+      : deadlines_(deadlines), fd_(fd), pid_(pid) {
+    registerParentFd(fd_);
+  }
+
+  ~FdChannel() override {
+    if (fd_ >= 0) {
+      unregisterParentFd(fd_);
+      ::close(fd_);  // worker sees EOF and exits cleanly
+    }
+    if (pid_ > 0) {
+      int status = 0;
+      ::waitpid(pid_, &status, 0);
+    }
+  }
+
+  FdChannel(const FdChannel&) = delete;
+  FdChannel& operator=(const FdChannel&) = delete;
+
+  void send(std::span<const std::uint8_t> frame) override {
+    if (poisoned_) poison("worker previously failed");
+    switch (writeFrameWithin(fd_, frame, deadlines_.send)) {
+      case IoResult::Ok:
+        return;
+      case IoResult::Timeout:
+        // A partial frame may be in flight: the stream is suspect but the
+        // worker may only be slow.  Not poisoned; the supervisor decides.
+        throw ChannelTimeout("shard channel: send deadline expired");
+      case IoResult::Closed:
+        break;
+    }
+    poison("worker unreachable (send failed)");
+  }
+
+  std::vector<std::uint8_t> receive() override {
+    if (poisoned_) poison("worker previously failed");
+    std::vector<std::uint8_t> frame;
+    switch (readFrameWithin(fd_, frame, deadlines_.recv)) {
+      case IoResult::Ok:
+        return frame;
+      case IoResult::Timeout:
+        throw ChannelTimeout("shard channel: recv deadline expired");
+      case IoResult::Closed:
+        break;
+    }
+    poison("worker died before replying");
+  }
+
+  void terminate() override {
+    poisoned_ = true;
+    if (pid_ > 0) {
+      ::kill(pid_, SIGKILL);
+      int status = 0;
+      ::waitpid(pid_, &status, 0);
+      pid_ = -1;
+    }
+    if (fd_ >= 0) {
+      unregisterParentFd(fd_);
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+
+  int workerPid() const override { return pid_; }
+  bool healthy() const override { return !poisoned_; }
+
+ private:
+  [[noreturn]] void poison(const char* what) {
+    poisoned_ = true;
+    throw std::runtime_error(std::string("shard channel: ") + what);
+  }
+
+  ChannelDeadlines deadlines_;
+  int fd_ = -1;
+  int pid_ = -1;
+  bool poisoned_ = false;
+};
+
+/// Forks a worker over a socketpair(AF_UNIX, SOCK_STREAM).
+std::unique_ptr<ShardChannel> spawnSocketpairWorker(
+    ChannelDeadlines deadlines) {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    throw std::runtime_error("SubprocessChannel: socketpair failed");
+    throw std::runtime_error("spawnSocketpairWorker: socketpair failed");
   }
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
     ::close(fds[1]);
-    throw std::runtime_error("SubprocessChannel: fork failed");
+    throw std::runtime_error("spawnSocketpairWorker: fork failed");
   }
   if (pid == 0) {
     // Worker child: serve frames until the parent closes its end.  _exit,
@@ -270,157 +361,11 @@ SubprocessChannel::SubprocessChannel(ChannelDeadlines deadlines)
     ::_exit(shardWorkerMain(fds[1]));
   }
   ::close(fds[1]);
-  fd_ = fds[0];
-  pid_ = pid;
-  registerParentFd(fd_);
+  return std::make_unique<FdChannel>(fds[0], pid, deadlines);
 }
 
-SubprocessChannel::~SubprocessChannel() {
-  if (fd_ >= 0) {
-    unregisterParentFd(fd_);
-    ::close(fd_);  // worker sees EOF and exits cleanly
-  }
-  if (pid_ > 0) {
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-}
-
-void SubprocessChannel::terminate() {
-  poisoned_ = true;
-  if (pid_ > 0) {
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-  if (fd_ >= 0) {
-    unregisterParentFd(fd_);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-void SubprocessChannel::poison(const char* what) {
-  poisoned_ = true;
-  throw std::runtime_error(std::string("SubprocessChannel: ") + what);
-}
-
-void SubprocessChannel::send(std::span<const std::uint8_t> frame) {
-  if (poisoned_) poison("worker previously failed");
-  switch (writeFrameWithin(fd_, frame, deadlines_.send)) {
-    case IoResult::Ok:
-      return;
-    case IoResult::Timeout:
-      // A partial frame may be in flight: the stream is suspect but the
-      // worker may only be slow.  Not poisoned; the supervisor decides.
-      throw ChannelTimeout("SubprocessChannel: send deadline expired");
-    case IoResult::Closed:
-      break;
-  }
-  poison("worker unreachable (send failed)");
-}
-
-std::vector<std::uint8_t> SubprocessChannel::receive() {
-  if (poisoned_) poison("worker previously failed");
-  std::vector<std::uint8_t> frame;
-  switch (readFrameWithin(fd_, frame, deadlines_.recv)) {
-    case IoResult::Ok:
-      return frame;
-    case IoResult::Timeout:
-      throw ChannelTimeout("SubprocessChannel: recv deadline expired");
-    case IoResult::Closed:
-      break;
-  }
-  poison("worker died before replying");
-}
-
-TcpChannel::TcpChannel(int connectedFd, int pid, ChannelDeadlines deadlines)
-    : deadlines_(deadlines), fd_(connectedFd), pid_(pid) {
-  registerParentFd(fd_);
-}
-
-TcpChannel::TcpChannel(const std::string& host, std::uint16_t port,
-                       ChannelDeadlines deadlines)
-    : deadlines_(deadlines) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("TcpChannel: bad IPv4 address " + host);
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) throw std::runtime_error("TcpChannel: socket failed");
-  if (!connectWithin(fd, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr), deadlines_.connect)) {
-    ::close(fd);
-    throw std::runtime_error("TcpChannel: connect to " + host + " timed out "
-                             "or was refused");
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
-  registerParentFd(fd_);
-}
-
-TcpChannel::~TcpChannel() {
-  if (fd_ >= 0) {
-    unregisterParentFd(fd_);
-    ::close(fd_);
-  }
-  if (pid_ > 0) {
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-  }
-}
-
-void TcpChannel::terminate() {
-  poisoned_ = true;
-  if (pid_ > 0) {
-    ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    pid_ = -1;
-  }
-  if (fd_ >= 0) {
-    unregisterParentFd(fd_);
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-void TcpChannel::poison(const char* what) {
-  poisoned_ = true;
-  throw std::runtime_error(std::string("TcpChannel: ") + what);
-}
-
-void TcpChannel::send(std::span<const std::uint8_t> frame) {
-  if (poisoned_) poison("worker previously failed");
-  switch (writeFrameWithin(fd_, frame, deadlines_.send)) {
-    case IoResult::Ok:
-      return;
-    case IoResult::Timeout:
-      throw ChannelTimeout("TcpChannel: send deadline expired");
-    case IoResult::Closed:
-      break;
-  }
-  poison("worker unreachable (send failed)");
-}
-
-std::vector<std::uint8_t> TcpChannel::receive() {
-  if (poisoned_) poison("worker previously failed");
-  std::vector<std::uint8_t> frame;
-  switch (readFrameWithin(fd_, frame, deadlines_.recv)) {
-    case IoResult::Ok:
-      return frame;
-    case IoResult::Timeout:
-      throw ChannelTimeout("TcpChannel: recv deadline expired");
-    case IoResult::Closed:
-      break;
-  }
-  poison("worker died before replying");
-}
-
+/// Forks a worker that accepts ONE connection on an ephemeral loopback TCP
+/// port and serves it, then connects to it within the connect deadline.
 std::unique_ptr<ShardChannel> spawnTcpWorker(ChannelDeadlines deadlines) {
   const int listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listenFd < 0) throw std::runtime_error("spawnTcpWorker: socket failed");
@@ -439,19 +384,18 @@ std::unique_ptr<ShardChannel> spawnTcpWorker(ChannelDeadlines deadlines) {
     ::close(listenFd);
     throw std::runtime_error("spawnTcpWorker: getsockname failed");
   }
-  const std::uint16_t port = ntohs(addr.sin_port);
 
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(listenFd);
     throw std::runtime_error("spawnTcpWorker: fork failed");
   }
+  const int one = 1;
   if (pid == 0) {
     closeInheritedParentFds();
     const int conn = ::accept(listenFd, nullptr, nullptr);
     ::close(listenFd);
     if (conn < 0) ::_exit(3);
-    const int one = 1;
     ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     ::_exit(shardWorkerMain(conn));
   }
@@ -470,10 +414,11 @@ std::unique_ptr<ShardChannel> spawnTcpWorker(ChannelDeadlines deadlines) {
                      sizeof(addr), deadlines.connect)) {
     fail("connect deadline expired");
   }
-  const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return std::unique_ptr<ShardChannel>(new TcpChannel(fd, pid, deadlines));
+  return std::make_unique<FdChannel>(fd, pid, deadlines);
 }
+
+}  // namespace
 
 std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
     ShardTransportKind kind, std::size_t count, ChannelDeadlines deadlines) {
@@ -482,7 +427,7 @@ std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
   for (std::size_t i = 0; i < count; ++i) {
     switch (kind) {
       case ShardTransportKind::Subprocess:
-        channels.push_back(std::make_unique<SubprocessChannel>(deadlines));
+        channels.push_back(spawnSocketpairWorker(deadlines));
         break;
       case ShardTransportKind::Tcp:
         channels.push_back(spawnTcpWorker(deadlines));

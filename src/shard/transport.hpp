@@ -3,24 +3,22 @@
 ///
 /// A `ShardChannel` moves opaque wire frames (see wire.hpp) between the
 /// coordinator and ONE worker, preserving frame boundaries and order.
-/// Three implementations ship:
+/// `makeShardChannels` builds them; two implementations ship:
 ///
 ///  * `LoopbackChannel` — an in-process worker behind the same codec path
 ///    (every byte still round-trips through encode/decode, so loopback runs
 ///    exercise the full wire contract without a process boundary);
-///  * `SubprocessChannel` — `fork()` + `socketpair(AF_UNIX, SOCK_STREAM)`
-///    with u32 length-prefixed framing: a REAL process boundary, the
-///    configuration CI's differential tests run;
-///  * `TcpChannel` — the same framing over TCP.  `spawnTcpWorker` forks a
-///    worker that serves one accepted connection on an ephemeral loopback
-///    port (the single-host deployment); the host:port constructor reaches
-///    a worker anywhere (`shardWorkerTcpMain` is the remote serve loop).
+///  * a process channel — a `fork()`ed worker over a connected stream
+///    socket with u32 length-prefixed framing: a REAL process boundary.
+///    `ShardTransportKind::Subprocess` makes the socket with
+///    `socketpair(AF_UNIX, SOCK_STREAM)`; `ShardTransportKind::Tcp` has the
+///    worker accept one connection on an ephemeral loopback TCP port.  Only
+///    the fd differs; framing, deadlines and failure handling are shared.
 ///
-/// Every process-backed channel takes `ChannelDeadlines`: connect, send and
-/// recv are bounded by `poll()`-based deadlines, so a wedged worker
-/// surfaces as `ChannelTimeout` instead of blocking the coordinator
-/// forever — the hook `ShardSupervisor` (supervisor.hpp) turns into
-/// kill-respawn-replay.
+/// Process channels take `ChannelDeadlines`: connect, send and recv are
+/// bounded by `poll()`-based deadlines, so a wedged worker surfaces as
+/// `ChannelTimeout` instead of blocking the coordinator forever — the hook
+/// `ShardSupervisor` (supervisor.hpp) turns into kill-respawn-replay.
 ///
 /// Failure semantics (docs/SHARDING.md): a dead or misbehaving worker
 /// surfaces as `std::runtime_error` from send()/receive() — callers turn
@@ -115,84 +113,19 @@ class LoopbackChannel final : public ShardChannel {
   std::deque<std::vector<std::uint8_t>> replies_;
 };
 
-/// A fork()ed worker process over a socketpair.  SHOULD be constructed
-/// before the parent spawns threads (fork-safety); AcceleratorService
-/// orders its members so the initial coordinator forks ahead of the worker
-/// pool.  (Supervisor respawns fork later by necessity — glibc's fork
-/// handlers make the child's allocator usable, and the child only runs the
-/// self-contained worker loop.)  The destructor closes the socket (worker
-/// sees EOF and exits) and reaps the child.
-class SubprocessChannel final : public ShardChannel {
- public:
-  explicit SubprocessChannel(ChannelDeadlines deadlines = {});
-  ~SubprocessChannel() override;
-
-  SubprocessChannel(const SubprocessChannel&) = delete;
-  SubprocessChannel& operator=(const SubprocessChannel&) = delete;
-
-  void send(std::span<const std::uint8_t> frame) override;
-  std::vector<std::uint8_t> receive() override;
-  void terminate() override;
-  int workerPid() const override { return pid_; }
-  bool healthy() const override { return !poisoned_; }
-
- private:
-  [[noreturn]] void poison(const char* what);
-
-  ChannelDeadlines deadlines_;
-  int fd_ = -1;
-  int pid_ = -1;
-  bool poisoned_ = false;
-};
-
-/// A worker over TCP.  Two forms:
-///  * `spawnTcpWorker()` — binds an ephemeral loopback port, forks a worker
-///    child that accepts ONE connection and serves it, then connects (with
-///    the connect deadline).  The single-host deployment and the form the
-///    differential tests run.
-///  * `TcpChannel(host, port)` — connects to an already-listening worker
-///    (`shardWorkerTcpMain`); `workerPid()` is -1 and `terminate()` only
-///    closes the connection (the remote supervisor owns the process).
-class TcpChannel final : public ShardChannel {
- public:
-  TcpChannel(const std::string& host, std::uint16_t port,
-             ChannelDeadlines deadlines = {});
-  ~TcpChannel() override;
-
-  TcpChannel(const TcpChannel&) = delete;
-  TcpChannel& operator=(const TcpChannel&) = delete;
-
-  void send(std::span<const std::uint8_t> frame) override;
-  std::vector<std::uint8_t> receive() override;
-  void terminate() override;
-  int workerPid() const override { return pid_; }
-  bool healthy() const override { return !poisoned_; }
-
- private:
-  friend std::unique_ptr<ShardChannel> spawnTcpWorker(ChannelDeadlines);
-  TcpChannel(int connectedFd, int pid, ChannelDeadlines deadlines);
-
-  [[noreturn]] void poison(const char* what);
-
-  ChannelDeadlines deadlines_;
-  int fd_ = -1;
-  int pid_ = -1;  ///< -1 for remote (host:port) workers
-  bool poisoned_ = false;
-};
-
-/// Forks a local worker serving one TCP connection on an ephemeral loopback
-/// port and connects to it (see TcpChannel).
-std::unique_ptr<ShardChannel> spawnTcpWorker(ChannelDeadlines deadlines = {});
-
 /// Builds \p count channels of \p kind (the coordinator's worker set).
+/// Process channels fork their workers here, so call this before the
+/// parent spawns threads (AcceleratorService does); the destructor of a
+/// process channel closes its socket (the worker sees EOF and exits) and
+/// reaps the child.
 std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
     ShardTransportKind kind, std::size_t count,
     ChannelDeadlines deadlines = {});
 
 /// Low-level u32-length-framed I/O over a POSIX fd — the worker side of the
-/// transports (shardWorkerMain's read/write loop).  readFrame returns false
-/// on EOF, an oversized length, or a short read; writeFrame returns false
-/// when the peer is gone (SIGPIPE is suppressed).
+/// process channels (shardWorkerMain's read/write loop).  readFrame returns
+/// false on EOF, an oversized length, or a short read; writeFrame returns
+/// false when the peer is gone (SIGPIPE is suppressed).
 bool readFrame(int fd, std::vector<std::uint8_t>& frame);
 bool writeFrame(int fd, std::span<const std::uint8_t> frame);
 

@@ -1,12 +1,8 @@
 #include "shard/worker.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <exception>
 
 #include "service/request_kernels.hpp"
@@ -95,31 +91,20 @@ WireReply ShardWorker::execute(const WireRequest& wq) {
     return lane % stride == begin;
   };
 
-  img::Image staging = service::makeStage0Staging(q, shape);
-  auto stage0 = exec->laneTasks(staging.height(),
-                                service::stage0Kernel(q, staging));
-
-  img::Image morphOut;
-  const img::Image* output = &staging;
-  if (q.app == apps::AppKind::Morphology) {
-    // Dilate reads the FULL eroded intermediate, so stage 0 runs for every
-    // lane (deterministic — identical in every worker); stage 1 runs for
-    // owned lanes only, and ledgers are reported for owned lanes only, so
-    // the merged bill equals the solo fleet sum exactly.
-    for (auto& task : stage0) task();
-    morphOut = img::Image(shape.width, shape.height);
-    morphOut.pixels() = staging.pixels();
-    auto stage1 = exec->laneTasks(morphOut.height(),
-                                  service::stage1Kernel(staging, morphOut));
-    for (std::size_t lane = 0; lane < stage1.size(); ++lane) {
-      if (owned(lane)) stage1[lane]();
-    }
-    output = &morphOut;
-  } else {
-    for (std::size_t lane = 0; lane < stage0.size(); ++lane) {
-      if (owned(lane)) stage0[lane]();
+  // A later stage reads the WHOLE image of the stage before it, so every
+  // stage but the last runs on every lane (deterministic — identical in
+  // every worker); the last runs on owned lanes only.  Ledgers are reported
+  // for owned lanes only, so the merged bill still equals the solo fleet
+  // sum exactly.
+  apps::StagedRun run(service::framesOf(q));
+  for (std::size_t s = 0; s < run.stages(); ++s) {
+    const bool last = s + 1 == run.stages();
+    auto tasks = run.laneTasks(*exec, s);
+    for (std::size_t lane = 0; lane < tasks.size(); ++lane) {
+      if (!last || owned(lane)) tasks[lane]();
     }
   }
+  const img::Image& output = run.output();
 
   WireReply reply;
   reply.width = static_cast<std::uint32_t>(shape.width);
@@ -127,7 +112,7 @@ WireReply ShardWorker::execute(const WireRequest& wq) {
 
   // One segment per owned tile (tile t is pinned to lane t % lanes, the
   // executor's schedule) clipped to the assignment's row window.
-  const std::size_t height = output->height();
+  const std::size_t height = output.height();
   const std::size_t rpt = wq.rowsPerTile;
   const std::size_t numTiles = (height + rpt - 1) / rpt;
   const std::size_t winBegin = wq.assignment.rowBegin;
@@ -143,7 +128,7 @@ WireReply ShardWorker::execute(const WireRequest& wq) {
     RowSegment s;
     s.rowBegin = static_cast<std::uint32_t>(r0);
     s.rowEnd = static_cast<std::uint32_t>(r1);
-    const std::uint8_t* base = output->pixels().data() + r0 * shape.width;
+    const std::uint8_t* base = output.pixels().data() + r0 * shape.width;
     s.pixels.assign(base, base + (r1 - r0) * shape.width);
     reply.segments.push_back(std::move(s));
   }
@@ -182,34 +167,6 @@ int shardWorkerMain(int fd) {
     }
     if (reply.empty()) continue;  // Misbehave arming frames get no reply
     if (!writeFrame(fd, reply)) return 2;  // coordinator vanished mid-reply
-  }
-}
-
-int shardWorkerTcpMain(std::uint16_t port) {
-  const int listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listenFd < 0) return 3;
-  const int one = 1;
-  ::setsockopt(listenFd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port);
-  if (::bind(listenFd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listenFd, 4) != 0) {
-    ::close(listenFd);
-    return 3;
-  }
-  for (;;) {
-    const int conn = ::accept(listenFd, nullptr, nullptr);
-    if (conn < 0) {
-      if (errno == EINTR) continue;
-      ::close(listenFd);
-      return 3;
-    }
-    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    shardWorkerMain(conn);  // one connection at a time, fresh warm state
-    ::close(conn);
   }
 }
 

@@ -6,16 +6,17 @@
 /// Execution contract (docs/SHARDING.md): the worker rebuilds the request's
 /// full lane fleet through the SAME construction path as the in-process
 /// service (`service::makeRequestExecutor` — lane i's seed derives from the
-/// wire `laneSeedBase` exactly as `core::MatGroup` does), then runs ONLY
-/// the tile tasks of the lanes its `TileAssignment` names.  Because lane
-/// l's bits depend only on lane l's seed and its ascending tile sequence —
-/// never on which other lanes run, or in which process — the rows this
-/// worker produces are byte-identical to the rows lane l produces in a solo
-/// run.  Morphology is the one cross-lane app: its dilate stage reads the
-/// FULL eroded intermediate, so the worker runs stage 0 for every lane
-/// (deterministic, identical in every worker) and stage 1 for owned lanes
-/// only; ledgers are reported for owned lanes only, so the merged bill
-/// still equals the solo fleet sum exactly.
+/// wire `laneSeedBase` exactly as `core::MatGroup` does), then runs the
+/// app schedule (apps/schedule.hpp) with ONLY the lanes its
+/// `TileAssignment` names in the last stage.  Because lane l's bits depend
+/// only on lane l's seed and its ascending tile sequence — never on which
+/// other lanes run, or in which process — the rows this worker produces
+/// are byte-identical to the rows lane l produces in a solo run.  A later
+/// stage reads the FULL image of the stage before it (morphology's dilate
+/// reads the whole eroded image), so every stage but the last runs on
+/// every lane (deterministic, identical in every worker); ledgers are
+/// reported for owned lanes only, so the merged bill still equals the solo
+/// fleet sum exactly.
 ///
 /// Warm state mirrors the PR-7 daemon: a per-worker
 /// `service::FaultModelCache` memoizes Monte-Carlo misdecision tables
@@ -88,15 +89,9 @@ std::vector<std::uint8_t> garbageReplyFrame();
 
 /// Subprocess entry point: serve length-prefixed frames from \p fd until
 /// EOF (coordinator closed the socket) or a fatal I/O error.  Returns the
-/// process exit code (0 on clean EOF).  Called in the fork()ed child by
-/// SubprocessChannel / spawnTcpWorker; never returns on a Crash frame
+/// process exit code (0 on clean EOF).  Called in the fork()ed child of
+/// every process channel (transport.hpp); never returns on a Crash frame
 /// (`_exit(42)`) or a fired crash/hang/drop fault (43 / hang / 44).
 int shardWorkerMain(int fd);
-
-/// Standalone TCP worker: binds 0.0.0.0:\p port and serves one accepted
-/// connection at a time (fresh warm state per connection), forever.  The
-/// remote end of `TcpChannel(host, port)`.  Returns nonzero only on
-/// bind/listen failure.
-int shardWorkerTcpMain(std::uint16_t port);
 
 }  // namespace aimsc::shard

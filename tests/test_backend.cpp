@@ -347,7 +347,7 @@ TEST(BackendEquivalence, CompositingTiledBitIdenticalToSeedPath) {
     TileExecutor seedExec(tileCfg(threads));
     TileExecutor newExec(tileCfg(threads));
     const img::Image seed = seedCompositeReramScTiled(scene, seedExec);
-    const img::Image out = apps::compositeKernelTiled(scene, newExec);
+    const img::Image out = apps::runTiled(apps::framesOf(scene), newExec);
     EXPECT_EQ(out.pixels(), seed.pixels()) << "threads=" << threads;
     EXPECT_EQ(newExec.totalEvents(), seedExec.totalEvents());
   }
@@ -358,7 +358,7 @@ TEST(BackendEquivalence, CompositingTiledBitIdenticalUnderFaults) {
   TileExecutor seedExec(tileCfg(0, /*faults=*/true));
   TileExecutor newExec(tileCfg(0, /*faults=*/true));
   const img::Image seed = seedCompositeReramScTiled(scene, seedExec);
-  const img::Image out = apps::compositeKernelTiled(scene, newExec);
+  const img::Image out = apps::runTiled(apps::framesOf(scene), newExec);
   EXPECT_EQ(out.pixels(), seed.pixels());
   EXPECT_EQ(newExec.totalEvents(), seedExec.totalEvents());
 }
@@ -369,7 +369,7 @@ TEST(BackendEquivalence, MattingTiledBitIdenticalToSeedPath) {
     TileExecutor seedExec(tileCfg(threads));
     TileExecutor newExec(tileCfg(threads));
     const img::Image seed = seedMattingReramScTiled(scene, seedExec);
-    const img::Image out = apps::mattingKernelTiled(scene, newExec);
+    const img::Image out = apps::runTiled(apps::framesOf(scene), newExec);
     EXPECT_EQ(out.pixels(), seed.pixels()) << "threads=" << threads;
     EXPECT_EQ(newExec.totalEvents(), seedExec.totalEvents());
   }
@@ -381,7 +381,7 @@ TEST(BackendEquivalence, BilinearTiledBitIdenticalToSeedPath) {
     TileExecutor seedExec(tileCfg(threads));
     TileExecutor newExec(tileCfg(threads));
     const img::Image seed = seedUpscaleReramScTiled(src, 2, seedExec);
-    const img::Image out = apps::upscaleKernelTiled(src, 2, newExec);
+    const img::Image out = apps::runTiled(apps::framesOf(apps::AppKind::Bilinear, src), newExec);
     EXPECT_EQ(out.pixels(), seed.pixels()) << "threads=" << threads;
     EXPECT_EQ(newExec.totalEvents(), seedExec.totalEvents());
   }
@@ -612,7 +612,7 @@ TEST(TileExecutorBackend, ReferenceLaneFleetMatchesSerialReference) {
   par.rowsPerTile = 3;
   TileExecutor exec(std::move(lanes), par);
   EXPECT_EQ(exec.lanes(), 3u);
-  const img::Image out = apps::compositeKernelTiled(scene, exec);
+  const img::Image out = apps::runTiled(apps::framesOf(scene), exec);
   EXPECT_EQ(out.pixels(), apps::compositeReference(scene).pixels());
   // Accelerator-level access is a ReRAM-fleet feature.
   EXPECT_THROW(exec.lane(0), std::logic_error);

@@ -439,8 +439,8 @@ TEST(SwScSimdBackend, TiledLaneFleetBitIdenticalToScalarFleet) {
       core::makeBackendLanes(DesignKind::SwScSimd, cfg, 3), par);
   core::TileExecutor scalarExec(
       core::makeBackendLanes(DesignKind::SwScLfsr, cfg, 3), par);
-  EXPECT_EQ(apps::compositeKernelTiled(scene, simdExec).pixels(),
-            apps::compositeKernelTiled(scene, scalarExec).pixels());
+  EXPECT_EQ(apps::runTiled(apps::framesOf(scene), simdExec).pixels(),
+            apps::runTiled(apps::framesOf(scene), scalarExec).pixels());
 }
 
 }  // namespace

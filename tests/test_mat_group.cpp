@@ -82,7 +82,7 @@ TEST(MatGroup, ParallelCompositingMatchesQualityClass) {
   cfg.rowsPerTile = 1;
   cfg.mat = single;
   TileExecutor exec(cfg);
-  const img::Image par = apps::compositeKernelTiled(scene, exec);
+  const img::Image par = apps::runTiled(apps::framesOf(scene), exec);
   const double psnrPar = img::psnrDb(par, ref);
   EXPECT_NEAR(psnrPar, psnrSingle, 3.0);  // same accuracy class
 

@@ -84,6 +84,19 @@ TEST(MorphologyKernel, CorrelatedWindowMakesMinExact) {
   EXPECT_EQ(dilateKernel(src, *cim).pixels(), dilateReference(src).pixels());
 }
 
+TEST(MorphologyKernel, OpenReferenceEqualsIntegerComposition) {
+  // openReference runs the opening schedule on the ReferenceBackend; it
+  // must equal the integer window min, then max, bit for bit.
+  for (const std::uint64_t seed : {3u, 9u, 21u}) {
+    const img::Image src = img::naturalScene(17, 13, seed);
+    EXPECT_EQ(openReference(src).pixels(),
+              dilateReference(erodeReference(src)).pixels());
+  }
+  const img::Image blobs = img::gaussianBlobs(24, 24, 10, 5);
+  EXPECT_EQ(openReference(blobs).pixels(),
+            dilateReference(erodeReference(blobs)).pixels());
+}
+
 // --- SwScSimd bit-identity for the promoted vocabulary ----------------------
 
 core::SwScConfig swCfg(std::size_t n = 512) {
@@ -170,7 +183,7 @@ TEST(MorphologyTiled, ThreadCountInvariantIncludingCompositions) {
     cfg.mat.streamLength = 128;
     cfg.mat.device = reram::DeviceParams::ideal();
     core::TileExecutor exec(cfg);
-    return openKernelTiled(src, exec);
+    return runTiled(framesOf(AppKind::Morphology, src), exec);
   };
   const img::Image at0 = run(0);
   EXPECT_EQ(run(2).pixels(), at0.pixels());

@@ -287,7 +287,9 @@ TEST(Service, DeterministicUnderBatchingAndTenantInterleaving) {
     }
     for (auto& c : clients) c.join();
     for (std::size_t t = 0; t < kSubmitters; ++t) {
-      for (const Ticket& ticket : tickets[t]) svc.wait(ticket);
+      for (const Ticket& ticket : tickets[t]) {
+        EXPECT_TRUE(svc.waitOutcome(ticket).ok());
+      }
     }
 
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -316,12 +318,12 @@ TEST(Service, BackpressureBoundsTheQueue) {
   EXPECT_FALSE(svc.trySubmit(1, c.request).has_value());
 
   svc.resume();
-  svc.wait(*ta);
-  svc.wait(*tb);
+  EXPECT_TRUE(svc.waitOutcome(*ta).ok());
+  EXPECT_TRUE(svc.waitOutcome(*tb).ok());
   // Drained: admission works again.
   const auto tc = svc.trySubmit(1, c.request);
   ASSERT_TRUE(tc.has_value());
-  svc.wait(*tc);
+  EXPECT_TRUE(svc.waitOutcome(*tc).ok());
 }
 
 TEST(Service, BatchingCoalescesQueuedRequests) {
@@ -338,7 +340,7 @@ TEST(Service, BatchingCoalescesQueuedRequests) {
   for (auto& job : jobs) tickets.push_back(svc.submit(1, job.request));
   svc.resume();
   for (const auto& t : tickets) {
-    const service::RequestResult res = svc.wait(t);
+    const service::RequestResult res = svc.waitOutcome(t).result;
     EXPECT_EQ(res.batchSize, 4u);  // all four rode one wave
   }
 
@@ -404,9 +406,9 @@ TEST(Service, ValidationRejectsMalformedRequests) {
   // Tickets are single-redemption; unknown ids throw.
   auto ok = makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr, 8, 1);
   const Ticket t = svc.submit(1, ok.request);
-  svc.wait(t);
-  EXPECT_THROW(svc.wait(t), std::invalid_argument);
-  EXPECT_THROW(svc.wait(Ticket{123456}), std::invalid_argument);
+  EXPECT_TRUE(svc.waitOutcome(t).ok());
+  EXPECT_THROW(svc.waitOutcome(t), std::invalid_argument);
+  EXPECT_THROW(svc.waitOutcome(Ticket{123456}), std::invalid_argument);
   EXPECT_TRUE(svc.poll(t));  // resolved/redeemed polls as done
 }
 
@@ -422,7 +424,7 @@ TEST(Service, PollTransitionsAndShutdownDrains) {
   // shutdown() must resume and drain the queued request, not drop it.
   svc.shutdown();
   EXPECT_TRUE(svc.poll(t));
-  svc.wait(t);
+  EXPECT_TRUE(svc.waitOutcome(t).ok());
   EXPECT_EQ(job.out.width(), 8u);
 
   // Admission after shutdown fails loudly.
@@ -444,7 +446,8 @@ TEST(Service, SubmitAfterShutdownFailsOnEveryAdmissionPath) {
   EXPECT_THROW(svc.run(1, late.request), std::runtime_error);
   // A rejected submission must not leak a redeemable ticket, and the
   // pre-shutdown bill stays readable.
-  EXPECT_THROW(svc.wait(Ticket{before.request.seed}), std::invalid_argument);
+  EXPECT_THROW(svc.waitOutcome(Ticket{before.request.seed}),
+               std::invalid_argument);
   EXPECT_EQ(svc.tenantLedger(1).requests, 1u);
   EXPECT_EQ(svc.stats().requestsServed, 1u);
 }
@@ -484,10 +487,10 @@ TEST(Service, MidRunPauseBackpressuresAtFullQueue) {
   // Nothing accepted is lost: resume drains every admitted ticket, and the
   // refused job admits cleanly afterwards.
   svc.resume();
-  for (const Ticket& t : accepted) svc.wait(t);
+  for (const Ticket& t : accepted) EXPECT_TRUE(svc.waitOutcome(t).ok());
   const auto tc = svc.trySubmit(1, jobs.back().request);
   ASSERT_TRUE(tc.has_value());
-  svc.wait(*tc);
+  EXPECT_TRUE(svc.waitOutcome(*tc).ok());
   svc.shutdown();  // join the dispatcher so the served counter is final
   EXPECT_EQ(svc.stats().requestsServed, 2u + accepted.size());
 }
@@ -520,7 +523,7 @@ TEST(Service, ZeroPixelRequestsAreRejectedAtAdmission) {
   EXPECT_EQ(svc.stats().requestsServed, 0u);
 }
 
-TEST(Service, WaitForTimesOutWithoutRedeemingTheTicket) {
+TEST(Service, WaitOutcomeForTimesOutWithoutRedeemingTheTicket) {
   ServiceConfig sc = smallServiceConfig();
   sc.startPaused = true;
   AcceleratorService svc(sc);
@@ -530,19 +533,24 @@ TEST(Service, WaitForTimesOutWithoutRedeemingTheTicket) {
 
   // Timing out leaves the ticket redeemable — callers can poll with short
   // deadlines and still collect later.
-  EXPECT_FALSE(svc.waitFor(t, std::chrono::microseconds(500)).has_value());
-  EXPECT_FALSE(svc.waitFor(t, std::chrono::microseconds(500)).has_value());
+  EXPECT_FALSE(
+      svc.waitOutcomeFor(t, std::chrono::microseconds(500)).has_value());
+  EXPECT_FALSE(
+      svc.waitOutcomeFor(t, std::chrono::microseconds(500)).has_value());
   EXPECT_FALSE(svc.poll(t));
 
   svc.resume();
-  const auto res = svc.waitFor(t, std::chrono::seconds(30));
+  const auto res = svc.waitOutcomeFor(t, std::chrono::seconds(30));
   ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->batchSize, 1u);
+  EXPECT_EQ(res->status, service::TicketStatus::Ok);
+  EXPECT_EQ(res->result.batchSize, 1u);
 
-  // A successful waitFor redeems the ticket exactly like wait().
-  EXPECT_THROW(svc.waitFor(t, std::chrono::seconds(1)), std::invalid_argument);
-  EXPECT_THROW(svc.waitFor(Ticket{424242}, std::chrono::microseconds(1)),
+  // A resolved waitOutcomeFor redeems the ticket exactly like waitOutcome.
+  EXPECT_THROW(svc.waitOutcomeFor(t, std::chrono::seconds(1)),
                std::invalid_argument);
+  EXPECT_THROW(
+      svc.waitOutcomeFor(Ticket{424242}, std::chrono::microseconds(1)),
+      std::invalid_argument);
 }
 
 }  // namespace

@@ -255,10 +255,20 @@ TEST(ShardWire, ChecksumIsFnv1a64) {
   EXPECT_EQ(shard::fnv1a64(std::span(a, 1)), 0xaf63dc4c8601ec8cull);
 }
 
+/// One replica through \p coord (tenant 1, no seed namespace), written
+/// into the job's output buffer.
+ShardCoordinator::ReplicaRun runOn(ShardCoordinator& coord, ClientJob& job) {
+  ShardCoordinator::ReplicaRun run =
+      coord.runReplica(job.request, 1, 0, job.request.seed);
+  job.request.out.assign(run.pixels);
+  return run;
+}
+
 /// The headline differential matrix: every substrate (including faulty
-/// ReRAM under TMR), sharded over REAL process workers — subprocess AND
-/// TCP — at shard counts {1, 2, 4, 8}, must reproduce the one-shot
-/// runner's bytes and ledgers exactly.  Case list covers all six apps.
+/// ReRAM under TMR), served by the sharded service over REAL process
+/// workers — subprocess AND TCP — at shard counts {1, 2, 4, 8}, must
+/// reproduce the one-shot runner's bytes and ledgers exactly.  Case list
+/// covers all six apps.
 TEST(ShardDifferential, ByteIdenticalAcrossShardCountsOnAllSubstrates) {
   struct Case {
     apps::AppKind app;
@@ -290,11 +300,14 @@ TEST(ShardDifferential, ByteIdenticalAcrossShardCountsOnAllSubstrates) {
     for (const ShardTransportKind kind :
          {ShardTransportKind::Subprocess, ShardTransportKind::Tcp}) {
       for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-        ShardCoordinator coord(shard::makeShardChannels(kind, shards),
-                               /*lanes=*/4, /*rowsPerTile=*/4);
+        service::ServiceConfig sc;
+        sc.lanes = 4;
+        sc.rowsPerTile = 4;
+        sc.shards = shards;
+        sc.shardTransport = kind;
+        service::AcceleratorService svc(sc);
         std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
-        const service::RequestResult res =
-            coord.runReplicated(1, job.request, 0, job.request.seed);
+        const service::RequestResult res = svc.run(1, job.request);
 
         EXPECT_EQ(job.out.pixels(), oracle.output.pixels())
             << apps::appName(c.app) << " on "
@@ -318,7 +331,7 @@ TEST(ShardDifferential, AllTransportsAgree) {
         ShardTransportKind::Tcp}) {
     ShardCoordinator coord(shard::makeShardChannels(kind, 2), 4, 4);
     std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
-    coord.runReplicated(1, job.request, 0, job.request.seed);
+    runOn(coord, job);
     if (subprocessBytes.empty()) {
       subprocessBytes = job.out.pixels();
     } else {
@@ -334,7 +347,7 @@ TEST(ShardDifferential, SurplusShardsIdleWithoutChangingBytes) {
   const apps::RunResult oracle = oracleRun(job, 12);
   ShardCoordinator coord(
       shard::makeShardChannels(ShardTransportKind::Subprocess, 6), 4, 4);
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
 }
 
@@ -424,7 +437,7 @@ TEST(ShardFailure, SupervisorRecoversCrashedWorkerByteIdentically) {
       shard::makeSupervisedFabric(ShardTransportKind::Subprocess, 2,
                                   testDeadlines(), testRetryPolicy()),
       4, 4);
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
 
   const int pid = coord.fabric().channel(0).workerPid();
@@ -432,7 +445,7 @@ TEST(ShardFailure, SupervisorRecoversCrashedWorkerByteIdentically) {
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
 
   std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
   EXPECT_GE(coord.fabric().stats().respawns, 1u);
   EXPECT_GE(coord.fabric().stats().retries, 1u);
@@ -459,7 +472,7 @@ TEST(ShardFailure, DeadShardDegradesOntoSurvivorByteIdentically) {
   ASSERT_GT(pid, 0);
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
 
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
   EXPECT_TRUE(coord.fabric().dead(0));
   EXPECT_EQ(coord.fabric().stats().deadShards, 1u);
@@ -468,7 +481,7 @@ TEST(ShardFailure, DeadShardDegradesOntoSurvivorByteIdentically) {
 
   // Subsequent runs keep degrading onto the survivor, never hang.
   std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
 }
 
@@ -487,11 +500,9 @@ TEST(ShardFailure, AllShardsDeadIsAnErrorNotAHang) {
     ASSERT_GT(pid, 0);
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
   }
-  EXPECT_THROW(coord.runReplicated(1, job.request, 0, job.request.seed),
-               std::runtime_error);
+  EXPECT_THROW(runOn(coord, job), std::runtime_error);
   // Still an error — and fast — on the next attempt too.
-  EXPECT_THROW(coord.runReplicated(1, job.request, 0, job.request.seed),
-               std::runtime_error);
+  EXPECT_THROW(runOn(coord, job), std::runtime_error);
 }
 
 TEST(ShardFailure, ServiceSurvivesWorkerCrashAndReportsOutcomes) {
@@ -578,7 +589,7 @@ TEST(ShardService, ShardedServiceMatchesUnshardedBitExactly) {
   }
 }
 
-TEST(ShardService, WaitForTimesOutThenRedeems) {
+TEST(ShardService, WaitOutcomeForTimesOutThenRedeems) {
   service::ServiceConfig sc;
   sc.lanes = 4;
   sc.rowsPerTile = 4;
@@ -588,13 +599,14 @@ TEST(ShardService, WaitForTimesOutThenRedeems) {
                           8, 1);
   const service::Ticket t = svc.submit(1, job.request);
   EXPECT_FALSE(
-      svc.waitFor(t, std::chrono::microseconds(1000)).has_value());
+      svc.waitOutcomeFor(t, std::chrono::microseconds(1000)).has_value());
   svc.resume();
-  const auto res = svc.waitFor(t, std::chrono::microseconds(10'000'000));
+  const auto res =
+      svc.waitOutcomeFor(t, std::chrono::microseconds(10'000'000));
   ASSERT_TRUE(res.has_value());
-  EXPECT_GT(res->opCount, 0u);
+  EXPECT_GT(res->result.opCount, 0u);
   // Redeemed: the ticket is gone.
-  EXPECT_THROW(svc.waitFor(t, std::chrono::microseconds(1)),
+  EXPECT_THROW(svc.waitOutcomeFor(t, std::chrono::microseconds(1)),
                std::invalid_argument);
 }
 

@@ -81,6 +81,15 @@ apps::RunResult oracleRun(const ClientJob& job, std::size_t size) {
   return apps::runAppDetailed(job.request.app, job.request.design, cfg, par);
 }
 
+/// One replica through \p coord (tenant 1, no seed namespace), written
+/// into the job's output buffer.
+ShardCoordinator::ReplicaRun runOn(ShardCoordinator& coord, ClientJob& job) {
+  ShardCoordinator::ReplicaRun run =
+      coord.runReplica(job.request, 1, 0, job.request.seed);
+  job.request.out.assign(run.pixels);
+  return run;
+}
+
 /// Tight budgets so injected hangs cost ~250ms, not the 5s default.
 shard::ChannelDeadlines chaosDeadlines() {
   shard::ChannelDeadlines d;
@@ -166,8 +175,7 @@ TEST(ShardChaos, EveryFaultSiteRecoversByteIdentically) {
             singleSitePlan(site, 1.0, 0xfa011 + static_cast<int>(site))),
         4, 4);
     std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
-    const service::RequestResult res =
-        coord.runReplicated(1, job.request, 0, job.request.seed);
+    const ShardCoordinator::ReplicaRun res = runOn(coord, job);
 
     EXPECT_EQ(job.out.pixels(), oracle.output.pixels())
         << "site " << static_cast<int>(site);
@@ -187,24 +195,28 @@ TEST(ShardChaos, EveryFaultSiteRecoversByteIdentically) {
 
 TEST(ShardChaos, MixedFaultStormUnderReplicationConverges) {
   // All five sites at 30% on every dispatch, TMR replication (6 dispatches
-  // per request on 2 shards): recovery composes across replicas and the
-  // voted bytes still match the oracle.
+  // per request on 2 shards) through the sharded service: recovery composes
+  // across replicas and the voted bytes still match the oracle.
   const std::size_t size = 12;
   ClientJob job = makeJob(apps::AppKind::Compositing, core::DesignKind::ReramSc,
                           size, 33, /*replicas=*/3);
   const apps::RunResult oracle = oracleRun(job, size);
 
-  ShardCoordinator coord(
-      shard::makeSupervisedFabric(ShardTransportKind::Subprocess, 2,
-                                  chaosDeadlines(), chaosRetry(),
-                                  ShardFaultPlan::uniform(0x57088, 0.3)),
-      4, 4);
+  service::ServiceConfig sc;
+  sc.lanes = 4;
+  sc.rowsPerTile = 4;
+  sc.shards = 2;
+  sc.shardTransport = ShardTransportKind::Subprocess;
+  sc.shardDeadlines = chaosDeadlines();
+  sc.shardRetry = chaosRetry();
+  sc.shardFaults = ShardFaultPlan::uniform(0x57088, 0.3);
+  service::AcceleratorService svc(sc);
   for (int round = 0; round < 3; ++round) {
     std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
-    coord.runReplicated(1, job.request, 0, job.request.seed);
+    svc.run(1, job.request);
     EXPECT_EQ(job.out.pixels(), oracle.output.pixels()) << "round " << round;
   }
-  EXPECT_GE(coord.fabric().stats().faultsInjected, 1u);
+  EXPECT_GE(svc.stats().shardFaultsInjected, 1u);
 }
 
 TEST(ShardChaos, TotalDeadlineBoundsAnUnrecoverableShard) {
@@ -231,7 +243,7 @@ TEST(ShardChaos, TotalDeadlineBoundsAnUnrecoverableShard) {
   });
 
   const auto t0 = std::chrono::steady_clock::now();
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   stop.store(true);
   killer.join();
@@ -351,8 +363,8 @@ TEST(ShardChaos, DegradedTicketStatusPropagatesThroughService) {
 
 TEST(ShardChaos, FailedTicketStatusCarriesTheError) {
   // Both shards dead with no budgets left: the ticket reads Failed with a
-  // reason — data, not an exception — while wait() still throws for
-  // clients on the legacy path.
+  // reason — data, not an exception — while run() throws for clients that
+  // want the bare result.
   service::ServiceConfig sc;
   sc.lanes = 4;
   sc.rowsPerTile = 4;
@@ -396,7 +408,7 @@ TEST(ShardChaos, HeartbeatReportsServedCountAndRespawnResetsIt) {
   ClientJob job = makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
                           8, 9);
   ShardCoordinator coord(std::move(fabric), 4, 4);
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   const auto beat1 = coord.fabric().heartbeat(0);
   ASSERT_TRUE(beat1.has_value());
   EXPECT_EQ(*beat1, 1u);  // one Execute frame served
@@ -408,7 +420,7 @@ TEST(ShardChaos, HeartbeatReportsServedCountAndRespawnResetsIt) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(coord.fabric().heartbeat(0).has_value());
 
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   const auto beat2 = coord.fabric().heartbeat(0);
   ASSERT_TRUE(beat2.has_value());
   EXPECT_EQ(*beat2, 1u);  // respawned worker: its own first Execute
@@ -425,7 +437,7 @@ TEST(ShardChaos, TcpFabricRecoversFromKillTheSameWay) {
       shard::makeSupervisedFabric(ShardTransportKind::Tcp, 2, chaosDeadlines(),
                                   chaosRetry()),
       4, 4);
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
 
   const int pid = coord.fabric().channel(1).workerPid();
@@ -433,7 +445,7 @@ TEST(ShardChaos, TcpFabricRecoversFromKillTheSameWay) {
   ASSERT_EQ(::kill(pid, SIGKILL), 0);
 
   std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
   EXPECT_GE(coord.fabric().stats().respawns, 1u);
 }
@@ -451,7 +463,7 @@ TEST(ShardChaos, LoopbackFabricRecoversGarbageByRetryInPlace) {
           ShardTransportKind::Loopback, 2, chaosDeadlines(), chaosRetry(),
           singleSitePlan(FaultSite::GarbageReply, 1.0, 0x9a9b)),
       4, 4);
-  coord.runReplicated(1, job.request, 0, job.request.seed);
+  runOn(coord, job);
   EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
   EXPECT_GE(coord.fabric().stats().garbageReplies, 2u);
 }

@@ -180,8 +180,8 @@ TEST(ArenaDeterminism, SameSeedTwoTiledRunsIdenticalPixelsAndLedgers) {
 
   TileExecutor first(cfg);
   TileExecutor second(cfg);
-  const img::Image a = apps::compositeKernelTiled(scene, first);
-  const img::Image b = apps::compositeKernelTiled(scene, second);
+  const img::Image a = apps::runTiled(apps::framesOf(scene), first);
+  const img::Image b = apps::runTiled(apps::framesOf(scene), second);
   EXPECT_EQ(a.pixels(), b.pixels());
   EXPECT_EQ(first.totalEvents(), second.totalEvents());
 }

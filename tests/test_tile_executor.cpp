@@ -31,6 +31,16 @@ TileExecutorConfig idealTileConfig(std::size_t lanes, std::size_t threads,
   return cfg;
 }
 
+/// Edge detection is a kernel, not an app: it tiles its row form directly.
+img::Image edgeTiled(const img::Image& src, TileExecutor& exec) {
+  img::Image out(src.width(), src.height(), 0);
+  exec.forEachTile(src.height(), [&](ScBackend& lane, StreamArena& arena,
+                                     std::size_t r0, std::size_t r1) {
+    apps::edgeKernelRows(src, lane, arena, out, r0, r1);
+  });
+  return out;
+}
+
 // --- ThreadPool ------------------------------------------------------------
 
 TEST(ThreadPool, InlinePoolRunsTasksOnSubmit) {
@@ -132,7 +142,7 @@ TEST(TileExecutor, CompositingBitIdenticalAt1And2And8Threads) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     TileExecutor exec(idealTileConfig(4, threads));
-    const img::Image out = apps::compositeKernelTiled(scene, exec);
+    const img::Image out = apps::runTiled(apps::framesOf(scene), exec);
     const reram::EventCounts events = exec.totalEvents();
     if (first) {
       ref = out;
@@ -161,7 +171,7 @@ TEST(TileExecutor, TiledCompositingMatchesSerialQualityClass) {
 
   TileExecutor exec(idealTileConfig(4, 2));
   const double psnrTiled =
-      img::psnrDb(apps::compositeKernelTiled(scene, exec), ref);
+      img::psnrDb(apps::runTiled(apps::framesOf(scene), exec), ref);
   EXPECT_NEAR(psnrTiled, psnrSerial, 3.0);
 }
 
@@ -245,8 +255,10 @@ TEST(TileExecutor, TiledFiltersDeterministicAndInQualityClass) {
     for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
                                       std::size_t{8}}) {
       TileExecutor exec(idealTileConfig(4, threads));
-      const img::Image out = smooth ? apps::smoothKernelTiled(src, exec)
-                                    : apps::edgeKernelTiled(src, exec);
+      const img::Image out =
+          smooth ? apps::runTiled(
+                       apps::framesOf(apps::AppKind::Filters, src), exec)
+                 : edgeTiled(src, exec);
       if (first) {
         ref = out;
         refEvents = exec.totalEvents();
@@ -311,7 +323,7 @@ TEST(TileExecutor, EncodeBatchFaultyFidelityFallsBackFaithfully) {
 TEST(TileExecutor, EventMergeEqualsLaneSum) {
   TileExecutor exec(idealTileConfig(3, 2));
   const apps::CompositingScene scene = apps::makeCompositingScene(12, 12, 9);
-  apps::compositeKernelTiled(scene, exec);
+  apps::runTiled(apps::framesOf(scene), exec);
   reram::EventCounts sum;
   for (std::size_t i = 0; i < exec.lanes(); ++i) {
     sum += exec.lane(i).events();
