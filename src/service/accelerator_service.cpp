@@ -323,7 +323,8 @@ void AcceleratorService::executeBatch(
     }
   } catch (const std::exception& e) {
     for (auto& p : batch) {
-      if (!p->done) fail(*p, std::string("batch execution failed: ") + e.what());
+      if (p->done) continue;
+      fail(*p, std::string("batch execution failed: ") + e.what());
     }
     return;
   }

@@ -381,7 +381,8 @@ TEST(BackendEquivalence, BilinearTiledBitIdenticalToSeedPath) {
     TileExecutor seedExec(tileCfg(threads));
     TileExecutor newExec(tileCfg(threads));
     const img::Image seed = seedUpscaleReramScTiled(src, 2, seedExec);
-    const img::Image out = apps::runTiled(apps::framesOf(apps::AppKind::Bilinear, src), newExec);
+    const img::Image out = apps::runTiled(
+        apps::framesOf(apps::AppKind::Bilinear, src), newExec);
     EXPECT_EQ(out.pixels(), seed.pixels()) << "threads=" << threads;
     EXPECT_EQ(newExec.totalEvents(), seedExec.totalEvents());
   }
