@@ -34,9 +34,9 @@ struct ExecShape {
 /// is warm state: device-variability ReRAM mats and binary-CIM engines draw
 /// their misdecision tables from \p faultCache instead of re-running the
 /// Monte-Carlo per call (a bit-preserving memoization — see
-/// fault_model_cache.hpp).  \p seed is the
-/// fleet master seed (already namespaced and replica-strided); lanes derive
-/// their own seeds from it inside the executor.
+/// fault_model_cache.hpp).  \p seed is the fleet master seed (already
+/// namespaced and replica-strided); lanes derive their own seeds from it
+/// inside the executor.
 std::unique_ptr<core::TileExecutor> makeRequestExecutor(
     const ExecShape& shape, const Request& q, std::uint64_t seed,
     FaultModelCache& faultCache);
