@@ -29,8 +29,7 @@ MatGroupConfig groupConfigFor(const TileExecutorConfig& cfg) {
 TileExecutor::TileExecutor(const TileExecutorConfig& config)
     : par_(config) {
   validate(par_);
-  const TileExecutorConfig& cfg = config;
-  group_ = std::make_unique<MatGroup>(groupConfigFor(cfg));
+  group_ = std::make_unique<MatGroup>(groupConfigFor(config));
   backends_.reserve(group_->size());
   for (std::size_t i = 0; i < group_->size(); ++i) {
     // Stream-level fault classes wrap each lane; draws are keyed
@@ -38,7 +37,7 @@ TileExecutor::TileExecutor(const TileExecutorConfig& config)
     // faulty runs.
     backends_.push_back(reliability::wrapWithFaults(
         std::make_unique<ReramScBackend>(group_->mat(i)), DesignKind::ReramSc,
-        cfg.faults, cfg.mat.seed, i));
+        config.faults, config.mat.seed, i));
   }
   makeArenas();
   pool_ = std::make_unique<ThreadPool>(std::min(par_.threads, par_.lanes));
