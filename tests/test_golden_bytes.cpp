@@ -2,8 +2,9 @@
 // fixed seed, plus the Table IV faulty rows, stream-level FaultPlan rows
 // (through the FaultedBackend decorator), a 3-replica vote row, 16x16
 // binary-CIM rows on high-variability corners, a 16x16 faulty ReRAM
-// matting row, and rows on the service's lane-fleet shape (4 lanes, one
-// worker thread, 4 rows per tile).  Each row pins three values from
+// matting row, rows on the service's lane-fleet shape (4 lanes, one
+// worker thread, 4 rows per tile), and faulty ReRAM-SC rows on every
+// scouting op and at two more variability corners.  Each row pins three values from
 // runAppDetailed: the
 // FNV-1a-64 of the output bytes, the backend op count and a digest of the
 // ReRAM event ledger.
@@ -170,6 +171,27 @@ std::vector<Case> goldenCases() {
                    DesignKind::SwScLfsr, fleetVoted, fleet});
   cases.push_back({"fleet4-tableIV-faulty/compositing/ReRAM-SC",
                    AppKind::Compositing, DesignKind::ReramSc, faulty, fleet});
+
+  // Faulty scouting sensing on the ops compositing does not reach: majMux4
+  // (bilinear), XOR and MAJ3 (filters), the Bernstein inputs (gamma), the
+  // AND and OR trees (morphology).
+  for (const AppKind app : {AppKind::Bilinear, AppKind::Filters,
+                            AppKind::Gamma, AppKind::Morphology}) {
+    cases.push_back({std::string("tableIV-faulty/") + appTag(app) +
+                         "/ReRAM-SC",
+                     app, DesignKind::ReramSc, faulty});
+  }
+  // The benchmark's second faulty corner (sigma_HRS x1.25), and the 3x
+  // corner, where misdecisions are frequent enough (count * p >= 8) that
+  // the binomial draw takes its rejection branch.
+  RunConfig corner = baseConfig();
+  reram::DeviceParams cornerDevice = defaultFaultyDevice();
+  cornerDevice.sigmaHrs *= 1.25;
+  corner.faults = reliability::FaultPlan::deviceOnly(cornerDevice);
+  cases.push_back({"hrs1.25x/compositing/ReRAM-SC", AppKind::Compositing,
+                   DesignKind::ReramSc, corner});
+  cases.push_back({"hrs3x/compositing/ReRAM-SC", AppKind::Compositing,
+                   DesignKind::ReramSc, hot});
   return cases;
 }
 
@@ -260,6 +282,12 @@ constexpr Pin kPins[] = {
     {"fleet4/morphology/SW-SC (SFMT)", 0x29ec8bfc77afe1f2ull, 14400ull, 0x8ac123d6f7dce585ull},
     {"fleet4-vote3/filters/SW-SC (LFSR)", 0x5015c5c22e8fcd6bull, 18900ull, 0x8ac123d6f7dce585ull},
     {"fleet4-tableIV-faulty/compositing/ReRAM-SC", 0x99562642d99e2057ull, 0ull, 0xba9275d040e76281ull},
+    {"tableIV-faulty/bilinear/ReRAM-SC", 0x1f89864c8ddf060aull, 0ull, 0xfc24b4b8ba122e08ull},
+    {"tableIV-faulty/filters/ReRAM-SC", 0x19d485d73e0a129bull, 0ull, 0xc7a2b679777276a1ull},
+    {"tableIV-faulty/gamma/ReRAM-SC", 0x27acf54f2f950b96ull, 0ull, 0x9200f16fe420b07dull},
+    {"tableIV-faulty/morphology/ReRAM-SC", 0xeb754e15aa61d0b8ull, 0ull, 0xb9f3990a591aaee4ull},
+    {"hrs1.25x/compositing/ReRAM-SC", 0xd36438a22b7481b7ull, 0ull, 0x6204aad89ed9f565ull},
+    {"hrs3x/compositing/ReRAM-SC", 0x1a1908b66f044502ull, 0ull, 0xe542c34a8024e677ull},
 };
 // clang-format on
 
