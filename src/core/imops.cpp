@@ -2,15 +2,15 @@
 
 #include "sc/bernstein.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace aimsc::core {
 
 using reram::SlOp;
 
-ImOps::ImOps(reram::ScoutingLogic& scouting, const reram::FaultModel* faultModel,
-             std::uint64_t seed)
-    : scouting_(scouting), faultModel_(faultModel), eng_(seed) {}
+ImOps::ImOps(reram::ScoutingLogic& scouting, std::uint64_t seed)
+    : scouting_(scouting), eng_(seed) {}
 
 // Each bulk op charges one standalone SA-output latch capture (two for the
 // XOR/XNOR window gates, which latch both references [33]); the in-step SA
@@ -136,29 +136,28 @@ void ImOps::divideInto(sc::Bitstream& dst, const sc::Bitstream& x,
   if (x.size() != y.size()) throw std::invalid_argument("ImOps::divide: length mismatch");
   scouting_.array().events().add(reram::EventKind::CordivIteration, x.size());
 
+  // The mat's frozen 2-row AND probabilities (all zero on a fault-free
+  // mat, which then draws nothing).
+  std::array<double, 3> pAnd{};
+  for (int ones = 0; ones <= 2; ++ones) {
+    pAnd[static_cast<std::size_t>(ones)] =
+        scouting_.misdecisionProb(SlOp::And, ones, 2);
+  }
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   sc::CordivUnit unit_ff(variant);
   dst.assign(x.size(), false);
   for (std::size_t i = 0; i < x.size(); ++i) {
     bool xb = x.get(i);
     bool yb = y.get(i);
-    if (faultModel_ != nullptr) {
-      // Each iteration senses two terms: t = AND(x_i, y_i) and
-      // h = AND(d, NOT y_i); model their misdecisions as input-bit flips
-      // drawn from the corresponding AND pattern probabilities.
-      const double pT = andMisdecision((xb ? 1 : 0) + (yb ? 1 : 0));
-      if (pT > 0.0 && unit(eng_) < pT) xb = !xb;
-      const double pH = andMisdecision(yb ? 0 : 1);
-      if (pH > 0.0 && unit(eng_) < pH) yb = !yb;
-    }
+    // Each iteration senses two terms: t = AND(x_i, y_i) and
+    // h = AND(d, NOT y_i); model their misdecisions as input-bit flips
+    // drawn from the corresponding AND pattern probabilities.
+    const double pT = pAnd[(xb ? 1u : 0u) + (yb ? 1u : 0u)];
+    if (pT > 0.0 && unit(eng_) < pT) xb = !xb;
+    const double pH = pAnd[yb ? 0u : 1u];
+    if (pH > 0.0 && unit(eng_) < pH) yb = !yb;
     if (unit_ff.clock(xb, yb)) dst.set(i, true);
   }
-}
-
-double ImOps::andMisdecision(int ones) {
-  double& p = andProb_[static_cast<std::size_t>(ones)];
-  if (p < 0.0) p = faultModel_->misdecisionProb(SlOp::And, ones, 2);
-  return p;
 }
 
 void ImOps::majMuxInto(sc::Bitstream& dst, const sc::Bitstream& x,

@@ -8,18 +8,17 @@
 /// are forwarded as bitline voltages, never written).
 ///
 /// Faults: bulk ops run through ScoutingLogic, which injects per-column
-/// misdecisions; CORDIV iterations draw per-step misdecisions directly from
-/// the FaultModel (two sensed terms per iteration).
+/// misdecisions; CORDIV iterations draw per-step misdecisions from the
+/// scouting engine's frozen AND probabilities (two sensed terms per
+/// iteration).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <random>
 #include <span>
 #include <vector>
 
-#include "reram/fault_model.hpp"
 #include "reram/scouting.hpp"
 #include "sc/cordiv.hpp"
 
@@ -27,12 +26,10 @@ namespace aimsc::core {
 
 class ImOps {
  public:
-  /// \param scouting   SL engine (fault injection & event accounting)
-  /// \param faultModel optional model for serial CORDIV faults; pass the
-  ///                   same instance the scouting engine uses
-  explicit ImOps(reram::ScoutingLogic& scouting,
-                 const reram::FaultModel* faultModel = nullptr,
-                 std::uint64_t seed = 0x1305);
+  /// \param scouting SL engine (fault injection & event accounting); a
+  ///                 Probabilistic engine also makes CORDIV faulty
+  /// \param seed     seed of CORDIV's per-iteration misdecision draws
+  explicit ImOps(reram::ScoutingLogic& scouting, std::uint64_t seed = 0x1305);
 
   /// Multiplication: AND, independent inputs, one sensing step.
   sc::Bitstream multiply(const sc::Bitstream& x, const sc::Bitstream& y);
@@ -111,12 +108,7 @@ class ImOps {
   reram::ScoutingLogic& scouting() { return scouting_; }
 
  private:
-  /// faultModel_'s 2-row AND misdecision for \p ones, read once per ImOps.
-  double andMisdecision(int ones);
-
   reram::ScoutingLogic& scouting_;
-  const reram::FaultModel* faultModel_;
-  std::array<double, 3> andProb_{-1.0, -1.0, -1.0};  ///< -1 = not read yet
   std::mt19937_64 eng_;
   // MAJ-tree stage scratch (an ImOps instance is single-threaded; each
   // tile-engine lane owns its own).

@@ -91,6 +91,11 @@ class Imsng {
   /// also returned.
   sc::Bitstream generateThreshold(std::uint32_t x);
 
+  /// Same conversion into \p dst (resized to the array width, buffer
+  /// reused): the scouting dataflow runs on the periphery latches and
+  /// member scratch, so a warm call allocates nothing at any fidelity.
+  void generateThresholdInto(std::uint32_t x, sc::Bitstream& dst);
+
   /// Converts probability \p p in [0,1] (quantized to M bits).
   sc::Bitstream generateProb(double p);
 
@@ -107,7 +112,8 @@ class Imsng {
   /// word-level comparator with per-epoch threshold memoization (duplicate
   /// pixel values re-use the computed stream but still charge their
   /// conversion).  Non-ideal fidelities fall back to the scouting dataflow
-  /// per element so fault injection stays faithful.
+  /// per element (generateThresholdInto) so fault injection stays
+  /// faithful.
   std::vector<sc::Bitstream> encodeBatch(std::span<const std::uint32_t> thresholds);
 
   /// Batched 8-bit pixel conversion (p = v / 255), same epoch semantics.
@@ -115,9 +121,9 @@ class Imsng {
 
   /// Destination-passing batch conversion: stream i is written into
   /// `*outs[i]` (resized to the array width, buffer reused).  Bits, epoch
-  /// semantics and event accounting are identical to `encodeBatch`; under
-  /// Ideal sensing the call performs no heap allocation once the
-  /// destination buffers and the memo table are warm — the tile engine's
+  /// semantics and event accounting are identical to `encodeBatch`; the
+  /// call performs no heap allocation once the destination buffers, the
+  /// memo table and the scouting scratch are warm — the tile engine's
   /// per-row hot path.
   void encodeBatchInto(std::span<const std::uint32_t> thresholds,
                        std::span<sc::Bitstream* const> outs);
@@ -159,6 +165,10 @@ class Imsng {
   std::size_t planeBase_ = 0;  ///< base row of the current plane set
   bool planesReady_ = false;
   sc::Bitstream flagScratch_;  ///< FFlag chain buffer for the batch path
+  // Sensed operands and results of the scouting dataflow
+  // (generateThresholdInto), reused across conversions.
+  sc::Bitstream notFlag_;
+  sc::Bitstream sensed_;
   // Per-epoch comparator byte cache (M = 8, Ideal sensing): the plane rows
   // untransposed into the per-column random numbers R_j, served through the
   // packed RandomPlanes comparator (x > R_j == R_j < x, the identical

@@ -3,30 +3,39 @@
 #include <array>
 #include <bit>
 #include <stdexcept>
-#include <unordered_set>
+
+#include "reram/binomial.hpp"
 
 namespace aimsc::reram {
 
 namespace {
 
-/// Returns the bit index of the \p nth set bit (0-based) of \p s.
-std::size_t selectNthSetBit(const sc::Bitstream& s, std::size_t nth) {
-  const auto& words = s.words();
-  std::size_t seen = 0;
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    const auto pc = static_cast<std::size_t>(std::popcount(words[w]));
-    if (seen + pc <= nth) {
-      seen += pc;
-      continue;
+constexpr std::size_t kOps = static_cast<std::size_t>(SlOp::Not) + 1;
+
+/// Toggles, in \p out, the columns of \p mask whose rank among the mask's
+/// set bits is set in \p picked, and clears \p picked.  Ranks ascend, so
+/// one pass over the mask words serves every pick.
+AIMSC_POPCNT_CLONES void flipRankedColumns(std::uint64_t* out,
+                                           const std::uint64_t* mask,
+                                           std::uint64_t* picked,
+                                           std::size_t pickedWords) {
+  std::size_t w = 0;
+  std::size_t seen = 0;  // set mask bits before word w
+  std::size_t inWord = static_cast<std::size_t>(std::popcount(mask[0]));
+  for (std::size_t pw = 0; pw < pickedWords; ++pw) {
+    for (std::uint64_t bits = picked[pw]; bits != 0; bits &= bits - 1) {
+      const std::size_t nth =
+          pw * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      while (seen + inWord <= nth) {
+        seen += inWord;
+        inWord = static_cast<std::size_t>(std::popcount(mask[++w]));
+      }
+      std::uint64_t word = mask[w];
+      for (std::size_t r = nth - seen; r > 0; --r) word &= word - 1;
+      out[w] ^= word & (~word + 1);  // the rank's column
     }
-    std::uint64_t word = words[w];
-    for (std::size_t rank = nth - seen;; --rank) {
-      const int bit = std::countr_zero(word);
-      if (rank == 0) return w * 64 + static_cast<std::size_t>(bit);
-      word &= word - 1;  // clear lowest set bit
-    }
+    picked[pw] = 0;
   }
-  throw std::out_of_range("selectNthSetBit: not enough set bits");
 }
 
 }  // namespace
@@ -37,7 +46,7 @@ std::size_t selectNthSetBit(const sc::Bitstream& s, std::size_t nth) {
 void ScoutingLogic::patternMasksInto(Operands ops) {
   using sc::Bitstream;
   const std::size_t n = ops.front()->size();
-  maskScratch_.resize(ops.size() + 1);
+  if (maskScratch_.size() < ops.size() + 1) maskScratch_.resize(ops.size() + 1);
   switch (ops.size()) {
     case 1: {
       const Bitstream& a = *ops[0];
@@ -73,7 +82,9 @@ void ScoutingLogic::patternMasksInto(Operands ops) {
     }
     default: {
       // Generic (rare) path: count per column.
-      for (auto& m : maskScratch_) m.assign(n, false);
+      for (std::size_t k = 0; k <= ops.size(); ++k) {
+        maskScratch_[k].assign(n, false);
+      }
       for (std::size_t col = 0; col < n; ++col) {
         int ones = 0;
         for (const auto* o : ops) ones += o->get(col) ? 1 : 0;
@@ -93,9 +104,12 @@ ScoutingLogic::ScoutingLogic(CrossbarArray& array, Fidelity fidelity,
       senseAmp_(array.params()),
       eng_(seed),
       votes_(votes) {
-  if (fidelity_ == Fidelity::Probabilistic && faultModel_ == nullptr) {
-    throw std::invalid_argument(
-        "ScoutingLogic: Probabilistic mode needs a FaultModel");
+  if (fidelity_ == Fidelity::Probabilistic) {
+    if (faultModel_ == nullptr) {
+      throw std::invalid_argument(
+          "ScoutingLogic: Probabilistic mode needs a FaultModel");
+    }
+    flipTable_.resize(kOps * 4 * 4);
   }
   if (votes_ < 1 || votes_ % 2 == 0 || votes_ > 7) {
     throw std::invalid_argument("ScoutingLogic: votes must be odd, 1..7");
@@ -296,19 +310,46 @@ void ScoutingLogic::senseOnceInto(
     const sc::Bitstream& mask = masks[static_cast<std::size_t>(ones)];
     const std::size_t cnt = mask.popcount();
     if (cnt == 0) continue;
-    const double p = faultModel_->misdecisionProb(op, ones, numRows);
-    if (p <= 0.0) continue;
-    std::binomial_distribution<std::size_t> binom(cnt, p);
-    const std::size_t flips = binom(eng_);
+    const FlipProb f = flipProb(op, ones, numRows);
+    if (f.p <= 0.0) continue;
+    const std::size_t flips = drawBinomial(eng_, cnt, f.p, f.q);
     if (flips == 0) continue;
-    std::unordered_set<std::size_t> chosen;
-    std::uniform_int_distribution<std::size_t> pick(0, cnt - 1);
-    while (chosen.size() < flips) chosen.insert(pick(eng_));
-    for (const std::size_t nth : chosen) {
-      const std::size_t col = selectNthSetBit(mask, nth);
-      out.set(col, !out.get(col));
-    }
+    flipColumns(out, mask, cnt, flips);
   }
+}
+
+ScoutingLogic::FlipProb ScoutingLogic::flipProb(SlOp op, int ones, int rows) {
+  if (rows > 3) {
+    const double p = faultModel_->misdecisionProb(op, ones, rows);
+    return {p, binomialWaitingQ(p)};
+  }
+  FlipProb& f = flipTable_[(static_cast<std::size_t>(op) * 4 +
+                            static_cast<std::size_t>(rows)) * 4 +
+                           static_cast<std::size_t>(ones)];
+  if (f.p < 0.0) {
+    const double p = faultModel_->misdecisionProb(op, ones, rows);
+    f = {p, binomialWaitingQ(p)};
+  }
+  return f;
+}
+
+void ScoutingLogic::flipColumns(sc::Bitstream& out, const sc::Bitstream& mask,
+                                std::size_t cnt, std::size_t flips) {
+  // Distinct ranks in [0, cnt): redraw a rank already picked, exactly as
+  // the set-based selection this replaces did.
+  const std::size_t words = (cnt + 63) / 64;
+  if (picked_.size() < words) picked_.resize(mask.words().size());
+  std::uniform_int_distribution<std::size_t> pick(0, cnt - 1);
+  for (std::size_t chosen = 0; chosen < flips;) {
+    const std::size_t nth = pick(eng_);
+    const std::uint64_t bit = std::uint64_t{1} << (nth % 64);
+    std::uint64_t& word = picked_[nth / 64];
+    if ((word & bit) != 0) continue;
+    word |= bit;
+    ++chosen;
+  }
+  flipRankedColumns(out.mutableWords().data(), mask.words().data(),
+                    picked_.data(), words);
 }
 
 }  // namespace aimsc::reram

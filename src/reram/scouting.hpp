@@ -9,7 +9,11 @@
 /// Three fidelity modes:
 ///  * Ideal         — exact Boolean result (sigma irrelevant);
 ///  * Probabilistic — exact result, then per-column misdecision flips drawn
-///                    from the FaultModel table (fast; used for Table IV);
+///                    from the FaultModel table (fast; used for Table IV).
+///                    Each (op, ones, rows <= 3) probability is frozen into
+///                    the mat's own table on first use, so sensing steps
+///                    never take the model's lock (docs/ARCHITECTURE.md
+///                    §4.2 has the draw order);
 ///  * MonteCarlo    — per-column current sampling through DeviceModel and a
 ///                    real SenseAmp decision (slow; validates Probabilistic).
 ///
@@ -79,6 +83,14 @@ class ScoutingLogic {
   /// dst = op(operands), one sensing step.
   void opInto(SlOp op, sc::Bitstream& dst, Operands operands);
 
+  /// Misdecision probability of \p op with \p ones of \p rows activated
+  /// cells storing '1', read from the frozen table (0 unless the mat senses
+  /// with Probabilistic fidelity).
+  double misdecisionProb(SlOp op, int ones, int rows) {
+    return fidelity_ == Fidelity::Probabilistic ? flipProb(op, ones, rows).p
+                                                : 0.0;
+  }
+
   Fidelity fidelity() const { return fidelity_; }
   int votes() const { return votes_; }
   CrossbarArray& array() { return array_; }
@@ -99,15 +111,33 @@ class ScoutingLogic {
   /// Fills maskScratch_ with the per-pattern column masks of \p operands.
   void patternMasksInto(Operands operands);
 
+  /// A frozen misdecision probability and its waiting-time threshold
+  /// (reram/binomial.hpp); p < 0 marks an entry not read yet.
+  struct FlipProb {
+    double p = -1.0;
+    double q = 0.0;
+  };
+  /// The (op, ones, rows) entry, read from the FaultModel on first use;
+  /// rows > 3 (the generic mask path) is not frozen.
+  FlipProb flipProb(SlOp op, int ones, int rows);
+  /// Flips \p flips distinct uniformly chosen columns of \p mask in \p out.
+  void flipColumns(sc::Bitstream& out, const sc::Bitstream& mask,
+                   std::size_t cnt, std::size_t flips);
+
   CrossbarArray& array_;
   Fidelity fidelity_;
   const FaultModel* faultModel_;
+  // Probabilistic mats only (empty otherwise): the frozen table, indexed
+  // (op, rows, ones), and the ranks picked in one class, one bit per rank.
+  std::vector<FlipProb> flipTable_;
+  std::vector<std::uint64_t> picked_;
   SenseAmp senseAmp_;
   std::mt19937_64 eng_;
   int votes_;
   // Per-call scratch (a ScoutingLogic instance is single-threaded — each
   // tile-engine lane owns its own): pattern masks + expression temporaries,
   // reused across sensing steps to keep the bulk-op path allocation-free.
+  // maskScratch_ only grows, so a 2-operand step keeps the 3-operand mask.
   std::vector<sc::Bitstream> maskScratch_;
   sc::Bitstream tmpA_;
   sc::Bitstream tmpB_;

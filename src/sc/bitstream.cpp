@@ -69,7 +69,7 @@ void Bitstream::set(std::size_t i, bool v) {
   }
 }
 
-std::size_t Bitstream::popcount() const {
+AIMSC_POPCNT_CLONES std::size_t Bitstream::popcount() const {
   std::size_t n = 0;
   for (const auto w : words_) n += static_cast<std::size_t>(std::popcount(w));
   return n;

@@ -14,6 +14,17 @@
 #include <string>
 #include <vector>
 
+/// Marks a function whose hot loop is std::popcount: on x86-64 it is built
+/// twice, with and without the POPCNT instruction, and the loader picks the
+/// clone the CPU supports (GCC/Clang function multiversioning).  A build
+/// for the x86-64 baseline otherwise lowers std::popcount to a library
+/// call.  Both clones compute the same value.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define AIMSC_POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
+#else
+#define AIMSC_POPCNT_CLONES
+#endif
+
 /// \namespace aimsc::sc
 /// \brief Stochastic-computing primitives: packed bit-streams, random
 ///        sources, stochastic number generation and SC gate ops.

@@ -103,7 +103,7 @@ TEST(ImOps, FaultyDivisionDegradesButBounded) {
   reram::FaultModel fm(p, 1, 30000);
   reram::ScoutingLogic sl(arr, reram::ScoutingLogic::Fidelity::Probabilistic,
                           &fm, 2);
-  ImOps ops(sl, &fm, 3);
+  ImOps ops(sl, 3);
   sc::Mt19937Source src(8);
   const auto [x, y] = sc::makeCorrelatedPair(src, 0.3, 0.6, 8, 4096);
   const double q = ops.divide(x, y).value();
@@ -131,7 +131,7 @@ struct FidelityRig {
                      ? reram::ScoutingLogic::Fidelity::Probabilistic
                      : reram::ScoutingLogic::Fidelity::Ideal,
                  faults, 0x51),
-        ops(scouting, faults, 0x0b) {}
+        ops(scouting, 0x0b) {}
   reram::CrossbarArray array;
   reram::ScoutingLogic scouting;
   ImOps ops;

@@ -1,8 +1,8 @@
 // StreamArena unit tests plus the allocation-count regression suite: a
 // global operator-new counter proves the fused tiled hot path performs ZERO
 // heap allocations per row once the arena and backend scratch are warm, on
-// both the SW-SC and ReRAM substrates; arena-reset determinism pins the
-// tile engine's ledger reproducibility.
+// the SW-SC substrate and on fault-free and faulty ReRAM; arena-reset
+// determinism pins the tile engine's ledger reproducibility.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -145,6 +145,21 @@ TEST(AllocationRegression, ReramCompositingRowsAreAllocationFree) {
   AcceleratorConfig ac;
   ac.streamLength = 256;
   ac.device = reram::DeviceParams::ideal();
+  ReramScBackend b(ac);
+  StreamArena arena;
+  img::Image out(24, 8);
+  EXPECT_EQ(steadyStateAllocs(b, arena, scene, out), 0u);
+}
+
+TEST(AllocationRegression, FaultyReramCompositingRowsAreAllocationFree) {
+  // Table IV device variability: every IMSNG conversion runs the scouting
+  // dataflow with misdecision draws, and the MAJ3 blend needs the third
+  // pattern mask after two-operand steps.
+  const apps::CompositingScene scene = apps::makeCompositingScene(24, 8, 13);
+  AcceleratorConfig ac;
+  ac.streamLength = 256;
+  ac.deviceVariability = true;
+  ac.device = apps::defaultFaultyDevice();
   ReramScBackend b(ac);
   StreamArena arena;
   img::Image out(24, 8);
