@@ -166,12 +166,6 @@ void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
   }
 }
 
-sc::Bitstream Imsng::computeThresholdStream(std::uint32_t x) {
-  sc::Bitstream result;
-  computeThresholdStreamInto(x, result);
-  return result;
-}
-
 void Imsng::computeThresholdStreamInto(std::uint32_t x, sc::Bitstream& dst) {
   // Word-level rendition of the FFlag dataflow above (Ideal sensing only):
   //   A_i = 1: result |= flag & ~RN_i ;  flag &= RN_i

@@ -143,9 +143,8 @@ class Imsng {
   std::size_t sensingStepsPerConversion(std::uint32_t x) const;
 
  private:
-  /// Word-level comparator identical to the Ideal scouting dataflow.
-  sc::Bitstream computeThresholdStream(std::uint32_t x);
-  /// Same bits into \p dst (resized, buffer reused).
+  /// Word-level comparator identical to the Ideal scouting dataflow, into
+  /// \p dst (resized, buffer reused).
   void computeThresholdStreamInto(std::uint32_t x, sc::Bitstream& dst);
   /// Charges the per-conversion schedule + commit for threshold \p x.
   void chargeConversion(std::uint32_t x, const sc::Bitstream& result);

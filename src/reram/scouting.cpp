@@ -335,8 +335,8 @@ ScoutingLogic::FlipProb ScoutingLogic::flipProb(SlOp op, int ones, int rows) {
 
 void ScoutingLogic::flipColumns(sc::Bitstream& out, const sc::Bitstream& mask,
                                 std::size_t cnt, std::size_t flips) {
-  // Distinct ranks in [0, cnt): redraw a rank already picked, exactly as
-  // the set-based selection this replaces did.
+  // Distinct ranks in [0, cnt); a rank picked already is drawn again (the
+  // draw order of docs/ARCHITECTURE.md §4.2).
   const std::size_t words = (cnt + 63) / 64;
   if (picked_.size() < words) picked_.resize(mask.words().size());
   std::uniform_int_distribution<std::size_t> pick(0, cnt - 1);

@@ -18,8 +18,10 @@
 /// twice, with and without the POPCNT instruction, and the loader picks the
 /// clone the CPU supports (GCC/Clang function multiversioning).  A build
 /// for the x86-64 baseline otherwise lowers std::popcount to a library
-/// call.  Both clones compute the same value.
-#if defined(__x86_64__) && defined(__GNUC__)
+/// call.  Both clones compute the same value.  ThreadSanitizer builds keep
+/// the baseline only: the loader runs the clone resolver before the TSan
+/// runtime is initialised, and the instrumented resolver crashes.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
 #define AIMSC_POPCNT_CLONES __attribute__((target_clones("popcnt", "default")))
 #else
 #define AIMSC_POPCNT_CLONES
