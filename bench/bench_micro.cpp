@@ -6,6 +6,8 @@
 #include "bincim/aritpim.hpp"
 #include "core/accelerator.hpp"
 #include "core/backend_bincim.hpp"
+#include "core/backend_reram.hpp"
+#include "img/synth.hpp"
 #include "sc/cordiv.hpp"
 #include "sc/correlation.hpp"
 #include "sc/ops.hpp"
@@ -71,6 +73,27 @@ void BM_ImsngConversionFaulty(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ImsngConversionFaulty);
+
+// One warm Table IV encode row: the compositing kernel's own
+// encodePixelsInto call, 64 pixels through the faulty IMSNG dataflow.
+void BM_ReramEncodeRowFaulty(benchmark::State& state) {
+  core::AcceleratorConfig cfg;
+  cfg.streamLength = 256;
+  cfg.deviceVariability = true;
+  cfg.device = apps::defaultFaultyDevice();
+  core::ReramScBackend b(cfg);
+  const std::vector<std::uint8_t> row = img::naturalScene(64, 1, 5).pixels();
+  std::vector<core::ScValue> values(row.size());
+  b.encodePixelsInto(row, values);  // freeze the misdecision table
+  for (auto _ : state) {
+    b.encodePixelsInto(row, values);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(row.size()));
+}
+BENCHMARK(BM_ReramEncodeRowFaulty);
 
 void BM_Cordiv(benchmark::State& state) {
   sc::Mt19937Source src(3);
