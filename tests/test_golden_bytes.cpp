@@ -4,10 +4,9 @@
 // binary-CIM rows on high-variability corners, a 16x16 faulty ReRAM
 // matting row, rows on the service's lane-fleet shape (4 lanes, one
 // worker thread, 4 rows per tile), and faulty ReRAM-SC rows on every
-// scouting op and at two more variability corners.  Each row pins three values from
-// runAppDetailed: the
-// FNV-1a-64 of the output bytes, the backend op count and a digest of the
-// ReRAM event ledger.
+// scouting op and at two more variability corners.  Each row pins three
+// values from runAppDetailed: the FNV-1a-64 of the output bytes, the
+// backend op count and a digest of the ReRAM event ledger.
 //
 // The other conformance suites compare two code paths of the SAME build with
 // each other; this table is the only check that holds across commits.  A
