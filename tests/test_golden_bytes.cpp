@@ -3,8 +3,9 @@
 // (through the FaultedBackend decorator), a 3-replica vote row, 16x16
 // binary-CIM rows on high-variability corners, a 16x16 faulty ReRAM
 // matting row, rows on the service's lane-fleet shape (4 lanes, one
-// worker thread, 4 rows per tile), and faulty ReRAM-SC rows on every
-// scouting op and at two more variability corners.  Each row pins three
+// worker thread, 4 rows per tile), faulty ReRAM-SC rows on every
+// scouting op and at two more variability corners, and stream-level
+// FaultPlan rows on the lane-fleet shape.  Each row pins three
 // values from runAppDetailed: the FNV-1a-64 of the output bytes, the
 // backend op count and a digest of the ReRAM event ledger.
 //
@@ -191,6 +192,16 @@ std::vector<Case> goldenCases() {
                    DesignKind::ReramSc, corner});
   cases.push_back({"hrs3x/compositing/ReRAM-SC", AppKind::Compositing,
                    DesignKind::ReramSc, hot});
+
+  // Stream-level faults on the lane-fleet shape pin both fault keys: ReRAM
+  // lanes key their draws (fleet seed, lane index), every other design
+  // (lane seed, 0).
+  cases.push_back({"fleet4-faultplan/matting/ReRAM-SC", AppKind::Matting,
+                   DesignKind::ReramSc, plan, fleet});
+  cases.push_back({"fleet4-faultplan/compositing/SW-SC (LFSR)",
+                   AppKind::Compositing, DesignKind::SwScLfsr, plan, fleet});
+  cases.push_back({"fleet4-faultplan/filters/Binary CIM", AppKind::Filters,
+                   DesignKind::BinaryCim, plan, fleet});
   return cases;
 }
 
@@ -287,6 +298,9 @@ constexpr Pin kPins[] = {
     {"tableIV-faulty/morphology/ReRAM-SC", 0xeb754e15aa61d0b8ull, 0ull, 0xb9f3990a591aaee4ull},
     {"hrs1.25x/compositing/ReRAM-SC", 0xd36438a22b7481b7ull, 0ull, 0x6204aad89ed9f565ull},
     {"hrs3x/compositing/ReRAM-SC", 0x1a1908b66f044502ull, 0ull, 0xe542c34a8024e677ull},
+    {"fleet4-faultplan/matting/ReRAM-SC", 0x08142ea865c5db59ull, 0ull, 0xcc309bda0449f8c7ull},
+    {"fleet4-faultplan/compositing/SW-SC (LFSR)", 0x8e8a93bb881736fbull, 1024ull, 0x8ac123d6f7dce585ull},
+    {"fleet4-faultplan/filters/Binary CIM", 0xca6541857d26f0eaull, 2154600ull, 0x8ac123d6f7dce585ull},
 };
 // clang-format on
 
