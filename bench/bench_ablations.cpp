@@ -127,9 +127,11 @@ void ablationSegmentSize() {
     constexpr int kReps = 300;
     std::mt19937_64 eng(m);
     std::uniform_real_distribution<double> unit(0, 1);
+    sc::Bitstream s;
     for (int r = 0; r < kReps; ++r) {
       const double p = unit(eng);
-      const double v = acc.encodeProb(p).value();
+      acc.encodeProbInto(s, p);
+      const double v = s.value();
       se += (v - p) * (v - p);
     }
     t.addRow({std::to_string(m), energy::fmt(std::sqrt(se / kReps), 4),
@@ -151,9 +153,10 @@ void ablationWriteTraffic() {
     cfg.device = reram::DeviceParams::ideal();
     cfg.imsngVariant = variant;
     core::Accelerator acc(cfg);
-    acc.encodeProb(0.5);
+    sc::Bitstream s;
+    acc.encodeProbInto(s, 0.5);
     acc.resetEvents();
-    for (int i = 0; i < 1000; ++i) acc.encodeProbCorrelated(0.5);
+    for (int i = 0; i < 1000; ++i) acc.encodeProbCorrelatedInto(s, 0.5);
     const auto& ev = acc.events();
     const auto cost = energy::CostModel(256).cost(ev);
     t.addRow({variant == core::ImsngConfig::Variant::Naive ? "naive" : "opt",
@@ -200,9 +203,11 @@ void ablationScrimp() {
   core::Accelerator acc(cfg);
   reram::CrossbarArray sArr(4, 256, reram::DeviceParams::ideal());
   reram::ScrimpSng scrimp(sArr);
+  sc::Bitstream si;
   for (int i = 0; i < kSamples; ++i) {
     const double p = unit(eng);
-    const double vi = acc.encodeProb(p).value();
+    acc.encodeProbInto(si, p);
+    const double vi = si.value();
     const double vs = scrimp.generateProb(p, 0).value();
     mseI += (vi - p) * (vi - p);
     mseS += (vs - p) * (vs - p);

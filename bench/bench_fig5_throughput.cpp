@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "apps/runner.hpp"
-#include "core/backend_reram.hpp"
 #include "core/backend_swsc.hpp"
 #include "core/backend_swsc_simd.hpp"
 #include "energy/report.hpp"
@@ -208,10 +207,10 @@ void measuredSweep(std::size_t size) {
   // Serial baseline: the SAME backend-generic kernel on one ReRAM-SC
   // backend, configured exactly like the tiled lanes (device params
   // included).
-  core::ReramScBackend serialBackend(
-      apps::tileConfigFor(cfg, apps::ParallelConfig{}).mat);
+  const core::BackendFactoryConfig bc = apps::backendConfigFor(cfg);
+  const auto serialBackend = core::makeBackend(core::DesignKind::ReramSc, bc);
   const auto t0 = std::chrono::steady_clock::now();
-  const img::Image serialOut = apps::compositeKernel(scene, serialBackend);
+  const img::Image serialOut = apps::compositeKernel(scene, *serialBackend);
   const double serialSec = secondsSince(t0);
   const double serialPps = static_cast<double>(kPixels) / serialSec;
   std::printf("  serial kernel (1 backend): %8.0f pixels/s (%.2fs)\n",
@@ -224,7 +223,8 @@ void measuredSweep(std::size_t size) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
     par.threads = threads;
-    core::TileExecutor exec(apps::tileConfigFor(cfg, par));
+    core::TileExecutor exec(
+        core::makeBackendLanes(core::DesignKind::ReramSc, bc, par.lanes), par);
     const auto t1 = std::chrono::steady_clock::now();
     const img::Image tiled = apps::runTiled(apps::framesOf(scene), exec);
     const double sec = secondsSince(t1);

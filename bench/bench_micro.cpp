@@ -53,8 +53,11 @@ void BM_ImsngConversion(benchmark::State& state) {
   cfg.streamLength = static_cast<std::size_t>(state.range(0));
   cfg.device = reram::DeviceParams::ideal();
   core::Accelerator acc(cfg);
+  sc::Bitstream s;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(acc.encodeProb(0.42));
+    acc.encodeProbInto(s, 0.42);
+    benchmark::DoNotOptimize(s.words().data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ImsngConversion)->Arg(256)->Arg(1024);
@@ -67,9 +70,12 @@ void BM_ImsngConversionFaulty(benchmark::State& state) {
   cfg.device.sigmaHrs = 1.1;
   cfg.faultModelSamples = 20000;
   core::Accelerator acc(cfg);
-  acc.encodeProb(0.5);  // warm the fault-table cache
+  sc::Bitstream s;
+  acc.encodeProbInto(s, 0.5);  // warm the fault-table cache
   for (auto _ : state) {
-    benchmark::DoNotOptimize(acc.encodeProb(0.42));
+    acc.encodeProbInto(s, 0.42);
+    benchmark::DoNotOptimize(s.words().data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_ImsngConversionFaulty);
@@ -112,8 +118,10 @@ void BM_ImOpsDivideFaulty(benchmark::State& state) {
   cfg.device = apps::defaultFaultyDevice();
   cfg.faultModelSamples = 40000;
   core::Accelerator acc(cfg);
-  const sc::Bitstream y = acc.encodeProb(0.6);
-  const sc::Bitstream x = acc.encodeProbCorrelated(0.3);
+  sc::Bitstream y;
+  sc::Bitstream x;
+  acc.encodeProbInto(y, 0.6);
+  acc.encodeProbCorrelatedInto(x, 0.3);
   sc::Bitstream q;
   acc.ops().divideInto(q, x, y);  // warm the fault table
   for (auto _ : state) {
@@ -156,10 +164,14 @@ void BM_EndToEndPixelMultiply(benchmark::State& state) {
   cfg.streamLength = 256;
   cfg.device = reram::DeviceParams::ideal();
   core::Accelerator acc(cfg);
+  sc::Bitstream x;
+  sc::Bitstream y;
+  sc::Bitstream product;
   for (auto _ : state) {
-    const sc::Bitstream x = acc.encodeProb(0.4);
-    const sc::Bitstream y = acc.encodeProb(0.7);
-    benchmark::DoNotOptimize(acc.decodeProb(acc.ops().multiply(x, y)));
+    acc.encodeProbInto(x, 0.4);
+    acc.encodeProbInto(y, 0.7);
+    acc.ops().multiplyInto(product, x, y);
+    benchmark::DoNotOptimize(acc.decodeProb(product));
   }
 }
 BENCHMARK(BM_EndToEndPixelMultiply);

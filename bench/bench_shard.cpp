@@ -1,4 +1,4 @@
-// Sharded MatGroup fan-out under measurement: the sharded AcceleratorService
+// Sharded lane-fleet fan-out under measurement: the sharded AcceleratorService
 // (fork()ed workers over socketpairs, byte-exact wire codec) against the
 // one-shot runner oracle, at shard counts {1, 2, 4}.
 //

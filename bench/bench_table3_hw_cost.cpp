@@ -34,31 +34,34 @@ core::AcceleratorConfig reramConfig(core::ImsngConfig::Variant variant) {
 
 Measured measureOp(energy::ScOpKind op) {
   core::Accelerator acc(reramConfig(core::ImsngConfig::Variant::Opt));
-  const sc::Bitstream y = acc.encodeProb(0.8);
+  sc::Bitstream y;
+  sc::Bitstream x;
+  sc::Bitstream out;
+  acc.encodeProbInto(y, 0.8);
   acc.resetEvents();
-  const sc::Bitstream x = acc.encodeProbCorrelated(0.4);
+  acc.encodeProbCorrelatedInto(x, 0.4);
   switch (op) {
     case energy::ScOpKind::Multiplication:
-      acc.ops().multiply(x, y);
+      acc.ops().multiplyInto(out, x, y);
       break;
     case energy::ScOpKind::ScaledAddition: {
-      acc.ops().scaledAdd(x, y, y);
+      acc.ops().scaledAddInto(out, x, y, y);
       break;
     }
     case energy::ScOpKind::ApproxAddition:
-      acc.ops().addApprox(x, y);
+      acc.ops().addApproxInto(out, x, y);
       break;
     case energy::ScOpKind::AbsSubtraction:
-      acc.ops().absSub(x, y);
+      acc.ops().absSubInto(out, x, y);
       break;
     case energy::ScOpKind::Division:
-      acc.ops().divide(x, y);
+      acc.ops().divideInto(out, x, y);
       break;
     case energy::ScOpKind::Minimum:
-      acc.ops().minimum(x, y);
+      acc.ops().minimumInto(out, x, y);
       break;
     case energy::ScOpKind::Maximum:
-      acc.ops().maximum(x, y);
+      acc.ops().maximumInto(out, x, y);
       break;
   }
   const auto cost = energy::CostModel(256).cost(acc.events());
@@ -67,9 +70,10 @@ Measured measureOp(energy::ScOpKind op) {
 
 Measured measureConversion(core::ImsngConfig::Variant variant) {
   core::Accelerator acc(reramConfig(variant));
-  acc.encodeProb(0.5);
+  sc::Bitstream s;
+  acc.encodeProbInto(s, 0.5);
   acc.resetEvents();
-  acc.encodeProbCorrelated(0.5);
+  acc.encodeProbCorrelatedInto(s, 0.5);
   const auto cost = energy::CostModel(256).cost(acc.events());
   return {cost.totalLatencyNs(), cost.totalEnergyNJ()};
 }

@@ -123,8 +123,9 @@ VocabIdentity checkVocabIdentity() {
                         apps::openKernel(scene, v2).pixels();
   }
   {
-    // Verbatim allocating per-pixel gamma loop (the pre-arena call
-    // sequence) vs the fused kernel on an identically seeded mat.
+    // The pre-arena per-pixel gamma call sequence, verbatim on the mat's
+    // destination-passing forms, vs the fused kernel on an identically
+    // seeded mat.
     core::AcceleratorConfig ac;
     ac.streamLength = 256;
     ac.device = reram::DeviceParams::ideal();
@@ -132,19 +133,25 @@ VocabIdentity checkVocabIdentity() {
     const int degree = 4;
     const std::vector<double> bern44 = sc::bernsteinCoefficientsOf(
         [](double t) { return std::pow(t, 2.2); }, degree);
+    std::vector<sc::Bitstream> xCopies(degree);
+    std::vector<sc::Bitstream> coeffs(bern44.size());
+    std::vector<const sc::Bitstream*> copyPtrs;
+    std::vector<const sc::Bitstream*> coeffPtrs;
+    for (const auto& c : xCopies) copyPtrs.push_back(&c);
+    for (const auto& c : coeffs) coeffPtrs.push_back(&c);
+    sc::Bitstream selected;
     img::Image allocOut(scene.width(), scene.height());
     for (std::size_t i = 0; i < allocOut.size(); ++i) {
-      std::vector<sc::Bitstream> xCopies;
-      for (int j = 0; j < degree; ++j) {
-        xCopies.push_back(allocAcc.encodePixel(scene[i]));
+      for (auto& copy : xCopies) {
+        allocAcc.encodeProbInto(copy, static_cast<double>(scene[i]) / 255.0);
       }
-      std::vector<sc::Bitstream> coeffs;
-      for (const double bk : bern44) coeffs.push_back(allocAcc.encodeProb(bk));
-      allocOut[i] =
-          allocAcc.decodePixel(allocAcc.ops().bernsteinSelect(xCopies, coeffs));
+      for (std::size_t k = 0; k < bern44.size(); ++k) {
+        allocAcc.encodeProbInto(coeffs[k], bern44[k]);
+      }
+      allocAcc.ops().bernsteinSelectInto(selected, copyPtrs, coeffPtrs);
+      allocOut[i] = allocAcc.decodePixel(selected);
     }
-    core::Accelerator kernelAcc(ac);
-    core::ReramScBackend backend(kernelAcc);
+    core::ReramScBackend backend(ac);
     id.reramGammaFused =
         apps::gammaKernel(scene, 2.2, backend, degree).pixels() ==
         allocOut.pixels();

@@ -23,27 +23,34 @@ int main() {
               acc.streamLength(), cfg.mBits);
 
   // --- independent streams: multiplication and scaled addition ------------
+  // Every stage writes into a caller-owned stream (buffers are reused).
   const double px = 0.40;
   const double py = 0.65;
-  const sc::Bitstream x = acc.encodeProb(px);  // fresh TRNG planes
-  const sc::Bitstream y = acc.encodeProb(py);
-  const sc::Bitstream half = acc.halfStream();
+  sc::Bitstream x, y, half, result;
+  acc.encodeProbInto(x, px);  // fresh TRNG planes
+  acc.encodeProbInto(y, py);
+  acc.encodeProbInto(half, 0.5);  // MAJ select stream
 
   std::printf("x = %.2f encoded as SBS with value %.3f (SCC(x,y) = %+.3f)\n",
               px, x.value(), sc::scc(x, y));
-  std::printf("x * y       : SC %.3f   exact %.3f\n",
-              acc.decodeProb(acc.ops().multiply(x, y)), px * py);
+  acc.ops().multiplyInto(result, x, y);
+  std::printf("x * y       : SC %.3f   exact %.3f\n", acc.decodeProb(result),
+              px * py);
+  acc.ops().scaledAddInto(result, x, y, half);
   std::printf("(x + y) / 2 : SC %.3f   exact %.3f  (single MAJ cycle)\n",
-              acc.decodeProb(acc.ops().scaledAdd(x, y, half)), (px + py) / 2);
+              acc.decodeProb(result), (px + py) / 2);
 
   // --- correlated streams: subtraction and CORDIV division ----------------
-  const sc::Bitstream xc = acc.encodeProb(px);             // fresh planes...
-  const sc::Bitstream yc = acc.encodeProbCorrelated(py);   // ...shared here
+  sc::Bitstream xc, yc;
+  acc.encodeProbInto(xc, px);            // fresh planes...
+  acc.encodeProbCorrelatedInto(yc, py);  // ...shared here
   std::printf("\ncorrelated pair: SCC = %+.3f\n", sc::scc(xc, yc));
-  std::printf("|x - y|     : SC %.3f   exact %.3f\n",
-              acc.decodeProb(acc.ops().absSub(xc, yc)), py - px);
+  acc.ops().absSubInto(result, xc, yc);
+  std::printf("|x - y|     : SC %.3f   exact %.3f\n", acc.decodeProb(result),
+              py - px);
+  acc.ops().divideInto(result, xc, yc);
   std::printf("x / y       : SC %.3f   exact %.3f  (CORDIV)\n",
-              acc.decodeProb(acc.ops().divide(xc, yc)), px / py);
+              acc.decodeProb(result), px / py);
 
   // --- what did the memory do? ---------------------------------------------
   const auto& ev = acc.events();

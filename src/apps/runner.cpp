@@ -63,18 +63,6 @@ namespace {
 /// Display gamma used by the Table IV gamma row (degree-4 Bernstein).
 constexpr double kGammaValue = 2.2;
 
-core::AcceleratorConfig accelConfigFor(const RunConfig& cfg) {
-  const reliability::FaultPlan& plan = cfg.faults;
-  core::AcceleratorConfig ac;
-  ac.streamLength = cfg.streamLength;
-  ac.deviceVariability = plan.deviceVariability;
-  if (plan.deviceVariability) ac.device = plan.device;
-  ac.faultModelSamples = plan.faultModelSamples;
-  ac.wearWindowRows = cfg.wearWindowRows;
-  ac.seed = cfg.seed;
-  return ac;
-}
-
 /// The inputs runApp synthesizes from cfg.seed.  Replicas re-seed only
 /// their fleets, so every replica processes these same frames.
 struct Scene {
@@ -138,14 +126,11 @@ std::unique_ptr<core::TileExecutor> makeFleet(DesignKind design,
                                               const RunConfig& cfg,
                                               const ParallelConfig& par,
                                               std::uint64_t seed) {
-  if (design == DesignKind::ReramSc) {
-    core::TileExecutorConfig tc = tileConfigFor(cfg, par);
-    tc.mat.seed = seed;
-    return std::make_unique<core::TileExecutor>(tc);
-  }
   core::BackendFactoryConfig bc = backendConfigFor(cfg);
   bc.seed = seed;
-  if (par.threads > 0) {
+  // ReRAM-SC is the paper's multi-mat design: it tiles its lanes even
+  // inline (threads == 0).
+  if (par.threads > 0 || design == DesignKind::ReramSc) {
     return std::make_unique<core::TileExecutor>(
         core::makeBackendLanes(design, bc, par.lanes), par);
   }
@@ -164,16 +149,8 @@ core::BackendFactoryConfig backendConfigFor(const RunConfig& cfg) {
   bc.seed = cfg.seed;
   bc.faults = cfg.faults;
   bc.bincimProtection = cfg.bincimProtection;
+  bc.wearWindowRows = cfg.wearWindowRows;
   return bc;
-}
-
-core::TileExecutorConfig tileConfigFor(const RunConfig& cfg,
-                                       const ParallelConfig& par) {
-  core::TileExecutorConfig tc;
-  static_cast<core::ParallelConfig&>(tc) = par;
-  tc.mat = accelConfigFor(cfg);
-  tc.faults = cfg.faults;
-  return tc;
 }
 
 RunResult runAppDetailed(AppKind app, DesignKind design, const RunConfig& cfg,

@@ -95,10 +95,11 @@ struct RunResult {
 
 /// Runs one (app, design) pair through the app's stage schedule
 /// (schedule.hpp) on a `TileExecutor` and returns quality vs the Table IV
-/// reference.  The ReRAM-SC design always tiles a MatGroup fleet under
-/// \p par.  Every other design tiles `par.lanes` independently seeded
-/// backends when `par.threads > 0`; when `par.threads == 0` (the default)
-/// it runs on a one-lane fleet whose backend takes the replica seed itself.
+/// reference.  The fleet is `makeBackendLanes(design, backendConfigFor(cfg),
+/// par.lanes)` with the replica seed as its master seed.  ReRAM-SC always
+/// tiles that fleet; every other design tiles it when `par.threads > 0`,
+/// and when `par.threads == 0` (the default) runs on a one-lane
+/// `makeBackend` fleet whose backend takes the replica seed itself.
 /// Tiled results are bit-identical for any nonzero `threads` given fixed
 /// `lanes`/`rowsPerTile` (lane-pinned schedule; see docs/ARCHITECTURE.md) —
 /// including under fault injection (counter-based fault RNG) and
@@ -110,12 +111,9 @@ Quality runApp(AppKind app, DesignKind design, const RunConfig& cfg,
 RunResult runAppDetailed(AppKind app, DesignKind design, const RunConfig& cfg,
                          const ParallelConfig& par = ParallelConfig{});
 
-/// Backend factory knobs derived from a run configuration.
+/// Backend factory knobs derived from a run configuration (the wear window
+/// included): the configuration every `runApp` fleet is built from.
 core::BackendFactoryConfig backendConfigFor(const RunConfig& cfg);
-
-/// Builds the tile executor the ReRAM-SC runs use (exposed for benches).
-core::TileExecutorConfig tileConfigFor(const RunConfig& cfg,
-                                       const ParallelConfig& par);
 
 /// Per-element workload profile feeding the Fig. 4/5 system model.
 energy::AppProfile profileFor(AppKind app);

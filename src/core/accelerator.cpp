@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sc/sng.hpp"
+
 namespace aimsc::core {
 
 namespace {
@@ -58,32 +60,14 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
   ims2b_ = std::make_unique<ImS2B>(*array_, config_.adc, config_.seed ^ 0x52b);
 }
 
-sc::Bitstream Accelerator::encodeProb(double p) {
+void Accelerator::encodeProbInto(sc::Bitstream& dst, double p) {
   imsng_->refreshRandomness();
-  return imsng_->generateProb(p);
+  encodeProbCorrelatedInto(dst, p);
 }
 
-sc::Bitstream Accelerator::encodeProbCorrelated(double p) {
-  return imsng_->generateProb(p);
-}
-
-sc::Bitstream Accelerator::encodePixel(std::uint8_t v) {
-  return encodeProb(static_cast<double>(v) / 255.0);
-}
-
-sc::Bitstream Accelerator::encodePixelCorrelated(std::uint8_t v) {
-  return encodeProbCorrelated(static_cast<double>(v) / 255.0);
-}
-
-std::vector<sc::Bitstream> Accelerator::encodePixels(
-    std::span<const std::uint8_t> values) {
-  imsng_->refreshRandomness();
-  return imsng_->encodePixelBatch(values);
-}
-
-std::vector<sc::Bitstream> Accelerator::encodePixelsCorrelated(
-    std::span<const std::uint8_t> values) {
-  return imsng_->encodePixelBatch(values);
+void Accelerator::encodeProbCorrelatedInto(sc::Bitstream& dst, double p) {
+  imsng_->generateThresholdInto(sc::quantizeProbability(p, config_.mBits),
+                                dst);
 }
 
 void Accelerator::encodePixelsInto(std::span<const std::uint8_t> values,
@@ -98,8 +82,6 @@ void Accelerator::encodePixelsCorrelatedInto(
   imsng_->encodePixelBatchInto(values, outs);
 }
 
-sc::Bitstream Accelerator::halfStream() { return encodeProb(0.5); }
-
 void Accelerator::refreshRandomness() { imsng_->refreshRandomness(); }
 
 double Accelerator::decodeProb(const sc::Bitstream& s) {
@@ -112,26 +94,6 @@ std::uint8_t Accelerator::decodePixel(const sc::Bitstream& s) {
 
 std::uint8_t Accelerator::decodePixelStored(const sc::Bitstream& s) {
   return ims2b_->toPixel(ims2b_->convertStored(s));
-}
-
-std::vector<std::uint8_t> Accelerator::decodePixels(
-    std::span<const sc::Bitstream> streams) {
-  std::vector<std::uint8_t> out;
-  out.reserve(streams.size());
-  for (const sc::Bitstream& s : streams) {
-    out.push_back(ims2b_->toPixel(ims2b_->convert(s)));
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> Accelerator::decodePixelsStored(
-    std::span<const sc::Bitstream> streams) {
-  std::vector<std::uint8_t> out;
-  out.reserve(streams.size());
-  for (const sc::Bitstream& s : streams) {
-    out.push_back(ims2b_->toPixel(ims2b_->convertStored(s)));
-  }
-  return out;
 }
 
 }  // namespace aimsc::core

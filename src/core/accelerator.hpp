@@ -7,10 +7,14 @@
 /// mats; the system model in src/energy scales that out).  Stream length N
 /// equals the array column count.
 ///
-/// Correlation control (Sec. II-B / III-A): encodeProb() deposits fresh
-/// TRNG planes first, so successive calls yield *independent* streams;
-/// encodeProbCorrelated() reuses the current planes, yielding maximally
-/// correlated streams (SCC = +1) as required by subtraction and CORDIV.
+/// Correlation control (Sec. II-B / III-A): the fresh encodes
+/// (encodeProbInto, encodePixelsInto) deposit fresh TRNG planes first, so
+/// successive calls yield *independent* streams; the correlated encodes
+/// reuse the current planes, yielding maximally correlated streams
+/// (SCC = +1) as required by subtraction and CORDIV.
+///
+/// Every encode writes into a caller-owned destination (resized, buffer
+/// reused), so a warm mat encodes without heap traffic.
 #pragma once
 
 #include <cstdint>
@@ -67,40 +71,27 @@ class Accelerator {
 
   // --- stage 1: binary -> stochastic (IMSNG) ------------------------------
 
-  /// Independent stream encoding probability p (fresh random planes).
-  sc::Bitstream encodeProb(double p);
+  /// Independent stream encoding probability \p p (fresh random planes)
+  /// into \p dst.
+  void encodeProbInto(sc::Bitstream& dst, double p);
 
-  /// Stream correlated with the previous encode* call (shared planes).
-  sc::Bitstream encodeProbCorrelated(double p);
+  /// Stream encoding \p p correlated with the previous encode (shared
+  /// planes) into \p dst.
+  void encodeProbCorrelatedInto(sc::Bitstream& dst, double p);
 
-  /// Independent / correlated 8-bit pixel encodings (p = v/255).
-  sc::Bitstream encodePixel(std::uint8_t v);
-  sc::Bitstream encodePixelCorrelated(std::uint8_t v);
-
-  /// Batched pixel encoding: deposits ONE fresh set of TRNG planes, then
-  /// converts every value against it (one randomness epoch).  All returned
-  /// streams are mutually correlated; the epoch is independent of any
-  /// earlier encode.  Amortizes the M-row plane deposit and the per-pixel
-  /// allocations of the scalar path — the hot path of the tile engine.
-  std::vector<sc::Bitstream> encodePixels(std::span<const std::uint8_t> values);
-
-  /// Same, but re-uses the CURRENT planes: the batch is maximally
-  /// correlated with the previous encode* call (e.g. foreground/background
-  /// operand pairs, Sec. II-B correlation control).
-  std::vector<sc::Bitstream> encodePixelsCorrelated(
-      std::span<const std::uint8_t> values);
-
-  /// Destination-passing batch encodes: stream i lands in `*outs[i]`
-  /// (resized to N, buffer reused).  Bits, epoch semantics and event
-  /// accounting match the allocating forms; under Ideal sensing the steady
-  /// state performs no heap allocation — the tile engine's per-row path.
+  /// Batched pixel encoding (p = v/255): deposits ONE fresh set of TRNG
+  /// planes, then converts every value against it (one randomness epoch);
+  /// stream i lands in `*outs[i]`.  All streams of the batch are mutually
+  /// correlated; the epoch is independent of any earlier encode.  Amortizes
+  /// the M-row plane deposit — the hot path of the tile engine.
   void encodePixelsInto(std::span<const std::uint8_t> values,
                         std::span<sc::Bitstream* const> outs);
+
+  /// Same, but re-uses the CURRENT planes: the batch is maximally
+  /// correlated with the previous encode (e.g. foreground/background
+  /// operand pairs, Sec. II-B correlation control).
   void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
                                   std::span<sc::Bitstream* const> outs);
-
-  /// Independent P=0.5 select stream (for MAJ scaled addition).
-  sc::Bitstream halfStream();
 
   /// Force-refresh the TRNG planes.
   void refreshRandomness();
@@ -117,17 +108,6 @@ class Accelerator {
 
   /// Resistance-mode decode for CORDIV outputs (charges the column write).
   std::uint8_t decodePixelStored(const sc::Bitstream& s);
-
-  /// Batched pixel decode: every stream is digitized in sequence through
-  /// the mat's single ADC (symmetric to encodePixels; ReramScBackend routes
-  /// each kernel row through one such call).  Results and event accounting
-  /// are identical to per-stream decodePixel calls.
-  std::vector<std::uint8_t> decodePixels(std::span<const sc::Bitstream> streams);
-
-  /// Batched resistance-mode decode (CORDIV outputs; charges the column
-  /// writes exactly like per-stream decodePixelStored calls).
-  std::vector<std::uint8_t> decodePixelsStored(
-      std::span<const sc::Bitstream> streams);
 
   // --- accounting ----------------------------------------------------------
 

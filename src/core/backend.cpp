@@ -255,8 +255,8 @@ bincim::MagicEngine::Protection toEngineProtection(CimProtection p) {
 /// native fault model, the stream/word-level classes are added by the
 /// `FaultedBackend` wrap in `makeBackend`.
 std::unique_ptr<ScBackend> makeInnerBackend(
-    DesignKind design, const BackendFactoryConfig& config,
-    const reliability::FaultPlan& plan) {
+    DesignKind design, const BackendFactoryConfig& config) {
+  const reliability::FaultPlan& plan = config.faults;
   switch (design) {
     case DesignKind::Reference:
       return std::make_unique<ReferenceBackend>();
@@ -286,6 +286,8 @@ std::unique_ptr<ScBackend> makeInnerBackend(
       ac.deviceVariability = plan.deviceVariability;
       if (plan.deviceVariability) ac.device = plan.device;
       ac.faultModelSamples = plan.faultModelSamples;
+      ac.faultModelProvider = config.faultModelProvider;
+      ac.wearWindowRows = config.wearWindowRows;
       return std::make_unique<ReramScBackend>(ac);
     }
     case DesignKind::BinaryCim: {
@@ -307,21 +309,24 @@ std::unique_ptr<ScBackend> makeInnerBackend(
 
 std::unique_ptr<ScBackend> makeBackend(DesignKind design,
                                        const BackendFactoryConfig& config) {
-  const reliability::FaultPlan& plan = config.faults;
-  return reliability::wrapWithFaults(makeInnerBackend(design, config, plan),
-                                     design, plan, config.seed);
+  return reliability::wrapWithFaults(makeInnerBackend(design, config), design,
+                                     config.faults, config.seed);
 }
 
 std::vector<std::unique_ptr<ScBackend>> makeBackendLanes(
     DesignKind design, const BackendFactoryConfig& config, std::size_t lanes) {
   std::vector<std::unique_ptr<ScBackend>> fleet;
   fleet.reserve(lanes);
+  // ReRAM-SC lanes key their stream-level faults by (fleet seed, lane
+  // index), every other design by (lane seed, 0); the golden bytes pin both.
+  const bool fleetKeyed = design == DesignKind::ReramSc;
   for (std::size_t i = 0; i < lanes; ++i) {
     BackendFactoryConfig laneCfg = config;
-    // Distinct randomness per lane; identical seeds would correlate lanes
-    // (the MatGroup stride).
+    // Distinct randomness per lane; identical seeds would correlate lanes.
     laneCfg.seed = config.seed + 0x9e3779b97f4a7c15ull * (i + 1);
-    fleet.push_back(makeBackend(design, laneCfg));
+    fleet.push_back(reliability::wrapWithFaults(
+        makeInnerBackend(design, laneCfg), design, config.faults,
+        fleetKeyed ? config.seed : laneCfg.seed, fleetKeyed ? i : 0));
   }
   return fleet;
 }

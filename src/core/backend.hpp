@@ -377,12 +377,16 @@ struct BackendFactoryConfig {
   /// Gate-level retry-and-vote for the binary CIM MAGIC ledger.
   CimProtection bincimProtection = CimProtection::None;
 
-  /// Optional memoizing source of the binary-CIM engines' device-variability
-  /// tables; empty = each engine builds its own.  Bytes are the same either
-  /// way.  Called while the backend is built; the backend keeps the
-  /// returned model alive.  (ReRAM-SC mats take theirs through
-  /// `AcceleratorConfig::faultModelProvider`, i.e. `TileExecutorConfig::mat`.)
+  /// Optional memoizing source of the device-variability tables of ReRAM-SC
+  /// mats and binary-CIM engines; empty = each builds its own.  Bytes are
+  /// the same either way.  Called while the backend is built; the backend
+  /// keeps the returned model alive.
   FaultModelProvider faultModelProvider;
+
+  /// Wear-leveling window (rows) for the ReRAM-SC TRNG plane region; 0 =
+  /// fixed plane rows (see `AcceleratorConfig::wearWindowRows`).  Rotation
+  /// moves which rows hold the planes, never a stream bit.
+  std::size_t wearWindowRows = 0;
 };
 
 /// Creates an owning backend for \p design.
@@ -390,10 +394,12 @@ std::unique_ptr<ScBackend> makeBackend(DesignKind design,
                                        const BackendFactoryConfig& config);
 
 /// Creates \p lanes independently seeded backends of \p design for a
-/// `TileExecutor` lane fleet (golden-ratio seed stride per lane, the
-/// MatGroup derivation — identical seeds would correlate lanes).  With the
-/// lane-pinned tile schedule this makes ANY design's tiled run
-/// bit-identical for every worker-thread count.
+/// `TileExecutor` lane fleet: lane i takes the seed `config.seed +
+/// 0x9e3779b97f4a7c15 * (i + 1)` (golden-ratio stride — identical seeds
+/// would correlate lanes).  Stream-level faults wrap each lane keyed
+/// (lane seed, 0), except ReRAM-SC lanes, which key them (fleet seed, lane
+/// index).  With the lane-pinned tile schedule this makes ANY design's
+/// tiled run bit-identical for every worker-thread count.
 std::vector<std::unique_ptr<ScBackend>> makeBackendLanes(
     DesignKind design, const BackendFactoryConfig& config, std::size_t lanes);
 

@@ -2,12 +2,13 @@
 /// \brief ScBackend over the all-in-memory accelerator — this work's design
 ///        (IMSNG B-to-S, scouting-logic arithmetic, ADC S-to-B).
 ///
-/// A thin adapter: every call maps 1:1 onto the wrapped Accelerator, so a
-/// row-batched kernel running through this backend issues exactly the call
-/// sequence the former hand-written TILED ReRAM variants issued — which is
-/// what makes the generic tiled paths bit-identical to the pre-redesign
-/// outputs (tests/test_backend.cpp).  The former *serial* per-app functions
-/// used per-pixel randomness epochs; their shims now share the row-batched
+/// A thin adapter over the mat it owns: every call maps 1:1 onto the
+/// Accelerator's destination-passing forms, so a row-batched kernel running
+/// through this backend issues exactly the call sequence the former
+/// hand-written TILED ReRAM variants issued — which is what makes the
+/// generic tiled paths bit-identical to the pre-redesign outputs
+/// (tests/test_backend.cpp).  The former *serial* per-app functions used
+/// per-pixel randomness epochs; their shims now share the row-batched
 /// kernel (same quality class, different bits — see README migration notes).
 #pragma once
 
@@ -18,18 +19,14 @@ namespace aimsc::core {
 
 class ReramScBackend final : public ScBackend {
  public:
-  /// Non-owning wrap of an existing mat (tile-executor lanes, shims).
-  explicit ReramScBackend(Accelerator& acc) : acc_(&acc) {}
-
-  /// Owning construction from a mat configuration (factory path).
-  explicit ReramScBackend(const AcceleratorConfig& config)
-      : owned_(std::make_unique<Accelerator>(config)), acc_(owned_.get()) {}
+  /// Builds the mat from its configuration.
+  explicit ReramScBackend(const AcceleratorConfig& config) : acc_(config) {}
 
   const char* name() const override { return "ReRAM-SC"; }
 
-  // Encode through the batched IMSNG Into path, stage-2 through the
-  // ScoutingLogic Into ops, decode through the per-stream ADC — zero
-  // steady-state heap traffic under Ideal sensing.
+  // Encode through the IMSNG Into paths, stage-2 through the ScoutingLogic
+  // Into ops, decode through the per-stream ADC — zero steady-state heap
+  // traffic at any sensing fidelity.
   void encodePixelsInto(std::span<const std::uint8_t> values,
                         std::span<ScValue> out) override;
   void encodePixelsCorrelatedInto(std::span<const std::uint8_t> values,
@@ -54,18 +51,18 @@ class ReramScBackend final : public ScBackend {
   void decodePixelsStoredInto(std::span<ScValue> values,
                               std::span<std::uint8_t> out) override;
 
-  reram::EventCounts events() const override { return acc_->events(); }
-  void resetEvents() override { acc_->resetEvents(); }
+  reram::EventCounts events() const override { return acc_.events(); }
+  void resetEvents() override { acc_.resetEvents(); }
 
-  Accelerator& accelerator() { return *acc_; }
+  /// The mat behind this backend (its array, IMSNG and scalar decodes).
+  Accelerator& accelerator() { return acc_; }
 
  protected:
   void doBernsteinSelectInto(ScValue& dst, std::span<const ScValue> xCopies,
                              std::span<const ScValue> coeffSelects) override;
 
  private:
-  std::unique_ptr<Accelerator> owned_;
-  Accelerator* acc_;
+  Accelerator acc_;
   // Borrowed-pointer staging for the batched Into encode and the per-pixel
   // Bernstein network (reused across rows; a backend is single-threaded).
   std::vector<sc::Bitstream*> outPtrScratch_;

@@ -15,85 +15,6 @@ ImOps::ImOps(reram::ScoutingLogic& scouting, std::uint64_t seed)
 // Each bulk op charges one standalone SA-output latch capture (two for the
 // XOR/XNOR window gates, which latch both references [33]); the in-step SA
 // activity is already absorbed into the calibrated t_slRead.
-sc::Bitstream ImOps::multiply(const sc::Bitstream& x, const sc::Bitstream& y) {
-  scouting_.array().events().add(reram::EventKind::LatchOp);
-  return scouting_.op2(SlOp::And, x, y);
-}
-
-sc::Bitstream ImOps::scaledAdd(const sc::Bitstream& x, const sc::Bitstream& y,
-                               const sc::Bitstream& half) {
-  scouting_.array().events().add(reram::EventKind::LatchOp);
-  return scouting_.op3(SlOp::Maj3, x, y, half);
-}
-
-sc::Bitstream ImOps::addApprox(const sc::Bitstream& x, const sc::Bitstream& y) {
-  scouting_.array().events().add(reram::EventKind::LatchOp);
-  return scouting_.op2(SlOp::Or, x, y);
-}
-
-sc::Bitstream ImOps::absSub(const sc::Bitstream& x, const sc::Bitstream& y) {
-  scouting_.array().events().add(reram::EventKind::LatchOp, 2);  // window op: two refs
-  return scouting_.op2(SlOp::Xor, x, y);
-}
-
-sc::Bitstream ImOps::minimum(const sc::Bitstream& x, const sc::Bitstream& y) {
-  scouting_.array().events().add(reram::EventKind::LatchOp);
-  return scouting_.op2(SlOp::And, x, y);
-}
-
-sc::Bitstream ImOps::maximum(const sc::Bitstream& x, const sc::Bitstream& y) {
-  scouting_.array().events().add(reram::EventKind::LatchOp);
-  return scouting_.op2(SlOp::Or, x, y);
-}
-
-sc::Bitstream ImOps::divide(const sc::Bitstream& x, const sc::Bitstream& y,
-                            sc::CordivVariant variant) {
-  sc::Bitstream q;
-  divideInto(q, x, y, variant);
-  return q;
-}
-
-sc::Bitstream ImOps::majMux(const sc::Bitstream& x, const sc::Bitstream& y,
-                            const sc::Bitstream& sel) {
-  scouting_.array().events().add(reram::EventKind::LatchOp);
-  return scouting_.op3(SlOp::Maj3, x, y, sel);
-}
-
-sc::Bitstream ImOps::bernsteinSelect(const std::vector<sc::Bitstream>& xCopies,
-                                     const std::vector<sc::Bitstream>& coeffs) {
-  std::vector<const sc::Bitstream*> copyPtrs;
-  copyPtrs.reserve(xCopies.size());
-  for (const auto& s : xCopies) copyPtrs.push_back(&s);
-  std::vector<const sc::Bitstream*> coeffPtrs;
-  coeffPtrs.reserve(coeffs.size());
-  for (const auto& s : coeffs) coeffPtrs.push_back(&s);
-  return bernsteinSelect(std::span<const sc::Bitstream* const>(copyPtrs),
-                         std::span<const sc::Bitstream* const>(coeffPtrs));
-}
-
-sc::Bitstream ImOps::bernsteinSelect(
-    std::span<const sc::Bitstream* const> xCopies,
-    std::span<const sc::Bitstream* const> coeffs) {
-  // Select first (validates and throws on a malformed call), charge after.
-  sc::Bitstream out = sc::scBernsteinSelect(xCopies, coeffs);
-  auto& log = scouting_.array().events();
-  const std::uint64_t steps =
-      static_cast<std::uint64_t>(xCopies.size() + coeffs.size()) - 1;
-  log.add(reram::EventKind::SlRead, steps);
-  log.add(reram::EventKind::LatchOp, steps);
-  return out;
-}
-
-sc::Bitstream ImOps::majMux4(const sc::Bitstream& i11, const sc::Bitstream& i12,
-                             const sc::Bitstream& i21, const sc::Bitstream& i22,
-                             const sc::Bitstream& sx, const sc::Bitstream& sy) {
-  scouting_.array().events().add(reram::EventKind::LatchOp, 3);
-  const sc::Bitstream top = scouting_.op3(SlOp::Maj3, i12, i11, sy);
-  const sc::Bitstream bottom = scouting_.op3(SlOp::Maj3, i22, i21, sy);
-  return scouting_.op3(SlOp::Maj3, bottom, top, sx);
-}
-
-// --- destination-passing forms ----------------------------------------------
 
 void ImOps::multiplyInto(sc::Bitstream& dst, const sc::Bitstream& x,
                          const sc::Bitstream& y) {

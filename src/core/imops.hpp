@@ -31,76 +31,55 @@ class ImOps {
   /// \param seed     seed of CORDIV's per-iteration misdecision draws
   explicit ImOps(reram::ScoutingLogic& scouting, std::uint64_t seed = 0x1305);
 
+  // Every op writes into \p dst, resized to the operand width (buffer
+  // reused), so a warm engine computes without heap traffic.  \p dst may
+  // alias any operand except in divideInto / bernsteinSelectInto (serial
+  // recurrence / selection network read their inputs after output bits are
+  // written).
+
   /// Multiplication: AND, independent inputs, one sensing step.
-  sc::Bitstream multiply(const sc::Bitstream& x, const sc::Bitstream& y);
-
-  /// Scaled addition: 3-input MAJ with a P=0.5 select stream, one step.
-  sc::Bitstream scaledAdd(const sc::Bitstream& x, const sc::Bitstream& y,
-                          const sc::Bitstream& half);
-
-  /// Approximate addition: OR, inputs in [0, 0.5].
-  sc::Bitstream addApprox(const sc::Bitstream& x, const sc::Bitstream& y);
-
-  /// Absolute subtraction: XOR (window op), correlated inputs.
-  sc::Bitstream absSub(const sc::Bitstream& x, const sc::Bitstream& y);
-
-  /// Minimum / maximum over correlated inputs: AND / OR.
-  sc::Bitstream minimum(const sc::Bitstream& x, const sc::Bitstream& y);
-  sc::Bitstream maximum(const sc::Bitstream& x, const sc::Bitstream& y);
-
-  /// CORDIV division x / y over correlated streams (x <= y), serial O(N);
-  /// charges one cordivIteration per bit.
-  sc::Bitstream divide(const sc::Bitstream& x, const sc::Bitstream& y,
-                       sc::CordivVariant variant = sc::CordivVariant::JkFlipFlop);
-
-  /// MUX via MAJ tree (compositing / bilinear kernels); sel favours x.
-  sc::Bitstream majMux(const sc::Bitstream& x, const sc::Bitstream& y,
-                       const sc::Bitstream& sel);
-
-  /// 4-to-1 MUX via three MAJ steps (bilinear interpolation).
-  sc::Bitstream majMux4(const sc::Bitstream& i11, const sc::Bitstream& i12,
-                        const sc::Bitstream& i21, const sc::Bitstream& i22,
-                        const sc::Bitstream& sx, const sc::Bitstream& sy);
-
-  /// Bernstein selection network (extension; sc/bernstein.hpp): selects
-  /// among the coefficient streams by the ones-count of the x copies.
-  /// Charged as a MUX tree of (copies + coeffs - 1) sensing steps; faults
-  /// reach the result through the encoded input streams.
-  sc::Bitstream bernsteinSelect(const std::vector<sc::Bitstream>& xCopies,
-                                const std::vector<sc::Bitstream>& coeffs);
-
-  /// Zero-copy form over borrowed streams (same charges; the ScBackend
-  /// adapter's per-pixel path).
-  sc::Bitstream bernsteinSelect(std::span<const sc::Bitstream* const> xCopies,
-                                std::span<const sc::Bitstream* const> coeffs);
-
-  // --- destination-passing forms (allocation-free hot path) -----------------
-  // Same bits, fault draws and event charges as the allocating forms; \p dst
-  // is resized to the operand width (buffer reused).  \p dst may alias any
-  // operand except in divideInto / bernsteinSelectInto (serial recurrence /
-  // selection network read their inputs after output bits are written).
-
   void multiplyInto(sc::Bitstream& dst, const sc::Bitstream& x,
                     const sc::Bitstream& y);
+
+  /// Scaled addition: 3-input MAJ with a P=0.5 select stream, one step.
   void scaledAddInto(sc::Bitstream& dst, const sc::Bitstream& x,
                      const sc::Bitstream& y, const sc::Bitstream& half);
+
+  /// Approximate addition: OR, inputs in [0, 0.5].
   void addApproxInto(sc::Bitstream& dst, const sc::Bitstream& x,
                      const sc::Bitstream& y);
+
+  /// Absolute subtraction: XOR (window op), correlated inputs.
   void absSubInto(sc::Bitstream& dst, const sc::Bitstream& x,
                   const sc::Bitstream& y);
+
+  /// Minimum / maximum over correlated inputs: AND / OR.
   void minimumInto(sc::Bitstream& dst, const sc::Bitstream& x,
                    const sc::Bitstream& y);
   void maximumInto(sc::Bitstream& dst, const sc::Bitstream& x,
                    const sc::Bitstream& y);
+
+  /// CORDIV division x / y over correlated streams (x <= y), serial O(N);
+  /// charges one cordivIteration per bit.
   void divideInto(sc::Bitstream& dst, const sc::Bitstream& x,
                   const sc::Bitstream& y,
                   sc::CordivVariant variant = sc::CordivVariant::JkFlipFlop);
+
+  /// MUX via MAJ tree (compositing / bilinear kernels); sel favours x.
   void majMuxInto(sc::Bitstream& dst, const sc::Bitstream& x,
                   const sc::Bitstream& y, const sc::Bitstream& sel);
+
+  /// 4-to-1 MUX via three MAJ steps (bilinear interpolation).
   void majMux4Into(sc::Bitstream& dst, const sc::Bitstream& i11,
                    const sc::Bitstream& i12, const sc::Bitstream& i21,
                    const sc::Bitstream& i22, const sc::Bitstream& sx,
                    const sc::Bitstream& sy);
+
+  /// Bernstein selection network (extension; sc/bernstein.hpp) over
+  /// borrowed streams: selects among the coefficient streams by the
+  /// ones-count of the x copies.  Charged as a MUX tree of
+  /// (copies + coeffs - 1) sensing steps; faults reach the result through
+  /// the encoded input streams.
   void bernsteinSelectInto(sc::Bitstream& dst,
                            std::span<const sc::Bitstream* const> xCopies,
                            std::span<const sc::Bitstream* const> coeffs);

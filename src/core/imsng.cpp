@@ -93,12 +93,6 @@ std::size_t Imsng::sensingStepsPerConversion(std::uint32_t x) const {
   return logic::scheduleForSl(net.xag).sensingSteps;
 }
 
-sc::Bitstream Imsng::generateThreshold(std::uint32_t x) {
-  sc::Bitstream result;
-  generateThresholdInto(x, result);
-  return result;
-}
-
 void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
   const std::size_t n = array_.cols();
   const int m = config_.mBits;
@@ -196,7 +190,7 @@ void Imsng::computeThresholdStreamInto(std::uint32_t x, sc::Bitstream& dst) {
 void Imsng::chargeConversion(std::uint32_t x, const sc::Bitstream& result) {
   const std::uint32_t full = std::uint32_t{1} << config_.mBits;
   auto& log = array_.events();
-  // Mirror generateThreshold(): the dataflow issues one read per plane plus
+  // Mirror generateThresholdInto(): the dataflow issues one read per plane plus
   // one extra per set threshold bit, and the schedule only tops *up* — so
   // the serial path charges max(schedule, dataflow reads).  The folded
   // schedule can be smaller than the dataflow.
@@ -215,29 +209,6 @@ void Imsng::chargeConversion(std::uint32_t x, const sc::Bitstream& result) {
     periphery_.captureL0(result);
     periphery_.commit(config_.outputRow);
   }
-}
-
-std::vector<sc::Bitstream> Imsng::encodeBatch(
-    std::span<const std::uint32_t> thresholds) {
-  // One implementation: the allocating form materializes destinations and
-  // delegates, so the memo/charge walk cannot drift between the two paths.
-  std::vector<sc::Bitstream> out(thresholds.size());
-  std::vector<sc::Bitstream*> ptrs;
-  ptrs.reserve(out.size());
-  for (auto& s : out) ptrs.push_back(&s);
-  encodeBatchInto(thresholds, ptrs);
-  return out;
-}
-
-std::vector<sc::Bitstream> Imsng::encodePixelBatch(
-    std::span<const std::uint8_t> values) {
-  std::vector<std::uint32_t> thresholds;
-  thresholds.reserve(values.size());
-  for (const std::uint8_t v : values) {
-    thresholds.push_back(sc::quantizeProbability(
-        static_cast<double>(v) / 255.0, config_.mBits));
-  }
-  return encodeBatch(thresholds);
 }
 
 void Imsng::beginMemoEpoch() {
@@ -307,14 +278,6 @@ void Imsng::encodePixelBatchInto(std::span<const std::uint8_t> values,
     thresholdScratch_[i] = pixelThreshold_[values[i]];
   }
   encodeBatchInto(thresholdScratch_, outs);
-}
-
-sc::Bitstream Imsng::generateProb(double p) {
-  return generateThreshold(sc::quantizeProbability(p, config_.mBits));
-}
-
-sc::Bitstream Imsng::generatePixel(std::uint8_t v) {
-  return generateProb(static_cast<double>(v) / 255.0);
 }
 
 }  // namespace aimsc::core

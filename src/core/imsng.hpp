@@ -86,49 +86,31 @@ class Imsng {
   /// that must be *independent*; skip it to obtain correlated streams.
   void refreshRandomness();
 
-  /// Converts integer threshold \p x in [0, 2^M] to an SBS: bit j = 1 iff
-  /// x > RN_j.  The stream is committed to the configured output row and
-  /// also returned.
-  sc::Bitstream generateThreshold(std::uint32_t x);
-
-  /// Same conversion into \p dst (resized to the array width, buffer
-  /// reused): the scouting dataflow runs on the periphery latches and
-  /// member scratch, so a warm call allocates nothing at any fidelity.
+  /// Converts integer threshold \p x in [0, 2^M] to an SBS into \p dst
+  /// (resized to the array width, buffer reused): bit j = 1 iff x > RN_j.
+  /// The stream is also committed to the configured output row.  The
+  /// scouting dataflow runs on the periphery latches and member scratch, so
+  /// a warm call allocates nothing at any fidelity.
   void generateThresholdInto(std::uint32_t x, sc::Bitstream& dst);
-
-  /// Converts probability \p p in [0,1] (quantized to M bits).
-  sc::Bitstream generateProb(double p);
-
-  /// Converts an 8-bit pixel value (p = v / 255).
-  sc::Bitstream generatePixel(std::uint8_t v);
 
   /// Batched conversion: every threshold is converted against the CURRENT
   /// random planes — one randomness epoch for the whole batch, so streams
   /// within it are mutually correlated, exactly as repeated
-  /// generateThreshold() calls without an intervening refresh.  Event
-  /// accounting is identical to the per-call path (each conversion charges
-  /// its 5·M sensing schedule and its commit write); under Ideal sensing the
-  /// streams are bit-identical to the per-call path, produced by a
-  /// word-level comparator with per-epoch threshold memoization (duplicate
-  /// pixel values re-use the computed stream but still charge their
-  /// conversion).  Non-ideal fidelities fall back to the scouting dataflow
-  /// per element (generateThresholdInto) so fault injection stays
-  /// faithful.
-  std::vector<sc::Bitstream> encodeBatch(std::span<const std::uint32_t> thresholds);
-
-  /// Batched 8-bit pixel conversion (p = v / 255), same epoch semantics.
-  std::vector<sc::Bitstream> encodePixelBatch(std::span<const std::uint8_t> values);
-
-  /// Destination-passing batch conversion: stream i is written into
-  /// `*outs[i]` (resized to the array width, buffer reused).  Bits, epoch
-  /// semantics and event accounting are identical to `encodeBatch`; the
-  /// call performs no heap allocation once the destination buffers, the
-  /// memo table and the scouting scratch are warm — the tile engine's
-  /// per-row hot path.
+  /// generateThresholdInto() calls without an intervening refresh; stream i
+  /// is written into `*outs[i]`.  Event accounting is identical to the
+  /// per-call path (each conversion charges its 5·M sensing schedule and
+  /// its commit write); under Ideal sensing the streams are bit-identical
+  /// to the per-call path, produced by a word-level comparator with
+  /// per-epoch threshold memoization (duplicate pixel values re-use the
+  /// computed stream but still charge their conversion).  Non-ideal
+  /// fidelities fall back to the scouting dataflow per element so fault
+  /// injection stays faithful.  The call performs no heap allocation once
+  /// the destination buffers, the memo table and the scouting scratch are
+  /// warm — the tile engine's per-row hot path.
   void encodeBatchInto(std::span<const std::uint32_t> thresholds,
                        std::span<sc::Bitstream* const> outs);
 
-  /// Destination-passing 8-bit pixel batch (p = v / 255).
+  /// Batched 8-bit pixel conversion (p = v / 255), same epoch semantics.
   void encodePixelBatchInto(std::span<const std::uint8_t> values,
                             std::span<sc::Bitstream* const> outs);
 

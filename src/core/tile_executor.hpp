@@ -15,9 +15,8 @@
 ///
 /// Lanes are ScBackend instances, so the tile-parallel path runs the SAME
 /// backend-generic kernels as the serial path — parallelism is a property
-/// of the executor, not of the app.  The default configuration builds
-/// ReRAM-SC lanes over a MatGroup; any other backend fleet can be supplied
-/// through the lane-vector constructor.
+/// of the executor, not of the app.  Every fleet, ReRAM-SC included, comes
+/// from `makeBackendLanes` (or one `makeBackend` lane).
 ///
 /// Event accounting is lock-free by construction: counters accumulate in
 /// per-lane EventLogs that no other thread touches, and totalEvents() sums
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "core/backend.hpp"
-#include "core/mat_group.hpp"
 #include "core/stream_arena.hpp"
 #include "core/thread_pool.hpp"
 
@@ -52,19 +50,6 @@ struct ParallelConfig {
   std::size_t rowsPerTile = 4;
 };
 
-struct TileExecutorConfig : ParallelConfig {
-  /// Per-lane accelerator configuration for the default ReRAM-SC lane fleet
-  /// (the seed is varied per lane, exactly as MatGroup does).
-  AcceleratorConfig mat{};
-
-  /// Unified fault contract for the fleet: `faults.deviceVariability` should
-  /// be mirrored into `mat` (the runner's tileConfigFor does); the
-  /// stream-level classes wrap every lane in a reliability::FaultedBackend,
-  /// keyed (mat seed, lane index) so faulty tiled runs stay bit-identical
-  /// at any worker-thread count.
-  reliability::FaultPlan faults{};
-};
-
 class TileExecutor {
  public:
   /// Backend-generic kernel invoked once per tile: \p lane is the backend
@@ -81,17 +66,8 @@ class TileExecutor {
       std::function<void(ScBackend& lane, StreamArena& arena,
                          std::size_t rowBegin, std::size_t rowEnd)>;
 
-  /// Accelerator-level kernel (ReRAM-SC lane fleets only; prefer the
-  /// backend form for new code).
-  using TileKernel =
-      std::function<void(Accelerator& lane, std::size_t rowBegin,
-                         std::size_t rowEnd)>;
-
-  /// ReRAM-SC lane fleet over a MatGroup (the paper's configuration).
-  explicit TileExecutor(const TileExecutorConfig& config);
-
-  /// Arbitrary backend lane fleet (each lane independently seeded by the
-  /// caller); \p par.lanes is taken from the vector size.
+  /// Backend lane fleet (each lane independently seeded, e.g. by
+  /// `makeBackendLanes`); \p par.lanes is taken from the vector size.
   TileExecutor(std::vector<std::unique_ptr<ScBackend>> lanes,
                const ParallelConfig& par);
 
@@ -99,7 +75,6 @@ class TileExecutor {
   /// with the lane-pinned schedule.  Rethrows the first kernel exception
   /// after all lanes have drained.
   void forEachTile(std::size_t imageHeight, const ArenaTileKernel& kernel);
-  void forEachTile(std::size_t imageHeight, const TileKernel& kernel);
 
   /// Builds the lane-pinned task closures WITHOUT running them — the
   /// cross-request batching hook.  Each closure is one lane's full tile
@@ -134,12 +109,6 @@ class TileExecutor {
   /// place so the executor stays usable.
   std::vector<std::unique_ptr<StreamArena>> releaseArenas();
 
-  /// Accelerator lane \p i; throws std::logic_error for non-ReRAM fleets.
-  Accelerator& lane(std::size_t i);
-
-  /// Underlying MatGroup; throws std::logic_error for non-ReRAM fleets.
-  MatGroup& group();
-
   /// Merged event counts across lanes (sum after join; lock-free).
   reram::EventCounts totalEvents() const;
 
@@ -147,29 +116,11 @@ class TileExecutor {
   std::uint64_t totalOpCount() const;
   void resetEvents();
 
-  /// Wall-clock estimate under concurrent lanes (slowest lane finishes
-  /// last); 0 for fleets without an event-ledger cost model.
-  double estimatedWallClockNs() const;
-
  private:
-  /// Lane-pinned tile schedule shared by both kernel forms.
-  void runTiles(std::size_t imageHeight,
-                const std::function<void(std::size_t lane, std::size_t rowBegin,
-                                         std::size_t rowEnd)>& tile);
-
-  /// Builds the per-lane closures runTiles executes (shared with
-  /// laneTasks); \p tile is copied into each closure.
-  std::vector<std::function<void()>> buildLaneTasks(
-      std::size_t imageHeight,
-      std::function<void(std::size_t lane, std::size_t rowBegin,
-                         std::size_t rowEnd)>
-          tile);
-
-  /// Builds one arena per lane (both constructors).
+  /// Builds one arena per lane.
   void makeArenas();
 
   ParallelConfig par_;
-  std::unique_ptr<MatGroup> group_;  ///< ReRAM fleets only
   std::vector<std::unique_ptr<ScBackend>> backends_;
   std::vector<std::unique_ptr<StreamArena>> arenas_;  ///< one per lane
   std::unique_ptr<ThreadPool> pool_;

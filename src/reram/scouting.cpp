@@ -116,35 +116,6 @@ ScoutingLogic::ScoutingLogic(CrossbarArray& array, Fidelity fidelity,
   }
 }
 
-sc::Bitstream ScoutingLogic::opRows(SlOp op, std::span<const std::size_t> rows) {
-  std::vector<const sc::Bitstream*> operands;
-  operands.reserve(rows.size());
-  for (const std::size_t r : rows) operands.push_back(&array_.row(r));
-  return execute(op, operands);
-}
-
-sc::Bitstream ScoutingLogic::opStreams(
-    SlOp op, const std::vector<const sc::Bitstream*>& operands) {
-  return execute(op, operands);
-}
-
-sc::Bitstream ScoutingLogic::op2(SlOp op, const sc::Bitstream& a,
-                                 const sc::Bitstream& b) {
-  const std::array<const sc::Bitstream*, 2> ops{&a, &b};
-  return execute(op, ops);
-}
-
-sc::Bitstream ScoutingLogic::op3(SlOp op, const sc::Bitstream& a,
-                                 const sc::Bitstream& b, const sc::Bitstream& c) {
-  const std::array<const sc::Bitstream*, 3> ops{&a, &b, &c};
-  return execute(op, ops);
-}
-
-sc::Bitstream ScoutingLogic::opNot(const sc::Bitstream& a) {
-  const std::array<const sc::Bitstream*, 1> ops{&a};
-  return execute(SlOp::Not, ops);
-}
-
 void ScoutingLogic::op2Into(SlOp op, sc::Bitstream& dst, const sc::Bitstream& a,
                             const sc::Bitstream& b) {
   const std::array<const sc::Bitstream*, 2> ops{&a, &b};
@@ -159,12 +130,6 @@ void ScoutingLogic::op3Into(SlOp op, sc::Bitstream& dst, const sc::Bitstream& a,
 
 void ScoutingLogic::opInto(SlOp op, sc::Bitstream& dst, Operands operands) {
   executeInto(op, operands, dst);
-}
-
-sc::Bitstream ScoutingLogic::execute(SlOp op, Operands operands) {
-  sc::Bitstream out;
-  executeInto(op, operands, out);
-  return out;
 }
 
 void ScoutingLogic::executeInto(SlOp op, Operands operands, sc::Bitstream& dst) {
@@ -209,13 +174,12 @@ void ScoutingLogic::executeInto(SlOp op, Operands operands, sc::Bitstream& dst) 
     return;
   }
 
-  // Temporal redundancy: vote per column over `votes_` independent senses.
-  // Cold path (the protection-scheme ablation): stage through fresh
-  // outcome streams, then vote into dst.
-  std::vector<sc::Bitstream> outcomes;
-  outcomes.reserve(static_cast<std::size_t>(votes_));
-  for (int v = 0; v < votes_; ++v) {
-    outcomes.push_back(senseOnce(op, operands, masks, numRows, width));
+  // Temporal redundancy: vote per column over `votes_` independent senses,
+  // staged through one outcome stream per vote, then voted into dst.
+  std::vector<sc::Bitstream>& outcomes = voteScratch_;
+  outcomes.resize(static_cast<std::size_t>(votes_));
+  for (sc::Bitstream& o : outcomes) {
+    senseOnceInto(o, op, operands, masks, numRows, width);
   }
   if (votes_ == 3) {
     sc::Bitstream::majorityInto(dst, outcomes[0], outcomes[1], outcomes[2]);
@@ -265,14 +229,6 @@ void ScoutingLogic::senseIdealInto(sc::Bitstream& dst, SlOp op,
       Bitstream::notInto(dst, *operands[0]);
       return;
   }
-}
-
-sc::Bitstream ScoutingLogic::senseOnce(
-    SlOp op, Operands operands,
-    const std::vector<sc::Bitstream>& masks, int numRows, std::size_t width) {
-  sc::Bitstream out;
-  senseOnceInto(out, op, operands, masks, numRows, width);
-  return out;
 }
 
 void ScoutingLogic::senseOnceInto(

@@ -49,30 +49,16 @@ class ScoutingLogic {
                 const FaultModel* faultModel = nullptr,
                 std::uint64_t seed = 0x5c007, int votes = 1);
 
-  /// Borrowed operand list shared by every op form.
+  /// Borrowed operand list shared by every op form: stored rows read out
+  /// (`array().row(r)`) and/or latched feedback values, all array-width.
   using Operands = std::span<const sc::Bitstream* const>;
 
-  /// One sensing step over stored rows.
-  sc::Bitstream opRows(SlOp op, std::span<const std::size_t> rows);
-
-  /// One sensing step over explicit operand streams (stored rows read out
-  /// and/or latched feedback values).  All streams must be array-width.
-  sc::Bitstream opStreams(SlOp op, const std::vector<const sc::Bitstream*>& operands);
-
-  /// Convenience two/three-operand forms.
-  sc::Bitstream op2(SlOp op, const sc::Bitstream& a, const sc::Bitstream& b);
-  sc::Bitstream op3(SlOp op, const sc::Bitstream& a, const sc::Bitstream& b,
-                    const sc::Bitstream& c);
-
-  /// Single-row NOT (inverted read).
-  sc::Bitstream opNot(const sc::Bitstream& a);
-
-  // --- destination-passing forms (allocation-free hot path) -----------------
-  // Same sensed bits, fault draws and event charges as the allocating
-  // forms; \p dst is resized to the operand width (buffer reused).  \p dst
-  // MAY alias an operand: the per-pattern masks are materialized before the
+  // Every op senses into \p dst, resized to the operand width (buffer
+  // reused), so a warm engine senses without heap traffic.  \p dst MAY
+  // alias an operand: the per-pattern masks are materialized before the
   // destination is written (Ideal/Probabilistic fidelities; the MonteCarlo
-  // and voting paths stage through a scratch stream).
+  // and voting paths stage through scratch streams).  NOT is a one-operand
+  // `opInto`.
 
   /// dst = op(a, b), one sensing step.
   void op2Into(SlOp op, sc::Bitstream& dst, const sc::Bitstream& a,
@@ -96,15 +82,10 @@ class ScoutingLogic {
   CrossbarArray& array() { return array_; }
 
  private:
-  sc::Bitstream execute(SlOp op, Operands operands);
-  /// Shared trunk of the allocating and Into forms: validates, charges,
-  /// senses into \p dst.
+  /// Shared trunk of the op forms: validates, charges, senses into \p dst.
   void executeInto(SlOp op, Operands operands, sc::Bitstream& dst);
   /// Ideal single-sense fast path: the plain word-level gate, no masks.
   void senseIdealInto(sc::Bitstream& dst, SlOp op, Operands operands);
-  sc::Bitstream senseOnce(SlOp op, Operands operands,
-                          const std::vector<sc::Bitstream>& masks, int numRows,
-                          std::size_t width);
   void senseOnceInto(sc::Bitstream& dst, SlOp op, Operands operands,
                      const std::vector<sc::Bitstream>& masks, int numRows,
                      std::size_t width);
@@ -139,6 +120,7 @@ class ScoutingLogic {
   // reused across sensing steps to keep the bulk-op path allocation-free.
   // maskScratch_ only grows, so a 2-operand step keeps the 3-operand mask.
   std::vector<sc::Bitstream> maskScratch_;
+  std::vector<sc::Bitstream> voteScratch_;  ///< one outcome per vote
   sc::Bitstream tmpA_;
   sc::Bitstream tmpB_;
   sc::Bitstream tmpC_;

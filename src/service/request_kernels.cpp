@@ -5,20 +5,6 @@ namespace aimsc::service {
 std::unique_ptr<core::TileExecutor> makeRequestExecutor(
     const ExecShape& shape, const Request& q, std::uint64_t seed,
     FaultModelCache& faultCache) {
-  if (q.design == core::DesignKind::ReramSc) {
-    core::TileExecutorConfig tc;
-    tc.lanes = shape.lanes;
-    tc.threads = 0;  // the caller's pool runs the wave, not the executor
-    tc.rowsPerTile = shape.rowsPerTile;
-    tc.mat.streamLength = q.streamLength;
-    tc.mat.deviceVariability = q.faults.deviceVariability;
-    if (q.faults.deviceVariability) tc.mat.device = q.faults.device;
-    tc.mat.faultModelSamples = q.faults.faultModelSamples;
-    tc.mat.seed = seed;
-    tc.mat.faultModelProvider = faultCache.provider();
-    tc.faults = q.faults;
-    return std::make_unique<core::TileExecutor>(tc);
-  }
   core::BackendFactoryConfig bc;
   bc.streamLength = q.streamLength;
   bc.seed = seed;

@@ -1,5 +1,5 @@
 /// \file wire.hpp
-/// \brief Versioned, endian-fixed wire codec for the sharded MatGroup
+/// \brief Versioned, endian-fixed wire codec for the sharded lane-fleet
 ///        service (docs/SHARDING.md).
 ///
 /// A shard request serializes everything a worker process needs to execute
@@ -85,9 +85,8 @@ enum class ReplyKind : std::uint8_t { Result = 1, Pong = 2 };
 /// laneStride, ...` of the request's `lanes`-wide fleet, over image rows
 /// [rowBegin, rowEnd).  `laneSeedBase` is the fleet master seed of the
 /// replica being executed (already namespaced and replica-strided); lane i
-/// derives its own seed from it exactly as `core::MatGroup` /
-/// `core::makeBackendLanes` do, so a lane computes the same bits in any
-/// process.
+/// derives its own seed from it exactly as `core::makeBackendLanes` does,
+/// so a lane computes the same bits in any process.
 struct TileAssignment {
   std::uint64_t laneSeedBase = 0;
   std::uint32_t laneBegin = 0;

@@ -5,10 +5,10 @@
 ///
 /// Execution contract (docs/SHARDING.md): the worker rebuilds the request's
 /// full lane fleet through the SAME construction path as the in-process
-/// service (`service::makeRequestExecutor` — lane i's seed derives from the
-/// wire `laneSeedBase` exactly as `core::MatGroup` does), then runs the
-/// app schedule (apps/schedule.hpp) with ONLY the lanes its
-/// `TileAssignment` names in the last stage.  Because lane l's bits depend
+/// service (`service::makeRequestExecutor`, i.e. `core::makeBackendLanes`
+/// over the wire `laneSeedBase`), then runs the app schedule
+/// (apps/schedule.hpp) with ONLY the lanes its `TileAssignment` names in
+/// the last stage.  Because lane l's bits depend
 /// only on lane l's seed and its ascending tile sequence — never on which
 /// other lanes run, or in which process — the rows this worker produces
 /// are byte-identical to the rows lane l produces in a solo run.  A later

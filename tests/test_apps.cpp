@@ -64,8 +64,7 @@ TEST(Compositing, ReramScTracksReference) {
   core::AcceleratorConfig ac;
   ac.streamLength = 256;
   ac.device = reram::DeviceParams::ideal();
-  core::Accelerator acc(ac);
-  core::ReramScBackend b(acc);
+  core::ReramScBackend b(ac);
   const img::Image out = compositeKernel(s, b);
   const img::Image ref = compositeReference(s);
   EXPECT_GT(img::psnrDb(out, ref), 18.0);
@@ -130,8 +129,7 @@ TEST(Bilinear, ReramScTracksReference) {
   core::AcceleratorConfig ac;
   ac.streamLength = 256;
   ac.device = reram::DeviceParams::ideal();
-  core::Accelerator acc(ac);
-  core::ReramScBackend b(acc);
+  core::ReramScBackend b(ac);
   const img::Image out = upscaleKernel(src, 2, b);
   const img::Image ref = upscaleReference(src, 2);
   // The three-MAJ tree is an approximation of the exact 4-to-1 MUX (error
@@ -155,8 +153,7 @@ TEST(Matting, ReramScBlendQuality) {
   core::AcceleratorConfig ac;
   ac.streamLength = 256;
   ac.device = reram::DeviceParams::ideal();
-  core::Accelerator acc(ac);
-  core::ReramScBackend b(acc);
+  core::ReramScBackend b(ac);
   const img::Image alpha = mattingKernel(s, b);
   const img::Image blend = blendWithAlpha(s, alpha);
   EXPECT_GT(img::psnrDb(blend, s.composite), 20.0);

@@ -241,42 +241,58 @@ TEST(BackendFactory, NamesAndKinds) {
 // kernels reproduce them bit for bit (ReRAM-SC at thread counts 0 and 4,
 // fault-free and faulty).
 
-TileExecutorConfig tileCfg(std::size_t threads, bool faults = false) {
-  TileExecutorConfig cfg;
-  cfg.lanes = 4;
-  cfg.threads = threads;
-  cfg.rowsPerTile = 2;
-  cfg.mat.streamLength = 256;
+/// The four-lane ReRAM-SC fleet the bit-identity tests tile over.
+TileExecutor reramFleet(std::size_t threads, bool faults = false) {
+  BackendFactoryConfig bc;
+  bc.streamLength = 256;
   if (faults) {
-    cfg.mat.deviceVariability = true;
-    cfg.mat.device = apps::defaultFaultyDevice();
-    cfg.mat.faultModelSamples = 20000;
-  } else {
-    cfg.mat.device = reram::DeviceParams::ideal();
+    bc.faults = reliability::FaultPlan::deviceOnly(apps::defaultFaultyDevice(),
+                                                   20000);
   }
-  return cfg;
+  ParallelConfig par;
+  par.threads = threads;
+  par.rowsPerTile = 2;
+  return TileExecutor(makeBackendLanes(DesignKind::ReramSc, bc, 4), par);
+}
+
+/// The mat behind a fleet lane (the seed loops drive it directly).
+Accelerator& matOf(ScBackend& lane) {
+  return dynamic_cast<ReramScBackend&>(lane).accelerator();
+}
+
+/// Borrowed destinations for the mat's batch encodes.
+std::vector<sc::Bitstream*> slots(std::vector<sc::Bitstream>& streams) {
+  std::vector<sc::Bitstream*> ptrs;
+  for (auto& s : streams) ptrs.push_back(&s);
+  return ptrs;
 }
 
 img::Image seedCompositeReramScTiled(const apps::CompositingScene& scene,
                                      TileExecutor& exec) {
   const std::size_t w = scene.background.width();
   img::Image out(w, scene.background.height());
-  exec.forEachTile(out.height(), [&](Accelerator& acc, std::size_t r0,
-                                     std::size_t r1) {
+  exec.forEachTile(out.height(), [&](ScBackend& lane, StreamArena&,
+                                     std::size_t r0, std::size_t r1) {
+    Accelerator& acc = matOf(lane);
     std::vector<std::uint8_t> frow(w);
     std::vector<std::uint8_t> brow(w);
     std::vector<std::uint8_t> arow(w);
+    std::vector<sc::Bitstream> fs(w);
+    std::vector<sc::Bitstream> bs(w);
+    std::vector<sc::Bitstream> as(w);
+    sc::Bitstream blend;
     for (std::size_t y = r0; y < r1; ++y) {
       for (std::size_t x = 0; x < w; ++x) {
         frow[x] = scene.foreground.at(x, y);
         brow[x] = scene.background.at(x, y);
         arow[x] = scene.alpha.at(x, y);
       }
-      const auto fs = acc.encodePixels(frow);
-      const auto bs = acc.encodePixelsCorrelated(brow);
-      const auto as = acc.encodePixels(arow);
+      acc.encodePixelsInto(frow, slots(fs));
+      acc.encodePixelsCorrelatedInto(brow, slots(bs));
+      acc.encodePixelsInto(arow, slots(as));
       for (std::size_t x = 0; x < w; ++x) {
-        out.at(x, y) = acc.decodePixel(acc.ops().majMux(fs[x], bs[x], as[x]));
+        acc.ops().majMuxInto(blend, fs[x], bs[x], as[x]);
+        out.at(x, y) = acc.decodePixel(blend);
       }
     }
   });
@@ -287,24 +303,32 @@ img::Image seedMattingReramScTiled(const apps::MattingScene& scene,
                                    TileExecutor& exec) {
   const std::size_t w = scene.composite.width();
   img::Image out(w, scene.composite.height());
-  exec.forEachTile(out.height(), [&](Accelerator& acc, std::size_t r0,
-                                     std::size_t r1) {
+  exec.forEachTile(out.height(), [&](ScBackend& lane, StreamArena&,
+                                     std::size_t r0, std::size_t r1) {
+    Accelerator& acc = matOf(lane);
     std::vector<std::uint8_t> irow(w);
     std::vector<std::uint8_t> brow(w);
     std::vector<std::uint8_t> frow(w);
+    std::vector<sc::Bitstream> is(w);
+    std::vector<sc::Bitstream> bs(w);
+    std::vector<sc::Bitstream> fs(w);
+    sc::Bitstream num;
+    sc::Bitstream den;
+    sc::Bitstream alpha;
     for (std::size_t y = r0; y < r1; ++y) {
       for (std::size_t x = 0; x < w; ++x) {
         irow[x] = scene.composite.at(x, y);
         brow[x] = scene.background.at(x, y);
         frow[x] = scene.foreground.at(x, y);
       }
-      const auto is = acc.encodePixels(irow);
-      const auto bs = acc.encodePixelsCorrelated(brow);
-      const auto fs = acc.encodePixelsCorrelated(frow);
+      acc.encodePixelsInto(irow, slots(is));
+      acc.encodePixelsCorrelatedInto(brow, slots(bs));
+      acc.encodePixelsCorrelatedInto(frow, slots(fs));
       for (std::size_t x = 0; x < w; ++x) {
-        const sc::Bitstream num = acc.ops().absSub(is[x], bs[x]);
-        const sc::Bitstream den = acc.ops().absSub(fs[x], bs[x]);
-        out.at(x, y) = acc.decodePixelStored(acc.ops().divide(num, den));
+        acc.ops().absSubInto(num, is[x], bs[x]);
+        acc.ops().absSubInto(den, fs[x], bs[x]);
+        acc.ops().divideInto(alpha, num, den);
+        out.at(x, y) = acc.decodePixelStored(alpha);
       }
     }
   });
@@ -316,9 +340,15 @@ img::Image seedUpscaleReramScTiled(const img::Image& src, std::size_t factor,
   const std::size_t W = src.width() * factor;
   const std::size_t H = src.height() * factor;
   img::Image out(W, H);
-  exec.forEachTile(H, [&](Accelerator& acc, std::size_t r0, std::size_t r1) {
+  exec.forEachTile(H, [&](ScBackend& lane, StreamArena&, std::size_t r0,
+                          std::size_t r1) {
+    Accelerator& acc = matOf(lane);
     std::vector<std::uint8_t> data(4 * W);
     std::vector<std::uint8_t> dxRow(W);
+    std::vector<sc::Bitstream> ds(4 * W);
+    std::vector<sc::Bitstream> sxs(W);
+    sc::Bitstream sy;
+    sc::Bitstream blend;
     for (std::size_t Y = r0; Y < r1; ++Y) {
       const apps::SampleCoord cy = apps::mapCoord(Y, H, src.height());
       for (std::size_t X = 0; X < W; ++X) {
@@ -329,12 +359,13 @@ img::Image seedUpscaleReramScTiled(const img::Image& src, std::size_t factor,
         data[3 * W + X] = src.at(cx.i1, cy.i1);
         dxRow[X] = cx.frac;
       }
-      const auto ds = acc.encodePixels(data);
-      const auto sxs = acc.encodePixels(dxRow);
-      const sc::Bitstream sy = acc.encodePixel(cy.frac);
+      acc.encodePixelsInto(data, slots(ds));
+      acc.encodePixelsInto(dxRow, slots(sxs));
+      acc.encodeProbInto(sy, static_cast<double>(cy.frac) / 255.0);
       for (std::size_t X = 0; X < W; ++X) {
-        out.at(X, Y) = acc.decodePixel(acc.ops().majMux4(
-            ds[X], ds[W + X], ds[2 * W + X], ds[3 * W + X], sxs[X], sy));
+        acc.ops().majMux4Into(blend, ds[X], ds[W + X], ds[2 * W + X],
+                              ds[3 * W + X], sxs[X], sy);
+        out.at(X, Y) = acc.decodePixel(blend);
       }
     }
   });
@@ -344,8 +375,8 @@ img::Image seedUpscaleReramScTiled(const img::Image& src, std::size_t factor,
 TEST(BackendEquivalence, CompositingTiledBitIdenticalToSeedPath) {
   const apps::CompositingScene scene = apps::makeCompositingScene(20, 18, 7);
   for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    TileExecutor seedExec(tileCfg(threads));
-    TileExecutor newExec(tileCfg(threads));
+    TileExecutor seedExec = reramFleet(threads);
+    TileExecutor newExec = reramFleet(threads);
     const img::Image seed = seedCompositeReramScTiled(scene, seedExec);
     const img::Image out = apps::runTiled(apps::framesOf(scene), newExec);
     EXPECT_EQ(out.pixels(), seed.pixels()) << "threads=" << threads;
@@ -355,8 +386,8 @@ TEST(BackendEquivalence, CompositingTiledBitIdenticalToSeedPath) {
 
 TEST(BackendEquivalence, CompositingTiledBitIdenticalUnderFaults) {
   const apps::CompositingScene scene = apps::makeCompositingScene(16, 16, 9);
-  TileExecutor seedExec(tileCfg(0, /*faults=*/true));
-  TileExecutor newExec(tileCfg(0, /*faults=*/true));
+  TileExecutor seedExec = reramFleet(0, /*faults=*/true);
+  TileExecutor newExec = reramFleet(0, /*faults=*/true);
   const img::Image seed = seedCompositeReramScTiled(scene, seedExec);
   const img::Image out = apps::runTiled(apps::framesOf(scene), newExec);
   EXPECT_EQ(out.pixels(), seed.pixels());
@@ -366,8 +397,8 @@ TEST(BackendEquivalence, CompositingTiledBitIdenticalUnderFaults) {
 TEST(BackendEquivalence, MattingTiledBitIdenticalToSeedPath) {
   const apps::MattingScene scene = apps::makeMattingScene(18, 16, 3);
   for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    TileExecutor seedExec(tileCfg(threads));
-    TileExecutor newExec(tileCfg(threads));
+    TileExecutor seedExec = reramFleet(threads);
+    TileExecutor newExec = reramFleet(threads);
     const img::Image seed = seedMattingReramScTiled(scene, seedExec);
     const img::Image out = apps::runTiled(apps::framesOf(scene), newExec);
     EXPECT_EQ(out.pixels(), seed.pixels()) << "threads=" << threads;
@@ -378,8 +409,8 @@ TEST(BackendEquivalence, MattingTiledBitIdenticalToSeedPath) {
 TEST(BackendEquivalence, BilinearTiledBitIdenticalToSeedPath) {
   const img::Image src = img::naturalScene(12, 10, 5);
   for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
-    TileExecutor seedExec(tileCfg(threads));
-    TileExecutor newExec(tileCfg(threads));
+    TileExecutor seedExec = reramFleet(threads);
+    TileExecutor newExec = reramFleet(threads);
     const img::Image seed = seedUpscaleReramScTiled(src, 2, seedExec);
     const img::Image out = apps::runTiled(
         apps::framesOf(apps::AppKind::Bilinear, src), newExec);
@@ -478,34 +509,42 @@ TEST(BackendEquivalence, GammaKernelBitIdenticalToSeedReramPath) {
   Accelerator seedAcc(cfg);
   const std::vector<double> b = sc::bernsteinCoefficientsOf(
       [gamma](double t) { return std::pow(t, gamma); }, degree);
+  std::vector<sc::Bitstream> xCopies(degree);
+  std::vector<sc::Bitstream> coeffs(b.size());
+  std::vector<const sc::Bitstream*> copyPtrs;
+  std::vector<const sc::Bitstream*> coeffPtrs;
+  for (const auto& c : xCopies) copyPtrs.push_back(&c);
+  for (const auto& c : coeffs) coeffPtrs.push_back(&c);
+  sc::Bitstream selected;
   img::Image seed(src.width(), src.height());
   for (std::size_t i = 0; i < seed.size(); ++i) {
-    std::vector<sc::Bitstream> xCopies;
-    for (int j = 0; j < degree; ++j) {
-      xCopies.push_back(seedAcc.encodePixel(src[i]));
+    for (auto& copy : xCopies) {
+      seedAcc.encodeProbInto(copy, static_cast<double>(src[i]) / 255.0);
     }
-    std::vector<sc::Bitstream> coeffs;
-    for (const double bk : b) coeffs.push_back(seedAcc.encodeProb(bk));
-    seed[i] = seedAcc.decodePixel(seedAcc.ops().bernsteinSelect(xCopies, coeffs));
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      seedAcc.encodeProbInto(coeffs[k], b[k]);
+    }
+    seedAcc.ops().bernsteinSelectInto(selected, copyPtrs, coeffPtrs);
+    seed[i] = seedAcc.decodePixel(selected);
   }
 
-  Accelerator kernelAcc(cfg);
-  ReramScBackend backend(kernelAcc);
+  ReramScBackend backend(cfg);
   const img::Image out = apps::gammaKernel(src, gamma, backend, degree);
   EXPECT_EQ(out.pixels(), seed.pixels());
-  EXPECT_EQ(kernelAcc.events(), seedAcc.events());
+  EXPECT_EQ(backend.events(), seedAcc.events());
 }
 
-TEST(BackendEquivalence, AcceleratorBatchedDecodeMatchesScalar) {
+TEST(BackendEquivalence, ReramBatchedDecodeMatchesScalar) {
   AcceleratorConfig cfg;
   cfg.streamLength = 256;
   cfg.device = reram::DeviceParams::ideal();
-  Accelerator batched(cfg);
+  ReramScBackend batched(cfg);
   Accelerator scalar(cfg);  // same seed -> same TRNG stream
 
   const std::vector<std::uint8_t> values{0, 17, 128, 200, 255};
-  const auto sb = batched.encodePixels(values);
-  const auto ss = scalar.encodePixels(values);
+  std::vector<ScValue> sb = batched.encodePixels(values);
+  std::vector<sc::Bitstream> ss(values.size());
+  scalar.encodePixelsInto(values, slots(ss));
 
   const auto decodedBatch = batched.decodePixels(sb);
   const auto storedBatch = batched.decodePixelsStored(sb);
@@ -615,18 +654,7 @@ TEST(TileExecutorBackend, ReferenceLaneFleetMatchesSerialReference) {
   EXPECT_EQ(exec.lanes(), 3u);
   const img::Image out = apps::runTiled(apps::framesOf(scene), exec);
   EXPECT_EQ(out.pixels(), apps::compositeReference(scene).pixels());
-  // Accelerator-level access is a ReRAM-fleet feature.
-  EXPECT_THROW(exec.lane(0), std::logic_error);
-  EXPECT_THROW(exec.group(), std::logic_error);
   EXPECT_EQ(exec.totalEvents(), reram::EventCounts{});
-}
-
-TEST(TileExecutorBackend, BackendLanesAreTheMatWrappers) {
-  TileExecutor exec(tileCfg(0));
-  // The backend lane view wraps the same mats as the Accelerator view.
-  auto* lane0 = dynamic_cast<ReramScBackend*>(&exec.backend(0));
-  ASSERT_NE(lane0, nullptr);
-  EXPECT_EQ(&lane0->accelerator(), &exec.lane(0));
 }
 
 }  // namespace

@@ -24,9 +24,10 @@ core::AcceleratorConfig tableIIIConfig() {
 TEST(Calibration, ImsngOptMatchesPaper) {
   // Paper Sec. IV-B: IMSNG-opt completes a conversion in 78.2 ns / 3.42 nJ.
   core::Accelerator acc(tableIIIConfig());
-  acc.encodeProb(0.5);  // prime planes
+  sc::Bitstream s;
+  acc.encodeProbInto(s, 0.5);  // prime planes
   acc.resetEvents();
-  acc.encodeProbCorrelated(0.5);
+  acc.encodeProbCorrelatedInto(s, 0.5);
   const CostModel model(256);
   const CostBreakdown cost = model.cost(acc.events());
   EXPECT_NEAR(cost.totalLatencyNs(), 78.2, 0.1);
@@ -38,9 +39,10 @@ TEST(Calibration, ImsngNaiveMatchesPaper) {
   core::AcceleratorConfig cfg = tableIIIConfig();
   cfg.imsngVariant = core::ImsngConfig::Variant::Naive;
   core::Accelerator acc(cfg);
-  acc.encodeProb(0.5);
+  sc::Bitstream s;
+  acc.encodeProbInto(s, 0.5);
   acc.resetEvents();
-  acc.encodeProbCorrelated(0.5);
+  acc.encodeProbCorrelatedInto(s, 0.5);
   const CostModel model(256);
   const CostBreakdown cost = model.cost(acc.events());
   EXPECT_NEAR(cost.totalLatencyNs(), 395.4, 0.5);
@@ -50,10 +52,13 @@ TEST(Calibration, ImsngNaiveMatchesPaper) {
 TEST(Calibration, TableIIIMultiplicationRow) {
   // ReRAM multiplication: 80.8 ns / 3.50 nJ (conversion + one AND cycle).
   core::Accelerator acc(tableIIIConfig());
-  const sc::Bitstream y = acc.encodeProb(0.5);
+  sc::Bitstream y;
+  sc::Bitstream x;
+  sc::Bitstream out;
+  acc.encodeProbInto(y, 0.5);
   acc.resetEvents();
-  const sc::Bitstream x = acc.encodeProbCorrelated(0.6);
-  acc.ops().multiply(x, y);
+  acc.encodeProbCorrelatedInto(x, 0.6);
+  acc.ops().multiplyInto(out, x, y);
   const CostBreakdown cost = CostModel(256).cost(acc.events());
   EXPECT_NEAR(cost.totalLatencyNs(), 80.8, 0.3);
   EXPECT_NEAR(cost.totalEnergyNJ(), 3.50, 0.02);
@@ -62,10 +67,13 @@ TEST(Calibration, TableIIIMultiplicationRow) {
 TEST(Calibration, TableIIISubtractionRow) {
   // ReRAM subtraction: 81.6 ns / 3.51 nJ (XOR window op: two latches).
   core::Accelerator acc(tableIIIConfig());
-  const sc::Bitstream y = acc.encodeProb(0.5);
+  sc::Bitstream y;
+  sc::Bitstream x;
+  sc::Bitstream out;
+  acc.encodeProbInto(y, 0.5);
   acc.resetEvents();
-  const sc::Bitstream x = acc.encodeProbCorrelated(0.6);
-  acc.ops().absSub(x, y);
+  acc.encodeProbCorrelatedInto(x, 0.6);
+  acc.ops().absSubInto(out, x, y);
   const CostBreakdown cost = CostModel(256).cost(acc.events());
   EXPECT_NEAR(cost.totalLatencyNs(), 81.6, 0.3);
   EXPECT_NEAR(cost.totalEnergyNJ(), 3.51, 0.02);
@@ -74,10 +82,13 @@ TEST(Calibration, TableIIISubtractionRow) {
 TEST(Calibration, TableIIIDivisionRow) {
   // ReRAM division: 12544 ns / 4.48 nJ (serial CORDIV, N = 256).
   core::Accelerator acc(tableIIIConfig());
-  const sc::Bitstream y = acc.encodeProb(0.8);
+  sc::Bitstream y;
+  sc::Bitstream x;
+  sc::Bitstream out;
+  acc.encodeProbInto(y, 0.8);
   acc.resetEvents();
-  const sc::Bitstream x = acc.encodeProbCorrelated(0.4);
-  acc.ops().divide(x, y);
+  acc.encodeProbCorrelatedInto(x, 0.4);
+  acc.ops().divideInto(out, x, y);
   const CostBreakdown cost = CostModel(256).cost(acc.events());
   EXPECT_NEAR(cost.totalLatencyNs(), 12544.0, 15.0);
   EXPECT_NEAR(cost.totalEnergyNJ(), 4.48, 0.03);

@@ -60,8 +60,7 @@ TEST(Smooth, BinaryCimMatchesReference) {
 
 TEST(Smooth, ReramScTracksReference) {
   const img::Image src = img::naturalScene(14, 14, 6);
-  core::Accelerator acc(idealAcc(512));
-  core::ReramScBackend b(acc);
+  core::ReramScBackend b(idealAcc(512));
   const img::Image out = smoothKernel(src, b);
   const img::Image ref = smoothReference(src);
   EXPECT_GT(img::psnrDb(out, ref), 20.0);
@@ -99,8 +98,7 @@ TEST(Edge, ReramScDetectsTheStep) {
   for (std::size_t y = 0; y < 10; ++y) {
     for (std::size_t x = 5; x < 10; ++x) img.at(x, y) = 230;
   }
-  core::Accelerator acc(idealAcc(512));
-  core::ReramScBackend b(acc);
+  core::ReramScBackend b(idealAcc(512));
   const img::Image e = edgeKernel(img, b);
   // Strong response on the edge, weak off it.
   EXPECT_GT(e.at(4, 4), 70);
@@ -110,8 +108,7 @@ TEST(Edge, ReramScDetectsTheStep) {
 
 TEST(Edge, ReramScTracksReferenceOnNaturalScene) {
   const img::Image src = img::naturalScene(14, 14, 8);
-  core::Accelerator acc(idealAcc(512));
-  core::ReramScBackend b(acc);
+  core::ReramScBackend b(idealAcc(512));
   const img::Image out = edgeKernel(src, b);
   const img::Image ref = edgeReference(src);
   EXPECT_LE(img::meanAbsError(out, ref), 14.0);
@@ -128,8 +125,7 @@ TEST(Gamma, ReferenceDarkensMidtones) {
 
 TEST(Gamma, ReramScBernsteinTracksReference) {
   const img::Image src = img::gradient(16, 4, 0.0);
-  core::Accelerator acc(idealAcc(2048));
-  core::ReramScBackend backend(acc);
+  core::ReramScBackend backend(idealAcc(2048));
   const img::Image out = gammaKernel(src, 2.2, backend, 4);
   const img::Image ref = gammaReference(src, 2.2);
   // Bernstein degree-4 approximation + SC noise: stays within ~8%.
@@ -139,10 +135,8 @@ TEST(Gamma, ReramScBernsteinTracksReference) {
 
 TEST(Gamma, HigherDegreeImprovesApproximation) {
   const img::Image src = img::gradient(24, 2, 0.0);
-  core::Accelerator a2(idealAcc(4096));
-  core::Accelerator a6(idealAcc(4096));
-  core::ReramScBackend b2(a2);
-  core::ReramScBackend b6(a6);
+  core::ReramScBackend b2(idealAcc(4096));
+  core::ReramScBackend b6(idealAcc(4096));
   const img::Image ref = gammaReference(src, 2.2);
   const double err2 = img::meanAbsError(gammaKernel(src, 2.2, b2, 2), ref);
   const double err6 = img::meanAbsError(gammaKernel(src, 2.2, b6, 6), ref);
@@ -157,8 +151,7 @@ TEST(Filters, FaultyExecutionStaysBounded) {
   cfg.device.sigmaLrs = 0.15;
   cfg.device.sigmaHrs = 1.2;
   cfg.faultModelSamples = 20000;
-  core::Accelerator acc(cfg);
-  core::ReramScBackend b(acc);
+  core::ReramScBackend b(cfg);
   const img::Image out = smoothKernel(src, b);
   const img::Image ref = smoothReference(src);
   EXPECT_GT(img::psnrDb(out, ref), 15.0);

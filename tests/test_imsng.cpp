@@ -3,6 +3,7 @@
 
 #include "core/imsng.hpp"
 #include "sc/correlation.hpp"
+#include "sc/sng.hpp"
 
 namespace aimsc::core {
 namespace {
@@ -32,9 +33,12 @@ struct Rig {
 
 TEST(Imsng, ThresholdZeroAndFull) {
   Rig rig;
-  EXPECT_EQ(rig.imsng.generateThreshold(0).popcount(), 0u);
-  EXPECT_EQ(rig.imsng.generateThreshold(256).popcount(), 256u);
-  EXPECT_THROW(rig.imsng.generateThreshold(257), std::invalid_argument);
+  sc::Bitstream s;
+  rig.imsng.generateThresholdInto(0, s);
+  EXPECT_EQ(s.popcount(), 0u);
+  rig.imsng.generateThresholdInto(256, s);
+  EXPECT_EQ(s.popcount(), 256u);
+  EXPECT_THROW(rig.imsng.generateThresholdInto(257, s), std::invalid_argument);
 }
 
 TEST(Imsng, MatchesSoftwareComparatorExactly) {
@@ -50,8 +54,9 @@ TEST(Imsng, MatchesSoftwareComparatorExactly) {
       if (plane.get(c)) rn[c] |= 1u << (7 - bit);
     }
   }
+  sc::Bitstream s;
   for (const std::uint32_t x : {1u, 50u, 128u, 200u, 255u}) {
-    const sc::Bitstream s = rig.imsng.generateThreshold(x);
+    rig.imsng.generateThresholdInto(x, s);
     for (std::size_t c = 0; c < 256; ++c) {
       EXPECT_EQ(s.get(c), x > rn[c]) << "x=" << x << " col=" << c;
     }
@@ -60,33 +65,40 @@ TEST(Imsng, MatchesSoftwareComparatorExactly) {
 
 TEST(Imsng, ValueTracksProbability) {
   Rig rig(2048);
+  sc::Bitstream s;
   for (const double p : {0.1, 0.3, 0.5, 0.8, 0.95}) {
     rig.imsng.refreshRandomness();
-    EXPECT_NEAR(rig.imsng.generateProb(p).value(), p, 0.05) << p;
+    rig.imsng.generateThresholdInto(sc::quantizeProbability(p, 8), s);
+    EXPECT_NEAR(s.value(), p, 0.05) << p;
   }
 }
 
 TEST(Imsng, SharedPlanesGiveMaximallyCorrelatedStreams) {
   Rig rig(1024);
   rig.imsng.refreshRandomness();
-  const sc::Bitstream a = rig.imsng.generateProb(0.3);
-  const sc::Bitstream b = rig.imsng.generateProb(0.7);
+  sc::Bitstream a;
+  sc::Bitstream b;
+  rig.imsng.generateThresholdInto(sc::quantizeProbability(0.3, 8), a);
+  rig.imsng.generateThresholdInto(sc::quantizeProbability(0.7, 8), b);
   EXPECT_NEAR(sc::scc(a, b), 1.0, 1e-9);
   EXPECT_EQ((a & ~b).popcount(), 0u);  // monotone containment
 }
 
 TEST(Imsng, RefreshedPlanesGiveIndependentStreams) {
   Rig rig(4096);
+  sc::Bitstream a;
+  sc::Bitstream b;
   rig.imsng.refreshRandomness();
-  const sc::Bitstream a = rig.imsng.generateProb(0.5);
+  rig.imsng.generateThresholdInto(128, a);
   rig.imsng.refreshRandomness();
-  const sc::Bitstream b = rig.imsng.generateProb(0.5);
+  rig.imsng.generateThresholdInto(128, b);
   EXPECT_LT(std::abs(sc::scc(a, b)), 0.1);
 }
 
 TEST(Imsng, CommitWritesOutputRow) {
   Rig rig;
-  const sc::Bitstream s = rig.imsng.generateProb(0.5);
+  sc::Bitstream s;
+  rig.imsng.generateThresholdInto(128, s);
   EXPECT_EQ(rig.array.row(0), s);
 }
 
@@ -96,7 +108,8 @@ TEST(Imsng, OptVariantChargesGenericReadsNoIntermediateWrites) {
   Rig rig(256, cfg);
   rig.imsng.refreshRandomness();
   rig.array.events().reset();
-  rig.imsng.generateThreshold(100);
+  sc::Bitstream s;
+  rig.imsng.generateThresholdInto(100, s);
   const auto& ev = rig.array.events().counts();
   EXPECT_EQ(ev.slReads, 40u);    // 5 * M with M = 8 (paper parity)
   EXPECT_EQ(ev.rowWrites, 1u);   // only the final SBS commit
@@ -108,7 +121,8 @@ TEST(Imsng, NaiveVariantCharges2MWrites) {
   Rig rig(256, cfg);
   rig.imsng.refreshRandomness();
   rig.array.events().reset();
-  rig.imsng.generateThreshold(100);
+  sc::Bitstream s;
+  rig.imsng.generateThresholdInto(100, s);
   const auto& ev = rig.array.events().counts();
   EXPECT_EQ(ev.slReads, 40u);
   EXPECT_EQ(ev.rowWrites, 1u + 16u);  // 2*M intermediate + final commit
@@ -123,8 +137,12 @@ TEST(Imsng, NaiveAndOptProduceIdenticalStreams) {
   Rig b(512, opt, reram::DeviceParams::ideal(), 77);
   a.imsng.refreshRandomness();
   b.imsng.refreshRandomness();
+  sc::Bitstream sa;
+  sc::Bitstream sb;
   for (const std::uint32_t x : {10u, 100u, 230u}) {
-    EXPECT_EQ(a.imsng.generateThreshold(x), b.imsng.generateThreshold(x));
+    a.imsng.generateThresholdInto(x, sa);
+    b.imsng.generateThresholdInto(x, sb);
+    EXPECT_EQ(sa, sb);
   }
 }
 
@@ -134,7 +152,8 @@ TEST(Imsng, FoldedNetworkChargesFewerReads) {
   Rig rig(256, cfg);
   rig.imsng.refreshRandomness();
   rig.array.events().reset();
-  rig.imsng.generateThreshold(128);  // one A-bit set: cheapest fold
+  sc::Bitstream s;
+  rig.imsng.generateThresholdInto(128, s);  // one A-bit set: cheapest fold
   EXPECT_LT(rig.array.events().counts().slReads, 40u);
 }
 
@@ -144,7 +163,8 @@ TEST(Imsng, NoCommitOption) {
   Rig rig(256, cfg);
   rig.imsng.refreshRandomness();
   rig.array.events().reset();
-  rig.imsng.generateThreshold(100);
+  sc::Bitstream s;
+  rig.imsng.generateThresholdInto(100, s);
   EXPECT_EQ(rig.array.events().counts().rowWrites, 0u);
 }
 
@@ -156,7 +176,8 @@ TEST(Imsng, SegmentSizeSweep) {
     Rig rig(4096, cfg);
     rig.imsng.refreshRandomness();
     const double p = 0.37;
-    const sc::Bitstream s = rig.imsng.generateProb(p);
+    sc::Bitstream s;
+    rig.imsng.generateThresholdInto(sc::quantizeProbability(p, m), s);
     EXPECT_NEAR(s.value(), p, 0.05 + 1.0 / (1 << m)) << "M=" << m;
   }
 }
@@ -193,8 +214,10 @@ TEST(Imsng, RobustUnderCimFaults) {
   ImsngConfig cfg = Rig::withRows(ImsngConfig{});
   Imsng imsng(arr, sl, per, trng, cfg);
   imsng.refreshRandomness();
+  sc::Bitstream s;
   for (const double target : {0.2, 0.5, 0.8}) {
-    EXPECT_NEAR(imsng.generateProb(target).value(), target, 0.1);
+    imsng.generateThresholdInto(sc::quantizeProbability(target, 8), s);
+    EXPECT_NEAR(s.value(), target, 0.1);
   }
 }
 

@@ -24,20 +24,27 @@ TEST(Integration, FullFlowComputePipeline) {
   const double py = 0.7;
 
   // Independent set for multiply/add.
-  const sc::Bitstream xi = acc.encodeProb(px);
-  const sc::Bitstream yi = acc.encodeProb(py);
-  const sc::Bitstream half = acc.halfStream();
-  EXPECT_NEAR(acc.decodeProb(acc.ops().multiply(xi, yi)), px * py, 0.04);
-  EXPECT_NEAR(acc.decodeProb(acc.ops().scaledAdd(xi, yi, half)),
-              (px + py) / 2, 0.04);
+  sc::Bitstream xi, yi, half, r;
+  acc.encodeProbInto(xi, px);
+  acc.encodeProbInto(yi, py);
+  acc.encodeProbInto(half, 0.5);
+  acc.ops().multiplyInto(r, xi, yi);
+  EXPECT_NEAR(acc.decodeProb(r), px * py, 0.04);
+  acc.ops().scaledAddInto(r, xi, yi, half);
+  EXPECT_NEAR(acc.decodeProb(r), (px + py) / 2, 0.04);
 
   // Correlated set for sub/min/max/div.
-  const sc::Bitstream xc = acc.encodeProb(px);
-  const sc::Bitstream yc = acc.encodeProbCorrelated(py);
-  EXPECT_NEAR(acc.decodeProb(acc.ops().absSub(xc, yc)), py - px, 0.04);
-  EXPECT_NEAR(acc.decodeProb(acc.ops().minimum(xc, yc)), px, 0.04);
-  EXPECT_NEAR(acc.decodeProb(acc.ops().maximum(xc, yc)), py, 0.04);
-  EXPECT_NEAR(acc.decodeProb(acc.ops().divide(xc, yc)), px / py, 0.06);
+  sc::Bitstream xc, yc;
+  acc.encodeProbInto(xc, px);
+  acc.encodeProbCorrelatedInto(yc, py);
+  acc.ops().absSubInto(r, xc, yc);
+  EXPECT_NEAR(acc.decodeProb(r), py - px, 0.04);
+  acc.ops().minimumInto(r, xc, yc);
+  EXPECT_NEAR(acc.decodeProb(r), px, 0.04);
+  acc.ops().maximumInto(r, xc, yc);
+  EXPECT_NEAR(acc.decodeProb(r), py, 0.04);
+  acc.ops().divideInto(r, xc, yc);
+  EXPECT_NEAR(acc.decodeProb(r), px / py, 0.06);
 }
 
 TEST(Integration, EventLedgerCoversWholeFlow) {
@@ -47,9 +54,10 @@ TEST(Integration, EventLedgerCoversWholeFlow) {
   core::Accelerator acc(cfg);
   acc.resetEvents();
 
-  const sc::Bitstream x = acc.encodeProb(0.4);
-  const sc::Bitstream y = acc.encodeProb(0.5);
-  const sc::Bitstream p = acc.ops().multiply(x, y);
+  sc::Bitstream x, y, p;
+  acc.encodeProbInto(x, 0.4);
+  acc.encodeProbInto(y, 0.5);
+  acc.ops().multiplyInto(p, x, y);
   acc.decodeCode(p);
 
   const auto& ev = acc.events();
@@ -72,12 +80,15 @@ TEST(Integration, InMemoryMatchesSoftwareOnSamePlanes) {
   cfg.device = reram::DeviceParams::ideal();
   core::Accelerator acc(cfg);
 
-  const sc::Bitstream a = acc.encodeProb(0.3);
-  const sc::Bitstream b = acc.encodeProbCorrelated(0.8);
-  EXPECT_EQ(acc.ops().absSub(a, b), sc::scAbsSub(a, b));
-  EXPECT_EQ(acc.ops().minimum(a, b), sc::scMin(a, b));
-  EXPECT_EQ(acc.ops().divide(a, b),
-            sc::cordivDivide(a, b, sc::CordivVariant::JkFlipFlop));
+  sc::Bitstream a, b, r;
+  acc.encodeProbInto(a, 0.3);
+  acc.encodeProbCorrelatedInto(b, 0.8);
+  acc.ops().absSubInto(r, a, b);
+  EXPECT_EQ(r, sc::scAbsSub(a, b));
+  acc.ops().minimumInto(r, a, b);
+  EXPECT_EQ(r, sc::scMin(a, b));
+  acc.ops().divideInto(r, a, b);
+  EXPECT_EQ(r, sc::cordivDivide(a, b, sc::CordivVariant::JkFlipFlop));
 }
 
 TEST(Integration, StreamLengthQualitySweep) {
@@ -100,7 +111,8 @@ TEST(Integration, EnduranceAccumulatesAcrossFlow) {
   cfg.streamLength = 64;
   cfg.device = reram::DeviceParams::ideal();
   core::Accelerator acc(cfg);
-  for (int i = 0; i < 10; ++i) acc.encodeProb(0.5);
+  sc::Bitstream s;
+  for (int i = 0; i < 10; ++i) acc.encodeProbInto(s, 0.5);
   // Output row absorbed 10 writes; the TRNG planes wear too.
   EXPECT_EQ(acc.array().rowWriteCycles(0), 10u);
   EXPECT_GE(acc.array().rowWriteCycles(1), 10u);

@@ -176,13 +176,13 @@ TEST(VocabSimdIdentity, GammaAndMorphologyKernelsBitIdentical) {
 TEST(MorphologyTiled, ThreadCountInvariantIncludingCompositions) {
   const img::Image src = img::naturalScene(20, 20, 11);
   auto run = [&](std::size_t threads) {
-    core::TileExecutorConfig cfg;
-    cfg.lanes = 4;
-    cfg.threads = threads;
-    cfg.rowsPerTile = 2;
-    cfg.mat.streamLength = 128;
-    cfg.mat.device = reram::DeviceParams::ideal();
-    core::TileExecutor exec(cfg);
+    core::BackendFactoryConfig bc;
+    bc.streamLength = 128;
+    core::ParallelConfig par;
+    par.threads = threads;
+    par.rowsPerTile = 2;
+    core::TileExecutor exec(
+        core::makeBackendLanes(core::DesignKind::ReramSc, bc, 4), par);
     return runTiled(framesOf(AppKind::Morphology, src), exec);
   };
   const img::Image at0 = run(0);

@@ -45,7 +45,8 @@ TEST(Voting, ChargesVotesSensingSteps) {
                           1, 3);
   const sc::Bitstream a(64, true);
   const sc::Bitstream b(64);
-  sl.op2(reram::SlOp::And, a, b);
+  sc::Bitstream out;
+  sl.op2Into(reram::SlOp::And, out, a, b);
   EXPECT_EQ(arr.events().counts().slReads, 3u);
 }
 
@@ -61,7 +62,11 @@ TEST(Voting, IdealModeUnchanged) {
     a.set(i, eng() & 1);
     b.set(i, eng() & 1);
   }
-  EXPECT_EQ(voted.op2(reram::SlOp::Xor, a, b), plain.op2(reram::SlOp::Xor, a, b));
+  sc::Bitstream votedOut;
+  sc::Bitstream plainOut;
+  voted.op2Into(reram::SlOp::Xor, votedOut, a, b);
+  plain.op2Into(reram::SlOp::Xor, plainOut, a, b);
+  EXPECT_EQ(votedOut, plainOut);
 }
 
 TEST(Voting, TripleVoteSuppressesMisdecisions) {
@@ -77,9 +82,12 @@ TEST(Voting, TripleVoteSuppressesMisdecisions) {
   // AND(1,0) = 0 ideally; count spurious ones over repetitions.
   std::size_t err1 = 0;
   std::size_t err3 = 0;
+  sc::Bitstream out;
   for (int r = 0; r < 30; ++r) {
-    err1 += v1.op2(reram::SlOp::And, ones, zeros).popcount();
-    err3 += v3.op2(reram::SlOp::And, ones, zeros).popcount();
+    v1.op2Into(reram::SlOp::And, out, ones, zeros);
+    err1 += out.popcount();
+    v3.op2Into(reram::SlOp::And, out, ones, zeros);
+    err3 += out.popcount();
   }
   EXPECT_GT(err1, 0u);
   // Voting error ~ 3p^2 << p: at least an order of magnitude better here.
@@ -98,11 +106,12 @@ TEST(Voting, FiveVotesAtLeastAsGoodAsThree) {
   const sc::Bitstream zeros(8192);
   std::size_t err3 = 0;
   std::size_t err5 = 0;
+  sc::Bitstream out;
   for (int r = 0; r < 30; ++r) {
-    err3 += v3.op2(reram::SlOp::Xor, ones, zeros).size() -
-            v3.op2(reram::SlOp::Xor, ones, zeros).popcount();
-    err5 += v5.op2(reram::SlOp::Xor, ones, zeros).size() -
-            v5.op2(reram::SlOp::Xor, ones, zeros).popcount();
+    v3.op2Into(reram::SlOp::Xor, out, ones, zeros);
+    err3 += out.size() - out.popcount();
+    v5.op2Into(reram::SlOp::Xor, out, ones, zeros);
+    err5 += out.size() - out.popcount();
   }
   EXPECT_LE(err5, err3 + 50);
 }

@@ -21,14 +21,24 @@ TEST(ScoutingIdeal, MatchesWordLevelOps) {
   const auto a = randomStream(256, 1);
   const auto b = randomStream(256, 2);
   const auto c = randomStream(256, 3);
-  EXPECT_EQ(sl.op2(SlOp::And, a, b), (a & b));
-  EXPECT_EQ(sl.op2(SlOp::Or, a, b), (a | b));
-  EXPECT_EQ(sl.op2(SlOp::Xor, a, b), (a ^ b));
-  EXPECT_EQ(sl.op2(SlOp::Nand, a, b), ~(a & b));
-  EXPECT_EQ(sl.op2(SlOp::Nor, a, b), ~(a | b));
-  EXPECT_EQ(sl.op2(SlOp::Xnor, a, b), ~(a ^ b));
-  EXPECT_EQ(sl.op3(SlOp::Maj3, a, b, c), sc::Bitstream::majority(a, b, c));
-  EXPECT_EQ(sl.opNot(a), ~a);
+  sc::Bitstream out;
+  sl.op2Into(SlOp::And, out, a, b);
+  EXPECT_EQ(out, (a & b));
+  sl.op2Into(SlOp::Or, out, a, b);
+  EXPECT_EQ(out, (a | b));
+  sl.op2Into(SlOp::Xor, out, a, b);
+  EXPECT_EQ(out, (a ^ b));
+  sl.op2Into(SlOp::Nand, out, a, b);
+  EXPECT_EQ(out, ~(a & b));
+  sl.op2Into(SlOp::Nor, out, a, b);
+  EXPECT_EQ(out, ~(a | b));
+  sl.op2Into(SlOp::Xnor, out, a, b);
+  EXPECT_EQ(out, ~(a ^ b));
+  sl.op3Into(SlOp::Maj3, out, a, b, c);
+  EXPECT_EQ(out, sc::Bitstream::majority(a, b, c));
+  const sc::Bitstream* single[] = {&a};
+  sl.opInto(SlOp::Not, out, single);
+  EXPECT_EQ(out, ~a);
 }
 
 TEST(ScoutingIdeal, OperatesOnStoredRows) {
@@ -36,8 +46,10 @@ TEST(ScoutingIdeal, OperatesOnStoredRows) {
   ScoutingLogic sl(arr);
   arr.writeRow(0, randomStream(64, 4));
   arr.writeRow(1, randomStream(64, 5));
-  const std::size_t rows[] = {0, 1};
-  EXPECT_EQ(sl.opRows(SlOp::And, rows), (arr.row(0) & arr.row(1)));
+  const sc::Bitstream* rows[] = {&arr.row(0), &arr.row(1)};
+  sc::Bitstream out;
+  sl.opInto(SlOp::And, out, rows);
+  EXPECT_EQ(out, (arr.row(0) & arr.row(1)));
 }
 
 TEST(Scouting, EventAccounting) {
@@ -45,9 +57,11 @@ TEST(Scouting, EventAccounting) {
   ScoutingLogic sl(arr);
   const auto a = randomStream(64, 6);
   const auto b = randomStream(64, 7);
-  sl.op2(SlOp::And, a, b);
-  sl.op2(SlOp::Xor, a, b);
-  sl.opNot(a);
+  sc::Bitstream out;
+  sl.op2Into(SlOp::And, out, a, b);
+  sl.op2Into(SlOp::Xor, out, a, b);
+  const sc::Bitstream* single[] = {&a};
+  sl.opInto(SlOp::Not, out, single);
   EXPECT_EQ(arr.events().counts().slReads, 3u);
 }
 
@@ -57,11 +71,13 @@ TEST(Scouting, OperandValidation) {
   const auto a = randomStream(64, 8);
   const auto b = randomStream(32, 9);
   const auto c = randomStream(64, 10);
-  EXPECT_THROW(sl.op2(SlOp::And, a, b), std::invalid_argument);       // width
-  EXPECT_THROW(sl.opStreams(SlOp::And, {}), std::invalid_argument);   // empty
-  EXPECT_THROW(sl.op2(SlOp::Maj3, a, c), std::invalid_argument);      // arity
-  EXPECT_THROW(sl.opStreams(SlOp::Xor, {&a, &c, &a}), std::invalid_argument);
-  EXPECT_THROW(sl.opStreams(SlOp::Not, {&a, &c}), std::invalid_argument);
+  sc::Bitstream out;
+  const sc::Bitstream* three[] = {&a, &c, &a};
+  EXPECT_THROW(sl.op2Into(SlOp::And, out, a, b), std::invalid_argument);
+  EXPECT_THROW(sl.opInto(SlOp::And, out, {}), std::invalid_argument);  // empty
+  EXPECT_THROW(sl.op2Into(SlOp::Maj3, out, a, c), std::invalid_argument);
+  EXPECT_THROW(sl.opInto(SlOp::Xor, out, three), std::invalid_argument);
+  EXPECT_THROW(sl.op2Into(SlOp::Not, out, a, c), std::invalid_argument);
 }
 
 TEST(Scouting, ProbabilisticNeedsFaultModel) {
@@ -77,7 +93,9 @@ TEST(Scouting, ProbabilisticWithZeroSigmaIsExact) {
   ScoutingLogic sl(arr, ScoutingLogic::Fidelity::Probabilistic, &fm);
   const auto a = randomStream(256, 11);
   const auto b = randomStream(256, 12);
-  EXPECT_EQ(sl.op2(SlOp::And, a, b), (a & b));
+  sc::Bitstream out;
+  sl.op2Into(SlOp::And, out, a, b);
+  EXPECT_EQ(out, (a & b));
 }
 
 TEST(Scouting, ProbabilisticFaultRateMatchesModel) {
@@ -95,8 +113,10 @@ TEST(Scouting, ProbabilisticFaultRateMatchesModel) {
   // Pattern: one LRS, one HRS -> AND ideal 0; flips with p(And,1,2).
   std::size_t flips = 0;
   constexpr int kReps = 50;
+  sc::Bitstream out;
   for (int r = 0; r < kReps; ++r) {
-    flips += sl.op2(SlOp::And, ones, zeros).popcount();
+    sl.op2Into(SlOp::And, out, ones, zeros);
+    flips += out.popcount();
   }
   const double observed = static_cast<double>(flips) / (4096.0 * kReps);
   const double expected = fm.misdecisionProb(SlOp::And, 1, 2);
@@ -111,8 +131,11 @@ TEST(Scouting, MonteCarloAgreesWithIdealForTightDevices) {
   ScoutingLogic sl(arr, ScoutingLogic::Fidelity::MonteCarlo);
   const auto a = randomStream(512, 13);
   const auto b = randomStream(512, 14);
-  EXPECT_EQ(sl.op2(SlOp::And, a, b), (a & b));
-  EXPECT_EQ(sl.op2(SlOp::Or, a, b), (a | b));
+  sc::Bitstream out;
+  sl.op2Into(SlOp::And, out, a, b);
+  EXPECT_EQ(out, (a & b));
+  sl.op2Into(SlOp::Or, out, a, b);
+  EXPECT_EQ(out, (a | b));
 }
 
 TEST(Scouting, MonteCarloShowsFaultsForLeakyDevices) {
@@ -124,7 +147,11 @@ TEST(Scouting, MonteCarloShowsFaultsForLeakyDevices) {
   const sc::Bitstream ones(8192, true);
   const sc::Bitstream zeros(8192);
   std::size_t wrong = 0;
-  for (int r = 0; r < 10; ++r) wrong += sl.op2(SlOp::Xor, ones, zeros).popcount();
+  sc::Bitstream out;
+  for (int r = 0; r < 10; ++r) {
+    sl.op2Into(SlOp::Xor, out, ones, zeros);
+    wrong += out.popcount();
+  }
   // XOR of (1,0) should be all ones; count misdecisions (zeros).
   EXPECT_GT(10u * 8192u - wrong, 0u);
 }

@@ -93,9 +93,10 @@ TEST(Scrimp, CostComparisonVsImsng) {
   cfg.streamLength = 256;
   cfg.device = DeviceParams::ideal();
   core::Accelerator acc(cfg);
-  acc.encodeProb(0.5);
+  sc::Bitstream s;
+  acc.encodeProbInto(s, 0.5);
   acc.resetEvents();
-  acc.encodeProbCorrelated(0.5);  // same planes, same threshold
+  acc.encodeProbCorrelatedInto(s, 0.5);  // same planes, same threshold
   // Identical re-conversion: the differential commit programs zero cells —
   // IMSNG's conversion itself is read-only.  SCRIMP reprograms ~N/2 cells
   // for *every* stream.

@@ -1,4 +1,4 @@
-// Sharded MatGroup service: the shard-count-invariance contract (output
+// Sharded lane-fleet service: the shard-count-invariance contract (output
 // bytes are a pure function of the request — identical for shards in
 // {1,2,4,8}, over loopback, real fork()ed subprocess workers AND TCP
 // workers, equal to one-shot apps::runApp on every substrate including

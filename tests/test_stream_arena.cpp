@@ -166,6 +166,45 @@ TEST(AllocationRegression, FaultyReramCompositingRowsAreAllocationFree) {
   EXPECT_EQ(steadyStateAllocs(b, arena, scene, out), 0u);
 }
 
+TEST(AllocationRegression, ReramGammaAllocationsDoNotGrowWithRows) {
+  // Per pixel: four fresh-epoch copies, five coefficient constants, the
+  // selection network and the ADC.  The kernel builds one coefficient
+  // vector per call, as it does on every substrate; nothing else may
+  // allocate, so four warm rows cost what one warm row costs.
+  const img::Image src = img::naturalScene(16, 8, 5);
+  AcceleratorConfig ac;
+  ac.streamLength = 256;
+  ReramScBackend b(ac);
+  StreamArena arena;
+  img::Image out(src.width(), src.height());
+  const auto allocs = [&](std::size_t r0, std::size_t r1) {
+    arena.reset();
+    const std::uint64_t before = gAllocCount.load();
+    apps::gammaKernelRows(src, 2.2, b, arena, out, r0, r1);
+    return gAllocCount.load() - before;
+  };
+  allocs(0, 2);  // warm-up
+  const std::uint64_t oneRow = allocs(2, 3);
+  const std::uint64_t fourRows = allocs(3, 7);
+  EXPECT_LE(fourRows, oneRow);
+  EXPECT_LE(oneRow, 1u);
+}
+
+TEST(AllocationRegression, ReramSmoothingRowsAreAllocationFree) {
+  // Seven independent select constants per row besides the data path.
+  const img::Image src = img::naturalScene(20, 10, 3);
+  AcceleratorConfig ac;
+  ac.streamLength = 256;
+  ReramScBackend b(ac);
+  StreamArena arena;
+  img::Image out = src;
+  apps::smoothKernelRows(src, b, arena, out, 0, 3);  // warm-up
+  arena.reset();
+  const std::uint64_t before = gAllocCount.load();
+  apps::smoothKernelRows(src, b, arena, out, 3, 8);
+  EXPECT_EQ(gAllocCount.load() - before, 0u);
+}
+
 TEST(AllocationRegression, SwScSmoothingRowsAreAllocationFree) {
   // Exercises the constant pool (seven pooled halves per row) besides the
   // data path.
@@ -186,15 +225,14 @@ TEST(AllocationRegression, SwScSmoothingRowsAreAllocationFree) {
 
 TEST(ArenaDeterminism, SameSeedTwoTiledRunsIdenticalPixelsAndLedgers) {
   const apps::CompositingScene scene = apps::makeCompositingScene(20, 14, 7);
-  TileExecutorConfig cfg;
-  cfg.lanes = 3;
-  cfg.threads = 2;
-  cfg.rowsPerTile = 2;
-  cfg.mat.streamLength = 128;
-  cfg.mat.device = reram::DeviceParams::ideal();
+  BackendFactoryConfig bc;
+  bc.streamLength = 128;
+  ParallelConfig par;
+  par.threads = 2;
+  par.rowsPerTile = 2;
 
-  TileExecutor first(cfg);
-  TileExecutor second(cfg);
+  TileExecutor first(makeBackendLanes(DesignKind::ReramSc, bc, 3), par);
+  TileExecutor second(makeBackendLanes(DesignKind::ReramSc, bc, 3), par);
   const img::Image a = apps::runTiled(apps::framesOf(scene), first);
   const img::Image b = apps::runTiled(apps::framesOf(scene), second);
   EXPECT_EQ(a.pixels(), b.pixels());

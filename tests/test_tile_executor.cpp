@@ -19,15 +19,21 @@
 namespace aimsc::core {
 namespace {
 
-TileExecutorConfig idealTileConfig(std::size_t lanes, std::size_t threads,
-                                   std::size_t rowsPerTile = 2,
-                                   std::size_t n = 256) {
-  TileExecutorConfig cfg;
-  cfg.lanes = lanes;
-  cfg.threads = threads;
-  cfg.rowsPerTile = rowsPerTile;
-  cfg.mat.streamLength = n;
-  cfg.mat.device = reram::DeviceParams::ideal();
+/// A fault-free ReRAM-SC fleet of \p lanes factory-built lanes.
+TileExecutor reramFleet(std::size_t lanes, std::size_t threads,
+                        std::size_t rowsPerTile = 2, std::size_t n = 256) {
+  BackendFactoryConfig bc;
+  bc.streamLength = n;
+  ParallelConfig par;
+  par.threads = threads;
+  par.rowsPerTile = rowsPerTile;
+  return TileExecutor(makeBackendLanes(DesignKind::ReramSc, bc, lanes), par);
+}
+
+AcceleratorConfig idealMat(std::size_t n) {
+  AcceleratorConfig cfg;
+  cfg.streamLength = n;
+  cfg.device = reram::DeviceParams::ideal();
   return cfg;
 }
 
@@ -85,10 +91,11 @@ TEST(ThreadPool, InlinePoolPropagatesException) {
 // --- TileExecutor scheduling ----------------------------------------------
 
 TEST(TileExecutor, CoversEveryRowExactlyOnce) {
-  TileExecutor exec(idealTileConfig(3, 2, 4));
+  TileExecutor exec = reramFleet(3, 2, 4);
   const std::size_t height = 29;  // not a multiple of rowsPerTile
   std::vector<std::atomic<int>> visits(height);
-  exec.forEachTile(height, [&](Accelerator&, std::size_t r0, std::size_t r1) {
+  exec.forEachTile(height, [&](ScBackend&, StreamArena&, std::size_t r0,
+                               std::size_t r1) {
     EXPECT_LT(r0, r1);
     for (std::size_t y = r0; y < r1; ++y) ++visits[y];
   });
@@ -98,12 +105,13 @@ TEST(TileExecutor, CoversEveryRowExactlyOnce) {
 TEST(TileExecutor, TilePinningIsThreadCountInvariant) {
   // Record which lane got which tile at two thread counts.
   auto pinning = [](std::size_t threads) {
-    TileExecutor exec(idealTileConfig(4, threads, 2));
+    TileExecutor exec = reramFleet(4, threads, 2);
     std::vector<int> laneOfRow(32, -1);
-    exec.forEachTile(32, [&](Accelerator& lane, std::size_t r0, std::size_t r1) {
+    exec.forEachTile(32, [&](ScBackend& lane, StreamArena&, std::size_t r0,
+                             std::size_t r1) {
       std::ptrdiff_t idx = -1;
       for (std::size_t i = 0; i < exec.lanes(); ++i) {
-        if (&exec.lane(i) == &lane) idx = static_cast<std::ptrdiff_t>(i);
+        if (&exec.backend(i) == &lane) idx = static_cast<std::ptrdiff_t>(i);
       }
       for (std::size_t y = r0; y < r1; ++y) {
         laneOfRow[y] = static_cast<int>(idx);
@@ -115,20 +123,18 @@ TEST(TileExecutor, TilePinningIsThreadCountInvariant) {
 }
 
 TEST(TileExecutor, KernelExceptionPropagates) {
-  TileExecutor exec(idealTileConfig(2, 2));
+  TileExecutor exec = reramFleet(2, 2);
   EXPECT_THROW(exec.forEachTile(8,
-                                [](Accelerator&, std::size_t, std::size_t) {
+                                [](ScBackend&, StreamArena&, std::size_t,
+                                   std::size_t) {
                                   throw std::runtime_error("kernel");
                                 }),
                std::runtime_error);
 }
 
 TEST(TileExecutor, RejectsBadConfig) {
-  const TileExecutorConfig zeroLanes = idealTileConfig(0, 1);
-  EXPECT_THROW({ TileExecutor t(zeroLanes); }, std::invalid_argument);
-  TileExecutorConfig cfg = idealTileConfig(2, 1);
-  cfg.rowsPerTile = 0;
-  EXPECT_THROW({ TileExecutor t(cfg); }, std::invalid_argument);
+  EXPECT_THROW(reramFleet(0, 1), std::invalid_argument);
+  EXPECT_THROW(reramFleet(2, 1, 0), std::invalid_argument);
 }
 
 // --- Determinism across thread counts (the engine's core contract) --------
@@ -141,7 +147,7 @@ TEST(TileExecutor, CompositingBitIdenticalAt1And2And8Threads) {
   bool first = true;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
-    TileExecutor exec(idealTileConfig(4, threads));
+    TileExecutor exec = reramFleet(4, threads);
     const img::Image out = apps::runTiled(apps::framesOf(scene), exec);
     const reram::EventCounts events = exec.totalEvents();
     if (first) {
@@ -161,15 +167,11 @@ TEST(TileExecutor, TiledCompositingMatchesSerialQualityClass) {
   const apps::CompositingScene scene = apps::makeCompositingScene(20, 20, 5);
   const img::Image ref = apps::compositeReference(scene);
 
-  AcceleratorConfig single;
-  single.streamLength = 256;
-  single.device = reram::DeviceParams::ideal();
-  Accelerator acc(single);
-  ReramScBackend serialBackend(acc);
+  ReramScBackend serialBackend(idealMat(256));
   const double psnrSerial =
       img::psnrDb(apps::compositeKernel(scene, serialBackend), ref);
 
-  TileExecutor exec(idealTileConfig(4, 2));
+  TileExecutor exec = reramFleet(4, 2);
   const double psnrTiled =
       img::psnrDb(apps::runTiled(apps::framesOf(scene), exec), ref);
   EXPECT_NEAR(psnrTiled, psnrSerial, 3.0);
@@ -196,10 +198,8 @@ TEST(TileExecutor, RunnerTiledAppsLandInQualityClass) {
 // --- Batched IMSNG ---------------------------------------------------------
 
 TEST(TileExecutor, EncodeBatchMatchesSerialCorrelatedEncodes) {
-  AcceleratorConfig cfg;
-  cfg.streamLength = 256;
-  cfg.device = reram::DeviceParams::ideal();
-  Accelerator batched(cfg);
+  const AcceleratorConfig cfg = idealMat(256);
+  ReramScBackend batched(cfg);
   Accelerator serial(cfg);  // same seed -> same TRNG stream
 
   const std::vector<std::uint8_t> values{0, 255, 17, 17, 128, 91, 91, 3};
@@ -207,9 +207,10 @@ TEST(TileExecutor, EncodeBatchMatchesSerialCorrelatedEncodes) {
   ASSERT_EQ(streams.size(), values.size());
 
   serial.refreshRandomness();
+  sc::Bitstream expect;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    const sc::Bitstream expect = serial.imsng().generatePixel(values[i]);
-    EXPECT_EQ(streams[i], expect) << "value " << int(values[i]);
+    serial.encodeProbCorrelatedInto(expect, values[i] / 255.0);
+    EXPECT_EQ(streams[i].stream, expect) << "value " << int(values[i]);
   }
   // Identical event accounting: batch charges every conversion, including
   // the memoized duplicates.
@@ -220,11 +221,9 @@ TEST(TileExecutor, EncodeBatchMatchesSerialEventsWithFoldedNetwork) {
   // The folded XAG schedule can charge FEWER steps than the dataflow
   // issues; the batch path must replicate the serial max(schedule,
   // dataflow) accounting.
-  AcceleratorConfig cfg;
-  cfg.streamLength = 64;
-  cfg.device = reram::DeviceParams::ideal();
+  AcceleratorConfig cfg = idealMat(64);
   cfg.foldedNetwork = true;
-  Accelerator batched(cfg);
+  ReramScBackend batched(cfg);
   Accelerator serial(cfg);
 
   std::vector<std::uint8_t> values;
@@ -232,21 +231,19 @@ TEST(TileExecutor, EncodeBatchMatchesSerialEventsWithFoldedNetwork) {
   const auto streams = batched.encodePixels(values);
 
   serial.refreshRandomness();
+  sc::Bitstream expect;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_EQ(streams[i], serial.imsng().generatePixel(values[i]));
+    serial.encodeProbCorrelatedInto(expect, values[i] / 255.0);
+    EXPECT_EQ(streams[i].stream, expect);
   }
   EXPECT_EQ(batched.events(), serial.events());
 }
 
 TEST(TileExecutor, TiledFiltersDeterministicAndInQualityClass) {
   const img::Image src = img::naturalScene(20, 20, 11);
-  AcceleratorConfig single;
-  single.streamLength = 256;
-  single.device = reram::DeviceParams::ideal();
 
   for (const bool smooth : {true, false}) {
-    Accelerator acc(single);
-    ReramScBackend serialBackend(acc);
+    ReramScBackend serialBackend(idealMat(256));
     const img::Image serial = smooth ? apps::smoothKernel(src, serialBackend)
                                      : apps::edgeKernel(src, serialBackend);
     img::Image ref;
@@ -254,7 +251,7 @@ TEST(TileExecutor, TiledFiltersDeterministicAndInQualityClass) {
     bool first = true;
     for (const std::size_t threads : {std::size_t{0}, std::size_t{2},
                                       std::size_t{8}}) {
-      TileExecutor exec(idealTileConfig(4, threads));
+      TileExecutor exec = reramFleet(4, threads);
       const img::Image out =
           smooth ? apps::runTiled(
                        apps::framesOf(apps::AppKind::Filters, src), exec)
@@ -275,33 +272,27 @@ TEST(TileExecutor, TiledFiltersDeterministicAndInQualityClass) {
 }
 
 TEST(TileExecutor, EncodeBatchChargesEveryConversion) {
-  AcceleratorConfig cfg;
-  cfg.streamLength = 128;
-  cfg.device = reram::DeviceParams::ideal();
-  Accelerator acc(cfg);
+  ReramScBackend b(idealMat(128));
   const std::vector<std::uint8_t> values(50, 42);  // all duplicates
-  acc.encodePixels(values);
+  b.encodePixels(values);
   // 5*M sensing steps per conversion regardless of memoization.
-  EXPECT_EQ(acc.events().slReads, 50u * 40u);
+  EXPECT_EQ(b.events().slReads, 50u * 40u);
   // One plane refresh for the whole epoch: M rows of N TRNG bits.
-  EXPECT_EQ(acc.events().trngBits, 8u * 128u);
+  EXPECT_EQ(b.events().trngBits, 8u * 128u);
 }
 
 TEST(TileExecutor, CorrelatedBatchSharesEpoch) {
-  AcceleratorConfig cfg;
-  cfg.streamLength = 512;
-  cfg.device = reram::DeviceParams::ideal();
-  Accelerator acc(cfg);
+  ReramScBackend backend(idealMat(512));
   const std::vector<std::uint8_t> a{100};
   const std::vector<std::uint8_t> b{200};
-  const auto sa = acc.encodePixels(a);
-  const auto sb = acc.encodePixelsCorrelated(b);
+  const sc::Bitstream sa = backend.encodePixels(a)[0].stream;
+  const sc::Bitstream sb = backend.encodePixelsCorrelated(b)[0].stream;
   // Same planes: the smaller threshold's stream is contained in the larger's
   // (maximal correlation), so AND(sa, sb) == sa.
-  EXPECT_EQ(sa[0] & sb[0], sa[0]);
+  EXPECT_EQ(sa & sb, sa);
   // A fresh batch breaks the containment with overwhelming probability.
-  const auto sc2 = acc.encodePixels(b);
-  EXPECT_NE(sc2[0] & sa[0], sa[0]);
+  const sc::Bitstream sc2 = backend.encodePixels(b)[0].stream;
+  EXPECT_NE(sc2 & sa, sa);
 }
 
 TEST(TileExecutor, EncodeBatchFaultyFidelityFallsBackFaithfully) {
@@ -310,23 +301,23 @@ TEST(TileExecutor, EncodeBatchFaultyFidelityFallsBackFaithfully) {
   cfg.deviceVariability = true;
   cfg.device = apps::defaultFaultyDevice();
   cfg.faultModelSamples = 20000;
-  Accelerator acc(cfg);
+  ReramScBackend b(cfg);
   const std::vector<std::uint8_t> values{10, 10, 250, 250};
-  const auto streams = acc.encodePixels(values);
+  const auto streams = b.encodePixels(values);
   ASSERT_EQ(streams.size(), 4u);
   // Faulty lanes draw fresh misdecisions per conversion: duplicates are NOT
   // memoized (streams may differ), and values remain near the encoded p.
-  EXPECT_NEAR(streams[2].value(), 250.0 / 255.0, 0.1);
-  EXPECT_EQ(acc.events().slReads, 4u * 40u);
+  EXPECT_NEAR(streams[2].stream.value(), 250.0 / 255.0, 0.1);
+  EXPECT_EQ(b.events().slReads, 4u * 40u);
 }
 
 TEST(TileExecutor, EventMergeEqualsLaneSum) {
-  TileExecutor exec(idealTileConfig(3, 2));
+  TileExecutor exec = reramFleet(3, 2);
   const apps::CompositingScene scene = apps::makeCompositingScene(12, 12, 9);
   apps::runTiled(apps::framesOf(scene), exec);
   reram::EventCounts sum;
   for (std::size_t i = 0; i < exec.lanes(); ++i) {
-    sum += exec.lane(i).events();
+    sum += exec.backend(i).events();
   }
   EXPECT_EQ(exec.totalEvents(), sum);
   exec.resetEvents();
