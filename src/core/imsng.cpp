@@ -190,9 +190,9 @@ void Imsng::computeThresholdStreamInto(std::uint32_t x, sc::Bitstream& dst) {
 void Imsng::chargeConversion(std::uint32_t x, const sc::Bitstream& result) {
   const std::uint32_t full = std::uint32_t{1} << config_.mBits;
   auto& log = array_.events();
-  // Mirror generateThresholdInto(): the dataflow issues one read per plane plus
-  // one extra per set threshold bit, and the schedule only tops *up* — so
-  // the serial path charges max(schedule, dataflow reads).  The folded
+  // Mirror generateThresholdInto(): the dataflow issues one read per plane
+  // plus one extra per set threshold bit, and the schedule only tops *up* —
+  // so the serial path charges max(schedule, dataflow reads).  The folded
   // schedule can be smaller than the dataflow.
   const std::size_t dataflowReads =
       x == full ? 0

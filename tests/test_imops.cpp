@@ -122,7 +122,8 @@ TEST(ImOps, FaultyDivisionDegradesButBounded) {
   const auto [x, y] = sc::makeCorrelatedPair(src, 0.3, 0.6, 8, 4096);
   sc::Bitstream q;
   ops.divideInto(q, x, y);
-  EXPECT_NEAR(q.value(), 0.5, 0.12);  // degraded but not destroyed (SC robustness)
+  // Degraded but not destroyed (SC robustness).
+  EXPECT_NEAR(q.value(), 0.5, 0.12);
 }
 
 TEST(ImOps, FaultFreeDivisionUnchangedWithNullFaultModel) {
@@ -136,7 +137,7 @@ TEST(ImOps, FaultFreeDivisionUnchangedWithNullFaultModel) {
   EXPECT_EQ(q1, q2);  // deterministic without faults
 }
 
-// --- every op at both sensing fidelities --------------------------------------
+// --- every op at both sensing fidelities -------------------------------------
 
 /// A rig whose scouting engine runs Ideal sensing (no model) or
 /// Probabilistic sensing (per-column misdecisions drawn from \p faults).
