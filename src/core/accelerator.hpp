@@ -115,7 +115,6 @@ class Accelerator {
   void resetEvents() { array_->events().reset(); }
 
   reram::CrossbarArray& array() { return *array_; }
-  Imsng& imsng() { return *imsng_; }
   /// This mat's misdecision table: the provider's or an owned one (nullptr
   /// when not injecting).
   const reram::FaultModel* faultModel() const { return faultModel_.get(); }

@@ -54,7 +54,7 @@ class ReramScBackend final : public ScBackend {
   reram::EventCounts events() const override { return acc_.events(); }
   void resetEvents() override { acc_.resetEvents(); }
 
-  /// The mat behind this backend (its array, IMSNG and scalar decodes).
+  /// The mat behind this backend (its array, encodes and scalar decodes).
   Accelerator& accelerator() { return acc_; }
 
  protected:
