@@ -1,6 +1,6 @@
 // ScBackend conformance suite (every backend must pass) plus bit-identity
-// regression tests: the backend-generic kernels against verbatim copies of
-// the pre-redesign per-app implementations.
+// regression tests: the backend-generic kernels against the pre-redesign
+// per-app implementations, whose call sequences are kept verbatim.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -236,10 +236,10 @@ TEST(BackendFactory, NamesAndKinds) {
 
 // --- bit-identity vs the pre-redesign implementations ----------------------
 //
-// The loops below are verbatim copies of the former hand-written per-app
-// functions; they are the regression oracle proving the backend-generic
-// kernels reproduce them bit for bit (ReRAM-SC at thread counts 0 and 4,
-// fault-free and faulty).
+// The ReRAM loops below issue the former hand-written per-app functions'
+// call sequence, verbatim, on the mat's destination-passing forms; they are
+// the regression oracle proving the backend-generic kernels reproduce them
+// bit for bit (ReRAM-SC at thread counts 0 and 4, fault-free and faulty).
 
 /// The four-lane ReRAM-SC fleet the bit-identity tests tile over.
 TileExecutor reramFleet(std::size_t threads, bool faults = false) {
@@ -496,8 +496,9 @@ TEST(BackendEquivalence, AllAppsRunOnAllDesigns) {
 }
 
 TEST(BackendEquivalence, GammaKernelBitIdenticalToSeedReramPath) {
-  // Verbatim copy of the pre-refactor ReRAM-only gamma loop: the
-  // backend-generic gammaKernel must reproduce it bit for bit.
+  // The pre-refactor ReRAM-only gamma loop's call sequence, verbatim on the
+  // mat's destination-passing forms: the backend-generic gammaKernel must
+  // reproduce it bit for bit.
   const img::Image src = img::naturalScene(10, 8, 21);
   const double gamma = 2.2;
   const int degree = 4;
