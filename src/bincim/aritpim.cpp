@@ -18,8 +18,7 @@ std::uint32_t AritPim::add(std::uint32_t a, std::uint32_t b, int bits) {
   if (bits < 1 || bits > 31) throw std::invalid_argument("AritPim::add: bad width");
   a &= lowMask(bits);
   b &= lowMask(bits);
-  if (engine_.faultFree()) {
-    engine_.chargeFaultFree(Net::FullAdder, width(bits));
+  if (engine_.clearRun(MagicEngine::gates(Net::FullAdder, width(bits)))) {
     return a + b;
   }
   std::uint32_t sum = 0;
@@ -35,9 +34,8 @@ std::uint32_t AritPim::add(std::uint32_t a, std::uint32_t b, int bits) {
 /// \p bits-wide a + NOT(b) + 1 (two's complement); the carry out, 1 when
 /// a >= b, lands at bit \p bits.  Operands must already fit \p bits.
 std::uint32_t AritPim::subtract(std::uint32_t a, std::uint32_t b, int bits) {
-  if (engine_.faultFree()) {
-    engine_.chargeFaultFree(Net::Not, width(bits));
-    engine_.chargeFaultFree(Net::FullAdder, width(bits));
+  if (engine_.clearRun(MagicEngine::gates(Net::Not, width(bits)) +
+                       MagicEngine::gates(Net::FullAdder, width(bits)))) {
     return a + (~b & lowMask(bits)) + 1;
   }
   std::uint32_t diff = 0;
@@ -60,11 +58,10 @@ std::uint32_t AritPim::subSaturating(std::uint32_t a, std::uint32_t b, int bits)
 
 std::uint32_t AritPim::mul(std::uint32_t a, std::uint32_t b, int bits) {
   if (bits < 1 || bits > 15) throw std::invalid_argument("AritPim::mul: bad width");
-  if (engine_.faultFree()) {
-    // `bits` rows, each `bits` ANDs and a 2*bits-wide add.
-    const std::uint64_t n = width(bits);
-    engine_.chargeFaultFree(Net::And, n * n);
-    engine_.chargeFaultFree(Net::FullAdder, n * 2 * n);
+  // `bits` rows, each `bits` ANDs and a 2*bits-wide add.
+  const std::uint64_t n = width(bits);
+  if (engine_.clearRun(MagicEngine::gates(Net::And, n * n) +
+                       MagicEngine::gates(Net::FullAdder, n * 2 * n))) {
     return (a & lowMask(bits)) * (b & lowMask(bits));
   }
   std::uint32_t acc = 0;

@@ -17,10 +17,13 @@
 ///
 /// Operands are words; each op reads only its low `bits` (divide: the
 /// numerator's low `numBits`, the denominator's low `denBits + 2`), as its
-/// bit-serial datapath does.  On a fault-free engine an op returns the
-/// closed form of that datapath and charges its gate count; otherwise it
-/// walks the engine's full adders, inverters and ANDs bit by bit.  Both
-/// give the same words, counts and draws (docs/ARCHITECTURE.md).
+/// bit-serial datapath does.  When the engine's clear-run check finds no
+/// candidate execution in a whole add, subtract or multiply, the op returns
+/// the closed form of that datapath and charges its gate count; otherwise
+/// it walks the engine's full adders, inverters and ANDs bit by bit, each
+/// network checked on its own.  Both give the same words, counts and
+/// positions (docs/ARCHITECTURE.md §4.1).  Divide runs its restoring
+/// recurrence over subtract units.
 #pragma once
 
 #include <cstdint>

@@ -11,28 +11,26 @@
 /// the system model's binary-CIM cost and the Table IV fault study.
 ///
 /// The engine evaluates the three networks AritPim issues: the 18-gate
-/// full adder, the inverter and the 3-gate AND.  A gate whose pattern has
-/// misdecision probability p > 0 takes one uniform draw from the engine's
-/// `mt19937_64` per execution and flips when the draw is below p.  Two
-/// shortcuts keep that contract at word speed (docs/ARCHITECTURE.md):
+/// full adder, the inverter and the 3-gate AND.  Every gate execution has
+/// a position, numbered from construction with protection copies included,
+/// and each execution of a pattern with misdecision probability p flips
+/// independently with probability p.  The flips are a pure function of
+/// (seed, position, pattern) drawn by thinning (docs/ARCHITECTURE.md §4.1):
 ///
-///  * the five probabilities are read once, on first use, into a frozen
-///    table; when all are zero `faultFree()` lets AritPim return closed
-///    forms and charge the gate counts through `chargeFaultFree()`;
-///  * otherwise each network first screens, in a look-ahead buffer of raw
-///    generator outputs, the draws its fault-free evaluation would take.
-///    If none can fall below the largest probability no gate can flip, so
-///    the ideal outputs are returned and the draws skipped; only the rest
-///    walk their gates.
+///  * candidate positions form a keyed Bernoulli(p_max) process, drawn by
+///    geometric skip, where p_max is the largest of the five probabilities;
+///  * a candidate whose pattern has probability p flips when a second keyed
+///    uniform is below p / p_max.
 ///
-/// Outputs, gate counts and the order of generator draws are exactly those
-/// of a gate-by-gate evaluation.
+/// So only candidates cost a draw.  A unit (a network, or a whole AritPim
+/// add, subtract or multiply) holding no candidate among its executions
+/// cannot flip: `clearRun` charges it and the caller returns its closed
+/// form.  Only a network holding a candidate walks gate by gate.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <random>
 
 #include "reram/fault_model.hpp"
 
@@ -46,12 +44,13 @@ class MagicEngine {
  public:
   /// Engine drawing its misdecisions from \p faultModel (not owned).
   /// \param faultModel nullptr = fault-free execution
-  /// \param seed       seed of the engine's `mt19937_64` draw sequence
-  /// \param faultScale scales each gate's misdecision probability.  Our
-  ///        pedagogical decomposition (5-NOR XOR, 18-NOR full adder) issues
-  ///        ~4x the gate cycles of an optimized AritPIM mapping, so an
-  ///        equal-fault-surface comparison uses faultScale ~ 0.25 (same
-  ///        rationale as the analytic cycle counts in the cost profile).
+  /// \param seed       key of the engine's candidate and thinning draws
+  /// \param faultScale scales each gate's misdecision probability (the
+  ///        product is clamped to [0, 1]).  Our pedagogical decomposition
+  ///        (5-NOR XOR, 18-NOR full adder) issues ~4x the gate cycles of an
+  ///        optimized AritPIM mapping, so an equal-fault-surface comparison
+  ///        uses faultScale ~ 0.25 (same rationale as the analytic cycle
+  ///        counts in the cost profile).
   explicit MagicEngine(const reram::FaultModel* faultModel = nullptr,
                        std::uint64_t seed = 0xb17c, double faultScale = 1.0);
 
@@ -91,73 +90,60 @@ class MagicEngine {
   /// AND on bits (0 or 1).
   std::uint32_t andGate(std::uint32_t a, std::uint32_t b);
 
-  /// True when every gate's misdecision probability is zero (no fault
-  /// model, zero scale or zero variability): no gate draws or flips, so
-  /// an op may compute its closed form and charge its gates with
-  /// `chargeFaultFree`.  Freezes the probability table on first call.
-  bool faultFree() {
-    if (!frozen_) freeze();
-    return faultFree_;
-  }
-  /// Charges \p count fault-free evaluations of \p net without drawing:
-  /// each of its primitives executes once per protection copy (x1 / x2 /
-  /// x3).
-  void chargeFaultFree(Net net, std::uint64_t count) {
-    if (!frozen_) freeze();
-    gateOps_ += count * gatesPerNet_[static_cast<std::size_t>(net)] * copies_;
-  }
+  /// Primitive gates in \p count evaluations of \p net, one protection
+  /// copy each (counted on the networks themselves).
+  static std::uint64_t gates(Net net, std::uint64_t count);
 
-  /// Total primitive gate executions (MAGIC write cycles) so far.
+  /// The clear-run check for a unit of \p gates primitives.  When none of
+  /// its next gates x copies executions is a candidate, no gate among them
+  /// can flip and no DMR execution can disagree, so the unit runs exactly
+  /// as its fault-free evaluation: the engine advances its position past
+  /// them, charges them and returns true.  Otherwise it changes nothing
+  /// and returns false.  Freezes the probability table on first call.
+  bool clearRun(std::uint64_t gates);
+
+  /// Total primitive gate executions (MAGIC write cycles) since the last
+  /// resetCounter().
   std::uint64_t gateOps() const { return gateOps_; }
-  /// Clears the write-cycle counter.
+  /// Clears the write-cycle counter; the position keeps counting.
   void resetCounter() { gateOps_ = 0; }
 
-  /// Consumes and returns the next raw `mt19937_64` output the next
-  /// drawing gate would see (determinism checks).
-  std::uint64_t nextRawDraw();
+  /// Gate executions since construction, protection copies included.
+  std::uint64_t position() const { return pos_; }
+  /// Position of the next candidate execution, or ~0 when no gate can flip
+  /// (determinism checks).  Freezes the probability table on first call.
+  std::uint64_t nextCandidate();
 
  private:
   struct Walker;
-  struct Draws;
-
-  /// Raw outputs buffered ahead of the gates: 1 KiB.
-  static constexpr std::size_t kLookAhead = 128;
 
   void freeze();
-  bool screen(std::size_t input);
+  /// Places candidate number candidates_ at or after \p from.
+  void drawCandidate(std::uint64_t from);
+  /// One execution of a gate on pattern \p slot: true when it flips.
+  bool execute(std::size_t slot);
   std::uint32_t inject(std::uint32_t ideal, std::size_t slot);
-  std::uint64_t takeDraw();
-  void refill();
-  std::size_t firstHit(std::size_t from) const;
-  std::uint64_t largestRawBelow(double p);
 
   const reram::FaultModel* faultModel_;
   double faultScale_;
+  std::uint64_t seedKey_;  ///< mix64(seed)
   Protection protection_ = Protection::None;
   std::uint64_t copies_ = 1;  ///< executions per gate without a fault
   std::uint64_t gateOps_ = 0;
-  std::mt19937_64 eng_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  std::uint64_t pos_ = 0;
 
   // Frozen on first use (see freeze()).
   bool frozen_ = false;
-  bool faultFree_ = true;
-  /// Scaled misdecision probability: NOR with 0/1/2 ones, NOT with 0/1.
+  /// Scaled, clamped misdecision probability: NOR with 0/1/2 ones, NOT
+  /// with 0/1.
   std::array<double, 5> p_{};
-  /// Primitives per network, in Net order, counted on the networks.
-  std::array<std::uint64_t, 3> gatesPerNet_{};
-  /// Drawing gates of each network's fault-free walk, per input: full
-  /// adder (a | b<<1 | cin<<2), then NOT (a), then AND (a | b<<1).
-  std::array<std::uint8_t, 14> drawsPerInput_{};
-  /// A raw output at or below this may flip a gate; above it cannot.
-  std::uint64_t hitBound_ = 0;
-
-  // Look-ahead buffer: ahead_[pos_, kLookAhead) are the next raw outputs
-  // in draw order; nextHit_ indexes the first of them at or below
-  // hitBound_ (kLookAhead when none).
-  std::array<std::uint64_t, kLookAhead> ahead_{};
-  std::size_t pos_ = kLookAhead;
-  std::size_t nextHit_ = kLookAhead;
+  double pMax_ = 0.0;
+  double invLogQ_ = 0.0;  ///< 1 / log(1 - p_max), for the geometric skip
+  /// A candidate on pattern k flips when its thinning draw's top 53 bits
+  /// are below keepBelow_[k] = ceil(p_k / p_max * 2^53).
+  std::array<std::uint64_t, 5> keepBelow_{};
+  std::uint64_t candidates_ = 0;  ///< candidates placed so far
+  std::uint64_t nextCand_ = ~std::uint64_t{0};
 };
 
 }  // namespace aimsc::bincim

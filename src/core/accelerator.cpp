@@ -56,7 +56,7 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
   ic.wearWindowRows = config_.wearWindowRows;
   imsng_ = std::make_unique<Imsng>(*array_, *scouting_, *periphery_, *trng_, ic);
 
-  imops_ = std::make_unique<ImOps>(*scouting_, config_.seed ^ 0x1305);
+  imops_ = std::make_unique<ImOps>(*scouting_);
   ims2b_ = std::make_unique<ImS2B>(*array_, config_.adc, config_.seed ^ 0x52b);
 }
 

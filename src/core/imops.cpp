@@ -2,15 +2,23 @@
 
 #include "sc/bernstein.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <stdexcept>
+
+#include "reliability/fault_rng.hpp"
 
 namespace aimsc::core {
 
 using reram::SlOp;
 
-ImOps::ImOps(reram::ScoutingLogic& scouting, std::uint64_t seed)
-    : scouting_(scouting), eng_(seed) {}
+namespace {
+
+/// Separates CORDIV's draw keys from the scouting steps' on the same seed.
+constexpr std::uint64_t kCordivDomain = 0xc0d1f00dd1f1de5ull;
+
+}  // namespace
 
 // Each bulk op charges one standalone SA-output latch capture (two for the
 // XOR/XNOR window gates, which latch both references [33]); the in-step SA
@@ -57,14 +65,24 @@ void ImOps::divideInto(sc::Bitstream& dst, const sc::Bitstream& x,
   if (x.size() != y.size()) throw std::invalid_argument("ImOps::divide: length mismatch");
   scouting_.array().events().add(reram::EventKind::CordivIteration, x.size());
 
-  // The mat's frozen 2-row AND probabilities (all zero on a fault-free
-  // mat, which then draws nothing).
-  std::array<double, 3> pAnd{};
+  // The mat's frozen 2-row AND probabilities as integer thresholds: a
+  // draw key k flips its term when (k >> 11) < ceil(p * 2^53), i.e. when
+  // its uniform is below p (all zero on a fault-free mat, which then draws
+  // nothing).
+  std::array<std::uint64_t, 3> flipBelow{};
   for (int ones = 0; ones <= 2; ++ones) {
-    pAnd[static_cast<std::size_t>(ones)] =
-        scouting_.misdecisionProb(SlOp::And, ones, 2);
+    const double p = scouting_.misdecisionProb(SlOp::And, ones, 2);
+    flipBelow[static_cast<std::size_t>(ones)] = static_cast<std::uint64_t>(
+        std::ceil(std::min(p, 1.0) * 0x1.0p53));
   }
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  // Iteration i's terms draw keys mix64(callKey + 2i) and
+  // mix64(callKey + 2i + 1).
+  const std::uint64_t callKey = reliability::mix64(
+      reliability::mix64(scouting_.seed() ^ kCordivDomain) + divideCalls_++);
+  const auto flips = [&](std::uint64_t threshold, std::uint64_t draw) {
+    return threshold != 0 &&
+           (reliability::mix64(callKey + draw) >> 11) < threshold;
+  };
   sc::CordivUnit unit_ff(variant);
   dst.assign(x.size(), false);
   for (std::size_t i = 0; i < x.size(); ++i) {
@@ -73,10 +91,8 @@ void ImOps::divideInto(sc::Bitstream& dst, const sc::Bitstream& x,
     // Each iteration senses two terms: t = AND(x_i, y_i) and
     // h = AND(d, NOT y_i); model their misdecisions as input-bit flips
     // drawn from the corresponding AND pattern probabilities.
-    const double pT = pAnd[(xb ? 1u : 0u) + (yb ? 1u : 0u)];
-    if (pT > 0.0 && unit(eng_) < pT) xb = !xb;
-    const double pH = pAnd[yb ? 0u : 1u];
-    if (pH > 0.0 && unit(eng_) < pH) yb = !yb;
+    if (flips(flipBelow[(xb ? 1u : 0u) + (yb ? 1u : 0u)], 2 * i)) xb = !xb;
+    if (flips(flipBelow[yb ? 0u : 1u], 2 * i + 1)) yb = !yb;
     if (unit_ff.clock(xb, yb)) dst.set(i, true);
   }
 }

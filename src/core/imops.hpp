@@ -8,14 +8,13 @@
 /// are forwarded as bitline voltages, never written).
 ///
 /// Faults: bulk ops run through ScoutingLogic, which injects per-column
-/// misdecisions; CORDIV iterations draw per-step misdecisions from the
-/// scouting engine's frozen AND probabilities (two sensed terms per
-/// iteration).
+/// misdecisions; CORDIV iterations flip their two sensed terms with the
+/// scouting engine's frozen AND probabilities, each draw keyed by (mat
+/// seed, divide-call ordinal, iteration, term).
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <random>
 #include <span>
 #include <vector>
 
@@ -27,9 +26,9 @@ namespace aimsc::core {
 class ImOps {
  public:
   /// \param scouting SL engine (fault injection & event accounting); a
-  ///                 Probabilistic engine also makes CORDIV faulty
-  /// \param seed     seed of CORDIV's per-iteration misdecision draws
-  explicit ImOps(reram::ScoutingLogic& scouting, std::uint64_t seed = 0x1305);
+  ///                 Probabilistic engine also makes CORDIV faulty, keyed
+  ///                 by the engine's seed
+  explicit ImOps(reram::ScoutingLogic& scouting) : scouting_(scouting) {}
 
   // Every op writes into \p dst, resized to the operand width (buffer
   // reused), so a warm engine computes without heap traffic.  \p dst may
@@ -88,7 +87,7 @@ class ImOps {
 
  private:
   reram::ScoutingLogic& scouting_;
-  std::mt19937_64 eng_;
+  std::uint64_t divideCalls_ = 0;  ///< CORDIV call ordinal (draw keys)
   // MAJ-tree stage scratch (an ImOps instance is single-threaded; each
   // tile-engine lane owns its own).
   sc::Bitstream tmpTop_;

@@ -107,40 +107,37 @@ void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
 
   if (x == full) {
     // p = 1.0: the comparator network degenerates to constant true.
-    dst.assign(n, true);
+    periphery_.mutableL0().assign(n, true);
   } else {
     // FFlag chain in L1 (starts all-equal = all ones), result accumulates
     // in L0.  Per bit, MSB..LSB (planes stored MSB first):
     //   A_i = 1: result |= FFlag AND NOT RN_i ;  FFlag &= RN_i
     //   A_i = 0: FFlag &= NOT RN_i
-    // Each AND is one sensing step; complemented latch operands are free
-    // (the periphery drives the bitline voltage, Fig. 1c).
-    sensed_.assign(n, true);
-    periphery_.captureL1(sensed_);
-    sensed_.assign(n, false);
-    periphery_.captureL0(sensed_);
+    // Each AND is one sensing step whose output lands in the latch in
+    // place; complemented latch operands are free (the periphery drives
+    // the bitline voltage, Fig. 1c).
+    sc::Bitstream& flag = periphery_.mutableL1();
+    flag.assign(n, true);
+    periphery_.mutableL0().assign(n, false);
     for (int i = 0; i < m; ++i) {
       const bool aBit = (x >> (m - 1 - i)) & 1u;
       const std::size_t plane = planeBase_ + static_cast<std::size_t>(i);
       const sc::Bitstream& rn = array_.row(plane);
-      const sc::Bitstream& flag = periphery_.l1();
-      sc::Bitstream::notInto(notFlag_, flag);
       if (aBit) {
         // term = FFlag AND NOT RN_i  ==  NOR(NOT FFlag, RN_i)
-        scouting_.op2Into(SlOp::Nor, sensed_, notFlag_, rn);
+        scouting_.op2NotAInto(SlOp::Nor, sensed_, flag, rn);
         ++dataflowReads;
         periphery_.accumulateL0(sensed_);
         // FFlag = FFlag AND RN_i (predicated sensing in the latch pair)
-        scouting_.op2Into(SlOp::And, sensed_, flag, rn);
+        scouting_.op2Into(SlOp::And, flag, flag, rn);
       } else {
         // FFlag = FFlag AND NOT RN_i
-        scouting_.op2Into(SlOp::Nor, sensed_, notFlag_, rn);
+        scouting_.op2NotAInto(SlOp::Nor, flag, flag, rn);
       }
       ++dataflowReads;
-      periphery_.captureL1(sensed_);
     }
-    dst = periphery_.l0();
   }
+  dst = periphery_.l0();
 
   // Cost parity with the paper's operation count: the dataflow above issued
   // `dataflowReads` sensing steps; top up to the charged schedule.
@@ -153,11 +150,9 @@ void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
     log.add(reram::EventKind::RowWrite, 2 * static_cast<std::size_t>(m));
   }
 
-  // Both variants commit the final SBS once ("at least one write").
-  if (config_.commitResult) {
-    periphery_.captureL0(dst);
-    periphery_.commit(config_.outputRow);
-  }
+  // Both variants commit the final SBS, held in L0, once ("at least one
+  // write").
+  if (config_.commitResult) periphery_.commit(config_.outputRow);
 }
 
 void Imsng::computeThresholdStreamInto(std::uint32_t x, sc::Bitstream& dst) {
@@ -229,9 +224,9 @@ void Imsng::encodeBatchInto(std::span<const std::uint32_t> thresholds,
 
   if (scouting_.fidelity() != reram::ScoutingLogic::Fidelity::Ideal ||
       scouting_.votes() != 1) {
-    // Fault-injecting fidelities draw per-step misdecisions from the lane's
-    // RNG streams, and temporal-redundancy voting charges votes() reads per
-    // step; run the real dataflow so statistics and accounting stay
+    // Fault-injecting fidelities key each step's misdecisions by the mat's
+    // step ordinal, and temporal-redundancy voting charges votes() reads
+    // per step; run the real dataflow so statistics and accounting stay
     // faithful.
     for (std::size_t i = 0; i < thresholds.size(); ++i) {
       generateThresholdInto(thresholds[i], *outs[i]);

@@ -89,8 +89,8 @@ class Imsng {
   /// Converts integer threshold \p x in [0, 2^M] to an SBS into \p dst
   /// (resized to the array width, buffer reused): bit j = 1 iff x > RN_j.
   /// The stream is also committed to the configured output row.  The
-  /// scouting dataflow runs on the periphery latches and member scratch, so
-  /// a warm call allocates nothing at any fidelity.
+  /// scouting dataflow senses into the periphery latches in place, so a
+  /// warm call allocates nothing at any fidelity.
   void generateThresholdInto(std::uint32_t x, sc::Bitstream& dst);
 
   /// Batched conversion: every threshold is converted against the CURRENT
@@ -146,9 +146,8 @@ class Imsng {
   std::size_t planeBase_ = 0;  ///< base row of the current plane set
   bool planesReady_ = false;
   sc::Bitstream flagScratch_;  ///< FFlag chain buffer for the batch path
-  // Sensed operands and results of the scouting dataflow
+  // The sensed greater-than term of the scouting dataflow
   // (generateThresholdInto), reused across conversions.
-  sc::Bitstream notFlag_;
   sc::Bitstream sensed_;
   // Per-epoch comparator byte cache (M = 8, Ideal sensing): the plane rows
   // untransposed into the per-column random numbers R_j, served through the

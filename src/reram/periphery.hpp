@@ -36,6 +36,11 @@ class Periphery {
   const sc::Bitstream& l0() const { return l0_; }
   const sc::Bitstream& l1() const { return l1_; }
 
+  /// The latches themselves, for a sensing step whose sense-amp output
+  /// lands in a latch in place (the IMSNG FFlag chain).
+  sc::Bitstream& mutableL0() { return l0_; }
+  sc::Bitstream& mutableL1() { return l1_; }
+
   /// Predicated latch update: L0 &= L1 without any array access — the
   /// write-driver pair natively computes "data AND modify" (IMSNG-opt).
   void predicateL0ByL1();

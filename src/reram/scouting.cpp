@@ -1,99 +1,126 @@
 #include "reram/scouting.hpp"
 
-#include <array>
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <stdexcept>
 
-#include "reram/binomial.hpp"
+#include "reliability/fault_rng.hpp"
 
 namespace aimsc::reram {
 
 namespace {
 
 constexpr std::size_t kOps = static_cast<std::size_t>(SlOp::Not) + 1;
+constexpr std::uint64_t kUnset = ~std::uint64_t{0};
+/// Draw d of class k in a step is keyed mix64(stepKey + k * kClassStride + d).
+constexpr std::uint64_t kClassStride = std::uint64_t{1} << 48;
 
-/// Toggles, in \p out, the columns of \p mask whose rank among the mask's
-/// set bits is set in \p picked, and clears \p picked.  Ranks ascend, so
-/// one pass over the mask words serves every pick.
-AIMSC_POPCNT_CLONES void flipRankedColumns(std::uint64_t* out,
-                                           const std::uint64_t* mask,
-                                           std::uint64_t* picked,
-                                           std::size_t pickedWords) {
+/// A keyed draw as an integer r in [1, 2^53]: the uniform r / 2^53 in (0, 1].
+std::uint64_t drawRank(std::uint64_t key) {
+  return (reliability::mix64(key) >> 11) + 1;
+}
+
+/// Ranks skipped before the next flip, Geometric(p) by inversion of the
+/// draw \p r (\p invLogQ = 1 / log(1 - p)).
+double gapOf(std::uint64_t r, double invLogQ) {
+  return std::floor(std::log(static_cast<double>(r) * 0x1.0p-53) * invLogQ);
+}
+
+/// One pass over the operand words: \p out gets the ideal sensed value (the
+/// classes set in \p idealSet, ORed).  With \p masks, masks[k * words + w]
+/// gets the columns where exactly k operands store '1' and counts[k] adds
+/// their popcount.  Word w of every operand is read before word w of
+/// \p out is written, so \p out may alias an operand.
+AIMSC_POPCNT_CLONES void senseWords(const std::uint64_t* const* in, int rows,
+                                    std::uint64_t invertFirst,
+                                    unsigned idealSet, std::size_t words,
+                                    std::uint64_t tail, std::uint64_t* out,
+                                    std::uint64_t* masks,
+                                    std::size_t* counts) {
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t live = w + 1 == words ? tail : ~std::uint64_t{0};
+    const std::uint64_t a = in[0][w] ^ invertFirst;
+    std::uint64_t m[4];
+    if (rows == 1) {
+      m[0] = ~a;
+      m[1] = a;
+    } else if (rows == 2) {
+      const std::uint64_t b = in[1][w];
+      m[0] = ~(a | b);
+      m[1] = a ^ b;
+      m[2] = a & b;
+    } else {
+      const std::uint64_t b = in[1][w];
+      const std::uint64_t c = in[2][w];
+      const std::uint64_t all = a & b & c;
+      const std::uint64_t any = a | b | c;
+      const std::uint64_t maj = (a & b) | (c & (a | b));
+      m[0] = ~any;
+      m[1] = any & ~maj;
+      m[2] = maj & ~all;
+      m[3] = all;
+    }
+    std::uint64_t o = 0;
+    for (int k = 0; k <= rows; ++k) {
+      m[k] &= live;
+      if ((idealSet >> k) & 1u) o |= m[k];
+    }
+    out[w] = o;
+    if (masks != nullptr) {
+      for (int k = 0; k <= rows; ++k) {
+        masks[static_cast<std::size_t>(k) * words + w] = m[k];
+        counts[k] += static_cast<std::size_t>(std::popcount(m[k]));
+      }
+    }
+  }
+}
+
+/// The draw below which no column of \p c flips: (1 - p)^c of the 2^53
+/// draws, from the lane-frozen table \p noFlip (filled on first use).
+std::uint64_t quietBelow(std::uint64_t* noFlip, std::size_t c, double invLogQ) {
+  std::uint64_t& t = noFlip[c];
+  if (t == kUnset) {
+    t = static_cast<std::uint64_t>(
+        std::exp(static_cast<double>(c) / invLogQ) * 0x1.0p53);
+  }
+  return t;
+}
+
+/// Toggles, in \p out, the columns of \p mask (\p cnt set bits) at the
+/// ranks the keyed geometric skip visits, starting at rank \p first.  Each
+/// later draw first meets the no-flip threshold of the ranks left, so only
+/// a draw that places a flip pays a log.  Ranks ascend, so one pass over
+/// the mask words serves every flip.
+AIMSC_POPCNT_CLONES void flipSkippedRanks(std::uint64_t* out,
+                                          const std::uint64_t* mask,
+                                          std::size_t cnt, std::size_t first,
+                                          std::uint64_t classKey,
+                                          double invLogQ,
+                                          std::uint64_t* noFlip) {
   std::size_t w = 0;
   std::size_t seen = 0;  // set mask bits before word w
   std::size_t inWord = static_cast<std::size_t>(std::popcount(mask[0]));
-  for (std::size_t pw = 0; pw < pickedWords; ++pw) {
-    for (std::uint64_t bits = picked[pw]; bits != 0; bits &= bits - 1) {
-      const std::size_t nth =
-          pw * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      while (seen + inWord <= nth) {
-        seen += inWord;
-        inWord = static_cast<std::size_t>(std::popcount(mask[++w]));
-      }
-      std::uint64_t word = mask[w];
-      for (std::size_t r = nth - seen; r > 0; --r) word &= word - 1;
-      out[w] ^= word & (~word + 1);  // the rank's column
+  std::size_t nth = first;
+  for (std::uint64_t d = 1;; ++d) {
+    while (seen + inWord <= nth) {
+      seen += inWord;
+      inWord = static_cast<std::size_t>(std::popcount(mask[++w]));
     }
-    picked[pw] = 0;
+    std::uint64_t word = mask[w];
+    for (std::size_t r = nth - seen; r > 0; --r) word &= word - 1;
+    out[w] ^= word & (~word + 1);  // the rank's column
+    const std::size_t left = cnt - nth - 1;
+    if (left == 0) return;
+    const std::uint64_t r = drawRank(classKey + d);
+    if (r <= quietBelow(noFlip, left, invLogQ)) return;
+    const double gap = gapOf(r, invLogQ);
+    if (gap >= static_cast<double>(left)) return;  // rounding at the edge
+    nth += 1 + static_cast<std::size_t>(gap);
   }
 }
 
 }  // namespace
-
-/// Pattern masks: maskScratch_[k] gets a 1 in column c iff exactly k of the
-/// operands have a 1 there.  1..3 operands run word-level into the reused
-/// scratch buffers (no allocation once warm).
-void ScoutingLogic::patternMasksInto(Operands ops) {
-  using sc::Bitstream;
-  const std::size_t n = ops.front()->size();
-  if (maskScratch_.size() < ops.size() + 1) maskScratch_.resize(ops.size() + 1);
-  switch (ops.size()) {
-    case 1: {
-      const Bitstream& a = *ops[0];
-      Bitstream::notInto(maskScratch_[0], a);
-      maskScratch_[1] = a;
-      return;
-    }
-    case 2: {
-      const Bitstream& a = *ops[0];
-      const Bitstream& b = *ops[1];
-      Bitstream::orInto(tmpA_, a, b);
-      Bitstream::notInto(maskScratch_[0], tmpA_);
-      Bitstream::xorInto(maskScratch_[1], a, b);
-      Bitstream::andInto(maskScratch_[2], a, b);
-      return;
-    }
-    case 3: {
-      const Bitstream& a = *ops[0];
-      const Bitstream& b = *ops[1];
-      const Bitstream& c = *ops[2];
-      Bitstream::andInto(tmpA_, a, b);
-      Bitstream::andInto(tmpA_, tmpA_, c);        // all
-      Bitstream::majorityInto(tmpB_, a, b, c);    // maj
-      Bitstream::orInto(tmpC_, a, b);
-      Bitstream::orInto(tmpC_, tmpC_, c);         // any
-      Bitstream::notInto(maskScratch_[0], tmpC_);
-      Bitstream::notInto(maskScratch_[1], tmpB_);
-      Bitstream::andInto(maskScratch_[1], tmpC_, maskScratch_[1]);  // any & ~maj
-      Bitstream::notInto(maskScratch_[2], tmpA_);
-      Bitstream::andInto(maskScratch_[2], tmpB_, maskScratch_[2]);  // maj & ~all
-      maskScratch_[3] = tmpA_;
-      return;
-    }
-    default: {
-      // Generic (rare) path: count per column.
-      for (std::size_t k = 0; k <= ops.size(); ++k) {
-        maskScratch_[k].assign(n, false);
-      }
-      for (std::size_t col = 0; col < n; ++col) {
-        int ones = 0;
-        for (const auto* o : ops) ones += o->get(col) ? 1 : 0;
-        maskScratch_[static_cast<std::size_t>(ones)].set(col, true);
-      }
-      return;
-    }
-  }
-}
 
 ScoutingLogic::ScoutingLogic(CrossbarArray& array, Fidelity fidelity,
                              const FaultModel* faultModel, std::uint64_t seed,
@@ -101,9 +128,10 @@ ScoutingLogic::ScoutingLogic(CrossbarArray& array, Fidelity fidelity,
     : array_(array),
       fidelity_(fidelity),
       faultModel_(faultModel),
-      senseAmp_(array.params()),
-      eng_(seed),
-      votes_(votes) {
+      seed_(seed),
+      seedKey_(reliability::mix64(seed)),
+      votes_(votes),
+      senseAmp_(array.params()) {
   if (fidelity_ == Fidelity::Probabilistic) {
     if (faultModel_ == nullptr) {
       throw std::invalid_argument(
@@ -114,25 +142,42 @@ ScoutingLogic::ScoutingLogic(CrossbarArray& array, Fidelity fidelity,
   if (votes_ < 1 || votes_ % 2 == 0 || votes_ > 7) {
     throw std::invalid_argument("ScoutingLogic: votes must be odd, 1..7");
   }
+  for (std::size_t op = 0; op < kOps; ++op) {
+    for (int rows = 1; rows <= 3; ++rows) {
+      for (int ones = 0; ones <= rows; ++ones) {
+        if (slIdeal(static_cast<SlOp>(op), ones, rows)) {
+          idealSets_[op][static_cast<std::size_t>(rows)] |=
+              static_cast<std::uint8_t>(1u << ones);
+        }
+      }
+    }
+  }
 }
 
 void ScoutingLogic::op2Into(SlOp op, sc::Bitstream& dst, const sc::Bitstream& a,
                             const sc::Bitstream& b) {
   const std::array<const sc::Bitstream*, 2> ops{&a, &b};
-  executeInto(op, ops, dst);
+  executeInto(op, ops, false, dst);
+}
+
+void ScoutingLogic::op2NotAInto(SlOp op, sc::Bitstream& dst,
+                                const sc::Bitstream& a, const sc::Bitstream& b) {
+  const std::array<const sc::Bitstream*, 2> ops{&a, &b};
+  executeInto(op, ops, true, dst);
 }
 
 void ScoutingLogic::op3Into(SlOp op, sc::Bitstream& dst, const sc::Bitstream& a,
                             const sc::Bitstream& b, const sc::Bitstream& c) {
   const std::array<const sc::Bitstream*, 3> ops{&a, &b, &c};
-  executeInto(op, ops, dst);
+  executeInto(op, ops, false, dst);
 }
 
 void ScoutingLogic::opInto(SlOp op, sc::Bitstream& dst, Operands operands) {
-  executeInto(op, operands, dst);
+  executeInto(op, operands, false, dst);
 }
 
-void ScoutingLogic::executeInto(SlOp op, Operands operands, sc::Bitstream& dst) {
+void ScoutingLogic::executeInto(SlOp op, Operands operands,
+                                bool complementFirst, sc::Bitstream& dst) {
   if (operands.empty()) throw std::invalid_argument("ScoutingLogic: no operands");
   const std::size_t width = operands.front()->size();
   for (const auto* o : operands) {
@@ -156,30 +201,16 @@ void ScoutingLogic::executeInto(SlOp op, Operands operands, sc::Bitstream& dst) 
   // standalone output captures are charged by the caller (ImOps).
   array_.events().add(reram::EventKind::SlRead,
                       static_cast<std::uint64_t>(votes_));
-
-  if (fidelity_ == Fidelity::Ideal && votes_ == 1) {
-    // Fault-free single-sense fast path: the per-pattern masks exist only
-    // to localize misdecisions, and ORing the slIdeal-true masks equals the
-    // plain word-level gate — compute it directly (identical bits, one pass
-    // instead of the mask build).
-    senseIdealInto(dst, op, operands);
+  if (votes_ == 1) {
+    senseStepInto(dst, op, operands, complementFirst);
     return;
   }
 
-  if (fidelity_ != Fidelity::MonteCarlo) patternMasksInto(operands);
-  const std::vector<sc::Bitstream>& masks = maskScratch_;
-
-  if (votes_ == 1 || fidelity_ == Fidelity::Ideal) {
-    senseOnceInto(dst, op, operands, masks, numRows, width);
-    return;
-  }
-
-  // Temporal redundancy: vote per column over `votes_` independent senses,
-  // staged through one outcome stream per vote, then voted into dst.
+  // Temporal redundancy: each vote is its own step, voted per column.
   std::vector<sc::Bitstream>& outcomes = voteScratch_;
   outcomes.resize(static_cast<std::size_t>(votes_));
   for (sc::Bitstream& o : outcomes) {
-    senseOnceInto(o, op, operands, masks, numRows, width);
+    senseStepInto(o, op, operands, complementFirst);
   }
   if (votes_ == 3) {
     sc::Bitstream::majorityInto(dst, outcomes[0], outcomes[1], outcomes[2]);
@@ -193,119 +224,141 @@ void ScoutingLogic::executeInto(SlOp op, Operands operands, sc::Bitstream& dst) 
   }
 }
 
-void ScoutingLogic::senseIdealInto(sc::Bitstream& dst, SlOp op,
-                                   Operands operands) {
-  using sc::Bitstream;
-  switch (op) {
-    case SlOp::And:
-    case SlOp::Nand:
-      Bitstream::andInto(dst, *operands[0],
-                         operands.size() > 1 ? *operands[1] : *operands[0]);
-      for (std::size_t i = 2; i < operands.size(); ++i) {
-        Bitstream::andInto(dst, dst, *operands[i]);
-      }
-      if (op == SlOp::Nand) Bitstream::notInto(dst, dst);
-      return;
-    case SlOp::Or:
-    case SlOp::Nor:
-      Bitstream::orInto(dst, *operands[0],
-                        operands.size() > 1 ? *operands[1] : *operands[0]);
-      for (std::size_t i = 2; i < operands.size(); ++i) {
-        Bitstream::orInto(dst, dst, *operands[i]);
-      }
-      if (op == SlOp::Nor) Bitstream::notInto(dst, dst);
-      return;
-    case SlOp::Xor:
-      Bitstream::xorInto(dst, *operands[0], *operands[1]);
-      return;
-    case SlOp::Xnor:
-      Bitstream::xorInto(dst, *operands[0], *operands[1]);
-      Bitstream::notInto(dst, dst);
-      return;
-    case SlOp::Maj3:
-      Bitstream::majorityInto(dst, *operands[0], *operands[1], *operands[2]);
-      return;
-    case SlOp::Not:
-      Bitstream::notInto(dst, *operands[0]);
-      return;
-  }
-}
-
-void ScoutingLogic::senseOnceInto(
-    sc::Bitstream& dst, SlOp op, Operands operands,
-    const std::vector<sc::Bitstream>& masks, int numRows, std::size_t width) {
+void ScoutingLogic::senseStepInto(sc::Bitstream& dst, SlOp op,
+                                  Operands operands, bool complementFirst) {
+  const std::uint64_t step = step_++;
   if (fidelity_ == Fidelity::MonteCarlo) {
-    // dst may alias an operand; sample into a scratch stream first.
-    tmpA_.assign(width, false);
-    auto& dev = array_.device();
-    for (std::size_t c = 0; c < width; ++c) {
-      double current = 0.0;
-      for (const auto* o : operands) current += dev.sampleCurrent(o->get(c));
-      if (senseAmp_.decide(op, numRows, current)) tmpA_.set(c, true);
-    }
-    dst = tmpA_;
+    sampleInto(dst, op, operands, complementFirst);
     return;
   }
-
-  // Ideal result from per-pattern masks (word-level); the masks were
-  // materialized by the caller, so writing dst cannot corrupt an aliased
-  // operand.
-  sc::Bitstream& out = dst;
-  out.assign(width, false);
-  for (int ones = 0; ones <= numRows; ++ones) {
-    if (slIdeal(op, ones, numRows)) {
-      out |= masks[static_cast<std::size_t>(ones)];
+  const int rows = static_cast<int>(operands.size());
+  const bool faulty = fidelity_ == Fidelity::Probabilistic;
+  const std::size_t width = operands.front()->size();
+  const std::size_t words = (width + 63) / 64;
+  if (faulty) {
+    if (maskWords_.size() < static_cast<std::size_t>(rows + 1) * words) {
+      maskWords_.resize(static_cast<std::size_t>(rows + 1) * words);
     }
+    if (classCounts_.size() < static_cast<std::size_t>(rows + 1)) {
+      classCounts_.resize(static_cast<std::size_t>(rows + 1));
+    }
+    std::fill_n(classCounts_.begin(), rows + 1, std::size_t{0});
   }
-  if (fidelity_ == Fidelity::Ideal) return;
-
-  // Probabilistic mode: per pattern class, flip a Binomial(count, p) number
-  // of uniformly chosen columns.  Equivalent in distribution to per-column
-  // Bernoulli flips but O(words + flips) instead of O(columns).
-  for (int ones = 0; ones <= numRows; ++ones) {
-    const sc::Bitstream& mask = masks[static_cast<std::size_t>(ones)];
-    const std::size_t cnt = mask.popcount();
-    if (cnt == 0) continue;
-    const FlipProb f = flipProb(op, ones, numRows);
-    if (f.p <= 0.0) continue;
-    const std::size_t flips = drawBinomial(eng_, cnt, f.p, f.q);
-    if (flips == 0) continue;
-    flipColumns(out, mask, cnt, flips);
-  }
-}
-
-ScoutingLogic::FlipProb ScoutingLogic::flipProb(SlOp op, int ones, int rows) {
   if (rows > 3) {
-    const double p = faultModel_->misdecisionProb(op, ones, rows);
-    return {p, binomialWaitingQ(p)};
+    classifyColumns(dst, op, operands);
+  } else {
+    // An aliased dst already has the operand width, so it is not cleared
+    // before the pass reads it.
+    if (dst.size() != width) dst.assign(width, false);
+    const std::uint64_t* in[3] = {};
+    for (int r = 0; r < rows; ++r) in[r] = operands[r]->words().data();
+    senseWords(in, rows, complementFirst ? ~std::uint64_t{0} : 0,
+               idealSets_[static_cast<std::size_t>(op)]
+                         [static_cast<std::size_t>(rows)],
+               words, width % 64 == 0 ? ~std::uint64_t{0}
+                                      : (std::uint64_t{1} << (width % 64)) - 1,
+               dst.mutableWords().data(), faulty ? maskWords_.data() : nullptr,
+               classCounts_.data());
   }
-  FlipProb& f = flipTable_[(static_cast<std::size_t>(op) * 4 +
-                            static_cast<std::size_t>(rows)) * 4 +
-                           static_cast<std::size_t>(ones)];
-  if (f.p < 0.0) {
-    const double p = faultModel_->misdecisionProb(op, ones, rows);
-    f = {p, binomialWaitingQ(p)};
-  }
-  return f;
+  if (faulty) flipClasses(dst, op, rows, reliability::mix64(seedKey_ + step));
 }
 
-void ScoutingLogic::flipColumns(sc::Bitstream& out, const sc::Bitstream& mask,
-                                std::size_t cnt, std::size_t flips) {
-  // Distinct ranks in [0, cnt); a rank picked already is drawn again (the
-  // draw order of docs/ARCHITECTURE.md §4.2).
-  const std::size_t words = (cnt + 63) / 64;
-  if (picked_.size() < words) picked_.resize(mask.words().size());
-  std::uniform_int_distribution<std::size_t> pick(0, cnt - 1);
-  for (std::size_t chosen = 0; chosen < flips;) {
-    const std::size_t nth = pick(eng_);
-    const std::uint64_t bit = std::uint64_t{1} << (nth % 64);
-    std::uint64_t& word = picked_[nth / 64];
-    if ((word & bit) != 0) continue;
-    word |= bit;
-    ++chosen;
+void ScoutingLogic::classifyColumns(sc::Bitstream& dst, SlOp op,
+                                    Operands operands) {
+  const int rows = static_cast<int>(operands.size());
+  const std::size_t width = operands.front()->size();
+  const std::size_t words = (width + 63) / 64;
+  if (maskWords_.size() < static_cast<std::size_t>(rows + 1) * words) {
+    maskWords_.resize(static_cast<std::size_t>(rows + 1) * words);
   }
-  flipRankedColumns(out.mutableWords().data(), mask.words().data(),
-                    picked_.data(), words);
+  std::fill_n(maskWords_.begin(), static_cast<std::size_t>(rows + 1) * words,
+              std::uint64_t{0});
+  for (std::size_t col = 0; col < width; ++col) {
+    std::size_t ones = 0;
+    for (const auto* o : operands) ones += o->get(col) ? 1 : 0;
+    maskWords_[ones * words + col / 64] |= std::uint64_t{1} << (col % 64);
+  }
+  // Every operand is read; dst may be written now.
+  dst.assign(width, false);
+  std::uint64_t* out = dst.mutableWords().data();
+  for (int k = 0; k <= rows; ++k) {
+    const std::uint64_t* mask = maskWords_.data() + static_cast<std::size_t>(k) * words;
+    if (fidelity_ == Fidelity::Probabilistic) {
+      for (std::size_t w = 0; w < words; ++w) {
+        classCounts_[static_cast<std::size_t>(k)] +=
+            static_cast<std::size_t>(std::popcount(mask[w]));
+      }
+    }
+    if (!slIdeal(op, k, rows)) continue;
+    for (std::size_t w = 0; w < words; ++w) out[w] |= mask[w];
+  }
+}
+
+void ScoutingLogic::sampleInto(sc::Bitstream& dst, SlOp op, Operands operands,
+                               bool complementFirst) {
+  // dst may alias an operand; sample into a scratch stream first.
+  const std::size_t width = operands.front()->size();
+  const int rows = static_cast<int>(operands.size());
+  sampled_.assign(width, false);
+  auto& dev = array_.device();
+  for (std::size_t c = 0; c < width; ++c) {
+    double current = 0.0;
+    for (std::size_t r = 0; r < operands.size(); ++r) {
+      const bool bit = operands[r]->get(c) != (r == 0 && complementFirst);
+      current += dev.sampleCurrent(bit);
+    }
+    if (senseAmp_.decide(op, rows, current)) sampled_.set(c, true);
+  }
+  dst = sampled_;
+}
+
+void ScoutingLogic::flipClasses(sc::Bitstream& out, SlOp op, int rows,
+                                std::uint64_t stepKey) {
+  // Per pattern class, each of its cnt columns flips independently with
+  // the class's p: a keyed geometric skip visits only the flipped ranks
+  // (flips + 1 draws), and its first draw alone settles a quiet class.
+  const std::size_t words = out.words().size();
+  std::uint64_t* o = out.mutableWords().data();
+  for (int k = 0; k <= rows; ++k) {
+    const std::size_t cnt = classCounts_[static_cast<std::size_t>(k)];
+    if (cnt == 0) continue;
+    FlipClass& f = flipClass(op, k, rows);
+    if (f.p <= 0.0) continue;
+    const std::uint64_t* mask =
+        maskWords_.data() + static_cast<std::size_t>(k) * words;
+    if (f.p >= 1.0) {
+      for (std::size_t w = 0; w < words; ++w) o[w] ^= mask[w];
+      continue;
+    }
+    if (f.noFlip.size() <= cnt) {
+      f.noFlip.resize(std::max(cnt, words * 64) + 1, kUnset);
+    }
+    const std::uint64_t classKey =
+        stepKey + static_cast<std::uint64_t>(k) * kClassStride;
+    const std::uint64_t r = drawRank(classKey);
+    if (r <= quietBelow(f.noFlip.data(), cnt, f.invLogQ)) continue;
+    const double first = gapOf(r, f.invLogQ);
+    if (first >= static_cast<double>(cnt)) continue;  // rounding at the edge
+    flipSkippedRanks(o, mask, cnt, static_cast<std::size_t>(first), classKey,
+                     f.invLogQ, f.noFlip.data());
+  }
+}
+
+ScoutingLogic::FlipClass& ScoutingLogic::flipClass(SlOp op, int ones, int rows) {
+  const auto read = [&](FlipClass& f) {
+    f.p = faultModel_->misdecisionProb(op, ones, rows);
+    f.invLogQ = f.p > 0.0 && f.p < 1.0 ? 1.0 / std::log1p(-f.p) : 0.0;
+  };
+  if (rows > 3) {
+    read(wideClass_);
+    wideClass_.noFlip.clear();
+    return wideClass_;
+  }
+  FlipClass& f = flipTable_[(static_cast<std::size_t>(op) * 4 +
+                             static_cast<std::size_t>(rows)) * 4 +
+                            static_cast<std::size_t>(ones)];
+  if (f.p < 0.0) read(f);
+  return f;
 }
 
 }  // namespace aimsc::reram

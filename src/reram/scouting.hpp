@@ -11,9 +11,9 @@
 ///  * Probabilistic — exact result, then per-column misdecision flips drawn
 ///                    from the FaultModel table (fast; used for Table IV).
 ///                    Each (op, ones, rows <= 3) probability is frozen into
-///                    the mat's own table on first use, so sensing steps
-///                    never take the model's lock (docs/ARCHITECTURE.md
-///                    §4.2 has the draw order);
+///                    the mat's own table on first use, and every flip is a
+///                    pure function of (seed, step ordinal, pattern class,
+///                    draw index) (docs/ARCHITECTURE.md §4.2 has the keys);
 ///  * MonteCarlo    — per-column current sampling through DeviceModel and a
 ///                    real SenseAmp decision (slow; validates Probabilistic).
 ///
@@ -23,8 +23,8 @@
 /// way one call = one sensing step = one slReads event.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <vector>
 
@@ -41,6 +41,7 @@ class ScoutingLogic {
   /// \param array      host array (event accounting, device model)
   /// \param fidelity   see class comment
   /// \param faultModel required for Probabilistic mode (not owned)
+  /// \param seed       key of the mat's misdecision draws
   /// \param votes      temporal redundancy: each op is sensed \p votes times
   ///                   (odd, 1/3/5) and majority-voted per column.  Charged
   ///                   as \p votes sensing steps — the "costly protection
@@ -55,14 +56,16 @@ class ScoutingLogic {
 
   // Every op senses into \p dst, resized to the operand width (buffer
   // reused), so a warm engine senses without heap traffic.  \p dst MAY
-  // alias an operand: the per-pattern masks are materialized before the
-  // destination is written (Ideal/Probabilistic fidelities; the MonteCarlo
-  // and voting paths stage through scratch streams).  NOT is a one-operand
-  // `opInto`.
+  // alias an operand: a step reads word w of every operand before it
+  // writes word w of \p dst.  NOT is a one-operand `opInto`.
 
   /// dst = op(a, b), one sensing step.
   void op2Into(SlOp op, sc::Bitstream& dst, const sc::Bitstream& a,
                const sc::Bitstream& b);
+  /// dst = op(NOT a, b), one sensing step: \p a is a latch the periphery
+  /// drives onto the bitlines complemented, at no cost (Fig. 1c).
+  void op2NotAInto(SlOp op, sc::Bitstream& dst, const sc::Bitstream& a,
+                   const sc::Bitstream& b);
   /// dst = op(a, b, c), one sensing step.
   void op3Into(SlOp op, sc::Bitstream& dst, const sc::Bitstream& a,
                const sc::Bitstream& b, const sc::Bitstream& c);
@@ -73,57 +76,72 @@ class ScoutingLogic {
   /// cells storing '1', read from the frozen table (0 unless the mat senses
   /// with Probabilistic fidelity).
   double misdecisionProb(SlOp op, int ones, int rows) {
-    return fidelity_ == Fidelity::Probabilistic ? flipProb(op, ones, rows).p
+    return fidelity_ == Fidelity::Probabilistic ? flipClass(op, ones, rows).p
                                                 : 0.0;
   }
 
   Fidelity fidelity() const { return fidelity_; }
   int votes() const { return votes_; }
+  /// Key of the mat's misdecision draws (CORDIV keys its own from it).
+  std::uint64_t seed() const { return seed_; }
+  /// Sensing steps sensed so far, each vote counted: the ordinal the next
+  /// step's key mixes.
+  std::uint64_t steps() const { return step_; }
   CrossbarArray& array() { return array_; }
 
  private:
-  /// Shared trunk of the op forms: validates, charges, senses into \p dst.
-  void executeInto(SlOp op, Operands operands, sc::Bitstream& dst);
-  /// Ideal single-sense fast path: the plain word-level gate, no masks.
-  void senseIdealInto(sc::Bitstream& dst, SlOp op, Operands operands);
-  void senseOnceInto(sc::Bitstream& dst, SlOp op, Operands operands,
-                     const std::vector<sc::Bitstream>& masks, int numRows,
-                     std::size_t width);
-  /// Fills maskScratch_ with the per-pattern column masks of \p operands.
-  void patternMasksInto(Operands operands);
-
-  /// A frozen misdecision probability and its waiting-time threshold
-  /// (reram/binomial.hpp); p < 0 marks an entry not read yet.
-  struct FlipProb {
-    double p = -1.0;
-    double q = 0.0;
+  /// A frozen misdecision probability, 1 / log(1 - p) for the geometric
+  /// skip, and per class count c the integer threshold below which a
+  /// draw means "no flip among c" (kUnset until first used).
+  struct FlipClass {
+    double p = -1.0;  ///< < 0: not read from the model yet
+    double invLogQ = 0.0;
+    std::vector<std::uint64_t> noFlip;
   };
+
+  /// Shared trunk of the op forms: validates, charges, runs one step per
+  /// vote and votes.
+  void executeInto(SlOp op, Operands operands, bool complementFirst,
+                   sc::Bitstream& dst);
+  /// One sensing step: the ideal value and pattern classes in one pass
+  /// over the words, then this step's misdecisions.
+  void senseStepInto(sc::Bitstream& dst, SlOp op, Operands operands,
+                     bool complementFirst);
+  /// Per-column pattern classes for more than three operands.
+  void classifyColumns(sc::Bitstream& dst, SlOp op, Operands operands);
+  /// MonteCarlo sensing: sampled currents through the sense amp.
+  void sampleInto(sc::Bitstream& dst, SlOp op, Operands operands,
+                  bool complementFirst);
+  /// Flips each column of every class independently with its class's
+  /// probability, keyed by \p stepKey.
+  void flipClasses(sc::Bitstream& out, SlOp op, int rows,
+                   std::uint64_t stepKey);
   /// The (op, ones, rows) entry, read from the FaultModel on first use;
-  /// rows > 3 (the generic mask path) is not frozen.
-  FlipProb flipProb(SlOp op, int ones, int rows);
-  /// Flips \p flips distinct uniformly chosen columns of \p mask in \p out.
-  void flipColumns(sc::Bitstream& out, const sc::Bitstream& mask,
-                   std::size_t cnt, std::size_t flips);
+  /// rows > 3 (the per-column path) is read into a scratch entry per call.
+  FlipClass& flipClass(SlOp op, int ones, int rows);
 
   CrossbarArray& array_;
   Fidelity fidelity_;
   const FaultModel* faultModel_;
-  // Probabilistic mats only (empty otherwise): the frozen table, indexed
-  // (op, rows, ones), and the ranks picked in one class, one bit per rank.
-  std::vector<FlipProb> flipTable_;
-  std::vector<std::uint64_t> picked_;
-  SenseAmp senseAmp_;
-  std::mt19937_64 eng_;
+  std::uint64_t seed_;
+  std::uint64_t seedKey_;    ///< mix64(seed_)
+  std::uint64_t step_ = 0;   ///< sensing-step ordinal
   int votes_;
-  // Per-call scratch (a ScoutingLogic instance is single-threaded — each
-  // tile-engine lane owns its own): pattern masks + expression temporaries,
-  // reused across sensing steps to keep the bulk-op path allocation-free.
-  // maskScratch_ only grows, so a 2-operand step keeps the 3-operand mask.
-  std::vector<sc::Bitstream> maskScratch_;
-  std::vector<sc::Bitstream> voteScratch_;  ///< one outcome per vote
-  sc::Bitstream tmpA_;
-  sc::Bitstream tmpB_;
-  sc::Bitstream tmpC_;
+  SenseAmp senseAmp_;
+  // Bit k set when a column with k of `rows` ones senses '1', per (op,
+  // rows <= 3).
+  std::array<std::array<std::uint8_t, 4>, 8> idealSets_{};
+  // Probabilistic mats only (empty otherwise): the frozen table, indexed
+  // (op, rows, ones), and the scratch entry of the rows > 3 path.
+  std::vector<FlipClass> flipTable_;
+  FlipClass wideClass_;
+  // Per-step scratch (a ScoutingLogic instance is single-threaded — each
+  // tile-engine lane owns its own): class masks, (rows + 1) x words, and
+  // their popcounts; one outcome per vote.  Both only grow.
+  std::vector<std::uint64_t> maskWords_;
+  std::vector<std::size_t> classCounts_;
+  std::vector<sc::Bitstream> voteScratch_;
+  sc::Bitstream sampled_;
 };
 
 }  // namespace aimsc::reram

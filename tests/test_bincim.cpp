@@ -1,9 +1,11 @@
 // Binary CIM baseline: gate engine + AritPIM arithmetic (exactness when
-// fault-free, gate-count complexity, fault vulnerability), and the
-// word-level engine checked draw for draw against a gate-by-gate oracle.
+// fault-free, gate-count complexity, fault vulnerability), the word-level
+// engine checked execution for execution against a gate-by-gate oracle,
+// and the flip rate of one faulty pattern against its probability.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <random>
 #include <stdexcept>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "bincim/aritpim.hpp"
+#include "reliability/fault_rng.hpp"
 
 namespace aimsc::bincim {
 namespace {
@@ -190,16 +193,26 @@ TEST(AritPim, FaultFreeWithNullModel) {
 
 // --- differential check against the gate-by-gate engine --------------------
 
-// The engine AritPim ran on before it worked on words: one bool per
-// primitive, one uniform draw per execution of a gate whose pattern has
-// p > 0, probabilities read from the model at every gate.  Nested calls
-// are spelled out in the order the original evaluated them (arguments
-// right to left): AND inverts b first, XOR takes NOR(b, n1) first.
+// The engine as a walk over every gate execution: one bool per primitive,
+// probabilities read from the model at every gate, and the keyed
+// candidate-and-thinning rule applied at each position, spelled out from
+// its key layout.  Nested calls are written in the order the original
+// engine evaluated them (arguments right to left): AND inverts b first,
+// XOR takes NOR(b, n1) first.
 class GateByGate {
  public:
   GateByGate(const reram::FaultModel* model, std::uint64_t seed, double scale,
              Protection prot)
-      : model_(model), scale_(scale), prot_(prot), eng_(seed) {}
+      : model_(model), scale_(scale), prot_(prot),
+        seedKey_(reliability::mix64(seed)) {
+    for (int ones = 0; ones <= 2; ++ones) {
+      pMax_ = std::max(pMax_, prob(reram::SlOp::Nor, ones, 2));
+    }
+    for (int ones = 0; ones <= 1; ++ones) {
+      pMax_ = std::max(pMax_, prob(reram::SlOp::Not, ones, 1));
+    }
+    if (pMax_ > 0.0) placeCandidate(0);
+  }
 
   bool nor(bool a, bool b) {
     return inject(!(a || b), reram::SlOp::Nor, (a ? 1 : 0) + (b ? 1 : 0), 2);
@@ -225,17 +238,42 @@ class GateByGate {
   }
 
   std::uint64_t gateOps() const { return gateOps_; }
-  std::uint64_t nextRawDraw() { return eng_(); }
+  void resetCounter() { gateOps_ = 0; }
+  std::uint64_t position() const { return pos_; }
+  std::uint64_t nextCandidate() const { return nextCand_; }
 
  private:
+  double prob(reram::SlOp op, int ones, int rows) const {
+    if (model_ == nullptr) return 0.0;
+    return std::clamp(scale_ * model_->misdecisionProb(op, ones, rows), 0.0,
+                      1.0);
+  }
+  // Candidate j sits Geometric(p_max) executions after the previous one:
+  // the inverse CDF of the uniform ((mix64(seedKey + 2j) >> 11) + 1) / 2^53.
+  void placeCandidate(std::uint64_t from) {
+    const double u =
+        static_cast<double>((reliability::mix64(seedKey_ + 2 * candidates_) >>
+                             11) + 1) / 9007199254740992.0;
+    const double gap =
+        pMax_ >= 1.0 ? 0.0 : std::floor(std::log(u) / std::log1p(-pMax_));
+    nextCand_ = from + static_cast<std::uint64_t>(gap);
+  }
   bool once(bool ideal, double p) {
     ++gateOps_;
-    if (p > 0.0 && unit_(eng_) < p) return !ideal;
-    return ideal;
+    const std::uint64_t at = pos_++;
+    if (at != nextCand_) return ideal;
+    // Candidate j flips when (mix64(seedKey + 2j + 1) >> 11) / 2^53 is
+    // below p / p_max, in integers against ceil(p / p_max * 2^53).
+    const std::uint64_t keep = static_cast<std::uint64_t>(
+        std::ceil(p / pMax_ * 9007199254740992.0));
+    const bool flip =
+        (reliability::mix64(seedKey_ + 2 * candidates_ + 1) >> 11) < keep;
+    ++candidates_;
+    placeCandidate(at + 1);
+    return flip ? !ideal : ideal;
   }
   bool inject(bool ideal, reram::SlOp op, int ones, int rows) {
-    const double p =
-        model_ == nullptr ? 0.0 : scale_ * model_->misdecisionProb(op, ones, rows);
+    const double p = prob(op, ones, rows);
     const bool first = once(ideal, p);
     if (prot_ == Protection::None) return first;
     if (prot_ == Protection::Dmr) {
@@ -251,9 +289,12 @@ class GateByGate {
   const reram::FaultModel* model_;
   double scale_;
   Protection prot_;
+  std::uint64_t seedKey_;
+  double pMax_ = 0.0;
   std::uint64_t gateOps_ = 0;
-  std::mt19937_64 eng_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
+  std::uint64_t pos_ = 0;
+  std::uint64_t candidates_ = 0;
+  std::uint64_t nextCand_ = ~std::uint64_t{0};
 };
 
 // AritPim as it was on the gate-by-gate engine (bit-vector operands).
@@ -356,24 +397,40 @@ std::uint32_t operand(std::mt19937& rng, int bits) {
   }
 }
 
-TEST(AritPimDifferential, MatchesGateByGateEngineDrawForDraw) {
-  reram::DeviceParams tableIV;  // apps::defaultFaultyDevice()
-  tableIV.sigmaLrs = 0.15;
-  tableIV.sigmaHrs = 1.20;
-  reram::DeviceParams hot = tableIV;
-  hot.sigmaHrs *= 3;
-  reram::DeviceParams wide = tableIV;  // every NOR and NOT pattern faulty
-  wide.sigmaLrs = 0.8;
-  wide.sigmaHrs = 2.4;
-  const reram::FaultModel tableIVModel(tableIV, 0x7ab1e, 20000);
-  const reram::FaultModel hotModel(hot, 0x4e7, 20000);
-  const reram::FaultModel wideModel(wide, 0x1de, 20000);
+struct Setting {
+  const char* name;
+  const reram::FaultModel* model;
+  double scale;
+};
 
-  const struct {
-    const char* name;
-    const reram::FaultModel* model;
-    double scale;
-  } settings[] = {
+// Fault-free to p >= 1: no model, a zero scale, the Table IV corner at four
+// scales, 3x the HRS spread (at x4 every faulty pattern clamps to p = 1,
+// so every execution is a candidate) and a corner where all five patterns
+// misdecide.
+const std::vector<Setting>& allSettings() {
+  static const reram::DeviceParams tableIV = [] {
+    reram::DeviceParams d;  // apps::defaultFaultyDevice()
+    d.sigmaLrs = 0.15;
+    d.sigmaHrs = 1.20;
+    return d;
+  }();
+  static const reram::FaultModel tableIVModel(tableIV, 0x7ab1e, 20000);
+  static const reram::FaultModel hotModel(
+      [] {
+        reram::DeviceParams d = tableIV;
+        d.sigmaHrs *= 3;
+        return d;
+      }(),
+      0x4e7, 20000);
+  static const reram::FaultModel wideModel(
+      [] {
+        reram::DeviceParams d = tableIV;
+        d.sigmaLrs = 0.8;
+        d.sigmaHrs = 2.4;
+        return d;
+      }(),
+      0x1de, 20000);
+  static const std::vector<Setting> settings = {
       {"no model", nullptr, 1.0},
       {"Table IV x0", &tableIVModel, 0.0},
       {"Table IV x0.25", &tableIVModel, 0.25},
@@ -383,10 +440,14 @@ TEST(AritPimDifferential, MatchesGateByGateEngineDrawForDraw) {
       {"3x HRS x4 (p >= 1)", &hotModel, 4.0},
       {"wide LRS+HRS x0.25", &wideModel, 0.25},
   };
+  return settings;
+}
+
+TEST(AritPimDifferential, MatchesGateByGateWalk) {
   constexpr int kAddWidths[] = {8, 9, 10, 16, 17};
   constexpr int kMulWidths[] = {8, 9, 10};
 
-  for (const auto& s : settings) {
+  for (const Setting& s : allSettings()) {
     for (const Protection prot :
          {Protection::None, Protection::Dmr, Protection::Tmr}) {
       const std::uint64_t seed = 0xd1ff + static_cast<std::uint64_t>(prot);
@@ -433,45 +494,83 @@ TEST(AritPimDifferential, MatchesGateByGateEngineDrawForDraw) {
                                  << " step=" << step << " kind=" << kind;
         ASSERT_EQ(engine.gateOps(), oracle.gateOps())
             << s.name << " prot=" << static_cast<int>(prot) << " step=" << step;
-        if (step % 40 == 39) {
-          ASSERT_EQ(engine.nextRawDraw(), oracle.nextRawDraw())
-              << s.name << " prot=" << static_cast<int>(prot) << " step=" << step;
+        ASSERT_EQ(engine.position(), oracle.position())
+            << s.name << " prot=" << static_cast<int>(prot) << " step=" << step;
+        ASSERT_EQ(engine.nextCandidate(), oracle.nextCandidate())
+            << s.name << " prot=" << static_cast<int>(prot) << " step=" << step;
+        if (step % 40 == 39) {  // clears the ledger, never the position
+          engine.resetCounter();
+          oracle.resetCounter();
         }
       }
-      EXPECT_EQ(engine.nextRawDraw(), oracle.nextRawDraw()) << s.name;
     }
   }
 }
 
-TEST(AritPimDifferential, ScreenedGatesMatchGateByGate) {
-  // The three networks on their own, every input, on a device whose
-  // misdecisions are frequent on every pattern: screened passes and walks
+TEST(AritPimDifferential, NetworksMatchGateByGateWalk) {
+  // The three networks on their own, every input: clear runs and walks
   // interleave.
-  reram::DeviceParams wide;
-  wide.sigmaLrs = 0.8;
-  wide.sigmaHrs = 2.4;
-  const reram::FaultModel model(wide, 0x1de, 20000);
-  for (const Protection prot :
-       {Protection::None, Protection::Dmr, Protection::Tmr}) {
-    MagicEngine engine(&model, 0x5a7e, 0.25);
-    engine.setProtection(prot);
-    GateByGate oracle(&model, 0x5a7e, 0.25, prot);
-    for (int round = 0; round < 200; ++round) {
-      for (std::uint32_t in = 0; in < 8; ++in) {
-        const std::uint32_t a = in & 1u;
-        const std::uint32_t b = (in >> 1) & 1u;
-        const std::uint32_t c = in >> 2;
-        const auto fa = engine.fullAdder(a, b, c);
-        const auto [sum, carry] = oracle.fullAdder(a, b, c);
-        ASSERT_EQ(fa.sum, sum ? 1u : 0u);
-        ASSERT_EQ(fa.carry, carry ? 1u : 0u);
-        ASSERT_EQ(engine.andGate(a, b), oracle.andGate(a, b) ? 1u : 0u);
-        ASSERT_EQ(engine.notGate(c), oracle.inv(c) ? 1u : 0u);
-        ASSERT_EQ(engine.gateOps(), oracle.gateOps());
+  for (const Setting& s : allSettings()) {
+    for (const Protection prot :
+         {Protection::None, Protection::Dmr, Protection::Tmr}) {
+      MagicEngine engine(s.model, 0x5a7e, s.scale);
+      engine.setProtection(prot);
+      GateByGate oracle(s.model, 0x5a7e, s.scale, prot);
+      for (int round = 0; round < 100; ++round) {
+        for (std::uint32_t in = 0; in < 8; ++in) {
+          const std::uint32_t a = in & 1u;
+          const std::uint32_t b = (in >> 1) & 1u;
+          const std::uint32_t c = in >> 2;
+          const auto fa = engine.fullAdder(a, b, c);
+          const auto [sum, carry] = oracle.fullAdder(a, b, c);
+          ASSERT_EQ(fa.sum, sum ? 1u : 0u) << s.name;
+          ASSERT_EQ(fa.carry, carry ? 1u : 0u) << s.name;
+          ASSERT_EQ(engine.andGate(a, b), oracle.andGate(a, b) ? 1u : 0u)
+              << s.name;
+          ASSERT_EQ(engine.notGate(c), oracle.inv(c) ? 1u : 0u) << s.name;
+          ASSERT_EQ(engine.gateOps(), oracle.gateOps()) << s.name;
+          ASSERT_EQ(engine.position(), oracle.position()) << s.name;
+          ASSERT_EQ(engine.nextCandidate(), oracle.nextCandidate()) << s.name;
+        }
       }
     }
-    EXPECT_EQ(engine.nextRawDraw(), oracle.nextRawDraw());
   }
+}
+
+TEST(MagicEngineFaults, FlipRateMatchesPatternProbability) {
+  // N unprotected inverters on one input are N executions of one pattern:
+  // their flips must be Binomial(N, p).  The oracle shares the candidate
+  // and thinning rule, so this is the check that the rule itself is right.
+  constexpr std::uint64_t kN = 2000000;
+  int thinned = 0;
+  for (const Setting& s : allSettings()) {
+    if (s.model == nullptr) continue;
+    double pMax = 0.0;
+    const auto prob = [&](reram::SlOp op, int ones, int rows) {
+      return std::clamp(s.scale * s.model->misdecisionProb(op, ones, rows),
+                        0.0, 1.0);
+    };
+    for (int ones = 0; ones <= 2; ++ones) {
+      pMax = std::max(pMax, prob(reram::SlOp::Nor, ones, 2));
+    }
+    for (std::uint32_t a = 0; a <= 1; ++a) {
+      pMax = std::max(pMax, prob(reram::SlOp::Not, static_cast<int>(a), 1));
+    }
+    for (std::uint32_t a = 0; a <= 1; ++a) {
+      const double p = prob(reram::SlOp::Not, static_cast<int>(a), 1);
+      if (p > 0.0 && p < pMax) ++thinned;
+      MagicEngine engine(s.model, 0xf11b + a, s.scale);
+      std::uint64_t flips = 0;
+      for (std::uint64_t i = 0; i < kN; ++i) {
+        flips += engine.notGate(a) == a ? 1 : 0;
+      }
+      const double mean = static_cast<double>(kN) * p;
+      const double sd = std::sqrt(mean * (1.0 - p));
+      EXPECT_NEAR(static_cast<double>(flips), mean, 5.0 * sd + 1.0)
+          << s.name << " NOT(" << a << ") p=" << p;
+    }
+  }
+  EXPECT_GT(thinned, 0);  // some pattern flips below p_max: thinning ran
 }
 
 }  // namespace

@@ -263,19 +263,19 @@ constexpr Pin kPins[] = {
     {"morphology/ReRAM-SC", 0x0a43d88abc5a79fcull, 0ull, 0xd4bb18fda84cfb99ull},
     {"morphology/Binary CIM", 0x59313049cbe4ce98ull, 4320000ull, 0x8ac123d6f7dce585ull},
     {"morphology/SW-SC (SFMT)", 0x80c97403820a7671ull, 14400ull, 0x8ac123d6f7dce585ull},
-    {"tableIV-faulty/compositing/ReRAM-SC", 0xdabd5b2d74116fcaull, 0ull, 0x25c343aedd85b6f8ull},
-    {"tableIV-faulty/compositing/Binary CIM", 0x45026740fc5084acull, 5875712ull, 0x8ac123d6f7dce585ull},
+    {"tableIV-faulty/compositing/ReRAM-SC", 0x77dc40368be23032ull, 0ull, 0xcbfd2cd77460d6e7ull},
+    {"tableIV-faulty/compositing/Binary CIM", 0xbf09cca990d981bcull, 5875712ull, 0x8ac123d6f7dce585ull},
     {"faultplan/compositing/SW-SC (LFSR)", 0x5c256f65cd15e1b4ull, 1024ull, 0x8ac123d6f7dce585ull},
     {"faultplan/gamma/SW-SC (SIMD)", 0x82a7e5c701ecf013ull, 8192ull, 0x8ac123d6f7dce585ull},
     {"faultplan/matting/ReRAM-SC", 0x4b439a20e989a19dull, 0ull, 0x1849b9b56e41cdccull},
     {"faultplan/filters/Binary CIM", 0xb746197c095198e4ull, 2154600ull, 0x8ac123d6f7dce585ull},
-    {"vote3/compositing/ReRAM-SC", 0x4d70e94337dfbffeull, 0ull, 0x6e744fb498662639ull},
-    {"hrs3x/compositing/Binary CIM+DMR", 0x4dae12936ed5e4a8ull, 3000771ull, 0x8ac123d6f7dce585ull},
-    {"hrs3x/compositing/Binary CIM+TMR", 0x6bee8d2d7df6c038ull, 4406784ull, 0x8ac123d6f7dce585ull},
-    {"hrs3x/matting/Binary CIM", 0x9e7ba2fbcd8d4b70ull, 1572864ull, 0x8ac123d6f7dce585ull},
-    {"hrs3x/bilinear/Binary CIM", 0x0ce721b0e819d475ull, 17627136ull, 0x8ac123d6f7dce585ull},
-    {"tableIV-faulty-16/matting/ReRAM-SC", 0x9cfedc5d52313646ull, 0ull, 0xd3a8fb57a07fdb3full},
-    {"lrs-hrs-wide/compositing/Binary CIM", 0x240b690f785e229dull, 1468928ull, 0x8ac123d6f7dce585ull},
+    {"vote3/compositing/ReRAM-SC", 0xb58b2322152fef62ull, 0ull, 0xbe1481c65c9a9e36ull},
+    {"hrs3x/compositing/Binary CIM+DMR", 0xbf7e838c791805b8ull, 3000893ull, 0x8ac123d6f7dce585ull},
+    {"hrs3x/compositing/Binary CIM+TMR", 0xcabdd800bf2521e4ull, 4406784ull, 0x8ac123d6f7dce585ull},
+    {"hrs3x/matting/Binary CIM", 0x01787e250fb35daaull, 1572864ull, 0x8ac123d6f7dce585ull},
+    {"hrs3x/bilinear/Binary CIM", 0xee02b34c9e3e03acull, 17627136ull, 0x8ac123d6f7dce585ull},
+    {"tableIV-faulty-16/matting/ReRAM-SC", 0xf060c5456c1bff35ull, 0ull, 0x1d1e83f31a1e6a1dull},
+    {"lrs-hrs-wide/compositing/Binary CIM", 0xe6b2b810fbc1b9b0ull, 1468928ull, 0x8ac123d6f7dce585ull},
     {"fleet4/compositing/Reference", 0xa7b89837a735dee5ull, 0ull, 0x8ac123d6f7dce585ull},
     {"fleet4/compositing/SW-SC (LFSR)", 0x5fa6fae87833a5b1ull, 1024ull, 0x8ac123d6f7dce585ull},
     {"fleet4/compositing/SW-SC (Sobol)", 0x0c929cabc2ed70d5ull, 1024ull, 0x8ac123d6f7dce585ull},
@@ -291,13 +291,13 @@ constexpr Pin kPins[] = {
     {"fleet4/morphology/Binary CIM", 0x59313049cbe4ce98ull, 4320000ull, 0x8ac123d6f7dce585ull},
     {"fleet4/morphology/SW-SC (SFMT)", 0x29ec8bfc77afe1f2ull, 14400ull, 0x8ac123d6f7dce585ull},
     {"fleet4-vote3/filters/SW-SC (LFSR)", 0x5015c5c22e8fcd6bull, 18900ull, 0x8ac123d6f7dce585ull},
-    {"fleet4-tableIV-faulty/compositing/ReRAM-SC", 0x99562642d99e2057ull, 0ull, 0xba9275d040e76281ull},
-    {"tableIV-faulty/bilinear/ReRAM-SC", 0x1f89864c8ddf060aull, 0ull, 0xfc24b4b8ba122e08ull},
-    {"tableIV-faulty/filters/ReRAM-SC", 0x19d485d73e0a129bull, 0ull, 0xc7a2b679777276a1ull},
-    {"tableIV-faulty/gamma/ReRAM-SC", 0x27acf54f2f950b96ull, 0ull, 0x9200f16fe420b07dull},
-    {"tableIV-faulty/morphology/ReRAM-SC", 0xeb754e15aa61d0b8ull, 0ull, 0xb9f3990a591aaee4ull},
-    {"hrs1.25x/compositing/ReRAM-SC", 0xd36438a22b7481b7ull, 0ull, 0x6204aad89ed9f565ull},
-    {"hrs3x/compositing/ReRAM-SC", 0x1a1908b66f044502ull, 0ull, 0xe542c34a8024e677ull},
+    {"fleet4-tableIV-faulty/compositing/ReRAM-SC", 0x102d885a169fde2full, 0ull, 0x45dbf6c03239636full},
+    {"tableIV-faulty/bilinear/ReRAM-SC", 0x5a0d79b96efbb75cull, 0ull, 0x9e4076b6b0ef74f1ull},
+    {"tableIV-faulty/filters/ReRAM-SC", 0xfa32331d14fd9db7ull, 0ull, 0x7441febb492370f6ull},
+    {"tableIV-faulty/gamma/ReRAM-SC", 0x8d3b43c5ab2ed750ull, 0ull, 0xda6b16938f147bbdull},
+    {"tableIV-faulty/morphology/ReRAM-SC", 0xb373cf42066ec50aull, 0ull, 0xcde7dc2e31fabe9cull},
+    {"hrs1.25x/compositing/ReRAM-SC", 0x6ac06ee7f8297ef4ull, 0ull, 0x1453292a49168797ull},
+    {"hrs3x/compositing/ReRAM-SC", 0x1ee0743bbb6017e2ull, 0ull, 0xd91b4f2929377525ull},
     {"fleet4-faultplan/matting/ReRAM-SC", 0x08142ea865c5db59ull, 0ull, 0xcc309bda0449f8c7ull},
     {"fleet4-faultplan/compositing/SW-SC (LFSR)", 0x8e8a93bb881736fbull, 1024ull, 0x8ac123d6f7dce585ull},
     {"fleet4-faultplan/filters/Binary CIM", 0xca6541857d26f0eaull, 2154600ull, 0x8ac123d6f7dce585ull},

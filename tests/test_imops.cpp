@@ -117,7 +117,7 @@ TEST(ImOps, FaultyDivisionDegradesButBounded) {
   reram::FaultModel fm(p, 1, 30000);
   reram::ScoutingLogic sl(arr, reram::ScoutingLogic::Fidelity::Probabilistic,
                           &fm, 2);
-  ImOps ops(sl, 3);
+  ImOps ops(sl);
   sc::Mt19937Source src(8);
   const auto [x, y] = sc::makeCorrelatedPair(src, 0.3, 0.6, 8, 4096);
   sc::Bitstream q;
@@ -149,7 +149,7 @@ struct FidelityRig {
                      ? reram::ScoutingLogic::Fidelity::Probabilistic
                      : reram::ScoutingLogic::Fidelity::Ideal,
                  faults, 0x51),
-        ops(scouting, 0x0b) {}
+        ops(scouting) {}
   reram::CrossbarArray array;
   reram::ScoutingLogic scouting;
   ImOps ops;

@@ -2,6 +2,8 @@
 // fault statistics, Monte-Carlo consistency.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "reram/fault_model.hpp"
 #include "reram/scouting.hpp"
 
@@ -99,8 +101,8 @@ TEST(Scouting, ProbabilisticWithZeroSigmaIsExact) {
 }
 
 TEST(Scouting, ProbabilisticFaultRateMatchesModel) {
-  // Statistical check: observed flip rate per pattern class tracks the
-  // model's misdecision probability.
+  // Statistical check: the flips of one pattern class are
+  // Binomial(columns, p) at the model's misdecision probability.
   DeviceParams p;
   p.sigmaLrs = 0.12;
   p.sigmaHrs = 1.1;
@@ -118,9 +120,11 @@ TEST(Scouting, ProbabilisticFaultRateMatchesModel) {
     sl.op2Into(SlOp::And, out, ones, zeros);
     flips += out.popcount();
   }
-  const double observed = static_cast<double>(flips) / (4096.0 * kReps);
-  const double expected = fm.misdecisionProb(SlOp::And, 1, 2);
-  EXPECT_NEAR(observed, expected, expected * 0.5 + 2e-5);
+  const double pAnd = fm.misdecisionProb(SlOp::And, 1, 2);
+  ASSERT_GT(pAnd, 0.0);
+  const double columns = 4096.0 * kReps;
+  const double sd = std::sqrt(columns * pAnd * (1.0 - pAnd));
+  EXPECT_NEAR(static_cast<double>(flips), columns * pAnd, 4.0 * sd);
 }
 
 TEST(Scouting, MonteCarloAgreesWithIdealForTightDevices) {
