@@ -145,7 +145,7 @@ void BM_AritPimMul8(benchmark::State& state) {
 }
 BENCHMARK(BM_AritPimMul8);
 
-// Table IV device at the binary-CIM fault scale: screened gates and walks.
+// Table IV device at the binary-CIM fault scale: clear runs and walks.
 void BM_AritPimMul8Faulty(benchmark::State& state) {
   const reram::FaultModel faults(apps::defaultFaultyDevice(), 0xb1f, 40000);
   bincim::MagicEngine engine(&faults, 0xe6, core::BinaryCimConfig{}.faultScale);
@@ -158,6 +158,37 @@ void BM_AritPimMul8Faulty(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AritPimMul8Faulty);
+
+// One warm Table IV compositing row on binary CIM: the kernel's 64
+// majMuxInto calls (two 8-bit multiplies, a subtract and two adds each) on
+// a faulty engine.
+void BM_BinaryCimCompositingRowFaulty(benchmark::State& state) {
+  core::BinaryCimConfig cfg;
+  cfg.deviceVariability = true;
+  cfg.device = apps::defaultFaultyDevice();
+  core::BinaryCimBackend b(cfg);
+  const std::size_t n = 64;
+  std::vector<core::ScValue> fg(n);
+  std::vector<core::ScValue> bg(n);
+  std::vector<core::ScValue> alpha(n);
+  std::vector<core::ScValue> out(n);
+  b.encodePixelsInto(img::naturalScene(64, 1, 5).pixels(), fg);
+  b.encodePixelsInto(img::naturalScene(64, 1, 6).pixels(), bg);
+  b.encodePixelsInto(img::naturalScene(64, 1, 7).pixels(), alpha);
+  const auto row = [&] {
+    for (std::size_t x = 0; x < n; ++x) {
+      b.majMuxInto(out[x], fg[x], bg[x], alpha[x]);
+    }
+  };
+  row();  // freeze the misdecision table (Monte-Carlo)
+  for (auto _ : state) {
+    row();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_BinaryCimCompositingRowFaulty);
 
 void BM_EndToEndPixelMultiply(benchmark::State& state) {
   core::AcceleratorConfig cfg;
