@@ -113,9 +113,9 @@ void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
     // in L0.  Per bit, MSB..LSB (planes stored MSB first):
     //   A_i = 1: result |= FFlag AND NOT RN_i ;  FFlag &= RN_i
     //   A_i = 0: FFlag &= NOT RN_i
-    // Each AND is one sensing step whose output lands in the latch in
-    // place; complemented latch operands are free (the periphery drives
-    // the bitline voltage, Fig. 1c).
+    // Each AND is one sensing step.  The FFlag updates sense into L1 in
+    // place, and complemented latch operands are free (the periphery
+    // drives the bitline voltage, Fig. 1c).
     sc::Bitstream& flag = periphery_.mutableL1();
     flag.assign(n, true);
     periphery_.mutableL0().assign(n, false);
