@@ -193,6 +193,27 @@ TEST(AritPim, FaultFreeWithNullModel) {
 
 // --- differential check against the gate-by-gate engine --------------------
 
+// A pattern's misdecision probability as the engine uses it: scaled and
+// clamped to [0, 1] (0 without a model).
+double patternProb(const reram::FaultModel* model, double scale,
+                   reram::SlOp op, int ones, int rows) {
+  if (model == nullptr) return 0.0;
+  return std::clamp(scale * model->misdecisionProb(op, ones, rows), 0.0, 1.0);
+}
+
+// p_max: the largest of the five gate patterns (NOR with 0/1/2 ones, NOT
+// with 0/1).
+double maxPatternProb(const reram::FaultModel* model, double scale) {
+  double pMax = 0.0;
+  for (int ones = 0; ones <= 2; ++ones) {
+    pMax = std::max(pMax, patternProb(model, scale, reram::SlOp::Nor, ones, 2));
+  }
+  for (int ones = 0; ones <= 1; ++ones) {
+    pMax = std::max(pMax, patternProb(model, scale, reram::SlOp::Not, ones, 1));
+  }
+  return pMax;
+}
+
 // The engine as a walk over every gate execution: one bool per primitive,
 // probabilities read from the model at every gate, and the keyed
 // candidate-and-thinning rule applied at each position, spelled out from
@@ -204,13 +225,8 @@ class GateByGate {
   GateByGate(const reram::FaultModel* model, std::uint64_t seed, double scale,
              Protection prot)
       : model_(model), scale_(scale), prot_(prot),
-        seedKey_(reliability::mix64(seed)) {
-    for (int ones = 0; ones <= 2; ++ones) {
-      pMax_ = std::max(pMax_, prob(reram::SlOp::Nor, ones, 2));
-    }
-    for (int ones = 0; ones <= 1; ++ones) {
-      pMax_ = std::max(pMax_, prob(reram::SlOp::Not, ones, 1));
-    }
+        seedKey_(reliability::mix64(seed)),
+        pMax_(maxPatternProb(model, scale)) {
     if (pMax_ > 0.0) placeCandidate(0);
   }
 
@@ -243,11 +259,6 @@ class GateByGate {
   std::uint64_t nextCandidate() const { return nextCand_; }
 
  private:
-  double prob(reram::SlOp op, int ones, int rows) const {
-    if (model_ == nullptr) return 0.0;
-    return std::clamp(scale_ * model_->misdecisionProb(op, ones, rows), 0.0,
-                      1.0);
-  }
   // Candidate j sits Geometric(p_max) executions after the previous one:
   // the inverse CDF of the uniform ((mix64(seedKey + 2j) >> 11) + 1) / 2^53.
   void placeCandidate(std::uint64_t from) {
@@ -255,7 +266,8 @@ class GateByGate {
         static_cast<double>((reliability::mix64(seedKey_ + 2 * candidates_) >>
                              11) + 1) / 9007199254740992.0;
     const double gap =
-        pMax_ >= 1.0 ? 0.0 : std::floor(std::log(u) / std::log1p(-pMax_));
+        pMax_ >= 1.0 ? 0.0
+                     : std::floor(std::log(u) * (1.0 / std::log1p(-pMax_)));
     nextCand_ = from + static_cast<std::uint64_t>(gap);
   }
   bool once(bool ideal, double p) {
@@ -273,7 +285,7 @@ class GateByGate {
     return flip ? !ideal : ideal;
   }
   bool inject(bool ideal, reram::SlOp op, int ones, int rows) {
-    const double p = prob(op, ones, rows);
+    const double p = patternProb(model_, scale_, op, ones, rows);
     const bool first = once(ideal, p);
     if (prot_ == Protection::None) return first;
     if (prot_ == Protection::Dmr) {
@@ -290,7 +302,7 @@ class GateByGate {
   double scale_;
   Protection prot_;
   std::uint64_t seedKey_;
-  double pMax_ = 0.0;
+  double pMax_;
   std::uint64_t gateOps_ = 0;
   std::uint64_t pos_ = 0;
   std::uint64_t candidates_ = 0;
@@ -404,8 +416,8 @@ struct Setting {
 };
 
 // Fault-free to p >= 1: no model, a zero scale, the Table IV corner at four
-// scales, 3x the HRS spread (at x4 every faulty pattern clamps to p = 1,
-// so every execution is a candidate) and a corner where all five patterns
+// scales, 3x the HRS spread (at x4 the largest probability clamps to 1, so
+// every execution is a candidate) and a corner where all five patterns
 // misdecide.
 const std::vector<Setting>& allSettings() {
   static const reram::DeviceParams tableIV = [] {
@@ -545,19 +557,10 @@ TEST(MagicEngineFaults, FlipRateMatchesPatternProbability) {
   int thinned = 0;
   for (const Setting& s : allSettings()) {
     if (s.model == nullptr) continue;
-    double pMax = 0.0;
-    const auto prob = [&](reram::SlOp op, int ones, int rows) {
-      return std::clamp(s.scale * s.model->misdecisionProb(op, ones, rows),
-                        0.0, 1.0);
-    };
-    for (int ones = 0; ones <= 2; ++ones) {
-      pMax = std::max(pMax, prob(reram::SlOp::Nor, ones, 2));
-    }
+    const double pMax = maxPatternProb(s.model, s.scale);
     for (std::uint32_t a = 0; a <= 1; ++a) {
-      pMax = std::max(pMax, prob(reram::SlOp::Not, static_cast<int>(a), 1));
-    }
-    for (std::uint32_t a = 0; a <= 1; ++a) {
-      const double p = prob(reram::SlOp::Not, static_cast<int>(a), 1);
+      const double p = patternProb(s.model, s.scale, reram::SlOp::Not,
+                                   static_cast<int>(a), 1);
       if (p > 0.0 && p < pMax) ++thinned;
       MagicEngine engine(s.model, 0xf11b + a, s.scale);
       std::uint64_t flips = 0;
