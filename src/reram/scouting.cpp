@@ -235,10 +235,11 @@ void ScoutingLogic::senseStepInto(sc::Bitstream& dst, SlOp op,
   const bool faulty = fidelity_ == Fidelity::Probabilistic;
   const std::size_t width = operands.front()->size();
   const std::size_t words = (width + 63) / 64;
+  const std::size_t maskLen = static_cast<std::size_t>(rows + 1) * words;
+  if ((faulty || rows > 3) && maskWords_.size() < maskLen) {
+    maskWords_.resize(maskLen);
+  }
   if (faulty) {
-    if (maskWords_.size() < static_cast<std::size_t>(rows + 1) * words) {
-      maskWords_.resize(static_cast<std::size_t>(rows + 1) * words);
-    }
     if (classCounts_.size() < static_cast<std::size_t>(rows + 1)) {
       classCounts_.resize(static_cast<std::size_t>(rows + 1));
     }
@@ -268,9 +269,6 @@ void ScoutingLogic::classifyColumns(sc::Bitstream& dst, SlOp op,
   const int rows = static_cast<int>(operands.size());
   const std::size_t width = operands.front()->size();
   const std::size_t words = (width + 63) / 64;
-  if (maskWords_.size() < static_cast<std::size_t>(rows + 1) * words) {
-    maskWords_.resize(static_cast<std::size_t>(rows + 1) * words);
-  }
   std::fill_n(maskWords_.begin(), static_cast<std::size_t>(rows + 1) * words,
               std::uint64_t{0});
   for (std::size_t col = 0; col < width; ++col) {

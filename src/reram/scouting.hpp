@@ -107,7 +107,8 @@ class ScoutingLogic {
   /// over the words, then this step's misdecisions.
   void senseStepInto(sc::Bitstream& dst, SlOp op, Operands operands,
                      bool complementFirst);
-  /// Per-column pattern classes for more than three operands.
+  /// Per-column pattern classes for more than three operands, into the
+  /// mask scratch the step sized.
   void classifyColumns(sc::Bitstream& dst, SlOp op, Operands operands);
   /// MonteCarlo sensing: sampled currents through the sense amp.
   void sampleInto(sc::Bitstream& dst, SlOp op, Operands operands,

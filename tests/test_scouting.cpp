@@ -43,6 +43,32 @@ TEST(ScoutingIdeal, MatchesWordLevelOps) {
   EXPECT_EQ(out, ~a);
 }
 
+TEST(ScoutingIdeal, PartialWordAndFourOperandsMatchWordLevelOps) {
+  // 200 columns end mid-word: the complemented classes must not leak into
+  // the tail.
+  CrossbarArray arr(4, 200, DeviceParams::ideal());
+  ScoutingLogic sl(arr);
+  const auto a = randomStream(200, 21);
+  const auto b = randomStream(200, 22);
+  const auto c = randomStream(200, 23);
+  const auto d = randomStream(200, 24);
+  sc::Bitstream out;
+  sl.op2Into(SlOp::Nor, out, a, b);
+  EXPECT_EQ(out, ~(a | b));
+  sl.op2NotAInto(SlOp::Nor, out, a, b);
+  EXPECT_EQ(out, (a & ~b));
+  sl.op3Into(SlOp::Maj3, out, a, b, c);
+  EXPECT_EQ(out, sc::Bitstream::majority(a, b, c));
+  const sc::Bitstream* single[] = {&a};
+  sl.opInto(SlOp::Not, out, single);
+  EXPECT_EQ(out, ~a);
+  const sc::Bitstream* four[] = {&a, &b, &c, &d};
+  sl.opInto(SlOp::And, out, four);
+  EXPECT_EQ(out, (a & b & c & d));
+  sl.opInto(SlOp::Nor, out, four);
+  EXPECT_EQ(out, ~(a | b | c | d));
+}
+
 TEST(ScoutingIdeal, OperatesOnStoredRows) {
   CrossbarArray arr(4, 64, DeviceParams::ideal());
   ScoutingLogic sl(arr);
