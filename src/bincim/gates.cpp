@@ -82,7 +82,9 @@ constexpr std::array<std::uint64_t, 3> kGatesPerNet = {
 };
 
 /// A keyed uniform's top 53 bits.
-std::uint64_t draw53(std::uint64_t key) { return reliability::mix64(key) >> 11; }
+std::uint64_t draw53(std::uint64_t key) {
+  return reliability::mix64(key) >> 11;
+}
 
 }  // namespace
 
@@ -116,8 +118,8 @@ void MagicEngine::freeze() {
   frozen_ = true;
   if (faultModel_ != nullptr) {
     const auto scaled = [&](reram::SlOp op, int ones, int rows) {
-      return std::clamp(faultScale_ * faultModel_->misdecisionProb(op, ones, rows),
-                        0.0, 1.0);
+      const double p = faultModel_->misdecisionProb(op, ones, rows);
+      return std::clamp(faultScale_ * p, 0.0, 1.0);
     };
     for (int ones = 0; ones <= 2; ++ones) {
       p_[static_cast<std::size_t>(ones)] = scaled(reram::SlOp::Nor, ones, 2);

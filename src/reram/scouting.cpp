@@ -161,7 +161,8 @@ void ScoutingLogic::op2Into(SlOp op, sc::Bitstream& dst, const sc::Bitstream& a,
 }
 
 void ScoutingLogic::op2NotAInto(SlOp op, sc::Bitstream& dst,
-                                const sc::Bitstream& a, const sc::Bitstream& b) {
+                                const sc::Bitstream& a,
+                                const sc::Bitstream& b) {
   const std::array<const sc::Bitstream*, 2> ops{&a, &b};
   executeInto(op, ops, true, dst);
 }
@@ -280,7 +281,8 @@ void ScoutingLogic::classifyColumns(sc::Bitstream& dst, SlOp op,
   dst.assign(width, false);
   std::uint64_t* out = dst.mutableWords().data();
   for (int k = 0; k <= rows; ++k) {
-    const std::uint64_t* mask = maskWords_.data() + static_cast<std::size_t>(k) * words;
+    const std::uint64_t* mask =
+        maskWords_.data() + static_cast<std::size_t>(k) * words;
     if (fidelity_ == Fidelity::Probabilistic) {
       for (std::size_t w = 0; w < words; ++w) {
         classCounts_[static_cast<std::size_t>(k)] +=
@@ -342,7 +344,8 @@ void ScoutingLogic::flipClasses(sc::Bitstream& out, SlOp op, int rows,
   }
 }
 
-ScoutingLogic::FlipClass& ScoutingLogic::flipClass(SlOp op, int ones, int rows) {
+ScoutingLogic::FlipClass& ScoutingLogic::flipClass(SlOp op, int ones,
+                                                   int rows) {
   const auto read = [&](FlipClass& f) {
     f.p = faultModel_->misdecisionProb(op, ones, rows);
     f.invLogQ = f.p > 0.0 && f.p < 1.0 ? 1.0 / std::log1p(-f.p) : 0.0;

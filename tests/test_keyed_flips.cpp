@@ -43,8 +43,8 @@ struct Tally {
 /// Senses \p op over kSteps steps of random operands (NOT a, b when
 /// \p complementFirst) and tallies, per class, its columns and flips, and
 /// per rank bucket (rank * kBuckets / class count) flips against p.
-Tally tallyFlips(ScoutingLogic& sl, SlOp op, int rows, std::uint64_t operandSeed,
-                 bool complementFirst = false) {
+Tally tallyFlips(ScoutingLogic& sl, SlOp op, int rows,
+                 std::uint64_t operandSeed, bool complementFirst = false) {
   std::mt19937_64 eng(operandSeed);
   Tally t;
   for (int k = 0; k <= rows; ++k) {
