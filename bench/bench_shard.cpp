@@ -169,7 +169,6 @@ apps::RunResult oracleRun(const TrafficItem& it) {
 /// recv deadline, not the 5s default, and backoffs stay in single-digit ms.
 shard::ChannelDeadlines chaosDeadlines() {
   shard::ChannelDeadlines d;
-  d.connect = std::chrono::milliseconds(2000);
   d.send = std::chrono::milliseconds(1000);
   d.recv = std::chrono::milliseconds(250);
   return d;

@@ -8,6 +8,10 @@ namespace aimsc::shard {
 
 namespace {
 
+/// Backoff growth per retry and the key of its jitter.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr std::uint64_t kJitterSeed = 0x5eedf00dULL;
+
 /// One Ping/Pong exchange on a channel with NO in-flight Execute (anything
 /// else would desync the frame pairing).  Any failure — send, deadline,
 /// decode, wrong kind — reads as a missed beat.
@@ -185,10 +189,7 @@ bool ShardSupervisor::respawn(std::size_t shard) {
   st.pid->store(st.channel->workerPid(), std::memory_order_relaxed);
   ++st.respawns;
   ++stats_.respawns;
-  if (policy_.pingOnRespawn && !heartbeatOn(*st.channel)) {
-    // The newborn failed its first beat.  The channel exists, so let the
-    // resend fail naturally and burn an attempt — no special casing.
-  }
+  // A newborn that cannot serve fails the resend, which burns an attempt.
   return true;
 }
 
@@ -206,12 +207,12 @@ void ShardSupervisor::markDead(std::size_t shard) {
 std::chrono::milliseconds ShardSupervisor::backoffFor(
     std::size_t shard, const ShardState& st, std::uint32_t retry) const {
   double ms = static_cast<double>(policy_.initialBackoff.count());
-  for (std::uint32_t i = 1; i < retry; ++i) ms *= policy_.backoffMultiplier;
+  for (std::uint32_t i = 1; i < retry; ++i) ms *= kBackoffMultiplier;
   ms = std::min(ms, static_cast<double>(policy_.maxBackoff.count()));
   const auto base = static_cast<std::int64_t>(ms);
   // Deterministic jitter in [0, base/2]: same run, same sleeps.
   const std::uint64_t key = reliability::faultSiteKey(
-      policy_.jitterSeed, shard, st.currentDispatch, retry);
+      kJitterSeed, shard, st.currentDispatch, retry);
   const std::int64_t jitter =
       base >= 2 ? static_cast<std::int64_t>(key % (base / 2 + 1)) : 0;
   return std::chrono::milliseconds(base + jitter);

@@ -47,19 +47,15 @@
 namespace aimsc::shard {
 
 /// Retry/respawn budgets.  Backoff for retry r (1-based) is
-/// `min(initialBackoff * multiplier^(r-1), maxBackoff)` plus a
-/// deterministic jitter in [0, backoff/2) drawn from
-/// `mix64(jitterSeed, shard, dispatch, r)` — no wall-clock randomness, so
-/// two identical chaos runs sleep identically.
+/// `min(initialBackoff * 2^(r-1), maxBackoff)` plus a deterministic jitter
+/// in [0, backoff/2] keyed by (a fixed seed, shard, dispatch, r) — no
+/// wall-clock randomness, so two identical chaos runs sleep identically.
 struct RetryPolicy {
   std::uint32_t maxAttempts = 4;  ///< original + up to 3 retries
   std::uint32_t maxRespawns = 8;  ///< per shard, lifetime budget
   std::chrono::milliseconds initialBackoff{2};
-  double backoffMultiplier = 2.0;
   std::chrono::milliseconds maxBackoff{250};
   std::chrono::milliseconds totalDeadline{15000};  ///< per dispatch
-  bool pingOnRespawn = true;  ///< verify a respawned worker before resend
-  std::uint64_t jitterSeed = 0x5eedf00dULL;
 };
 
 /// Fabric-level counters (merged into ServiceStats by the service layer).
@@ -113,7 +109,7 @@ class ShardSupervisor {
 
   /// Joins the in-flight dispatch on \p shard, driving the full recovery
   /// loop: receive -> on timeout/garbage/death: kill, backoff, respawn,
-  /// ping, resend -> until a decoded Result reply or the budget runs out
+  /// resend -> until a decoded Result reply or the budget runs out
   /// (-> marks the shard dead and throws ShardDead).  An `ok == false`
   /// reply is returned as-is: it is a deterministic execution failure and
   /// retrying it would yield the same bytes.

@@ -1,8 +1,5 @@
 #include "shard/transport.hpp"
 
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -143,38 +140,6 @@ std::uint32_t decodeLen(const std::uint8_t len[4]) {
   return n;
 }
 
-/// Connects \p fd (blocking socket) within \p budget via the non-blocking
-/// connect + poll(POLLOUT) + SO_ERROR dance.  Returns false on timeout or
-/// connection failure; the socket is left in blocking mode on success.
-bool connectWithin(int fd, const sockaddr* addr, socklen_t len,
-                   std::chrono::milliseconds budget) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) return false;
-  int rc = ::connect(fd, addr, len);
-  if (rc != 0 && errno != EINPROGRESS) return false;
-  if (rc != 0) {
-    const auto deadline = SteadyClock::now() + budget;
-    for (;;) {
-      if (SteadyClock::now() >= deadline) return false;
-      struct pollfd p = {fd, POLLOUT, 0};
-      const int pr = ::poll(&p, 1, pollBudgetMs(deadline));
-      if (pr == 0) return false;
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      break;
-    }
-    int err = 0;
-    socklen_t errLen = sizeof(err);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &errLen) != 0 ||
-        err != 0) {
-      return false;
-    }
-  }
-  return ::fcntl(fd, F_SETFL, flags) == 0;
-}
-
 }  // namespace
 
 bool readFrame(int fd, std::vector<std::uint8_t>& frame) {
@@ -250,9 +215,8 @@ std::vector<std::uint8_t> LoopbackChannel::receive() {
 
 namespace {
 
-/// A fork()ed worker process over a connected stream socket — the one
-/// channel both process transports use.  They differ only in how the fd is
-/// made (spawnSocketpairWorker, spawnTcpWorker).  SHOULD be built before
+/// A fork()ed worker process over a connected stream socket (made by
+/// spawnSocketpairWorker).  SHOULD be built before
 /// the parent spawns threads (fork-safety); AcceleratorService orders its
 /// members so the initial coordinator forks ahead of the worker pool.
 /// (Supervisor respawns fork later by necessity — glibc's fork handlers
@@ -364,60 +328,6 @@ std::unique_ptr<ShardChannel> spawnSocketpairWorker(
   return std::make_unique<FdChannel>(fds[0], pid, deadlines);
 }
 
-/// Forks a worker that accepts ONE connection on an ephemeral loopback TCP
-/// port and serves it, then connects to it within the connect deadline.
-std::unique_ptr<ShardChannel> spawnTcpWorker(ChannelDeadlines deadlines) {
-  const int listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listenFd < 0) throw std::runtime_error("spawnTcpWorker: socket failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;  // ephemeral
-  if (::bind(listenFd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listenFd, 1) != 0) {
-    ::close(listenFd);
-    throw std::runtime_error("spawnTcpWorker: bind/listen failed");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listenFd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(listenFd);
-    throw std::runtime_error("spawnTcpWorker: getsockname failed");
-  }
-
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(listenFd);
-    throw std::runtime_error("spawnTcpWorker: fork failed");
-  }
-  const int one = 1;
-  if (pid == 0) {
-    closeInheritedParentFds();
-    const int conn = ::accept(listenFd, nullptr, nullptr);
-    ::close(listenFd);
-    if (conn < 0) ::_exit(3);
-    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    ::_exit(shardWorkerMain(conn));
-  }
-  ::close(listenFd);
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  const auto fail = [&](const char* what) {
-    if (fd >= 0) ::close(fd);
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    throw std::runtime_error(std::string("spawnTcpWorker: ") + what);
-  };
-  if (fd < 0) fail("socket failed");
-  if (!connectWithin(fd, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr), deadlines.connect)) {
-    fail("connect deadline expired");
-  }
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return std::make_unique<FdChannel>(fd, pid, deadlines);
-}
-
 }  // namespace
 
 std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
@@ -428,9 +338,6 @@ std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
     switch (kind) {
       case ShardTransportKind::Subprocess:
         channels.push_back(spawnSocketpairWorker(deadlines));
-        break;
-      case ShardTransportKind::Tcp:
-        channels.push_back(spawnTcpWorker(deadlines));
         break;
       case ShardTransportKind::Loopback:
         channels.push_back(std::make_unique<LoopbackChannel>());

@@ -8,15 +8,12 @@
 ///  * `LoopbackChannel` — an in-process worker behind the same codec path
 ///    (every byte still round-trips through encode/decode, so loopback runs
 ///    exercise the full wire contract without a process boundary);
-///  * a process channel — a `fork()`ed worker over a connected stream
-///    socket with u32 length-prefixed framing: a REAL process boundary.
-///    `ShardTransportKind::Subprocess` makes the socket with
-///    `socketpair(AF_UNIX, SOCK_STREAM)`; `ShardTransportKind::Tcp` has the
-///    worker accept one connection on an ephemeral loopback TCP port.  Only
-///    the fd differs; framing, deadlines and failure handling are shared.
+///  * a process channel (`ShardTransportKind::Subprocess`) — a `fork()`ed
+///    worker over a `socketpair(AF_UNIX, SOCK_STREAM)` with u32
+///    length-prefixed framing: a REAL process boundary.
 ///
-/// Process channels take `ChannelDeadlines`: connect, send and recv are
-/// bounded by `poll()`-based deadlines, so a wedged worker surfaces as
+/// Process channels take `ChannelDeadlines`: send and recv are bounded by
+/// `poll()`-based deadlines, so a wedged worker surfaces as
 /// `ChannelTimeout` instead of blocking the coordinator forever — the hook
 /// `ShardSupervisor` (supervisor.hpp) turns into kill-respawn-replay.
 ///
@@ -43,7 +40,6 @@ namespace aimsc::shard {
 enum class ShardTransportKind : std::uint8_t {
   Subprocess,  ///< fork()ed worker per shard over a socketpair
   Loopback,    ///< in-process worker (same codec path, no fork)
-  Tcp,         ///< fork()ed worker per shard over a loopback TCP socket
 };
 
 /// Largest frame a channel will carry (a corrupt peer cannot make the
@@ -54,7 +50,6 @@ constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 /// that operation (blocking I/O — workers waiting for their next request
 /// use that form).
 struct ChannelDeadlines {
-  std::chrono::milliseconds connect{2000};
   std::chrono::milliseconds send{2000};
   std::chrono::milliseconds recv{5000};
 };
@@ -123,7 +118,7 @@ std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
     ChannelDeadlines deadlines = {});
 
 /// Low-level u32-length-framed I/O over a POSIX fd — the worker side of the
-/// process channels (shardWorkerMain's read/write loop).  readFrame returns
+/// process channel (shardWorkerMain's read/write loop).  readFrame returns
 /// false on EOF, an oversized length, or a short read; writeFrame returns
 /// false when the peer is gone (SIGPIPE is suppressed).
 bool readFrame(int fd, std::vector<std::uint8_t>& frame);

@@ -1,7 +1,7 @@
 // Sharded lane-fleet service: the shard-count-invariance contract (output
 // bytes are a pure function of the request — identical for shards in
-// {1,2,4,8}, over loopback, real fork()ed subprocess workers AND TCP
-// workers, equal to one-shot apps::runApp on every substrate including
+// {1,2,4,8}, over loopback and real fork()ed subprocess workers, equal to
+// one-shot apps::runApp on every substrate including
 // faulty ReRAM + TMR), wire-codec round-trip/rejection properties, worker
 // warm state, and crash -> recover-byte-identically failure semantics
 // (tests/test_shard_chaos.cpp hammers the full fault matrix).
@@ -265,8 +265,8 @@ ShardCoordinator::ReplicaRun runOn(ShardCoordinator& coord, ClientJob& job) {
 }
 
 /// The headline differential matrix: every substrate (including faulty
-/// ReRAM under TMR), served by the sharded service over REAL process
-/// workers — subprocess AND TCP — at shard counts {1, 2, 4, 8}, must
+/// ReRAM under TMR), served by the sharded service over REAL subprocess
+/// workers at shard counts {1, 2, 4, 8}, must
 /// reproduce the one-shot runner's bytes and ledgers exactly.  Case list
 /// covers all six apps.
 TEST(ShardDifferential, ByteIdenticalAcrossShardCountsOnAllSubstrates) {
@@ -297,27 +297,24 @@ TEST(ShardDifferential, ByteIdenticalAcrossShardCountsOnAllSubstrates) {
     }
     const apps::RunResult oracle = oracleRun(job, size);
 
-    for (const ShardTransportKind kind :
-         {ShardTransportKind::Subprocess, ShardTransportKind::Tcp}) {
-      for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-        service::ServiceConfig sc;
-        sc.lanes = 4;
-        sc.rowsPerTile = 4;
-        sc.shards = shards;
-        sc.shardTransport = kind;
-        service::AcceleratorService svc(sc);
-        std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
-        const service::RequestResult res = svc.run(1, job.request);
+    for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+      service::ServiceConfig sc;
+      sc.lanes = 4;
+      sc.rowsPerTile = 4;
+      sc.shards = shards;
+      sc.shardTransport = ShardTransportKind::Subprocess;
+      service::AcceleratorService svc(sc);
+      std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
+      const service::RequestResult res = svc.run(1, job.request);
 
-        EXPECT_EQ(job.out.pixels(), oracle.output.pixels())
-            << apps::appName(c.app) << " on "
-            << core::designKindName(c.design) << " at " << shards
-            << " shards, kind " << static_cast<int>(kind);
-        EXPECT_EQ(res.opCount, oracle.opCount)
-            << apps::appName(c.app) << " at " << shards << " shards";
-        EXPECT_TRUE(res.events == oracle.events)
-            << apps::appName(c.app) << " at " << shards << " shards";
-      }
+      EXPECT_EQ(job.out.pixels(), oracle.output.pixels())
+          << apps::appName(c.app) << " on "
+          << core::designKindName(c.design) << " at " << shards
+          << " shards";
+      EXPECT_EQ(res.opCount, oracle.opCount)
+          << apps::appName(c.app) << " at " << shards << " shards";
+      EXPECT_TRUE(res.events == oracle.events)
+          << apps::appName(c.app) << " at " << shards << " shards";
     }
   }
 }
@@ -327,8 +324,7 @@ TEST(ShardDifferential, AllTransportsAgree) {
                           12, 5);
   std::vector<std::uint8_t> subprocessBytes;
   for (const ShardTransportKind kind :
-       {ShardTransportKind::Subprocess, ShardTransportKind::Loopback,
-        ShardTransportKind::Tcp}) {
+       {ShardTransportKind::Subprocess, ShardTransportKind::Loopback}) {
     ShardCoordinator coord(shard::makeShardChannels(kind, 2), 4, 4);
     std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
     runOn(coord, job);
@@ -578,8 +574,7 @@ TEST(ShardService, ShardedServiceMatchesUnshardedBitExactly) {
   const auto solo = runAll(0, ShardTransportKind::Loopback);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
     for (const ShardTransportKind kind :
-         {ShardTransportKind::Loopback, ShardTransportKind::Subprocess,
-          ShardTransportKind::Tcp}) {
+         {ShardTransportKind::Loopback, ShardTransportKind::Subprocess}) {
       const auto sharded = runAll(shards, kind);
       EXPECT_EQ(sharded.bytes, solo.bytes)
           << shards << " shards, kind " << static_cast<int>(kind);

@@ -93,7 +93,6 @@ ShardCoordinator::ReplicaRun runOn(ShardCoordinator& coord, ClientJob& job) {
 /// Tight budgets so injected hangs cost ~250ms, not the 5s default.
 shard::ChannelDeadlines chaosDeadlines() {
   shard::ChannelDeadlines d;
-  d.connect = std::chrono::milliseconds(2000);
   d.send = std::chrono::milliseconds(1000);
   d.recv = std::chrono::milliseconds(250);
   return d;
@@ -188,8 +187,12 @@ TEST(ShardChaos, EveryFaultSiteRecoversByteIdentically) {
               static_cast<std::uint64_t>(2 * (chaosRetry().maxAttempts - 1)))
         << "site " << static_cast<int>(site);
     EXPECT_EQ(fs.deadShards, 0u) << "site " << static_cast<int>(site);
-    if (site == FaultSite::HangBeforeReply) EXPECT_GE(fs.timeouts, 2u);
-    if (site == FaultSite::GarbageReply) EXPECT_GE(fs.garbageReplies, 2u);
+    if (site == FaultSite::HangBeforeReply) {
+      EXPECT_GE(fs.timeouts, 2u);
+    }
+    if (site == FaultSite::GarbageReply) {
+      EXPECT_GE(fs.garbageReplies, 2u);
+    }
   }
 }
 
@@ -424,30 +427,6 @@ TEST(ShardChaos, HeartbeatReportsServedCountAndRespawnResetsIt) {
   const auto beat2 = coord.fabric().heartbeat(0);
   ASSERT_TRUE(beat2.has_value());
   EXPECT_EQ(*beat2, 1u);  // respawned worker: its own first Execute
-}
-
-TEST(ShardChaos, TcpFabricRecoversFromKillTheSameWay) {
-  // The whole recovery stack over the TCP transport: kill, respawn on a
-  // fresh ephemeral port, replay, byte-identity.
-  const std::size_t size = 12;
-  ClientJob job = makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
-                          size, 13);
-  const apps::RunResult oracle = oracleRun(job, size);
-  ShardCoordinator coord(
-      shard::makeSupervisedFabric(ShardTransportKind::Tcp, 2, chaosDeadlines(),
-                                  chaosRetry()),
-      4, 4);
-  runOn(coord, job);
-  EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
-
-  const int pid = coord.fabric().channel(1).workerPid();
-  ASSERT_GT(pid, 0);
-  ASSERT_EQ(::kill(pid, SIGKILL), 0);
-
-  std::fill(job.out.pixels().begin(), job.out.pixels().end(), 0);
-  runOn(coord, job);
-  EXPECT_EQ(job.out.pixels(), oracle.output.pixels());
-  EXPECT_GE(coord.fabric().stats().respawns, 1u);
 }
 
 TEST(ShardChaos, LoopbackFabricRecoversGarbageByRetryInPlace) {
