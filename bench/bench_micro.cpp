@@ -148,7 +148,7 @@ BENCHMARK(BM_AritPimMul8);
 // Table IV device at the binary-CIM fault scale: clear runs and walks.
 void BM_AritPimMul8Faulty(benchmark::State& state) {
   const reram::FaultModel faults(apps::defaultFaultyDevice(), 0xb1f, 40000);
-  bincim::MagicEngine engine(&faults, 0xe6, core::BinaryCimConfig{}.faultScale);
+  bincim::MagicEngine engine(&faults, 0xe6, core::kBinaryCimFaultScale);
   bincim::AritPim pim(engine);
   pim.mul(1, 1, 8);  // freeze the misdecision table (Monte-Carlo)
   std::uint32_t a = 123;

@@ -49,7 +49,6 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
   ImsngConfig ic;
   ic.mBits = config_.mBits;
   ic.variant = config_.imsngVariant;
-  ic.foldedNetwork = config_.foldedNetwork;
   ic.randomPlaneBase = kPlaneBaseOffset;
   ic.outputRow = kOutputRowOffset;
   ic.commitResult = config_.commitSbs;
@@ -57,7 +56,7 @@ Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
   imsng_ = std::make_unique<Imsng>(*array_, *scouting_, *periphery_, *trng_, ic);
 
   imops_ = std::make_unique<ImOps>(*scouting_);
-  ims2b_ = std::make_unique<ImS2B>(*array_, config_.adc, config_.seed ^ 0x52b);
+  ims2b_ = std::make_unique<ImS2B>(*array_);
 }
 
 void Accelerator::encodeProbInto(sc::Bitstream& dst, double p) {

@@ -27,7 +27,6 @@
 #include "core/imops.hpp"
 #include "core/ims2b.hpp"
 #include "core/imsng.hpp"
-#include "reram/adc.hpp"
 #include "reram/array.hpp"
 #include "reram/fault_model.hpp"
 #include "reram/periphery.hpp"
@@ -40,10 +39,9 @@ struct AcceleratorConfig {
   std::size_t streamLength = 256;  ///< N = array columns
   int mBits = 8;                   ///< TRNG segment size M
   ImsngConfig::Variant imsngVariant = ImsngConfig::Variant::Opt;
-  bool foldedNetwork = false;      ///< charge folded XAG schedule (ablation)
   reram::DeviceParams device{};    ///< device variability parameters
   bool deviceVariability = false;       ///< probabilistic CIM misdecisions
-  std::size_t faultModelSamples = 100000;
+  std::size_t faultModelSamples = reram::kFaultModelSamples;
   /// Optional memoizing supplier for the per-mat model.  It preserves
   /// per-mat tables bit-for-bit: it is invoked with this mat's own (device,
   /// seed ^ 0xf417, samples) key and must return a model constructed from
@@ -56,7 +54,6 @@ struct AcceleratorConfig {
   /// write-cycle spread without changing any stream bit — rotation only
   /// moves WHICH rows hold the planes, never their contents.
   std::size_t wearWindowRows = 0;
-  reram::AdcParams adc{};
   double trngBias = 0.0;           ///< TRNG ones-bias (imperfection knob)
   bool commitSbs = true;           ///< write generated SBS to its row
   std::uint64_t seed = 0x5eed;

@@ -296,7 +296,6 @@ std::unique_ptr<ScBackend> makeInnerBackend(
       bc.deviceVariability = plan.deviceVariability;
       bc.device = plan.device;
       bc.faultModelSamples = plan.faultModelSamples;
-      bc.faultScale = config.bincimFaultScale;
       bc.protection = toEngineProtection(config.bincimProtection);
       bc.faultModelProvider = config.faultModelProvider;
       return std::make_unique<BinaryCimBackend>(bc);

@@ -371,9 +371,6 @@ struct BackendFactoryConfig {
   /// `FaultPlan::deviceOnly(device, samples)`.
   reliability::FaultPlan faults{};
 
-  /// Equal-fault-surface scale for the binary CIM gate decomposition (see
-  /// MagicEngine).
-  double bincimFaultScale = 0.25;
   /// Gate-level retry-and-vote for the binary CIM MAGIC ledger.
   CimProtection bincimProtection = CimProtection::None;
 

@@ -27,7 +27,7 @@ BinaryCimBackend::BinaryCimBackend(bincim::MagicEngine& engine)
 BinaryCimBackend::BinaryCimBackend(const BinaryCimConfig& config)
     : faults_(faultModelFor(config)),
       ownedEngine_(std::make_unique<bincim::MagicEngine>(
-          faults_.get(), config.seed ^ 0xe6, config.faultScale)),
+          faults_.get(), config.seed ^ 0xe6, kBinaryCimFaultScale)),
       engine_(ownedEngine_.get()),
       pim_(*ownedEngine_) {
   engine_->setProtection(config.protection);

@@ -18,14 +18,16 @@
 
 namespace aimsc::core {
 
+/// Equal-fault-surface scale of every binary-CIM engine's misdecision
+/// probabilities: the pedagogical gate decomposition issues ~4x the cycles
+/// of an optimized AritPIM mapping (see MagicEngine).
+inline constexpr double kBinaryCimFaultScale = 0.25;
+
 struct BinaryCimConfig {
   std::uint64_t seed = 0x5eed;
   bool deviceVariability = false;
   reram::DeviceParams device{};
-  std::size_t faultModelSamples = 40000;
-  /// Equal-fault-surface scale (the pedagogical gate decomposition issues
-  /// ~4x the cycles of an optimized AritPIM mapping — see MagicEngine).
-  double faultScale = 0.25;
+  std::size_t faultModelSamples = reram::kFaultModelSamples;
   /// Gate-level temporal redundancy (retry-and-vote; see MagicEngine).
   bincim::MagicEngine::Protection protection =
       bincim::MagicEngine::Protection::None;

@@ -5,23 +5,19 @@
 
 namespace aimsc::core {
 
-ImS2B::ImS2B(reram::CrossbarArray& array, const reram::AdcParams& adc,
-             std::uint64_t seed)
-    : array_(array), adc_(adc, seed) {}
+ImS2B::ImS2B(reram::CrossbarArray& array) : array_(array) {}
 
 std::uint32_t ImS2B::convert(const sc::Bitstream& stream) {
   array_.events().add(reram::EventKind::AdcConversion);
-  if (adc_.params().noiseLsbSigma == 0 && stream.size() > 0) {
-    if (codeTableLen_ != stream.size()) {
-      codeTableLen_ = stream.size();
-      codeTable_.resize(codeTableLen_ + 1);
-      for (std::size_t pc = 0; pc <= codeTableLen_; ++pc) {
-        codeTable_[pc] = adc_.convert(pc, codeTableLen_);
-      }
+  const std::size_t n = stream.size();
+  if (codeTable_.size() != n + 1) {
+    // An empty stream throws from the ADC and leaves the table empty.
+    codeTable_.clear();
+    for (std::size_t pc = 0; pc <= n; ++pc) {
+      codeTable_.push_back(adc_.convert(pc, n));
     }
-    return codeTable_[stream.popcount()];
   }
-  return adc_.convert(stream.popcount(), stream.size());
+  return codeTable_[stream.popcount()];
 }
 
 std::uint32_t ImS2B::convertStored(const sc::Bitstream& stream) {

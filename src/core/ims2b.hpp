@@ -6,10 +6,12 @@
 /// count, digitized by one 8-bit ADC per mat in a single step (vs. the
 /// N-cycle CMOS counter).  CORDIV outputs instead exist as *resistance*
 /// values in a column, which the ADC senses directly (Sec. IV-B) — that
-/// path charges the column write.
+/// path charges the column write.  The ADC is the paper's noiseless 8-bit
+/// converter, so each code is a pure function of the stream's popcount.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "reram/adc.hpp"
 #include "reram/array.hpp"
@@ -19,8 +21,7 @@ namespace aimsc::core {
 
 class ImS2B {
  public:
-  ImS2B(reram::CrossbarArray& array, const reram::AdcParams& adc = reram::AdcParams{},
-        std::uint64_t seed = 0x52b);
+  explicit ImS2B(reram::CrossbarArray& array);
 
   /// Voltage-input mode: the stream drives the reference column (no write).
   /// Returns the ADC code in [0, 2^bits - 1].
@@ -41,12 +42,10 @@ class ImS2B {
  private:
   reram::CrossbarArray& array_;
   reram::AdcModel adc_;
-  /// Noiseless-ADC memo: code per popcount for streams of codeTableLen_
-  /// bits (the array width in practice).  The transfer function is
-  /// deterministic without noise, so the hot decode path becomes one
-  /// popcount + one table load; rebuilt lazily if the length ever differs.
+  /// Code per popcount for streams of codeTable_.size() - 1 bits (the
+  /// array width in practice): the hot decode path is one popcount + one
+  /// table load; rebuilt lazily if the length ever differs.
   std::vector<std::uint32_t> codeTable_;
-  std::size_t codeTableLen_ = 0;
 };
 
 }  // namespace aimsc::core

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
-#include "logic/synth.hpp"
 #include "sc/sng.hpp"
 
 namespace aimsc::core {
@@ -58,8 +56,8 @@ void Imsng::refreshRandomness() {
 }
 
 void Imsng::buildEpochBytes() {
-  // Untranspose the M = 8 plane rows into the per-column bytes R_j (plane i
-  // holds bit M-1-i of every column).  One pass per epoch, amortized over
+  // Untranspose the M <= 8 plane rows into the per-column bytes R_j (plane
+  // i holds bit M-1-i of every column).  One pass per epoch, amortized over
   // every distinct threshold encoded against these planes.
   const std::size_t n = array_.cols();
   epochByteScratch_.assign(n, 0);
@@ -84,15 +82,6 @@ void Imsng::buildEpochBytes() {
   epochBytesReady_ = true;
 }
 
-std::size_t Imsng::sensingStepsPerConversion(std::uint32_t x) const {
-  const auto m = static_cast<std::size_t>(config_.mBits);
-  if (!config_.foldedNetwork) return 5 * m;
-  const auto net = logic::buildGreaterThanConst(
-      x > ((1u << config_.mBits) - 1) ? ((1u << config_.mBits) - 1) : x,
-      config_.mBits);
-  return logic::scheduleForSl(net.xag).sensingSteps;
-}
-
 void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
   const std::size_t n = array_.cols();
   const int m = config_.mBits;
@@ -101,8 +90,6 @@ void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
   if (!planesReady_) refreshRandomness();
 
   auto& log = array_.events();
-  const std::size_t chargedSteps = sensingStepsPerConversion(x >= full ? full - 1 : x);
-
   std::size_t dataflowReads = 0;
 
   if (x == full) {
@@ -140,10 +127,8 @@ void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
   dst = periphery_.l0();
 
   // Cost parity with the paper's operation count: the dataflow above issued
-  // `dataflowReads` sensing steps; top up to the charged schedule.
-  if (chargedSteps > dataflowReads) {
-    log.add(reram::EventKind::SlRead, chargedSteps - dataflowReads);
-  }
+  // `dataflowReads` <= 2·M sensing steps; top up to the 5·M schedule.
+  log.add(reram::EventKind::SlRead, stepsPerConversion() - dataflowReads);
   // Naive variant: intermediate results hit the cells (2 writes per bit
   // even after the feedback mechanism, Sec. III-A).
   if (config_.variant == ImsngConfig::Variant::Naive) {
@@ -155,47 +140,11 @@ void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
   if (config_.commitResult) periphery_.commit(config_.outputRow);
 }
 
-void Imsng::computeThresholdStreamInto(std::uint32_t x, sc::Bitstream& dst) {
-  // Word-level rendition of the FFlag dataflow above (Ideal sensing only):
-  //   A_i = 1: result |= flag & ~RN_i ;  flag &= RN_i
-  //   A_i = 0: flag &= ~RN_i
-  // which is exactly what the NOR/AND scouting steps compute.
-  const std::size_t n = array_.cols();
-  const int m = config_.mBits;
-  dst.assign(n, false);
-  flagScratch_.assign(n, true);
-  auto& rw = dst.mutableWords();
-  auto& fw = flagScratch_.mutableWords();
-  for (int i = 0; i < m; ++i) {
-    const bool aBit = (x >> (m - 1 - i)) & 1u;
-    const auto& rn =
-        array_.row(planeBase_ + static_cast<std::size_t>(i)).words();
-    if (aBit) {
-      for (std::size_t w = 0; w < rw.size(); ++w) {
-        rw[w] |= fw[w] & ~rn[w];
-        fw[w] &= rn[w];
-      }
-    } else {
-      for (std::size_t w = 0; w < fw.size(); ++w) fw[w] &= ~rn[w];
-    }
-  }
-  // Tail stays clear: flag's tail is zero from assign().
-}
-
-void Imsng::chargeConversion(std::uint32_t x, const sc::Bitstream& result) {
-  const std::uint32_t full = std::uint32_t{1} << config_.mBits;
+void Imsng::chargeConversion(const sc::Bitstream& result) {
+  // Mirror generateThresholdInto(): the 5·M schedule, the Naive variant's
+  // intermediate writes and the commit.
   auto& log = array_.events();
-  // Mirror generateThresholdInto(): the dataflow issues one read per plane
-  // plus one extra per set threshold bit, and the schedule only tops *up* —
-  // so the serial path charges max(schedule, dataflow reads).  The folded
-  // schedule can be smaller than the dataflow.
-  const std::size_t dataflowReads =
-      x == full ? 0
-                : static_cast<std::size_t>(config_.mBits) +
-                      static_cast<std::size_t>(std::popcount(x));
-  log.add(reram::EventKind::SlRead,
-          std::max(sensingStepsPerConversion(x >= full ? full - 1 : x),
-                   dataflowReads));
+  log.add(reram::EventKind::SlRead, stepsPerConversion());
   if (config_.variant == ImsngConfig::Variant::Naive) {
     log.add(reram::EventKind::RowWrite,
             2 * static_cast<std::size_t>(config_.mBits));
@@ -223,11 +172,10 @@ void Imsng::encodeBatchInto(std::span<const std::uint32_t> thresholds,
   if (!planesReady_) refreshRandomness();
 
   if (scouting_.fidelity() != reram::ScoutingLogic::Fidelity::Ideal ||
-      scouting_.votes() != 1) {
+      config_.mBits > 8) {
     // Fault-injecting fidelities key each step's misdecisions by the mat's
-    // step ordinal, and temporal-redundancy voting charges votes() reads
-    // per step; run the real dataflow so statistics and accounting stay
-    // faithful.
+    // step ordinal, so they run the real dataflow to keep statistics
+    // faithful; so do widths the byte cache cannot hold.
     for (std::size_t i = 0; i < thresholds.size(); ++i) {
       generateThresholdInto(thresholds[i], *outs[i]);
     }
@@ -240,11 +188,10 @@ void Imsng::encodeBatchInto(std::span<const std::uint32_t> thresholds,
   // recompute).  The table is an epoch-stamped member so repeated batch
   // calls don't re-initialize 2^M entries.
   const std::uint32_t full = std::uint32_t{1} << config_.mBits;
-  // M = 8 serves distinct thresholds from the per-epoch comparator byte
-  // cache (bit-identical: R_j < x evaluated word/AVX2-parallel instead of
-  // the M-plane flag-chain walk per value); other widths keep the walk.
-  const bool useByteCache = config_.mBits == 8;
-  if (useByteCache && !epochBytesReady_) buildEpochBytes();
+  // Distinct thresholds come from the per-epoch comparator byte cache
+  // (bit-identical: R_j < x evaluated word/AVX2-parallel instead of the
+  // M-plane flag-chain walk per value).
+  if (!epochBytesReady_) buildEpochBytes();
   beginMemoEpoch();
   for (std::size_t i = 0; i < thresholds.size(); ++i) {
     const std::uint32_t x = thresholds[i];
@@ -256,13 +203,11 @@ void Imsng::encodeBatchInto(std::span<const std::uint32_t> thresholds,
       memoIndex_[x] = i;
       if (x == full) {
         outs[i]->assign(array_.cols(), true);
-      } else if (useByteCache) {
-        epochPlanes_.encode(x, *outs[i]);
       } else {
-        computeThresholdStreamInto(x, *outs[i]);
+        epochPlanes_.encode(x, *outs[i]);
       }
     }
-    chargeConversion(x, *outs[i]);
+    chargeConversion(*outs[i]);
   }
 }
 

@@ -17,10 +17,10 @@
 ///            *predicated sensing*: zero intermediate writes.
 /// Both variants produce bit-identical streams; they differ only in cost.
 ///
-/// Cost parity: by default each conversion charges the paper's generic
-/// 5·M sensing steps ("5n operations ... each logic gate requires one
-/// sensing step").  foldedNetwork = true instead charges the XAG
-/// constant-folded schedule (the logic-synthesis ablation).
+/// Cost parity: each conversion charges the paper's generic 5·M sensing
+/// steps ("5n operations ... each logic gate requires one sensing step").
+/// The XAG constant-folded schedule is a logic-synthesis ablation that
+/// bench_ablations computes from src/logic directly.
 ///
 /// Correlation control: streams generated against the same random planes
 /// are maximally correlated (SCC = +1); refreshRandomness() deposits fresh
@@ -48,9 +48,6 @@ struct ImsngConfig {
 
   enum class Variant { Naive, Opt };
   Variant variant = Variant::Opt;
-
-  /// Charge the constant-folded XAG schedule instead of the generic 5M ops.
-  bool foldedNetwork = false;
 
   /// Array row where the random bit-planes start.
   std::size_t randomPlaneBase = 0;
@@ -99,14 +96,14 @@ class Imsng {
   /// generateThresholdInto() calls without an intervening refresh; stream i
   /// is written into `*outs[i]`.  Event accounting is identical to the
   /// per-call path (each conversion charges its 5·M sensing schedule and
-  /// its commit write); under Ideal sensing the streams are bit-identical
-  /// to the per-call path, produced by a word-level comparator with
-  /// per-epoch threshold memoization (duplicate pixel values re-use the
-  /// computed stream but still charge their conversion).  Non-ideal
-  /// fidelities fall back to the scouting dataflow per element so fault
-  /// injection stays faithful.  The call performs no heap allocation once
-  /// the destination buffers, the memo table and the scouting scratch are
-  /// warm — the tile engine's per-row hot path.
+  /// its commit write); under Ideal sensing with M <= 8 the streams are
+  /// bit-identical to the per-call path, produced by a word-level
+  /// comparator with per-epoch threshold memoization (duplicate pixel
+  /// values re-use the computed stream but still charge their conversion).
+  /// Non-ideal fidelities and M > 8 run the scouting dataflow per element,
+  /// so fault injection stays faithful.  The call performs no heap
+  /// allocation once the destination buffers, the memo table and the
+  /// scouting scratch are warm — the tile engine's per-row hot path.
   void encodeBatchInto(std::span<const std::uint32_t> thresholds,
                        std::span<sc::Bitstream* const> outs);
 
@@ -121,20 +118,18 @@ class Imsng {
   /// leveling; equals `config().randomPlaneBase` otherwise).
   std::size_t planeBase() const { return planeBase_; }
 
-  /// Sensing steps charged per conversion (5·M generic, fewer folded).
-  std::size_t sensingStepsPerConversion(std::uint32_t x) const;
-
  private:
-  /// Word-level comparator identical to the Ideal scouting dataflow, into
-  /// \p dst (resized, buffer reused).
-  void computeThresholdStreamInto(std::uint32_t x, sc::Bitstream& dst);
-  /// Charges the per-conversion schedule + commit for threshold \p x.
-  void chargeConversion(std::uint32_t x, const sc::Bitstream& result);
+  /// Sensing steps charged per conversion: the paper's generic 5·M.
+  std::size_t stepsPerConversion() const {
+    return 5 * static_cast<std::size_t>(config_.mBits);
+  }
+  /// Charges the per-conversion schedule + commit of \p result.
+  void chargeConversion(const sc::Bitstream& result);
   /// (Re)initializes the epoch-stamped memo table for a new Ideal batch.
   void beginMemoEpoch();
 
   /// Rebuilds the per-epoch comparator byte cache from the current plane
-  /// rows (M = 8 only): column j's random number R_j, MSB = plane 0.
+  /// rows (M <= 8 only): column j's random number R_j, MSB = plane 0.
   void buildEpochBytes();
 
   reram::CrossbarArray& array_;
@@ -145,11 +140,10 @@ class Imsng {
   std::optional<reram::WearLeveler> wear_;  ///< plane-base rotation (opt-in)
   std::size_t planeBase_ = 0;  ///< base row of the current plane set
   bool planesReady_ = false;
-  sc::Bitstream flagScratch_;  ///< FFlag chain buffer for the batch path
   // The sensed greater-than term of the scouting dataflow
   // (generateThresholdInto), reused across conversions.
   sc::Bitstream sensed_;
-  // Per-epoch comparator byte cache (M = 8, Ideal sensing): the plane rows
+  // Per-epoch comparator byte cache (M <= 8, Ideal sensing): the plane rows
   // untransposed into the per-column random numbers R_j, served through the
   // packed RandomPlanes comparator (x > R_j == R_j < x, the identical
   // predicate word/AVX2-parallel).  One untranspose pass per epoch replaces

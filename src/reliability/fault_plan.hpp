@@ -31,7 +31,7 @@
 
 #include <cstddef>
 
-#include "reram/device.hpp"
+#include "reram/fault_model.hpp"
 
 namespace aimsc::reliability {
 
@@ -43,7 +43,7 @@ struct FaultPlan {
   /// Device corner sampled when `deviceVariability` is set.
   reram::DeviceParams device{};
   /// Monte-Carlo resolution per (op, pattern) fault-table entry.
-  std::size_t faultModelSamples = 40000;
+  std::size_t faultModelSamples = reram::kFaultModelSamples;
 
   // --- class 2: stuck-at cells ----------------------------------------------
   /// Fraction of sites (stream columns / word bits) permanently stuck.
@@ -81,7 +81,7 @@ struct FaultPlan {
 
   /// Device-variability-only plan (Table IV's faulty columns).
   static FaultPlan deviceOnly(const reram::DeviceParams& device,
-                              std::size_t samples = 40000) {
+                              std::size_t samples = reram::kFaultModelSamples) {
     FaultPlan p;
     p.deviceVariability = true;
     p.device = device;

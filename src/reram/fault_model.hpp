@@ -11,6 +11,7 @@
 /// Results are cached per pattern; a run with sigma = 0 yields 0 everywhere.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -21,12 +22,18 @@
 
 namespace aimsc::reram {
 
+/// Default Monte-Carlo sample count per (op, pattern) entry, shared by every
+/// config that builds a model (FaultPlan, AcceleratorConfig,
+/// BinaryCimConfig), so a mat gets the same table however it is built.
+inline constexpr std::size_t kFaultModelSamples = 40000;
+
 class FaultModel {
  public:
   /// \param params  device parameters (the variability source)
   /// \param samples Monte-Carlo sample count per (op, pattern) entry
   explicit FaultModel(const DeviceParams& params = DeviceParams{},
-                      std::uint64_t seed = 0xfa017, std::size_t samples = 100000);
+                      std::uint64_t seed = 0xfa017,
+                      std::size_t samples = kFaultModelSamples);
 
   /// Probability that the SL output for \p op is wrong when \p onesCount of
   /// the \p numRows activated cells on a bitline store '1'.  Thread-safe:

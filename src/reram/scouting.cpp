@@ -12,6 +12,8 @@ namespace aimsc::reram {
 namespace {
 
 constexpr std::size_t kOps = static_cast<std::size_t>(SlOp::Not) + 1;
+/// Most rows one sensing step activates.
+constexpr int kMaxRows = 3;
 constexpr std::uint64_t kUnset = ~std::uint64_t{0};
 /// Draw d of class k in a step is keyed mix64(stepKey + k * kClassStride + d).
 constexpr std::uint64_t kClassStride = std::uint64_t{1} << 48;
@@ -123,14 +125,12 @@ AIMSC_POPCNT_CLONES void flipSkippedRanks(std::uint64_t* out,
 }  // namespace
 
 ScoutingLogic::ScoutingLogic(CrossbarArray& array, Fidelity fidelity,
-                             const FaultModel* faultModel, std::uint64_t seed,
-                             int votes)
+                             const FaultModel* faultModel, std::uint64_t seed)
     : array_(array),
       fidelity_(fidelity),
       faultModel_(faultModel),
       seed_(seed),
       seedKey_(reliability::mix64(seed)),
-      votes_(votes),
       senseAmp_(array.params()) {
   if (fidelity_ == Fidelity::Probabilistic) {
     if (faultModel_ == nullptr) {
@@ -139,11 +139,8 @@ ScoutingLogic::ScoutingLogic(CrossbarArray& array, Fidelity fidelity,
     }
     flipTable_.resize(kOps * 4 * 4);
   }
-  if (votes_ < 1 || votes_ % 2 == 0 || votes_ > 7) {
-    throw std::invalid_argument("ScoutingLogic: votes must be odd, 1..7");
-  }
   for (std::size_t op = 0; op < kOps; ++op) {
-    for (int rows = 1; rows <= 3; ++rows) {
+    for (int rows = 1; rows <= kMaxRows; ++rows) {
       for (int ones = 0; ones <= rows; ++ones) {
         if (slIdeal(static_cast<SlOp>(op), ones, rows)) {
           idealSets_[op][static_cast<std::size_t>(rows)] |=
@@ -180,118 +177,55 @@ void ScoutingLogic::opInto(SlOp op, sc::Bitstream& dst, Operands operands) {
 void ScoutingLogic::executeInto(SlOp op, Operands operands,
                                 bool complementFirst, sc::Bitstream& dst) {
   if (operands.empty()) throw std::invalid_argument("ScoutingLogic: no operands");
+  const int rows = static_cast<int>(operands.size());
+  if (rows > kMaxRows) {
+    throw std::invalid_argument("ScoutingLogic: at most three operands");
+  }
   const std::size_t width = operands.front()->size();
   for (const auto* o : operands) {
     if (o->size() != width) {
       throw std::invalid_argument("ScoutingLogic: operand width mismatch");
     }
   }
-  const int numRows = static_cast<int>(operands.size());
-  if (op == SlOp::Maj3 && numRows != 3) {
+  if (op == SlOp::Maj3 && rows != 3) {
     throw std::invalid_argument("ScoutingLogic: MAJ3 needs three operands");
   }
-  if ((op == SlOp::Xor || op == SlOp::Xnor) && numRows != 2) {
+  if ((op == SlOp::Xor || op == SlOp::Xnor) && rows != 2) {
     throw std::invalid_argument("ScoutingLogic: XOR/XNOR are two-operand ops");
   }
-  if (op == SlOp::Not && numRows != 1) {
+  if (op == SlOp::Not && rows != 1) {
     throw std::invalid_argument("ScoutingLogic: NOT is single-operand");
   }
 
-  // `votes_` sensing steps (1 = plain).  The in-step SA latch is part of
-  // t_slRead (the IMSNG calibration 78.2 ns = 40 * t_slRead absorbs it);
-  // standalone output captures are charged by the caller (ImOps).
-  array_.events().add(reram::EventKind::SlRead,
-                      static_cast<std::uint64_t>(votes_));
-  if (votes_ == 1) {
-    senseStepInto(dst, op, operands, complementFirst);
-    return;
-  }
-
-  // Temporal redundancy: each vote is its own step, voted per column.
-  std::vector<sc::Bitstream>& outcomes = voteScratch_;
-  outcomes.resize(static_cast<std::size_t>(votes_));
-  for (sc::Bitstream& o : outcomes) {
-    senseStepInto(o, op, operands, complementFirst);
-  }
-  if (votes_ == 3) {
-    sc::Bitstream::majorityInto(dst, outcomes[0], outcomes[1], outcomes[2]);
-    return;
-  }
-  dst.assign(width, false);
-  for (std::size_t c = 0; c < width; ++c) {
-    int ones = 0;
-    for (const auto& o : outcomes) ones += o.get(c) ? 1 : 0;
-    if (2 * ones > votes_) dst.set(c, true);
-  }
-}
-
-void ScoutingLogic::senseStepInto(sc::Bitstream& dst, SlOp op,
-                                  Operands operands, bool complementFirst) {
+  // One sensing step.  The in-step SA latch is part of t_slRead (the IMSNG
+  // calibration 78.2 ns = 40 * t_slRead absorbs it); standalone output
+  // captures are charged by the caller (ImOps).
+  array_.events().add(reram::EventKind::SlRead);
   const std::uint64_t step = step_++;
   if (fidelity_ == Fidelity::MonteCarlo) {
     sampleInto(dst, op, operands, complementFirst);
     return;
   }
-  const int rows = static_cast<int>(operands.size());
   const bool faulty = fidelity_ == Fidelity::Probabilistic;
-  const std::size_t width = operands.front()->size();
   const std::size_t words = (width + 63) / 64;
-  const std::size_t maskLen = static_cast<std::size_t>(rows + 1) * words;
-  if ((faulty || rows > 3) && maskWords_.size() < maskLen) {
-    maskWords_.resize(maskLen);
-  }
   if (faulty) {
-    if (classCounts_.size() < static_cast<std::size_t>(rows + 1)) {
-      classCounts_.resize(static_cast<std::size_t>(rows + 1));
-    }
-    std::fill_n(classCounts_.begin(), rows + 1, std::size_t{0});
+    const std::size_t maskLen = static_cast<std::size_t>(rows + 1) * words;
+    if (maskWords_.size() < maskLen) maskWords_.resize(maskLen);
+    classCounts_.fill(0);
   }
-  if (rows > 3) {
-    classifyColumns(dst, op, operands);
-  } else {
-    // An aliased dst already has the operand width, so it is not cleared
-    // before the pass reads it.
-    if (dst.size() != width) dst.assign(width, false);
-    const std::uint64_t* in[3] = {};
-    for (int r = 0; r < rows; ++r) in[r] = operands[r]->words().data();
-    senseWords(in, rows, complementFirst ? ~std::uint64_t{0} : 0,
-               idealSets_[static_cast<std::size_t>(op)]
-                         [static_cast<std::size_t>(rows)],
-               words, width % 64 == 0 ? ~std::uint64_t{0}
-                                      : (std::uint64_t{1} << (width % 64)) - 1,
-               dst.mutableWords().data(), faulty ? maskWords_.data() : nullptr,
-               classCounts_.data());
-  }
+  // An aliased dst already has the operand width, so it is not cleared
+  // before the pass reads it.
+  if (dst.size() != width) dst.assign(width, false);
+  const std::uint64_t* in[kMaxRows] = {};
+  for (int r = 0; r < rows; ++r) in[r] = operands[r]->words().data();
+  senseWords(in, rows, complementFirst ? ~std::uint64_t{0} : 0,
+             idealSets_[static_cast<std::size_t>(op)]
+                       [static_cast<std::size_t>(rows)],
+             words, width % 64 == 0 ? ~std::uint64_t{0}
+                                    : (std::uint64_t{1} << (width % 64)) - 1,
+             dst.mutableWords().data(), faulty ? maskWords_.data() : nullptr,
+             classCounts_.data());
   if (faulty) flipClasses(dst, op, rows, reliability::mix64(seedKey_ + step));
-}
-
-void ScoutingLogic::classifyColumns(sc::Bitstream& dst, SlOp op,
-                                    Operands operands) {
-  const int rows = static_cast<int>(operands.size());
-  const std::size_t width = operands.front()->size();
-  const std::size_t words = (width + 63) / 64;
-  std::fill_n(maskWords_.begin(), static_cast<std::size_t>(rows + 1) * words,
-              std::uint64_t{0});
-  for (std::size_t col = 0; col < width; ++col) {
-    std::size_t ones = 0;
-    for (const auto* o : operands) ones += o->get(col) ? 1 : 0;
-    maskWords_[ones * words + col / 64] |= std::uint64_t{1} << (col % 64);
-  }
-  // Every operand is read; dst may be written now.
-  dst.assign(width, false);
-  std::uint64_t* out = dst.mutableWords().data();
-  for (int k = 0; k <= rows; ++k) {
-    const std::uint64_t* mask =
-        maskWords_.data() + static_cast<std::size_t>(k) * words;
-    if (fidelity_ == Fidelity::Probabilistic) {
-      for (std::size_t w = 0; w < words; ++w) {
-        classCounts_[static_cast<std::size_t>(k)] +=
-            static_cast<std::size_t>(std::popcount(mask[w]));
-      }
-    }
-    if (!slIdeal(op, k, rows)) continue;
-    for (std::size_t w = 0; w < words; ++w) out[w] |= mask[w];
-  }
 }
 
 void ScoutingLogic::sampleInto(sc::Bitstream& dst, SlOp op, Operands operands,
@@ -346,20 +280,22 @@ void ScoutingLogic::flipClasses(sc::Bitstream& out, SlOp op, int rows,
 
 ScoutingLogic::FlipClass& ScoutingLogic::flipClass(SlOp op, int ones,
                                                    int rows) {
-  const auto read = [&](FlipClass& f) {
-    f.p = faultModel_->misdecisionProb(op, ones, rows);
-    f.invLogQ = f.p > 0.0 && f.p < 1.0 ? 1.0 / std::log1p(-f.p) : 0.0;
-  };
-  if (rows > 3) {
-    read(wideClass_);
-    wideClass_.noFlip.clear();
-    return wideClass_;
-  }
   FlipClass& f = flipTable_[(static_cast<std::size_t>(op) * 4 +
                              static_cast<std::size_t>(rows)) * 4 +
                             static_cast<std::size_t>(ones)];
-  if (f.p < 0.0) read(f);
+  if (f.p < 0.0) {
+    f.p = faultModel_->misdecisionProb(op, ones, rows);
+    f.invLogQ = f.p > 0.0 && f.p < 1.0 ? 1.0 / std::log1p(-f.p) : 0.0;
+  }
   return f;
+}
+
+double ScoutingLogic::misdecisionProb(SlOp op, int ones, int rows) {
+  if (rows < 1 || rows > kMaxRows || ones < 0 || ones > rows) {
+    throw std::invalid_argument("ScoutingLogic: bad (ones, rows) pattern");
+  }
+  return fidelity_ == Fidelity::Probabilistic ? flipClass(op, ones, rows).p
+                                              : 0.0;
 }
 
 }  // namespace aimsc::reram

@@ -20,7 +20,9 @@
 /// Operands can be stored rows (activated wordlines) or *latched* streams
 /// driven onto the bitlines through the periphery feedback path of Fig. 1c
 /// — the mechanism that lets IMSNG-opt avoid intermediate writes.  Either
-/// way one call = one sensing step = one slReads event.
+/// way one call = one sensing step = one slReads event.  A step activates
+/// one to three rows: the paper's ops (IMSNG's AND / NOR flag chain, the
+/// AND/OR/XOR/MAJ3 arithmetic) never sense more.
 #pragma once
 
 #include <array>
@@ -42,16 +44,13 @@ class ScoutingLogic {
   /// \param fidelity   see class comment
   /// \param faultModel required for Probabilistic mode (not owned)
   /// \param seed       key of the mat's misdecision draws
-  /// \param votes      temporal redundancy: each op is sensed \p votes times
-  ///                   (odd, 1/3/5) and majority-voted per column.  Charged
-  ///                   as \p votes sensing steps — the "costly protection
-  ///                   scheme" of Sec. IV-C that SC renders unnecessary.
   ScoutingLogic(CrossbarArray& array, Fidelity fidelity = Fidelity::Ideal,
                 const FaultModel* faultModel = nullptr,
-                std::uint64_t seed = 0x5c007, int votes = 1);
+                std::uint64_t seed = 0x5c007);
 
   /// Borrowed operand list shared by every op form: stored rows read out
   /// (`array().row(r)`) and/or latched feedback values, all array-width.
+  /// One to three operands; more throw std::invalid_argument.
   using Operands = std::span<const sc::Bitstream* const>;
 
   // Every op senses into \p dst, resized to the operand width (buffer
@@ -72,20 +71,15 @@ class ScoutingLogic {
   /// dst = op(operands), one sensing step.
   void opInto(SlOp op, sc::Bitstream& dst, Operands operands);
 
-  /// Misdecision probability of \p op with \p ones of \p rows activated
-  /// cells storing '1', read from the frozen table (0 unless the mat senses
-  /// with Probabilistic fidelity).
-  double misdecisionProb(SlOp op, int ones, int rows) {
-    return fidelity_ == Fidelity::Probabilistic ? flipClass(op, ones, rows).p
-                                                : 0.0;
-  }
+  /// Misdecision probability of \p op with \p ones of \p rows (1..3)
+  /// activated cells storing '1', read from the frozen table (0 unless the
+  /// mat senses with Probabilistic fidelity).
+  double misdecisionProb(SlOp op, int ones, int rows);
 
   Fidelity fidelity() const { return fidelity_; }
-  int votes() const { return votes_; }
   /// Key of the mat's misdecision draws (CORDIV keys its own from it).
   std::uint64_t seed() const { return seed_; }
-  /// Sensing steps sensed so far, each vote counted: the ordinal the next
-  /// step's key mixes.
+  /// Sensing steps sensed so far: the ordinal the next step's key mixes.
   std::uint64_t steps() const { return step_; }
   CrossbarArray& array() { return array_; }
 
@@ -99,17 +93,11 @@ class ScoutingLogic {
     std::vector<std::uint64_t> noFlip;
   };
 
-  /// Shared trunk of the op forms: validates, charges, runs one step per
-  /// vote and votes.
+  /// Shared trunk of the op forms: validates and charges one sensing step,
+  /// then senses the ideal value and pattern classes in one pass over the
+  /// words and applies this step's misdecisions.
   void executeInto(SlOp op, Operands operands, bool complementFirst,
                    sc::Bitstream& dst);
-  /// One sensing step: the ideal value and pattern classes in one pass
-  /// over the words, then this step's misdecisions.
-  void senseStepInto(sc::Bitstream& dst, SlOp op, Operands operands,
-                     bool complementFirst);
-  /// Per-column pattern classes for more than three operands, into the
-  /// mask scratch the step sized.
-  void classifyColumns(sc::Bitstream& dst, SlOp op, Operands operands);
   /// MonteCarlo sensing: sampled currents through the sense amp.
   void sampleInto(sc::Bitstream& dst, SlOp op, Operands operands,
                   bool complementFirst);
@@ -117,8 +105,7 @@ class ScoutingLogic {
   /// probability, keyed by \p stepKey.
   void flipClasses(sc::Bitstream& out, SlOp op, int rows,
                    std::uint64_t stepKey);
-  /// The (op, ones, rows) entry, read from the FaultModel on first use;
-  /// rows > 3 (the per-column path) is read into a scratch entry per call.
+  /// The (op, ones, rows) entry, read from the FaultModel on first use.
   FlipClass& flipClass(SlOp op, int ones, int rows);
 
   CrossbarArray& array_;
@@ -127,21 +114,18 @@ class ScoutingLogic {
   std::uint64_t seed_;
   std::uint64_t seedKey_;    ///< mix64(seed_)
   std::uint64_t step_ = 0;   ///< sensing-step ordinal
-  int votes_;
   SenseAmp senseAmp_;
   // Bit k set when a column with k of `rows` ones senses '1', per (op,
-  // rows <= 3).
+  // rows).
   std::array<std::array<std::uint8_t, 4>, 8> idealSets_{};
   // Probabilistic mats only (empty otherwise): the frozen table, indexed
-  // (op, rows, ones), and the scratch entry of the rows > 3 path.
+  // (op, rows, ones).
   std::vector<FlipClass> flipTable_;
-  FlipClass wideClass_;
-  // Per-step scratch (a ScoutingLogic instance is single-threaded — each
-  // tile-engine lane owns its own): class masks, (rows + 1) x words, and
-  // their popcounts; one outcome per vote.  Both only grow.
+  // Per-step scratch of faulty mats (a ScoutingLogic instance is
+  // single-threaded — each tile-engine lane owns its own): class masks,
+  // (rows + 1) x words, which only grow, and their popcounts.
   std::vector<std::uint64_t> maskWords_;
-  std::vector<std::size_t> classCounts_;
-  std::vector<sc::Bitstream> voteScratch_;
+  std::array<std::size_t, 4> classCounts_{};
   sc::Bitstream sampled_;
 };
 

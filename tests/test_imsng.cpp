@@ -146,17 +146,6 @@ TEST(Imsng, NaiveAndOptProduceIdenticalStreams) {
   }
 }
 
-TEST(Imsng, FoldedNetworkChargesFewerReads) {
-  ImsngConfig cfg;
-  cfg.foldedNetwork = true;
-  Rig rig(256, cfg);
-  rig.imsng.refreshRandomness();
-  rig.array.events().reset();
-  sc::Bitstream s;
-  rig.imsng.generateThresholdInto(128, s);  // one A-bit set: cheapest fold
-  EXPECT_LT(rig.array.events().counts().slReads, 40u);
-}
-
 TEST(Imsng, NoCommitOption) {
   ImsngConfig cfg;
   cfg.commitResult = false;

@@ -33,9 +33,9 @@ sc::Bitstream randomStream(std::mt19937_64& eng) {
 
 /// Per-class flip tallies of one op over many steps.
 struct Tally {
-  std::array<double, 5> columns{};   ///< class columns seen
-  std::array<double, 5> p{};         ///< the class's probability
-  std::array<double, 5> flips{};
+  std::array<double, 4> columns{};   ///< class columns seen
+  std::array<double, 4> p{};         ///< the class's probability
+  std::array<double, 4> flips{};
   std::array<double, kBuckets> expectedByRank{};  ///< sum of p per bucket
   std::array<double, kBuckets> flipsByRank{};
 };
@@ -64,7 +64,7 @@ Tally tallyFlips(ScoutingLogic& sl, SlOp op, int rows,
     } else {
       sl.opInto(op, out, ptrs);
     }
-    std::array<std::size_t, 5> count{};
+    std::array<std::size_t, 4> count{};
     for (std::size_t c = 0; c < kWidth; ++c) {
       int ones = 0;
       for (std::size_t r = 0; r < in.size(); ++r) {
@@ -73,7 +73,7 @@ Tally tallyFlips(ScoutingLogic& sl, SlOp op, int rows,
       cls[c] = ones;
       ++count[static_cast<std::size_t>(ones)];
     }
-    std::array<std::size_t, 5> rank{};
+    std::array<std::size_t, 4> rank{};
     for (std::size_t c = 0; c < kWidth; ++c) {
       const auto k = static_cast<std::size_t>(cls[c]);
       const std::size_t bucket = rank[k]++ * kBuckets / count[k];
@@ -120,12 +120,12 @@ struct OpCase {
 };
 
 // The ops the apps sense: IMSNG's AND and NOR(NOT flag, plane), MAJ3,
-// XOR, OR and NOT; and a four-row OR, which classifies per column.
+// XOR, OR and NOT.
 constexpr OpCase kOps[] = {
     {SlOp::And, 2, false, "AND"},   {SlOp::Nor, 2, true, "NOR(NOT a, b)"},
     {SlOp::Nor, 2, false, "NOR"},   {SlOp::Or, 2, false, "OR"},
     {SlOp::Xor, 2, false, "XOR"},   {SlOp::Maj3, 3, false, "MAJ3"},
-    {SlOp::Not, 1, false, "NOT"},   {SlOp::Or, 4, false, "OR4"},
+    {SlOp::Not, 1, false, "NOT"},
 };
 
 void checkCorner(const DeviceParams& device, const char* corner,
@@ -213,21 +213,6 @@ TEST(KeyedFlips, SameSeedAndOperandsGiveSameStreams) {
     differing += x != z ? 1 : 0;
   }
   EXPECT_GT(differing, 100);
-}
-
-TEST(KeyedFlips, EachVoteIsItsOwnStep) {
-  const DeviceParams device = apps::defaultFaultyDevice();
-  const FaultModel fm(device, 0xf417, 20000);
-  CrossbarArray arr(4, kWidth, device);
-  ScoutingLogic voted(arr, ScoutingLogic::Fidelity::Probabilistic, &fm, 0x5c,
-                      3);
-  std::mt19937_64 eng(12);
-  const sc::Bitstream a = randomStream(eng);
-  const sc::Bitstream b = randomStream(eng);
-  sc::Bitstream out;
-  voted.op2Into(SlOp::And, out, a, b);
-  EXPECT_EQ(voted.steps(), 3u);
-  EXPECT_EQ(arr.events().counts().slReads, 3u);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "reliability/fault_plan.hpp"
 #include "reliability/injector.hpp"
 #include "reliability/redundancy.hpp"
-#include "reram/scouting.hpp"
 #include "reram/wear.hpp"
 
 namespace aimsc {
@@ -27,93 +26,6 @@ reram::DeviceParams leakyDevice() {
   p.sigmaLrs = 0.15;
   p.sigmaHrs = 1.4;
   return p;
-}
-
-TEST(Voting, RejectsInvalidVoteCounts) {
-  reram::CrossbarArray arr(4, 64, reram::DeviceParams::ideal());
-  EXPECT_THROW(reram::ScoutingLogic(arr, reram::ScoutingLogic::Fidelity::Ideal,
-                                    nullptr, 1, 2),
-               std::invalid_argument);
-  EXPECT_THROW(reram::ScoutingLogic(arr, reram::ScoutingLogic::Fidelity::Ideal,
-                                    nullptr, 1, 9),
-               std::invalid_argument);
-}
-
-TEST(Voting, ChargesVotesSensingSteps) {
-  reram::CrossbarArray arr(4, 64, reram::DeviceParams::ideal());
-  reram::ScoutingLogic sl(arr, reram::ScoutingLogic::Fidelity::Ideal, nullptr,
-                          1, 3);
-  const sc::Bitstream a(64, true);
-  const sc::Bitstream b(64);
-  sc::Bitstream out;
-  sl.op2Into(reram::SlOp::And, out, a, b);
-  EXPECT_EQ(arr.events().counts().slReads, 3u);
-}
-
-TEST(Voting, IdealModeUnchanged) {
-  reram::CrossbarArray arr(4, 256, reram::DeviceParams::ideal());
-  reram::ScoutingLogic plain(arr, reram::ScoutingLogic::Fidelity::Ideal);
-  reram::ScoutingLogic voted(arr, reram::ScoutingLogic::Fidelity::Ideal,
-                             nullptr, 1, 5);
-  std::mt19937_64 eng(1);
-  sc::Bitstream a(256);
-  sc::Bitstream b(256);
-  for (std::size_t i = 0; i < 256; ++i) {
-    a.set(i, eng() & 1);
-    b.set(i, eng() & 1);
-  }
-  sc::Bitstream votedOut;
-  sc::Bitstream plainOut;
-  voted.op2Into(reram::SlOp::Xor, votedOut, a, b);
-  plain.op2Into(reram::SlOp::Xor, plainOut, a, b);
-  EXPECT_EQ(votedOut, plainOut);
-}
-
-TEST(Voting, TripleVoteSuppressesMisdecisions) {
-  const reram::DeviceParams dev = leakyDevice();
-  reram::CrossbarArray arr(4, 8192, dev);
-  reram::FaultModel fm(dev, 3, 40000);
-  reram::ScoutingLogic v1(arr, reram::ScoutingLogic::Fidelity::Probabilistic,
-                          &fm, 7, 1);
-  reram::ScoutingLogic v3(arr, reram::ScoutingLogic::Fidelity::Probabilistic,
-                          &fm, 7, 3);
-  const sc::Bitstream ones(8192, true);
-  const sc::Bitstream zeros(8192);
-  // AND(1,0) = 0 ideally; count spurious ones over repetitions.
-  std::size_t err1 = 0;
-  std::size_t err3 = 0;
-  sc::Bitstream out;
-  for (int r = 0; r < 30; ++r) {
-    v1.op2Into(reram::SlOp::And, out, ones, zeros);
-    err1 += out.popcount();
-    v3.op2Into(reram::SlOp::And, out, ones, zeros);
-    err3 += out.popcount();
-  }
-  EXPECT_GT(err1, 0u);
-  // Voting error ~ 3p^2 << p: at least an order of magnitude better here.
-  EXPECT_LT(err3 * 10, err1);
-}
-
-TEST(Voting, FiveVotesAtLeastAsGoodAsThree) {
-  const reram::DeviceParams dev = leakyDevice();
-  reram::CrossbarArray arr(4, 8192, dev);
-  reram::FaultModel fm(dev, 5, 40000);
-  reram::ScoutingLogic v3(arr, reram::ScoutingLogic::Fidelity::Probabilistic,
-                          &fm, 9, 3);
-  reram::ScoutingLogic v5(arr, reram::ScoutingLogic::Fidelity::Probabilistic,
-                          &fm, 9, 5);
-  const sc::Bitstream ones(8192, true);
-  const sc::Bitstream zeros(8192);
-  std::size_t err3 = 0;
-  std::size_t err5 = 0;
-  sc::Bitstream out;
-  for (int r = 0; r < 30; ++r) {
-    v3.op2Into(reram::SlOp::Xor, out, ones, zeros);
-    err3 += out.size() - out.popcount();
-    v5.op2Into(reram::SlOp::Xor, out, ones, zeros);
-    err5 += out.size() - out.popcount();
-  }
-  EXPECT_LE(err5, err3 + 50);
 }
 
 TEST(DmrProtection, FaultFreeBehaviourUnchangedButCostlier) {

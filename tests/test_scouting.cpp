@@ -43,7 +43,7 @@ TEST(ScoutingIdeal, MatchesWordLevelOps) {
   EXPECT_EQ(out, ~a);
 }
 
-TEST(ScoutingIdeal, PartialWordAndFourOperandsMatchWordLevelOps) {
+TEST(ScoutingIdeal, PartialWordMatchesWordLevelOpsAndFourOperandsThrow) {
   // 200 columns end mid-word: the complemented classes must not leak into
   // the tail.
   CrossbarArray arr(4, 200, DeviceParams::ideal());
@@ -62,11 +62,11 @@ TEST(ScoutingIdeal, PartialWordAndFourOperandsMatchWordLevelOps) {
   const sc::Bitstream* single[] = {&a};
   sl.opInto(SlOp::Not, out, single);
   EXPECT_EQ(out, ~a);
+  // A step senses at most three rows.
   const sc::Bitstream* four[] = {&a, &b, &c, &d};
-  sl.opInto(SlOp::And, out, four);
-  EXPECT_EQ(out, (a & b & c & d));
-  sl.opInto(SlOp::Nor, out, four);
-  EXPECT_EQ(out, ~(a | b | c | d));
+  EXPECT_THROW(sl.opInto(SlOp::And, out, four), std::invalid_argument);
+  EXPECT_THROW(sl.opInto(SlOp::Nor, out, four), std::invalid_argument);
+  EXPECT_THROW(sl.misdecisionProb(SlOp::Or, 0, 4), std::invalid_argument);
 }
 
 TEST(ScoutingIdeal, OperatesOnStoredRows) {

@@ -217,26 +217,30 @@ TEST(TileExecutor, EncodeBatchMatchesSerialCorrelatedEncodes) {
   EXPECT_EQ(batched.events(), serial.events());
 }
 
-TEST(TileExecutor, EncodeBatchMatchesSerialEventsWithFoldedNetwork) {
-  // The folded XAG schedule can charge FEWER steps than the dataflow
-  // issues; the batch path must replicate the serial max(schedule,
-  // dataflow) accounting.
-  AcceleratorConfig cfg = idealMat(64);
-  cfg.foldedNetwork = true;
-  ReramScBackend batched(cfg);
-  Accelerator serial(cfg);
-
+TEST(TileExecutor, EncodeBatchMatchesSerialAtOtherSegmentSizes) {
+  // M = 6 serves the batch from the per-epoch byte cache, M = 9 runs the
+  // scouting dataflow per value; both must match per-value correlated
+  // encodes stream for stream and event for event, duplicates and p = 1
+  // included, on a width that ends mid-word.
   std::vector<std::uint8_t> values;
   for (int v = 0; v < 256; v += 5) values.push_back(static_cast<std::uint8_t>(v));
-  const auto streams = batched.encodePixels(values);
+  values.push_back(40);
+  for (const int m : {6, 9}) {
+    AcceleratorConfig cfg = idealMat(200);
+    cfg.mBits = m;
+    ReramScBackend batched(cfg);
+    Accelerator serial(cfg);
+    const auto streams = batched.encodePixels(values);
 
-  serial.refreshRandomness();
-  sc::Bitstream expect;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    serial.encodeProbCorrelatedInto(expect, values[i] / 255.0);
-    EXPECT_EQ(streams[i].stream, expect);
+    serial.refreshRandomness();
+    sc::Bitstream expect;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      serial.encodeProbCorrelatedInto(expect, values[i] / 255.0);
+      EXPECT_EQ(streams[i].stream, expect)
+          << "M = " << m << ", value " << int(values[i]);
+    }
+    EXPECT_EQ(batched.events(), serial.events()) << "M = " << m;
   }
-  EXPECT_EQ(batched.events(), serial.events());
 }
 
 TEST(TileExecutor, TiledFiltersDeterministicAndInQualityClass) {
