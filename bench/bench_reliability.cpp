@@ -53,6 +53,7 @@ const char* designKey(apps::DesignKind d) {
     case apps::DesignKind::SwScSimd: return "swsc_simd";
     case apps::DesignKind::ReramSc: return "reram_sc";
     case apps::DesignKind::BinaryCim: return "binary_cim";
+    case apps::DesignKind::SwScSfmt: return "swsc_sfmt";
   }
   return "?";
 }

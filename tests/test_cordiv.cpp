@@ -96,8 +96,8 @@ TEST(CordivDivide, IntoFormsMatchAllocatingForms) {
   for (const std::size_t n : {std::size_t{1}, std::size_t{63},
                               std::size_t{64}, std::size_t{65},
                               std::size_t{256}, std::size_t{1000}}) {
-    for (const auto [px, py] : {std::pair{0.1, 0.5}, std::pair{0.45, 0.9},
-                                std::pair{0.7, 0.7}}) {
+    for (const auto& [px, py] : {std::pair{0.1, 0.5}, std::pair{0.45, 0.9},
+                                 std::pair{0.7, 0.7}}) {
       const auto [x, y] = makeCorrelatedPair(src, px, py, 8, n);
       for (const CordivVariant v :
            {CordivVariant::DFlipFlop, CordivVariant::JkFlipFlop}) {
