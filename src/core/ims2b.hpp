@@ -24,7 +24,7 @@ class ImS2B {
   explicit ImS2B(reram::CrossbarArray& array);
 
   /// Voltage-input mode: the stream drives the reference column (no write).
-  /// Returns the ADC code in [0, 2^bits - 1].
+  /// Returns the ADC code in [0, 255].
   std::uint32_t convert(const sc::Bitstream& stream);
 
   /// Resistance mode (CORDIV output already stored as a column): charges a
@@ -36,8 +36,6 @@ class ImS2B {
 
   /// Code scaled to an 8-bit pixel value.
   std::uint8_t toPixel(std::uint32_t code) const;
-
-  const reram::AdcModel& adc() const { return adc_; }
 
  private:
   reram::CrossbarArray& array_;
