@@ -7,6 +7,15 @@ namespace aimsc::logic {
 
 namespace {
 
+/// Input name: \p prefix then the bit index ("a7", "r0").  Appending to a
+/// one-character string keeps GCC 12's -Wrestrict false positive on
+/// `"a" + std::to_string(i)` out of the build.
+std::string inputName(char prefix, int i) {
+  std::string name(1, prefix);
+  name += std::to_string(i);
+  return name;
+}
+
 /// Core construction shared by the generic and constant-folded builders:
 /// A literal vector (constants or inputs) compared against R inputs.
 GreaterThanNetwork buildCore(int nbits, const std::uint32_t* aValue) {
@@ -17,7 +26,7 @@ GreaterThanNetwork buildCore(int nbits, const std::uint32_t* aValue) {
   std::vector<Literal> aLits;
   for (int i = nbits - 1; i >= 0; --i) {  // MSB first
     if (aValue == nullptr) {
-      const Literal l = net.xag.addInput("a" + std::to_string(i));
+      const Literal l = net.xag.addInput(inputName('a', i));
       net.aInputs.push_back(l);
       aLits.push_back(l);
     } else {
@@ -26,7 +35,7 @@ GreaterThanNetwork buildCore(int nbits, const std::uint32_t* aValue) {
     }
   }
   for (int i = nbits - 1; i >= 0; --i) {
-    net.rInputs.push_back(net.xag.addInput("r" + std::to_string(i)));
+    net.rInputs.push_back(net.xag.addInput(inputName('r', i)));
   }
 
   Xag& g = net.xag;

@@ -185,13 +185,17 @@ __attribute__((target("avx2"))) void lanePairPassAvx2(
 }
 
 /// One pass for FOUR adjacent lanes fused in one 512-bit register
-/// (vpslldq/vpsrldq per-128-bit-lane semantics again).
+/// (vpslldq/vpsrldq per-128-bit-lane semantics again).  The broadcast and
+/// the dword shifts use their zero-masked forms under an all-ones mask,
+/// which compute the same values: GCC's unmasked forms hand the builtin an
+/// undefined pass-through operand that -Wuninitialized reports.
 __attribute__((target("avx512f,avx512bw"))) void laneQuadPassAvx512(
     std::uint32_t* quad, std::size_t blockStride) {
+  constexpr __mmask16 kAll = 0xffff;
   const __m128i msk128 = _mm_set_epi32(
       static_cast<int>(kMsk[3]), static_cast<int>(kMsk[2]),
       static_cast<int>(kMsk[1]), static_cast<int>(kMsk[0]));
-  const __m512i msk = _mm512_broadcast_i32x4(msk128);
+  const __m512i msk = _mm512_maskz_broadcast_i32x4(kAll, msk128);
   const auto at = [&](int i) {
     return quad + static_cast<std::size_t>(i) * blockStride;
   };
@@ -202,9 +206,11 @@ __attribute__((target("avx512f,avx512bw"))) void laneQuadPassAvx512(
     const __m512i y = _mm512_loadu_si512(at((i + kMid) % Sfmt::kBlocks));
     __m512i fresh = _mm512_xor_si512(x, _mm512_bslli_epi128(x, 1));
     fresh = _mm512_xor_si512(
-        fresh, _mm512_and_si512(_mm512_srli_epi32(y, kSr1), msk));
+        fresh,
+        _mm512_and_si512(_mm512_maskz_srli_epi32(kAll, y, kSr1), msk));
     fresh = _mm512_xor_si512(fresh, _mm512_bsrli_epi128(r1, 1));
-    fresh = _mm512_xor_si512(fresh, _mm512_slli_epi32(r2, kSl1));
+    fresh =
+        _mm512_xor_si512(fresh, _mm512_maskz_slli_epi32(kAll, r2, kSl1));
     _mm512_storeu_si512(at(i), fresh);
     r1 = r2;
     r2 = fresh;
