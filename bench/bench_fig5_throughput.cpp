@@ -6,10 +6,11 @@
 // (batched IMSNG + lane-pinned row tiles) across worker-thread counts,
 // verifying that the tiled output is bit-identical at every thread count.
 //
-// Part 3 measures the software-SC substrate: the scalar SwScLfsr backend
-// (one virtual RNG call per stream bit) against the SIMD-batched SwScSimd
-// backend (bulk LFSR + packed comparator), verifying the two are
-// bit-identical per seed.  Target: >= 8x at 256x256, N = 256.
+// Part 3 measures the software-SC substrate: the scalar SwScBackend oracle
+// (it walks each epoch's generator) against SwScSimdBackend, the bulk
+// engine every SW-SC design runs on (LFSR draws from the one 255-state
+// cycle + packed comparator), verifying the two are bit-identical per
+// seed.
 //
 // Results are also written to BENCH_throughput.json so the perf trajectory
 // is machine-trackable.
@@ -76,8 +77,8 @@ double bestSeconds(int reps, RunFn&& run) {
   return best;
 }
 
-/// Part 3: the software-SC substrate — scalar vs SIMD-batched (same design
-/// point, same seed, bit-identical output by contract), the full width
+/// Part 3: the software-SC substrate — scalar oracle vs bulk engine (same
+/// design point, same seed, bit-identical output by contract), the full width
 /// ladder (each explicit request clamps down on weak hosts, so every entry
 /// is measurable everywhere), and the SFMT epoch-source family.
 SwScResult measuredSwScSweep(std::size_t size,
@@ -156,7 +157,7 @@ SwScResult measuredSwScSweep(std::size_t size,
   fleetCfg.streamLength = 256;
   fleetCfg.seed = scalarCfg.seed;
   core::TileExecutor exec(
-      core::makeBackendLanes(core::DesignKind::SwScSimd, fleetCfg, par.lanes),
+      core::makeBackendLanes(core::DesignKind::SwScLfsr, fleetCfg, par.lanes),
       par);
   const auto t0 = std::chrono::steady_clock::now();
   apps::runTiled(apps::framesOf(scene), exec);
@@ -165,9 +166,9 @@ SwScResult measuredSwScSweep(std::size_t size,
   std::printf(
       "\nSoftware-SC substrate: %zux%zu compositing, N=256 "
       "(auto width: %s; AVX2 %s, AVX-512BW %s)\n"
-      "  SwScLfsr scalar backend:  %10.0f pixels/s\n"
-      "  SwScSimd serial backend:  %10.0f pixels/s (%.1fx scalar)\n"
-      "  SwScSimd tiled, 4 threads:%10.0f pixels/s (%.1fx scalar)\n"
+      "  scalar oracle (LFSR):     %10.0f pixels/s\n"
+      "  bulk engine, serial:      %10.0f pixels/s (%.1fx scalar)\n"
+      "  bulk engine, 4 threads:   %10.0f pixels/s (%.1fx scalar)\n"
       "  SIMD bit-identical to scalar: %s\n",
       size, size, r.simdWidth, sc::cpuHasAvx2() ? "available" : "absent",
       sc::cpuHasAvx512bw() ? "available" : "absent", r.scalarPps, r.simdPps,

@@ -58,9 +58,9 @@ Cell averaged(RunFn&& run, int runs) {
 }
 
 /// Bit-identity contracts of the promoted vocabulary, checked on small
-/// scenes: SwScSimd vs SwScLfsr per op and per kernel, and the fused
-/// (arena + *Into) gamma kernel vs a verbatim allocating per-pixel loop on
-/// an identically seeded ReRAM accelerator.
+/// scenes: the bulk SW-SC engine vs the scalar oracle (LFSR) per op and
+/// per kernel, and the fused (arena + *Into) gamma kernel vs a verbatim
+/// allocating per-pixel loop on an identically seeded ReRAM accelerator.
 struct VocabIdentity {
   bool simdMinimum = false;
   bool simdMaximum = false;
@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
 
   const VocabIdentity vid = checkVocabIdentity();
   std::printf(
-      "bit-identity: SwScSimd==SwScLfsr min %s max %s addApprox %s "
+      "bit-identity: bulk==scalar SW-SC min %s max %s addApprox %s "
       "bernstein %s gamma %s morphology %s; ReRAM fused gamma %s\n",
       vid.simdMinimum ? "yes" : "NO", vid.simdMaximum ? "yes" : "NO",
       vid.simdAddApprox ? "yes" : "NO", vid.simdBernstein ? "yes" : "NO",

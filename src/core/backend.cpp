@@ -8,7 +8,6 @@
 #include "core/backend_bincim.hpp"
 #include "core/backend_reference.hpp"
 #include "core/backend_reram.hpp"
-#include "core/backend_swsc.hpp"
 #include "core/backend_swsc_simd.hpp"
 #include "reliability/injector.hpp"
 
@@ -261,22 +260,15 @@ std::unique_ptr<ScBackend> makeInnerBackend(
     case DesignKind::Reference:
       return std::make_unique<ReferenceBackend>();
     case DesignKind::SwScLfsr:
+    case DesignKind::SwScSimd:  // an alias of SwScLfsr
     case DesignKind::SwScSobol:
     case DesignKind::SwScSfmt: {
-      SwScConfig sw;
-      sw.streamLength = config.streamLength;
-      sw.sng = design == DesignKind::SwScLfsr    ? SwScSng::Lfsr
-               : design == DesignKind::SwScSobol ? SwScSng::Sobol
-                                                 : SwScSng::Sfmt;
-      sw.seed = config.seed;
-      return std::make_unique<SwScBackend>(sw);
-    }
-    case DesignKind::SwScSimd: {
       SwScSimdConfig sw;
       sw.streamLength = config.streamLength;
-      sw.sng = SwScSng::Lfsr;  // the SwScLfsr design point, batched
+      sw.sng = design == DesignKind::SwScSobol  ? SwScSng::Sobol
+               : design == DesignKind::SwScSfmt ? SwScSng::Sfmt
+                                                : SwScSng::Lfsr;
       sw.seed = config.seed;
-      sw.simd = config.simd;
       return std::make_unique<SwScSimdBackend>(sw);
     }
     case DesignKind::ReramSc: {

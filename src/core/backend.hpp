@@ -17,20 +17,21 @@
 ///    outputs need (Sec. IV-B);
 ///  * accounting — ReRAM event counts and a backend-defined op counter.
 ///
-/// Five substrates implement it (see the sibling backend_*.hpp files):
+/// Four substrates implement it (see the sibling backend_*.hpp files):
 ///
 ///  | DesignKind  | implementation   | value domain           |
 ///  |-------------|------------------|------------------------|
 ///  | Reference   | ReferenceBackend | double probability     |
-///  | SwScLfsr/   | SwScBackend      | software Bitstream     |
-///  |  SwScSobol/ |                  | (LFSR / Sobol / SFMT   |
-///  |  SwScSfmt   |                  |  SNG family)           |
-///  | SwScSimd    | SwScSimdBackend  | software Bitstream     |
-///  |             |                  | (word/SSE2/AVX2/AVX-512|
-///  |             |                  | SNG; bit-identical to  |
-///  |             |                  | SwScLfsr)              |
+///  | SwScLfsr/   | SwScSimdBackend  | software Bitstream     |
+///  |  SwScSobol/ | (the one SW-SC   | (LFSR / Sobol / SFMT   |
+///  |  SwScSfmt/  |  engine)         |  SNG family; SwScSimd  |
+///  |  SwScSimd   |                  |  is an alias of        |
+///  |             |                  |  SwScLfsr)             |
 ///  | ReramSc     | ReramScBackend   | in-memory Bitstream    |
 ///  | BinaryCim   | BinaryCimBackend | 8/16-bit integer word  |
+///
+/// `SwScBackend`, the scalar SW-SC engine, is no factory product: it is
+/// the oracle the bulk engine is tested against.
 ///
 /// Writing an app once against this interface replaces the former
 /// O(apps x designs) matrix of hand-written variants with O(apps +
@@ -51,7 +52,6 @@
 #include "reram/events.hpp"
 #include "reram/fault_model.hpp"
 #include "sc/bitstream.hpp"
-#include "sc/simd_caps.hpp"
 
 /// \namespace aimsc
 /// \brief Root namespace of the all-in-memory SC reproduction.
@@ -61,22 +61,24 @@
 ///        backend factory and the tile-parallel engine.
 namespace aimsc::core {
 
-/// Execution substrate selector (the paper's Table IV design axis, plus
-/// the SIMD-batched software-SC engine — same design point as SwScLfsr,
-/// executed word-parallel).
+/// Execution substrate selector (the paper's Table IV design axis).
 enum class DesignKind {
   Reference,  ///< exact floating-point probabilities
-  SwScLfsr,   ///< scalar software SC, LFSR SNG
-  SwScSobol,  ///< scalar software SC, Sobol SNG
-  SwScSimd,   ///< word/SIMD-batched software SC (bit-identical to SwScLfsr)
+  SwScLfsr,   ///< software SC, LFSR SNG
+  SwScSobol,  ///< software SC, Sobol SNG
+  /// Alias of SwScLfsr: the same backend and the same bytes.  Kept so that
+  /// requests and wire frames that name it (value 3) still decode.
+  SwScSimd,
   ReramSc,    ///< this work: in-memory SC on ReRAM
   BinaryCim,  ///< binary CIM baseline (MAGIC/AritPIM)
   // Appended after BinaryCim: the wire protocol serializes DesignKind by
   // value, so existing entries must never be renumbered.
-  SwScSfmt,   ///< scalar software SC, SIMD-native SFMT SNG family
+  SwScSfmt,   ///< software SC, SIMD-native SFMT SNG family
 };
 
-/// Human-readable name of \p design (matches the backend's `name()`).
+/// Human-readable name of \p design.  It matches the factory-built
+/// backend's `name()`, except for the alias `SwScSimd` ("SW-SC (SIMD)"),
+/// whose backend reports "SW-SC (LFSR)".
 const char* designKindName(DesignKind design);
 
 /// Lowercase-alphanumeric fold shared by the selector parsers
@@ -134,7 +136,7 @@ class ScBackend {
   virtual ~ScBackend() = default;
 
   /// Human-readable substrate name (matches `designKindName` for
-  /// factory-built backends).
+  /// factory-built backends, `SwScSimd` aside).
   virtual const char* name() const = 0;
 
   // --- stage 1: binary -> backend domain ----------------------------------
@@ -356,13 +358,6 @@ using FaultModelProvider =
 struct BackendFactoryConfig {
   std::size_t streamLength = 256;  ///< N (stream backends)
   std::uint64_t seed = 0x5eed;     ///< master randomness seed
-
-  /// Instruction-set width for the SIMD SW-SC substrate (`SwScSimd`):
-  /// `Auto` picks the widest supported level (honouring the `AIMSC_SIMD`
-  /// env override); explicit levels clamp down to host support.  A pure
-  /// performance knob — every width emits bit-identical streams — so it is
-  /// deliberately NOT part of the shard wire protocol.
-  sc::SimdMode simd = sc::SimdMode::Auto;
 
   /// The unified fault contract (docs/RELIABILITY.md): device variability
   /// feeds the substrate's native fault models, the stream/word-level

@@ -114,6 +114,15 @@ void SwScConstantPool::onNewEpoch() { ++epochStamp_; }
 SwScGateBackend::SwScGateBackend(const SwScConfig& config)
     : config_(config), constants_(config) {}
 
+const char* SwScGateBackend::name() const {
+  switch (config_.sng) {
+    case SwScSng::Lfsr: return "SW-SC (LFSR)";
+    case SwScSng::Sobol: return "SW-SC (Sobol)";
+    case SwScSng::Sfmt: return "SW-SC (SFMT)";
+  }
+  return "SW-SC (?)";
+}
+
 void SwScGateBackend::encodeProbInto(ScValue& dst, double p) {
   constants_.getInto(dst.stream, p);
 }
@@ -213,15 +222,6 @@ SwScBackend::SwScBackend(const SwScConfig& config)
       sobolSource_(0, 1),
       sfmtSource_(1) {
   newEpoch();
-}
-
-const char* SwScBackend::name() const {
-  switch (config().sng) {
-    case SwScSng::Lfsr: return "SW-SC (LFSR)";
-    case SwScSng::Sobol: return "SW-SC (Sobol)";
-    case SwScSng::Sfmt: return "SW-SC (SFMT)";
-  }
-  return "SW-SC (?)";
 }
 
 void SwScBackend::newEpoch() {

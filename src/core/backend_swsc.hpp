@@ -136,6 +136,10 @@ class SwScGateBackend : public ScBackend {
  public:
   explicit SwScGateBackend(const SwScConfig& config);
 
+  /// "SW-SC (LFSR)" / "SW-SC (Sobol)" / "SW-SC (SFMT)": the design point,
+  /// whichever engine runs it.
+  const char* name() const override;
+
   // The packed-word gate set writes its result words straight into the
   // destination buffer (allocation-free on warm destinations).
   void encodeProbInto(ScValue& dst, double p) override;
@@ -183,15 +187,13 @@ class SwScGateBackend : public ScBackend {
   std::vector<const sc::Bitstream*> coeffPtrScratch_;
 };
 
-/// Scalar software-SC execution engine (the Table III/IV "CMOS SC"
-/// baseline): one virtual RNG call per bit of each randomness epoch.
-/// `SwScSimdBackend` is the word-parallel drop-in replacement with
-/// identical output.
+/// Scalar software-SC engine (the Table III/IV "CMOS SC" baseline): it
+/// walks each randomness epoch's generator one draw at a time.  The
+/// factory builds `SwScSimdBackend` for every SW-SC design; this engine is
+/// the oracle the tests and bench_fig5 hold that one to, bit for bit.
 class SwScBackend final : public SwScGateBackend {
  public:
   explicit SwScBackend(const SwScConfig& config);
-
-  const char* name() const override;
 
   /// Fused-row stage-1 forms: the epoch's comparator draw sequence
   /// R_0..R_{N-1} is materialized ONCE per epoch (the per-stream source

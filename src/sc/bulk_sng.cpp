@@ -1,6 +1,11 @@
 #include "sc/bulk_sng.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
 #include <stdexcept>
+
+#include "sc/rng.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -13,56 +18,40 @@ namespace aimsc::sc {
 
 namespace {
 
-// Taps {8,5,3,1} (1-based from the output end) = state bits 7,4,2,0.
-constexpr std::uint64_t kTapMask = 0x9595959595959595ull;
-constexpr std::uint64_t kLowBits = 0x0101010101010101ull;
-constexpr std::uint64_t kShiftMask = 0xfefefefefefefefeull;
+constexpr std::size_t kLfsrPeriod = 255;
 
-/// Advances 8 packed LFSR lanes one step.  The parity of the tapped bits is
-/// folded into bit 0 of each byte: after t ^= t>>4 ^ t>>2 ^ t>>1, bit 8b of
-/// the word is the XOR of (masked) bits 8b..8b+7, which all belong to lane
-/// b — neighbouring lanes never contaminate the feedback bit.
-inline std::uint64_t stepWord(std::uint64_t w) {
-  std::uint64_t t = w & kTapMask;
-  t ^= t >> 4;
-  t ^= t >> 2;
-  t ^= t >> 1;
-  return ((w << 1) & kShiftMask) | (t & kLowBits);
-}
+/// The paper LFSR's one cycle, stored twice so that any 255 consecutive
+/// draws are one contiguous run, and each state's position in it.
+struct LfsrCycle {
+  std::array<std::uint8_t, 2 * kLfsrPeriod> states{};
+  std::array<std::uint8_t, 256> position{};
+};
 
 }  // namespace
 
-template <std::size_t Lanes>
-BulkLfsr<Lanes>::BulkLfsr(const std::array<std::uint8_t, kLanes>& seeds) {
-  state_.fill(0);
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    if (seeds[k] == 0) {
-      throw std::invalid_argument("BulkLfsr: zero seed locks the register");
+void paperLfsrDraws(std::uint8_t seed, std::size_t n, std::uint8_t* out) {
+  if (seed == 0) {
+    throw std::invalid_argument("paperLfsrDraws: zero seed locks the register");
+  }
+  static const LfsrCycle kCycle = [] {
+    LfsrCycle c;
+    Lfsr lfsr = Lfsr::paper8Bit(1);
+    for (std::size_t k = 0; k < c.states.size(); ++k) {
+      c.states[k] = static_cast<std::uint8_t>(lfsr.state());
+      if (k < kLfsrPeriod) {
+        c.position[c.states[k]] = static_cast<std::uint8_t>(k);
+      }
+      lfsr.step();
     }
-    state_[k / 8] |= static_cast<std::uint64_t>(seeds[k]) << (8 * (k % 8));
+    return c;
+  }();
+  // Draw i is the state i+1 steps past the seed; after 255 draws the run
+  // starts over at the same position.
+  const std::uint8_t* run = kCycle.states.data() + kCycle.position[seed] + 1;
+  for (std::size_t i = 0; i < n; i += kLfsrPeriod) {
+    std::memcpy(out + i, run, std::min(kLfsrPeriod, n - i));
   }
 }
-
-template <std::size_t Lanes>
-void BulkLfsr<Lanes>::step() {
-  for (auto& w : state_) w = stepWord(w);
-}
-
-template <std::size_t Lanes>
-std::uint8_t BulkLfsr<Lanes>::lane(std::size_t k) const {
-  return static_cast<std::uint8_t>(state_[k / 8] >> (8 * (k % 8)));
-}
-
-template <std::size_t Lanes>
-void BulkLfsr<Lanes>::generate(std::size_t n, std::uint8_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    step();
-    for (std::size_t k = 0; k < kLanes; ++k) out[k * n + i] = lane(k);
-  }
-}
-
-template class BulkLfsr<32>;
-template class BulkLfsr<64>;
 
 // ---------------------------------------------------------------------------
 // RandomPlanes

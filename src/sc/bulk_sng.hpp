@@ -1,7 +1,7 @@
 /// \file bulk_sng.hpp
-/// \brief Word/SIMD-parallel stochastic number generation: a width-generic
-///        bulk LFSR that advances many registers per instruction and a
-///        packed bit-plane comparator dispatched over the full
+/// \brief Word/SIMD-parallel stochastic number generation: the paper
+///        LFSR's draws copied from its one 255-state cycle, and a packed
+///        bit-plane comparator dispatched over the full
 ///        portable / SSE2 / AVX2 / AVX-512BW ladder of sc/simd_caps.hpp.
 ///
 /// The scalar SW-SC path pays one virtual RNG call **per stream bit**
@@ -9,16 +9,13 @@
 /// restructures the same comparator construction (Sec. II-B: bit i =
 /// R_i < X) into two batched stages:
 ///
-///  1. **Bulk PRNG** — `BulkLfsr<Lanes>` keeps `Lanes` independent 8-bit
-///     Fibonacci LFSRs with the state laid out *stream-major* (lane k =
-///     byte k of the packed state words, the MT19937-SIMD state-layout
-///     idiom), so one SWAR word operation advances 8 registers and one
-///     vector operation advances 16 (SSE2), 32 (AVX2) or 64 (AVX-512) —
-///     the compiler vectorizes the word update loop at whatever width the
-///     build allows.  Each lane reproduces `Lfsr::paper8Bit` bit for bit.
-///     `BulkLfsr8` (32 lanes) is the default epoch-prefetch shape;
-///     `BulkLfsr8Wide` (64 lanes) covers a whole AVX-512 register per word
-///     pass and doubles the prefetch depth on 512-bit hosts.
+///  1. **Epoch draws** — `paperLfsrDraws` writes the n `next(8)` draws of
+///     `Lfsr::paper8Bit(seed)` with one block copy per 255 draws.  Taps
+///     {8,5,3,1} are maximal, so every nonzero seed walks the same
+///     255-state cycle from its own position (Golomb, *Shift Register
+///     Sequences*, 1967): one cycle table and one state -> position table
+///     replace stepping the register.  The SFMT family batches its epochs
+///     through `BulkSfmt` (sc/sfmt.hpp).
 ///  2. **Packed comparator** — `RandomPlanes` stores one randomness epoch's
 ///     comparator sequence R both as raw bytes and as eight transposed
 ///     bit-planes.  `encode` then evaluates R_i < X for 64 stream bits per
@@ -32,7 +29,6 @@
 ///     `sc::resolveSimd`, i.e. honours the `AIMSC_SIMD` override.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -42,49 +38,12 @@
 
 namespace aimsc::sc {
 
-/// Batch of `Lanes` independent 8-bit maximal LFSRs (taps {8,5,3,1},
-/// matching `Lfsr::paper8Bit`) advanced in lock-step with word-parallel
-/// arithmetic.
-///
-/// State layout is stream-major: register k lives in byte k of the packed
-/// `Lanes/8`-x-`uint64_t` state, so the shift/parity update touches every
-/// register with the same handful of word ops.  Used by the SIMD SW-SC
-/// backend to prefetch the comparator sequences of the next `Lanes`
-/// randomness epochs in one pass.
-template <std::size_t Lanes>
-class BulkLfsr {
-  static_assert(Lanes % 8 == 0, "lanes must pack whole uint64 words");
-
- public:
-  /// Number of independent LFSR lanes advanced per step.
-  static constexpr std::size_t kLanes = Lanes;
-
-  /// Seeds lane k with `seeds[k]`; every seed must be in [1, 255]
-  /// (a zero seed locks a Fibonacci LFSR at zero; throws
-  /// std::invalid_argument).
-  explicit BulkLfsr(const std::array<std::uint8_t, kLanes>& seeds);
-
-  /// Advances every lane one step (the SWAR equivalent of `Lanes` calls to
-  /// `Lfsr::step`).
-  void step();
-
-  /// Post-step state of lane \p k (equals `Lfsr::step()`'s return value).
-  std::uint8_t lane(std::size_t k) const;
-
-  /// Runs \p n steps and writes the state sequences stream-major:
-  /// `out[k * n + i]` is lane k's state after step i+1 — exactly the
-  /// sequence `Lfsr::paper8Bit(seeds[k])` produces from n `next(8)` calls.
-  /// \p out must have room for `kLanes * n` bytes.
-  void generate(std::size_t n, std::uint8_t* out);
-
- private:
-  std::array<std::uint64_t, Lanes / 8> state_;
-};
-
-/// The default epoch-prefetch shape (one AVX2 register per word pass).
-using BulkLfsr8 = BulkLfsr<32>;
-/// Deep prefetch for 512-bit hosts (one AVX-512 register per word pass).
-using BulkLfsr8Wide = BulkLfsr<64>;
+/// Writes the first \p n `next(8)` draws of `Lfsr::paper8Bit(seed)` to
+/// \p out (room for \p n bytes): `out[i]` is the register state after
+/// step i+1, read from the one 255-state cycle of taps {8,5,3,1}.  A zero
+/// seed locks a Fibonacci LFSR at zero, so it throws
+/// std::invalid_argument, as `Lfsr` does.
+void paperLfsrDraws(std::uint8_t seed, std::size_t n, std::uint8_t* out);
 
 /// One randomness epoch's comparator sequence R_0..R_{n-1}, stored packed
 /// for word-parallel encoding: the raw bytes (SIMD compare paths) plus the

@@ -77,9 +77,8 @@ class Sfmt final : public RandomSource {
 };
 
 /// Batch of `kLanes` independent SFMT-style generators producing the
-/// stream-major comparator-draw block the SIMD SW-SC backend prefetches
-/// (lane k = randomness epoch base+k), exactly like `BulkLfsr` does for
-/// the LFSR family.
+/// stream-major comparator-draw block the bulk SW-SC engine prefetches
+/// (lane k = randomness epoch base+k).
 ///
 /// State layout is lane-major per block index: block i of lanes
 /// k..k+3 are adjacent 128-bit slots, so one 256-bit (512-bit) register

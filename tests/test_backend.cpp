@@ -9,6 +9,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sc/bernstein.hpp"
@@ -26,6 +27,7 @@
 #include "core/backend_reference.hpp"
 #include "core/backend_reram.hpp"
 #include "core/backend_swsc.hpp"
+#include "core/backend_swsc_simd.hpp"
 #include "core/tile_executor.hpp"
 #include "img/image.hpp"
 #include "img/synth.hpp"
@@ -230,7 +232,10 @@ TEST(BackendFactory, NamesAndKinds) {
         DesignKind::BinaryCim}) {
     const auto b = makeBackend(d, cfg);
     ASSERT_NE(b, nullptr);
-    EXPECT_STREQ(b->name(), designKindName(d));
+    // SwScSimd is an alias of SwScLfsr, and its backend says so.
+    EXPECT_STREQ(b->name(), designKindName(d == DesignKind::SwScSimd
+                                               ? DesignKind::SwScLfsr
+                                               : d));
   }
 }
 
@@ -562,9 +567,11 @@ TEST(BackendEquivalence, ReramBatchedDecodeMatchesScalar) {
 
 // --- SW-SC word-level encode vs the per-bit SNG path -----------------------
 //
-// SwScBackend encodes through a per-epoch comparator byte cache.  The oracle
-// below is the per-bit path it replaced: every stream restarts the epoch's
-// source and draws N comparator bytes through sc::generateSbsFromProb.
+// Both SW-SC engines encode through a per-epoch comparator byte cache: the
+// scalar oracle walks the epoch's generator, the bulk engine copies LFSR
+// draws from the cycle table and batches SFMT epochs.  The oracle below is
+// the per-bit path they replaced: every stream restarts the epoch's source
+// and draws N comparator bytes through sc::generateSbsFromProb.
 
 std::unique_ptr<sc::RandomSource> perBitEpochSource(const SwScConfig& cfg,
                                                     std::uint64_t epoch) {
@@ -594,14 +601,26 @@ std::vector<sc::Bitstream> perBitEncode(sc::RandomSource& epochSource,
   return out;
 }
 
-class SwScPerBitPath : public ::testing::TestWithParam<SwScSng> {};
+enum class SwScEngine { Scalar, Bulk };
+
+std::unique_ptr<ScBackend> makeSwScEngine(SwScEngine engine,
+                                          const SwScConfig& cfg) {
+  if (engine == SwScEngine::Scalar) return std::make_unique<SwScBackend>(cfg);
+  SwScSimdConfig bulk;
+  static_cast<SwScConfig&>(bulk) = cfg;
+  return std::make_unique<SwScSimdBackend>(bulk);
+}
+
+class SwScPerBitPath
+    : public ::testing::TestWithParam<std::tuple<SwScSng, SwScEngine>> {};
 
 TEST_P(SwScPerBitPath, WordLevelEncodeMatchesPerBitSng) {
   SwScConfig cfg;
-  cfg.sng = GetParam();
+  cfg.sng = std::get<0>(GetParam());
   cfg.streamLength = 200;  // not a word multiple: exercises the tail
   cfg.seed = 0x5eedf00d;
-  SwScBackend backend(cfg);
+  const auto engine = makeSwScEngine(std::get<1>(GetParam()), cfg);
+  ScBackend& backend = *engine;
   // The constructor opens epoch 1; every fresh-epoch encode opens the next.
   std::uint64_t epoch = 1;
   std::unique_ptr<sc::RandomSource> source;
@@ -635,12 +654,17 @@ TEST_P(SwScPerBitPath, WordLevelEncodeMatchesPerBitSng) {
   EXPECT_EQ(got[0].stream, perBitEncode(*source, cfg, one)[0]);
 }
 
-INSTANTIATE_TEST_SUITE_P(Families, SwScPerBitPath,
-                         ::testing::Values(SwScSng::Lfsr, SwScSng::Sobol,
-                                           SwScSng::Sfmt),
-                         [](const ::testing::TestParamInfo<SwScSng>& info) {
-                           return std::string(swScSngName(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Families, SwScPerBitPath,
+    ::testing::Combine(::testing::Values(SwScSng::Lfsr, SwScSng::Sobol,
+                                         SwScSng::Sfmt),
+                       ::testing::Values(SwScEngine::Scalar,
+                                         SwScEngine::Bulk)),
+    [](const auto& info) {
+      return std::string(swScSngName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) == SwScEngine::Scalar ? "Scalar"
+                                                            : "Bulk");
+    });
 
 // --- generic (non-ReRAM) lane fleets ---------------------------------------
 

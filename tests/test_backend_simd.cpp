@@ -1,14 +1,13 @@
-// SIMD-batched SW-SC backend suite: the bulk SNG layer reproduces the
-// scalar sources bit for bit, the word-level CORDIV equals the serial
-// flip-flop, SwScSimd is bit-identical to the scalar SW-SC backends on all
-// four apps, every width on the SSE2/AVX2/AVX-512 ladder agrees with the
-// portable fallback, and tiled runs are deterministic across worker-thread
-// counts.
+// Bulk SW-SC engine suite: the epoch draws reproduce the scalar sources
+// bit for bit, the word-level CORDIV equals the serial flip-flop, the bulk
+// engine is bit-identical to the scalar SW-SC oracle on all four apps,
+// every width on the SSE2/AVX2/AVX-512 ladder agrees with the portable
+// fallback, and tiled runs are deterministic across worker-thread counts.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "apps/bilinear.hpp"
@@ -35,51 +34,25 @@ using core::SwScConfig;
 using core::SwScSimdBackend;
 using core::SwScSimdConfig;
 
-// --- bulk PRNG layer --------------------------------------------------------
+// --- LFSR epoch draws -------------------------------------------------------
 
-TEST(BulkLfsr8, EveryLaneMatchesScalarLfsr) {
-  std::array<std::uint8_t, sc::BulkLfsr8::kLanes> seeds;
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    seeds[k] = static_cast<std::uint8_t>((k * 37 + 1) % 254 + 1);
-  }
-  const std::size_t n = 300;  // > the 255-step period: covers the wrap
-  std::vector<std::uint8_t> bulkOut(seeds.size() * n);
-  sc::BulkLfsr8 bulk(seeds);
-  bulk.generate(n, bulkOut.data());
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    sc::Lfsr scalar = sc::Lfsr::paper8Bit(seeds[k]);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bulkOut[k * n + i], scalar.next(8))
-          << "lane " << k << " step " << i;
+TEST(PaperLfsrDraws, EverySeedMatchesScalarLfsr) {
+  // Every nonzero seed, at lengths short of, at, just past and well past
+  // the 255-step period.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{255},
+                              std::size_t{256}, std::size_t{600}}) {
+    std::vector<std::uint8_t> draws(n);
+    for (std::uint32_t seed = 1; seed <= 255; ++seed) {
+      sc::paperLfsrDraws(static_cast<std::uint8_t>(seed), n, draws.data());
+      sc::Lfsr scalar = sc::Lfsr::paper8Bit(seed);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(draws[i], scalar.next(8))
+            << "seed " << seed << " n " << n << " draw " << i;
+      }
     }
   }
-}
-
-TEST(BulkLfsr8, ZeroSeedThrows) {
-  std::array<std::uint8_t, sc::BulkLfsr8::kLanes> seeds;
-  seeds.fill(1);
-  seeds[13] = 0;
-  EXPECT_THROW(sc::BulkLfsr8 bulk(seeds), std::invalid_argument);
-}
-
-TEST(BulkLfsr8Wide, EveryLaneMatchesScalarLfsr) {
-  // The deep (64-lane, one AVX-512 register per word pass) prefetch shape
-  // must reproduce the scalar source exactly like the 32-lane default.
-  std::array<std::uint8_t, sc::BulkLfsr8Wide::kLanes> seeds;
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    seeds[k] = static_cast<std::uint8_t>((k * 41 + 3) % 254 + 1);
-  }
-  const std::size_t n = 300;
-  std::vector<std::uint8_t> bulkOut(seeds.size() * n);
-  sc::BulkLfsr8Wide bulk(seeds);
-  bulk.generate(n, bulkOut.data());
-  for (std::size_t k = 0; k < seeds.size(); ++k) {
-    sc::Lfsr scalar = sc::Lfsr::paper8Bit(seeds[k]);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bulkOut[k * n + i], scalar.next(8))
-          << "lane " << k << " step " << i;
-    }
-  }
+  std::uint8_t out = 0;
+  EXPECT_THROW(sc::paperLfsrDraws(0, 1, &out), std::invalid_argument);
 }
 
 // --- packed comparator ------------------------------------------------------
@@ -258,16 +231,22 @@ TEST(SwScSimdBackend, PortableFallbackBitIdenticalOnAnApp) {
 }
 
 TEST(SwScSimdBackend, EpochPrefetchSurvivesManyEpochs) {
-  // > BulkLfsr8::kLanes fresh epochs forces at least two block refills.
-  const std::size_t n = 128;
+  // Enough fresh LFSR epochs to reach every seed the epoch derivation
+  // yields, each drawing past the 255-step period, so every start position
+  // on the cycle and the wrap are held to the scalar oracle.
+  const std::size_t n = 300;
   const auto simd = simdBackend(core::SwScSng::Lfsr, 5, n);
   const auto scalar = scalarBackend(core::SwScSng::Lfsr, 5, n);
-  for (int e = 0; e < 80; ++e) {
+  std::set<std::uint32_t> seeds;
+  for (int e = 0; e < 400; ++e) {
+    // The constructors opened epoch 1; this encode opens epoch e + 2.
+    seeds.insert(core::swScLfsrSeedForEpoch(5, e + 2));
     const std::vector<std::uint8_t> v{static_cast<std::uint8_t>(e * 3)};
     auto a = simd->encodePixels(v);
     auto b = scalar->encodePixels(v);
     ASSERT_EQ(a[0].stream, b[0].stream) << "epoch " << e;
   }
+  EXPECT_EQ(seeds.size(), 254u);
 }
 
 TEST(SwScSimdBackend, SfmtEpochNumberingStaysInSyncAcrossBlocks) {
@@ -365,11 +344,13 @@ TEST(SwScSimdBackend, MakeBackendCoverage) {
   cfg.seed = 0xabc;
   const auto b = core::makeBackend(DesignKind::SwScSimd, cfg);
   ASSERT_NE(b, nullptr);
-  EXPECT_STREQ(b->name(), core::designKindName(DesignKind::SwScSimd));
-  EXPECT_STREQ(b->name(), "SW-SC (SIMD)");
+  // SwScSimd is an alias of SwScLfsr: its backend reports the design.
+  EXPECT_STREQ(b->name(), core::designKindName(DesignKind::SwScLfsr));
+  EXPECT_STREQ(b->name(), "SW-SC (LFSR)");
+  EXPECT_EQ(core::parseDesignKind("SW-SC (SIMD)"), DesignKind::SwScSimd);
 
-  // Factory-built SwScSimd is the batched SwScLfsr design point.
-  const auto scalar = core::makeBackend(DesignKind::SwScLfsr, cfg);
+  // The factory's backend matches a hand-built scalar LFSR oracle.
+  const auto scalar = scalarBackend(core::SwScSng::Lfsr, cfg.seed, 128);
   auto a = b->encodePixels(std::vector<std::uint8_t>{10, 100, 250});
   auto s = scalar->encodePixels(std::vector<std::uint8_t>{10, 100, 250});
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -426,8 +407,9 @@ TEST(SwScSimdBackend, RunAppTiledDeterministicAcrossThreadCounts) {
 }
 
 TEST(SwScSimdBackend, TiledLaneFleetBitIdenticalToScalarFleet) {
-  // The same lane fleet built from scalar backends must reproduce the SIMD
-  // fleet bit for bit — parallelism and SIMD are orthogonal axes.
+  // The same lane fleet built from scalar oracles, seeded as
+  // makeBackendLanes seeds its lanes, must reproduce the factory's fleet
+  // bit for bit — parallelism and SIMD are orthogonal axes.
   const apps::CompositingScene scene = apps::makeCompositingScene(24, 24, 17);
   core::BackendFactoryConfig cfg;
   cfg.streamLength = 128;
@@ -435,10 +417,15 @@ TEST(SwScSimdBackend, TiledLaneFleetBitIdenticalToScalarFleet) {
   core::ParallelConfig par;
   par.threads = 2;
   par.rowsPerTile = 3;
+  std::vector<std::unique_ptr<ScBackend>> scalarLanes;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    scalarLanes.push_back(scalarBackend(
+        core::SwScSng::Lfsr, cfg.seed + 0x9e3779b97f4a7c15ull * (i + 1),
+        cfg.streamLength));
+  }
   core::TileExecutor simdExec(
       core::makeBackendLanes(DesignKind::SwScSimd, cfg, 3), par);
-  core::TileExecutor scalarExec(
-      core::makeBackendLanes(DesignKind::SwScLfsr, cfg, 3), par);
+  core::TileExecutor scalarExec(std::move(scalarLanes), par);
   EXPECT_EQ(apps::runTiled(apps::framesOf(scene), simdExec).pixels(),
             apps::runTiled(apps::framesOf(scene), scalarExec).pixels());
 }

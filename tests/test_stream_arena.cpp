@@ -1,12 +1,13 @@
 // StreamArena unit tests plus the allocation-count regression suite: a
 // global operator-new counter proves the fused tiled hot path performs ZERO
 // heap allocations per row once the arena and backend scratch are warm, on
-// the SW-SC substrate and on fault-free and faulty ReRAM; arena-reset
+// both SW-SC engines and on fault-free and faulty ReRAM; arena-reset
 // determinism pins the tile engine's ledger reproducibility.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "apps/runner.hpp"
 #include "core/backend_reram.hpp"
 #include "core/backend_swsc.hpp"
+#include "core/backend_swsc_simd.hpp"
 #include "core/stream_arena.hpp"
 #include "core/tile_executor.hpp"
 #include "img/synth.hpp"
@@ -25,6 +27,12 @@
 
 namespace {
 std::atomic<std::uint64_t> gAllocCount{0};
+
+/// Every replacement delete below frees through this one out-of-line call.
+/// Were `std::free` inlined into a new-expression's cleanup path, GCC would
+/// see it applied to what `operator new` returned and warn
+/// (-Wmismatched-new-delete), although the replacement new mallocs.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -52,19 +60,19 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace aimsc::core {
@@ -129,15 +137,27 @@ std::uint64_t steadyStateAllocs(ScBackend& b, StreamArena& arena,
   return gAllocCount.load() - before;
 }
 
+/// Both SW-SC engines at N = 256: engine 0 is the scalar oracle, engine 1
+/// the bulk engine the factory builds.
+std::vector<std::unique_ptr<ScBackend>> swScEngines() {
+  SwScSimdConfig cfg;
+  cfg.streamLength = 256;
+  std::vector<std::unique_ptr<ScBackend>> engines;
+  engines.push_back(std::make_unique<SwScBackend>(cfg));
+  engines.push_back(std::make_unique<SwScSimdBackend>(cfg));
+  return engines;
+}
+
 TEST(AllocationRegression, SwScCompositingRowsAreAllocationFree) {
   const apps::CompositingScene scene = apps::makeCompositingScene(24, 8, 11);
-  SwScConfig cfg;
-  cfg.streamLength = 256;
-  SwScBackend b(cfg);
-  StreamArena arena;
-  img::Image out(24, 8);
-  EXPECT_EQ(steadyStateAllocs(b, arena, scene, out), 0u);
-  EXPECT_EQ(arena.stats().resets, 1u);
+  const auto engines = swScEngines();
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    StreamArena arena;
+    img::Image out(24, 8);
+    EXPECT_EQ(steadyStateAllocs(*engines[e], arena, scene, out), 0u)
+        << "engine " << e;
+    EXPECT_EQ(arena.stats().resets, 1u);
+  }
 }
 
 TEST(AllocationRegression, ReramCompositingRowsAreAllocationFree) {
@@ -209,16 +229,16 @@ TEST(AllocationRegression, SwScSmoothingRowsAreAllocationFree) {
   // Exercises the constant pool (seven pooled halves per row) besides the
   // data path.
   const img::Image src = img::naturalScene(20, 10, 3);
-  SwScConfig cfg;
-  cfg.streamLength = 256;
-  SwScBackend b(cfg);
-  StreamArena arena;
-  img::Image out = src;
-  apps::smoothKernelRows(src, b, arena, out, 0, 3);  // warm-up
-  arena.reset();
-  const std::uint64_t before = gAllocCount.load();
-  apps::smoothKernelRows(src, b, arena, out, 3, 8);
-  EXPECT_EQ(gAllocCount.load() - before, 0u);
+  const auto engines = swScEngines();
+  for (std::size_t e = 0; e < engines.size(); ++e) {
+    StreamArena arena;
+    img::Image out = src;
+    apps::smoothKernelRows(src, *engines[e], arena, out, 0, 3);  // warm-up
+    arena.reset();
+    const std::uint64_t before = gAllocCount.load();
+    apps::smoothKernelRows(src, *engines[e], arena, out, 3, 8);
+    EXPECT_EQ(gAllocCount.load() - before, 0u) << "engine " << e;
+  }
 }
 
 // --- arena-reset determinism ------------------------------------------------
