@@ -8,8 +8,6 @@
 
 namespace aimsc::core {
 
-using reram::SlOp;
-
 Imsng::Imsng(reram::CrossbarArray& array, reram::ScoutingLogic& scouting,
              reram::Periphery& periphery, reram::ReramTrng& trng,
              const ImsngConfig& config)
@@ -20,6 +18,11 @@ Imsng::Imsng(reram::CrossbarArray& array, reram::ScoutingLogic& scouting,
       config_(config) {
   if (config_.mBits < 1 || config_.mBits > 16) {
     throw std::invalid_argument("Imsng: mBits out of range");
+  }
+  if (scouting_.fidelity() == reram::ScoutingLogic::Fidelity::MonteCarlo) {
+    // MonteCarlo sensing checks the Probabilistic table one step at a
+    // time; the greater-than chain senses Ideal or Probabilistic mats.
+    throw std::invalid_argument("Imsng: MonteCarlo sensing is not supported");
   }
   const std::size_t m = static_cast<std::size_t>(config_.mBits);
   // The plane region is the rotation window when wear leveling is on (every
@@ -83,51 +86,32 @@ void Imsng::buildEpochBytes() {
 }
 
 void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
-  const std::size_t n = array_.cols();
   const int m = config_.mBits;
   const std::uint32_t full = std::uint32_t{1} << m;
   if (x > full) throw std::invalid_argument("Imsng: threshold exceeds 2^M");
   if (!planesReady_) refreshRandomness();
 
-  auto& log = array_.events();
-  std::size_t dataflowReads = 0;
-
-  if (x == full) {
-    // p = 1.0: the comparator network degenerates to constant true.
-    periphery_.mutableL0().assign(n, true);
-  } else {
-    // FFlag chain in L1 (starts all-equal = all ones), result accumulates
-    // in L0.  Per bit, MSB..LSB (planes stored MSB first):
-    //   A_i = 1: result |= FFlag AND NOT RN_i ;  FFlag &= RN_i
-    //   A_i = 0: FFlag &= NOT RN_i
-    // Each AND is one sensing step.  The FFlag updates sense into L1 in
-    // place, and complemented latch operands are free (the periphery
-    // drives the bitline voltage, Fig. 1c).
-    sc::Bitstream& flag = periphery_.mutableL1();
-    flag.assign(n, true);
-    periphery_.mutableL0().assign(n, false);
-    for (int i = 0; i < m; ++i) {
-      const bool aBit = (x >> (m - 1 - i)) & 1u;
-      const std::size_t plane = planeBase_ + static_cast<std::size_t>(i);
-      const sc::Bitstream& rn = array_.row(plane);
-      if (aBit) {
-        // term = FFlag AND NOT RN_i  ==  NOR(NOT FFlag, RN_i)
-        scouting_.op2NotAInto(SlOp::Nor, sensed_, flag, rn);
-        ++dataflowReads;
-        periphery_.accumulateL0(sensed_);
-        // FFlag = FFlag AND RN_i (predicated sensing in the latch pair)
-        scouting_.op2Into(SlOp::And, flag, flag, rn);
-      } else {
-        // FFlag = FFlag AND NOT RN_i
-        scouting_.op2NotAInto(SlOp::Nor, flag, flag, rn);
-      }
-      ++dataflowReads;
-    }
+  // The FFlag chain senses into L1 and the result accumulates in L0, in
+  // place: complemented latch operands are free (the periphery drives the
+  // bitline voltage, Fig. 1c) and the AND with FFlag is predicated sensing
+  // in the latch pair.  x = 2^M (p = 1.0) senses nothing: the comparator
+  // network degenerates to constant true.
+  std::array<const sc::Bitstream*, 16> planes{};
+  for (int i = 0; i < m; ++i) {
+    planes[static_cast<std::size_t>(i)] =
+        &array_.row(planeBase_ + static_cast<std::size_t>(i));
   }
+  const std::uint64_t before = scouting_.steps();
+  scouting_.greaterThanInto(
+      x, std::span(planes.data(), static_cast<std::size_t>(m)),
+      periphery_.mutableL1(), periphery_.mutableL0());
+  const auto dataflowReads =
+      static_cast<std::size_t>(scouting_.steps() - before);
   dst = periphery_.l0();
 
   // Cost parity with the paper's operation count: the dataflow above issued
   // `dataflowReads` <= 2·M sensing steps; top up to the 5·M schedule.
+  auto& log = array_.events();
   log.add(reram::EventKind::SlRead, stepsPerConversion() - dataflowReads);
   // Naive variant: intermediate results hit the cells (2 writes per bit
   // even after the feedback mechanism, Sec. III-A).
@@ -173,9 +157,9 @@ void Imsng::encodeBatchInto(std::span<const std::uint32_t> thresholds,
 
   if (scouting_.fidelity() != reram::ScoutingLogic::Fidelity::Ideal ||
       config_.mBits > 8) {
-    // Fault-injecting fidelities key each step's misdecisions by the mat's
-    // step ordinal, so they run the real dataflow to keep statistics
-    // faithful; so do widths the byte cache cannot hold.
+    // Faulty sensing keys each step's misdecisions by the mat's step
+    // ordinal, so every conversion runs its greater-than chain; so do
+    // widths the byte cache cannot hold.
     for (std::size_t i = 0; i < thresholds.size(); ++i) {
       generateThresholdInto(thresholds[i], *outs[i]);
     }

@@ -72,7 +72,9 @@ struct ImsngConfig {
 class Imsng {
  public:
   /// \param array     crossbar holding the random planes and the output row
-  /// \param scouting  SL engine bound to \p array (faults flow through it)
+  /// \param scouting  SL engine bound to \p array (faults flow through it);
+  ///                  Ideal or Probabilistic (MonteCarlo throws
+  ///                  std::invalid_argument)
   /// \param periphery latch pair of \p array
   /// \param trng      random-plane source
   Imsng(reram::CrossbarArray& array, reram::ScoutingLogic& scouting,
@@ -85,9 +87,9 @@ class Imsng {
 
   /// Converts integer threshold \p x in [0, 2^M] to an SBS into \p dst
   /// (resized to the array width, buffer reused): bit j = 1 iff x > RN_j.
-  /// The stream is also committed to the configured output row.  The
-  /// scouting dataflow senses into the periphery latches in place, so a
-  /// warm call allocates nothing at any fidelity.
+  /// The stream is also committed to the configured output row.  One
+  /// ScoutingLogic::greaterThanInto call senses the flag chain into the
+  /// periphery latches in place, so a warm call allocates nothing.
   void generateThresholdInto(std::uint32_t x, sc::Bitstream& dst);
 
   /// Batched conversion: every threshold is converted against the CURRENT
@@ -100,10 +102,11 @@ class Imsng {
   /// bit-identical to the per-call path, produced by a word-level
   /// comparator with per-epoch threshold memoization (duplicate pixel
   /// values re-use the computed stream but still charge their conversion).
-  /// Non-ideal fidelities and M > 8 run the scouting dataflow per element,
-  /// so fault injection stays faithful.  The call performs no heap
-  /// allocation once the destination buffers, the memo table and the
-  /// scouting scratch are warm — the tile engine's per-row hot path.
+  /// Probabilistic sensing and M > 8 run one greater-than chain per
+  /// element (ScoutingLogic::greaterThanInto), so every conversion draws
+  /// its own keyed misdecisions.  The call performs no heap allocation once
+  /// the destination buffers, the memo table and the scouting scratch are
+  /// warm — the tile engine's per-row hot path.
   void encodeBatchInto(std::span<const std::uint32_t> thresholds,
                        std::span<sc::Bitstream* const> outs);
 
@@ -140,9 +143,6 @@ class Imsng {
   std::optional<reram::WearLeveler> wear_;  ///< plane-base rotation (opt-in)
   std::size_t planeBase_ = 0;  ///< base row of the current plane set
   bool planesReady_ = false;
-  // The sensed greater-than term of the scouting dataflow
-  // (generateThresholdInto), reused across conversions.
-  sc::Bitstream sensed_;
   // Per-epoch comparator byte cache (M <= 8, Ideal sensing): the plane rows
   // untransposed into the per-column random numbers R_j, served through the
   // packed RandomPlanes comparator (x > R_j == R_j < x, the identical

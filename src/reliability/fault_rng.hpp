@@ -20,10 +20,13 @@
 /// Two runs with the same plan and seed therefore flip exactly the same
 /// bits, whether they execute on 1 thread or 8, and a lane's draws never
 /// depend on what other lanes did.  The mixer is the SplitMix64 finalizer
-/// (Steele et al.), chained once per coordinate — cheap enough to call per
-/// bit and statistically solid for Bernoulli thresholds.
+/// (Steele et al.), chained once per coordinate; the first three links are
+/// the same for every site of an epoch, so a per-bit walk mixes once per
+/// site (faultEpochKey, faultSiteDraw).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 namespace aimsc::reliability {
@@ -36,11 +39,18 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The first three links of the site-key chain, shared by every site of
+/// one epoch.
+constexpr std::uint64_t faultEpochKey(std::uint64_t seed, std::uint64_t lane,
+                                      std::uint64_t epoch) {
+  return mix64(mix64(mix64(seed) ^ lane) ^ epoch);
+}
+
 /// The fault-site key: coordinates chained through the mixer so every
 /// (seed, lane, epoch, site) tuple lands in an independent 64-bit stream.
 constexpr std::uint64_t faultSiteKey(std::uint64_t seed, std::uint64_t lane,
                                      std::uint64_t epoch, std::uint64_t site) {
-  return mix64(mix64(mix64(mix64(seed) ^ lane) ^ epoch) ^ site);
+  return mix64(faultEpochKey(seed, lane, epoch) ^ site);
 }
 
 /// Uniform double in [0, 1) from a site key (53 mantissa bits).
@@ -57,6 +67,22 @@ constexpr bool faultSiteBernoulli(std::uint64_t seed, std::uint64_t lane,
   return p > 0.0 && faultSiteUniform(seed, lane, epoch, site) < p;
 }
 
+/// faultSiteBernoulli's decision as an integer compare: a site draws true
+/// when (key >> 11) < faultThreshold(p), since k / 2^53 < p exactly when
+/// k < ceil(p * 2^53).  p <= 0 or NaN gives 0 (never), p >= 1 gives 2^53
+/// (always).
+inline std::uint64_t faultThreshold(double p) {
+  if (!(p > 0.0)) return 0;
+  return static_cast<std::uint64_t>(std::ceil(std::min(p, 1.0) * 0x1.0p53));
+}
+
+/// The draw at \p site of the epoch keyed \p epochKey (faultEpochKey),
+/// against \p threshold (faultThreshold): equals faultSiteBernoulli.
+constexpr bool faultSiteDraw(std::uint64_t epochKey, std::uint64_t site,
+                             std::uint64_t threshold) {
+  return (mix64(epochKey ^ site) >> 11) < threshold;
+}
+
 /// Per-lane fault coordinate tracker: binds (seed, lane) and advances the
 /// epoch counter once per corrupted value.  Draws remain pure functions of
 /// the coordinates — the object only carries the counter.
@@ -71,9 +97,9 @@ class FaultRng {
   std::uint64_t lane() const { return lane_; }
   std::uint64_t epoch() const { return epoch_; }
 
-  /// Bernoulli(p) at \p site within epoch \p epoch.
-  bool bernoulli(std::uint64_t epoch, std::uint64_t site, double p) const {
-    return faultSiteBernoulli(seed_, lane_, epoch, site, p);
+  /// Key of epoch \p epoch's site draws (faultSiteDraw).
+  std::uint64_t epochKey(std::uint64_t epoch) const {
+    return faultEpochKey(seed_, lane_, epoch);
   }
 
  private:

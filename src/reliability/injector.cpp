@@ -91,15 +91,19 @@ void FaultedBackend::corruptStream(sc::Bitstream& s) {
   const std::uint64_t epoch = rng_.nextEpoch();
   const std::size_t n = s.size();
   if (n == 0) return;
-  const double p = transientRate();
-  if (p > 0.0) {
+  const std::uint64_t threshold = faultThreshold(transientRate());
+  if (threshold != 0) {
+    const std::uint64_t key = rng_.epochKey(epoch);
     std::vector<std::uint64_t>& words = s.mutableWords();
-    for (std::size_t site = 0; site < n; ++site) {
-      if (rng_.bernoulli(epoch, site, p)) {
-        words[site / 64] ^= 1ull << (site % 64);
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      const std::size_t base = w * 64;
+      const std::size_t bits = std::min<std::size_t>(64, n - base);
+      std::uint64_t flips = 0;
+      for (std::size_t b = 0; b < bits; ++b) {
+        flips |= std::uint64_t{faultSiteDraw(key, base + b, threshold)} << b;
       }
+      words[w] ^= flips;
     }
-    s.clearTail();
   }
   if (plan_.stuckAtRate > 0.0) {
     ensureStuckMask(n);
@@ -113,10 +117,11 @@ void FaultedBackend::corruptStream(sc::Bitstream& s) {
 
 void FaultedBackend::corruptWord(std::uint32_t& w) {
   const std::uint64_t epoch = rng_.nextEpoch();
-  const double p = transientRate();
-  if (p > 0.0) {
+  const std::uint64_t threshold = faultThreshold(transientRate());
+  if (threshold != 0) {
+    const std::uint64_t key = rng_.epochKey(epoch);
     for (std::size_t site = 0; site < kWordBits; ++site) {
-      if (rng_.bernoulli(epoch, site, p)) w ^= 1u << site;
+      if (faultSiteDraw(key, site, threshold)) w ^= 1u << site;
     }
   }
   if (plan_.stuckAtRate > 0.0) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "reliability/fault_rng.hpp"
+#include "sc/select.hpp"
 
 namespace aimsc::reram {
 
@@ -30,15 +31,15 @@ double gapOf(std::uint64_t r, double invLogQ) {
 }
 
 /// One pass over the operand words: \p out gets the ideal sensed value (the
-/// classes set in \p idealSet, ORed).  With \p masks, masks[k * words + w]
-/// gets the columns where exactly k operands store '1' and counts[k] adds
-/// their popcount.  Word w of every operand is read before word w of
-/// \p out is written, so \p out may alias an operand.
+/// classes set in \p idealSet, ORed).  For each class k in \p maskSet,
+/// masks[k * words + w] gets the columns where exactly k operands store '1'
+/// and counts[k] adds their popcount.  Word w of every operand is read
+/// before word w of \p out is written, so \p out may alias an operand.
 AIMSC_POPCNT_CLONES void senseWords(const std::uint64_t* const* in, int rows,
                                     std::uint64_t invertFirst,
                                     unsigned idealSet, std::size_t words,
                                     std::uint64_t tail, std::uint64_t* out,
-                                    std::uint64_t* masks,
+                                    unsigned maskSet, std::uint64_t* masks,
                                     std::size_t* counts) {
   for (std::size_t w = 0; w < words; ++w) {
     const std::uint64_t live = w + 1 == words ? tail : ~std::uint64_t{0};
@@ -69,12 +70,55 @@ AIMSC_POPCNT_CLONES void senseWords(const std::uint64_t* const* in, int rows,
       if ((idealSet >> k) & 1u) o |= m[k];
     }
     out[w] = o;
-    if (masks != nullptr) {
-      for (int k = 0; k <= rows; ++k) {
-        masks[static_cast<std::size_t>(k) * words + w] = m[k];
-        counts[k] += static_cast<std::size_t>(std::popcount(m[k]));
-      }
+    for (unsigned s = maskSet; s != 0; s &= s - 1) {
+      const auto k = static_cast<std::size_t>(std::countr_zero(s));
+      masks[k * words + w] = m[k];
+      counts[k] += static_cast<std::size_t>(std::popcount(m[k]));
     }
+  }
+}
+
+/// One pass of a greater-than chain step over flag F and plane R: F is
+/// saved to \p prev, the ideal NOR(NOT F, R) = F AND NOT R goes to \p nor
+/// and, for an a = 1 step pair (\p pair), the ideal AND(F, R) to \p flag
+/// (\p nor is \p flag for an a = 0 step).  \p counts gets |F AND NOT R|,
+/// |NOT F AND R| and |F AND R|, which with the width give every class count
+/// of both steps.  The tails of F and R are zero, so no word needs a mask.
+AIMSC_POPCNT_CLONES void senseChainWords(std::uint64_t* flag,
+                                         const std::uint64_t* plane,
+                                         std::uint64_t* nor,
+                                         std::uint64_t* prev, bool pair,
+                                         std::size_t words,
+                                         std::size_t* counts) {
+  std::size_t onlyF = 0;
+  std::size_t onlyR = 0;
+  std::size_t both = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t f = flag[w];
+    const std::uint64_t r = plane[w];
+    prev[w] = f;
+    nor[w] = f & ~r;
+    onlyF += static_cast<std::size_t>(std::popcount(f & ~r));
+    onlyR += static_cast<std::size_t>(std::popcount(~f & r));
+    both += static_cast<std::size_t>(std::popcount(f & r));
+    if (pair) flag[w] = f & r;
+  }
+  counts[0] = onlyF;
+  counts[1] = onlyR;
+  counts[2] = both;
+}
+
+/// Word of the mask of class \p k of a chain step (0-2: NOR(NOT F, R) with
+/// k ones, 3-5: AND(F, R) with k - 3 ones) from flag \p f and plane \p r.
+std::uint64_t chainClassWord(int k, std::uint64_t f, std::uint64_t r,
+                             std::uint64_t live) {
+  switch (k) {
+    case 0: return f & ~r;
+    case 1: return ~(f ^ r) & live;
+    case 2: return ~f & r;
+    case 3: return ~(f | r) & live;
+    case 4: return f ^ r;
+    default: return f & r;
   }
 }
 
@@ -93,13 +137,12 @@ std::uint64_t quietBelow(std::uint64_t* noFlip, std::size_t c, double invLogQ) {
 /// ranks the keyed geometric skip visits, starting at rank \p first.  Each
 /// later draw first meets the no-flip threshold of the ranks left, so only
 /// a draw that places a flip pays a log.  Ranks ascend, so one pass over
-/// the mask words serves every flip.
-AIMSC_POPCNT_CLONES void flipSkippedRanks(std::uint64_t* out,
-                                          const std::uint64_t* mask,
-                                          std::size_t cnt, std::size_t first,
-                                          std::uint64_t classKey,
-                                          double invLogQ,
-                                          std::uint64_t* noFlip) {
+/// the mask words serves every flip, and a select finds each rank's column.
+template <class Select>
+inline void skipRanks(std::uint64_t* out, const std::uint64_t* mask,
+                      std::size_t cnt, std::size_t first,
+                      std::uint64_t classKey, double invLogQ,
+                      std::uint64_t* noFlip) {
   std::size_t w = 0;
   std::size_t seen = 0;  // set mask bits before word w
   std::size_t inWord = static_cast<std::size_t>(std::popcount(mask[0]));
@@ -109,9 +152,7 @@ AIMSC_POPCNT_CLONES void flipSkippedRanks(std::uint64_t* out,
       seen += inWord;
       inWord = static_cast<std::size_t>(std::popcount(mask[++w]));
     }
-    std::uint64_t word = mask[w];
-    for (std::size_t r = nth - seen; r > 0; --r) word &= word - 1;
-    out[w] ^= word & (~word + 1);  // the rank's column
+    out[w] ^= Select::bit(mask[w], static_cast<unsigned>(nth - seen));
     const std::size_t left = cnt - nth - 1;
     if (left == 0) return;
     const std::uint64_t r = drawRank(classKey + d);
@@ -120,6 +161,31 @@ AIMSC_POPCNT_CLONES void flipSkippedRanks(std::uint64_t* out,
     if (gap >= static_cast<double>(left)) return;  // rounding at the edge
     nth += 1 + static_cast<std::size_t>(gap);
   }
+}
+
+// The skip is built for the x86-64 baseline and, where the loader can pick
+// clones, for POPCNT + BMI2 with the pdep select (sc/select.hpp).
+#if AIMSC_SELECT_CLONES
+__attribute__((target("popcnt,bmi2"), flatten)) void flipSkippedRanks(
+    std::uint64_t* out, const std::uint64_t* mask, std::size_t cnt,
+    std::size_t first, std::uint64_t classKey, double invLogQ,
+    std::uint64_t* noFlip) {
+  skipRanks<sc::Bmi2Select>(out, mask, cnt, first, classKey, invLogQ, noFlip);
+}
+__attribute__((target("default")))
+#endif
+void flipSkippedRanks(std::uint64_t* out, const std::uint64_t* mask,
+                      std::size_t cnt, std::size_t first,
+                      std::uint64_t classKey, double invLogQ,
+                      std::uint64_t* noFlip) {
+  skipRanks<sc::PortableSelect>(out, mask, cnt, first, classKey, invLogQ,
+                                noFlip);
+}
+
+/// Mask of the live bits of a width's last word.
+std::uint64_t tailMask(std::size_t width) {
+  return width % 64 == 0 ? ~std::uint64_t{0}
+                         : (std::uint64_t{1} << (width % 64)) - 1;
 }
 
 }  // namespace
@@ -206,26 +272,118 @@ void ScoutingLogic::executeInto(SlOp op, Operands operands,
     sampleInto(dst, op, operands, complementFirst);
     return;
   }
-  const bool faulty = fidelity_ == Fidelity::Probabilistic;
   const std::size_t words = (width + 63) / 64;
-  if (faulty) {
+  // Classes whose entry may hold p > 0 (read or not yet read) get a mask.
+  FlipClass* cls[kMaxRows + 1] = {};
+  unsigned classes = 0;
+  if (fidelity_ == Fidelity::Probabilistic) {
+    for (int k = 0; k <= rows; ++k) {
+      cls[k] = &entry(op, k, rows);
+      if (cls[k]->p != 0.0) classes |= 1u << k;
+    }
     const std::size_t maskLen = static_cast<std::size_t>(rows + 1) * words;
     if (maskWords_.size() < maskLen) maskWords_.resize(maskLen);
-    classCounts_.fill(0);
   }
   // An aliased dst already has the operand width, so it is not cleared
   // before the pass reads it.
   if (dst.size() != width) dst.assign(width, false);
   const std::uint64_t* in[kMaxRows] = {};
   for (int r = 0; r < rows; ++r) in[r] = operands[r]->words().data();
+  std::size_t counts[kMaxRows + 1] = {};
   senseWords(in, rows, complementFirst ? ~std::uint64_t{0} : 0,
              idealSets_[static_cast<std::size_t>(op)]
                        [static_cast<std::size_t>(rows)],
-             words, width % 64 == 0 ? ~std::uint64_t{0}
-                                    : (std::uint64_t{1} << (width % 64)) - 1,
-             dst.mutableWords().data(), faulty ? maskWords_.data() : nullptr,
-             classCounts_.data());
-  if (faulty) flipClasses(dst, op, rows, reliability::mix64(seedKey_ + step));
+             words, tailMask(width), dst.mutableWords().data(), classes,
+             maskWords_.data(), counts);
+  if (classes != 0) {
+    flipClasses(dst.mutableWords().data(), op, rows, cls, counts, words, step,
+                [&](int k) {
+                  return static_cast<const std::uint64_t*>(
+                      maskWords_.data() + static_cast<std::size_t>(k) * words);
+                });
+  }
+}
+
+void ScoutingLogic::greaterThanInto(std::uint32_t x, Operands planes,
+                                    sc::Bitstream& flag,
+                                    sc::Bitstream& result) {
+  const std::size_t m = planes.size();
+  if (m == 0 || m > 32) {
+    throw std::invalid_argument("ScoutingLogic: 1 to 32 planes");
+  }
+  if (std::uint64_t{x} > std::uint64_t{1} << m) {
+    throw std::invalid_argument("ScoutingLogic: threshold exceeds 2^M");
+  }
+  const std::size_t width = planes.front()->size();
+  for (const auto* p : planes) {
+    if (p->size() != width) {
+      throw std::invalid_argument("ScoutingLogic: plane width mismatch");
+    }
+  }
+  if (fidelity_ == Fidelity::MonteCarlo) {
+    throw std::invalid_argument(
+        "ScoutingLogic: the greater-than chain senses Ideal or Probabilistic "
+        "mats");
+  }
+
+  if (std::uint64_t{x} == std::uint64_t{1} << m) {
+    // No random number reaches 2^M: constant true, and nothing to sense.
+    flag.assign(width, false);
+    result.assign(width, true);
+    return;
+  }
+  const std::size_t words = (width + 63) / 64;
+  flag.assign(width, true);
+  result.assign(width, false);
+  std::uint64_t* f = flag.mutableWords().data();
+  std::uint64_t* res = result.mutableWords().data();
+  array_.events().add(reram::EventKind::SlRead,
+                      m + static_cast<std::size_t>(std::popcount(x)));
+
+  // A faulty mat looks up its six (op, class) entries once.  A class's
+  // entry is read from the model the first time the class has columns, as
+  // the one-step forms read it.  The pass only counts the classes; a class
+  // gets its mask when a draw flips one of its columns.
+  const bool faulty = fidelity_ == Fidelity::Probabilistic;
+  FlipClass* cls[6] = {};
+  for (int k = 0; faulty && k <= 2; ++k) {
+    cls[k] = &entry(SlOp::Nor, k, 2);
+    cls[3 + k] = &entry(SlOp::And, k, 2);
+  }
+  if (maskWords_.size() < 2 * words) maskWords_.resize(2 * words);
+  if (chainTerm_.size() < words) chainTerm_.resize(words);
+  std::uint64_t* mask = maskWords_.data();
+  const std::uint64_t* prev = mask + words;
+  const std::uint64_t tail = tailMask(width);
+  for (std::size_t i = 0; i < m; ++i) {
+    const bool pair = ((x >> (m - 1 - i)) & 1u) != 0;
+    const std::uint64_t* r = planes[i]->words().data();
+    std::uint64_t* nor = pair ? chainTerm_.data() : f;
+    std::size_t c[3];
+    senseChainWords(f, r, nor, mask + words, pair, words, c);
+    const std::uint64_t step = step_;
+    step_ += pair ? 2 : 1;
+    if (faulty) {
+      const std::size_t counts[6] = {c[0], width - c[0] - c[1], c[1],
+                                     width - c[0] - c[1] - c[2], c[0] + c[1],
+                                     c[2]};
+      const auto maskOf = [&](int k) {
+        for (std::size_t w = 0; w < words; ++w) {
+          mask[w] = chainClassWord(k, prev[w], r[w],
+                                   w + 1 == words ? tail : ~std::uint64_t{0});
+        }
+        return static_cast<const std::uint64_t*>(mask);
+      };
+      flipClasses(nor, SlOp::Nor, 2, cls, counts, words, step, maskOf);
+      if (pair) {
+        flipClasses(f, SlOp::And, 2, cls + 3, counts + 3, words, step + 1,
+                    [&](int k) { return maskOf(3 + k); });
+      }
+    }
+    if (pair) {
+      for (std::size_t w = 0; w < words; ++w) res[w] |= nor[w];
+    }
+  }
 }
 
 void ScoutingLogic::sampleInto(sc::Bitstream& dst, SlOp op, Operands operands,
@@ -246,22 +404,24 @@ void ScoutingLogic::sampleInto(sc::Bitstream& dst, SlOp op, Operands operands,
   dst = sampled_;
 }
 
-void ScoutingLogic::flipClasses(sc::Bitstream& out, SlOp op, int rows,
-                                std::uint64_t stepKey) {
+template <class MaskOf>
+void ScoutingLogic::flipClasses(std::uint64_t* out, SlOp op, int rows,
+                                FlipClass* const* cls,
+                                const std::size_t* counts, std::size_t words,
+                                std::uint64_t step, MaskOf maskOf) {
   // Per pattern class, each of its cnt columns flips independently with
   // the class's p: a keyed geometric skip visits only the flipped ranks
   // (flips + 1 draws), and its first draw alone settles a quiet class.
-  const std::size_t words = out.words().size();
-  std::uint64_t* o = out.mutableWords().data();
+  const std::uint64_t stepKey = reliability::mix64(seedKey_ + step);
   for (int k = 0; k <= rows; ++k) {
-    const std::size_t cnt = classCounts_[static_cast<std::size_t>(k)];
-    if (cnt == 0) continue;
-    FlipClass& f = flipClass(op, k, rows);
+    const std::size_t cnt = counts[k];
+    FlipClass& f = *cls[k];
+    if (cnt == 0 || f.p == 0.0) continue;
+    if (f.p < 0.0) flipClass(op, k, rows);
     if (f.p <= 0.0) continue;
-    const std::uint64_t* mask =
-        maskWords_.data() + static_cast<std::size_t>(k) * words;
     if (f.p >= 1.0) {
-      for (std::size_t w = 0; w < words; ++w) o[w] ^= mask[w];
+      const std::uint64_t* mask = maskOf(k);
+      for (std::size_t w = 0; w < words; ++w) out[w] ^= mask[w];
       continue;
     }
     if (f.noFlip.size() <= cnt) {
@@ -273,16 +433,20 @@ void ScoutingLogic::flipClasses(sc::Bitstream& out, SlOp op, int rows,
     if (r <= quietBelow(f.noFlip.data(), cnt, f.invLogQ)) continue;
     const double first = gapOf(r, f.invLogQ);
     if (first >= static_cast<double>(cnt)) continue;  // rounding at the edge
-    flipSkippedRanks(o, mask, cnt, static_cast<std::size_t>(first), classKey,
-                     f.invLogQ, f.noFlip.data());
+    flipSkippedRanks(out, maskOf(k), cnt, static_cast<std::size_t>(first),
+                     classKey, f.invLogQ, f.noFlip.data());
   }
+}
+
+ScoutingLogic::FlipClass& ScoutingLogic::entry(SlOp op, int ones, int rows) {
+  return flipTable_[(static_cast<std::size_t>(op) * 4 +
+                     static_cast<std::size_t>(rows)) * 4 +
+                    static_cast<std::size_t>(ones)];
 }
 
 ScoutingLogic::FlipClass& ScoutingLogic::flipClass(SlOp op, int ones,
                                                    int rows) {
-  FlipClass& f = flipTable_[(static_cast<std::size_t>(op) * 4 +
-                             static_cast<std::size_t>(rows)) * 4 +
-                            static_cast<std::size_t>(ones)];
+  FlipClass& f = entry(op, ones, rows);
   if (f.p < 0.0) {
     f.p = faultModel_->misdecisionProb(op, ones, rows);
     f.invLogQ = f.p > 0.0 && f.p < 1.0 ? 1.0 / std::log1p(-f.p) : 0.0;

@@ -15,14 +15,17 @@
 ///                    pure function of (seed, step ordinal, pattern class,
 ///                    draw index) (docs/ARCHITECTURE.md §4.2 has the keys);
 ///  * MonteCarlo    — per-column current sampling through DeviceModel and a
-///                    real SenseAmp decision (slow; validates Probabilistic).
+///                    real SenseAmp decision (slow; validates Probabilistic
+///                    one step at a time).
 ///
 /// Operands can be stored rows (activated wordlines) or *latched* streams
 /// driven onto the bitlines through the periphery feedback path of Fig. 1c
 /// — the mechanism that lets IMSNG-opt avoid intermediate writes.  Either
-/// way one call = one sensing step = one slReads event.  A step activates
-/// one to three rows: the paper's ops (IMSNG's AND / NOR flag chain, the
-/// AND/OR/XOR/MAJ3 arithmetic) never sense more.
+/// way one sensing step = one slReads event.  A step activates one to three
+/// rows: the paper's ops (IMSNG's AND / NOR flag chain, the AND/OR/XOR/MAJ3
+/// arithmetic) never sense more.  The op forms sense one step per call;
+/// greaterThanInto() senses IMSNG's whole flag chain for one threshold, the
+/// same steps under the same keys, in one call.
 #pragma once
 
 #include <array>
@@ -71,6 +74,24 @@ class ScoutingLogic {
   /// dst = op(operands), one sensing step.
   void opInto(SlOp op, sc::Bitstream& dst, Operands operands);
 
+  /// IMSNG's greater-than flag chain (Sec. III-A) for threshold \p x
+  /// against the M = planes.size() random planes, MSB first (1 <= M <= 32,
+  /// x <= 2^M): \p result gets bit j = (x > R_j) and \p flag bit j =
+  /// (x == R_j), as sensed, misdecisions included (both resized to the
+  /// plane width).  x = 2^M senses
+  /// nothing: result is all ones and flag all zeros.  Otherwise \p flag
+  /// starts all ones and \p result all zeros; then, per plane i with a =
+  /// bit M-1-i of x:
+  ///  * a = 1: one step senses NOR(NOT flag, plane) and ORs it into
+  ///    \p result, the next senses flag = AND(flag, plane);
+  ///  * a = 0: one step senses flag = NOR(NOT flag, plane).
+  /// Those M + popcount(x) steps take the ordinals, keys and SlRead events
+  /// the same op2NotAInto / op2Into sequence would, so the bits match it;
+  /// the two steps of a = 1 share one pass over the words.  Ideal and
+  /// Probabilistic mats only: MonteCarlo throws std::invalid_argument.
+  void greaterThanInto(std::uint32_t x, Operands planes, sc::Bitstream& flag,
+                       sc::Bitstream& result);
+
   /// Misdecision probability of \p op with \p ones of \p rows (1..3)
   /// activated cells storing '1', read from the frozen table (0 unless the
   /// mat senses with Probabilistic fidelity).
@@ -101,10 +122,18 @@ class ScoutingLogic {
   /// MonteCarlo sensing: sampled currents through the sense amp.
   void sampleInto(sc::Bitstream& dst, SlOp op, Operands operands,
                   bool complementFirst);
-  /// Flips each column of every class independently with its class's
-  /// probability, keyed by \p stepKey.
-  void flipClasses(sc::Bitstream& out, SlOp op, int rows,
-                   std::uint64_t stepKey);
+  /// The misdecisions of step \p step of \p op over \p rows operands:
+  /// each of the counts[k] columns of class k flips in \p out
+  /// independently with *cls[k]'s probability; maskOf(k) gives the class's
+  /// mask, words long, when a column flips.  An entry is read from the
+  /// model here, the first time its class has columns.  The one flip
+  /// routine of every sensing form.
+  template <class MaskOf>
+  void flipClasses(std::uint64_t* out, SlOp op, int rows,
+                   FlipClass* const* cls, const std::size_t* counts,
+                   std::size_t words, std::uint64_t step, MaskOf maskOf);
+  /// The (op, ones, rows) entry, without reading it from the model.
+  FlipClass& entry(SlOp op, int ones, int rows);
   /// The (op, ones, rows) entry, read from the FaultModel on first use.
   FlipClass& flipClass(SlOp op, int ones, int rows);
 
@@ -122,10 +151,11 @@ class ScoutingLogic {
   // (op, rows, ones).
   std::vector<FlipClass> flipTable_;
   // Per-step scratch of faulty mats (a ScoutingLogic instance is
-  // single-threaded — each tile-engine lane owns its own): class masks,
-  // (rows + 1) x words, which only grow, and their popcounts.
+  // single-threaded — each tile-engine lane owns its own), which only
+  // grows: class masks, up to 6 x words, and the NOR term of the chain's
+  // a = 1 step pair.
   std::vector<std::uint64_t> maskWords_;
-  std::array<std::size_t, 4> classCounts_{};
+  std::vector<std::uint64_t> chainTerm_;
   sc::Bitstream sampled_;
 };
 

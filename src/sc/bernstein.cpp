@@ -1,6 +1,8 @@
 #include "sc/bernstein.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "sc/sng.hpp"
@@ -35,10 +37,31 @@ void scBernsteinSelectInto(Bitstream& dst,
     }
   }
   dst.assign(width, false);
-  for (std::size_t i = 0; i < width; ++i) {
-    std::size_t ones = 0;
-    for (const auto* s : xCopies) ones += s->get(i) ? 1 : 0;
-    if (coeffs[ones]->get(i)) dst.set(i, true);
+  // Per word: a bit-sliced count of the copies' ones (count plane j holds
+  // bit j of every column's count), then each column takes the coefficient
+  // bit its count selects.  The coefficients' zero tails keep dst's zero.
+  const std::size_t degree = xCopies.size();
+  const auto planes = static_cast<std::size_t>(std::bit_width(degree));
+  std::uint64_t* out = dst.mutableWords().data();
+  for (std::size_t w = 0; w < dst.words().size(); ++w) {
+    std::uint64_t count[64] = {};
+    for (const auto* s : xCopies) {
+      std::uint64_t carry = s->words()[w];
+      for (std::size_t j = 0; j < planes && carry != 0; ++j) {
+        const std::uint64_t next = count[j] & carry;
+        count[j] ^= carry;
+        carry = next;
+      }
+    }
+    std::uint64_t o = 0;
+    for (std::size_t k = 0; k <= degree; ++k) {
+      std::uint64_t is = coeffs[k]->words()[w];
+      for (std::size_t j = 0; j < planes; ++j) {
+        is &= (k >> j) & 1u ? count[j] : ~count[j];
+      }
+      o |= is;
+    }
+    out[w] = o;
   }
 }
 

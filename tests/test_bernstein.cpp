@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <vector>
 
 #include "sc/bernstein.hpp"
 #include "sc/sng.hpp"
@@ -55,6 +57,32 @@ TEST(BernsteinSelect, DegreeOneIsMux) {
   const Bitstream b1 = generateSbsFromProb(src, 1.0, 8, 64);
   const Bitstream out = scBernsteinSelect({x}, {b0, b1});
   EXPECT_EQ(out, x);
+}
+
+TEST(BernsteinSelect, WordLevelSelectMatchesBitLoop) {
+  // The bit loop the word-level select replaced is the oracle: per column,
+  // count the copies' ones and take that coefficient's bit.
+  std::mt19937_64 eng(9);
+  for (const std::size_t degree : {1, 2, 3, 4, 5, 6}) {
+    for (const std::size_t width : {1, 63, 64, 256, 1000}) {
+      std::vector<Bitstream> copies(degree, Bitstream(width));
+      std::vector<Bitstream> coeffs(degree + 1, Bitstream(width));
+      for (auto* set : {&copies, &coeffs}) {
+        for (Bitstream& s : *set) {
+          for (std::uint64_t& w : s.mutableWords()) w = eng();
+          s.clearTail();
+        }
+      }
+      Bitstream want(width);
+      for (std::size_t i = 0; i < width; ++i) {
+        std::size_t ones = 0;
+        for (const Bitstream& c : copies) ones += c.get(i) ? 1 : 0;
+        if (coeffs[ones].get(i)) want.set(i, true);
+      }
+      EXPECT_EQ(scBernsteinSelect(copies, coeffs), want)
+          << "degree " << degree << " width " << width;
+    }
+  }
 }
 
 class BernsteinAccuracy : public ::testing::TestWithParam<double> {};

@@ -5,7 +5,10 @@
 // campaign integration.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
+#include <random>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "bincim/aritpim.hpp"
 #include "core/accelerator.hpp"
 #include "reliability/fault_plan.hpp"
+#include "reliability/fault_rng.hpp"
 #include "reliability/injector.hpp"
 #include "reliability/redundancy.hpp"
 #include "reram/wear.hpp"
@@ -87,6 +91,31 @@ std::unique_ptr<core::ScBackend> faultedSwSc(std::uint64_t seed) {
   bc.seed = seed;
   bc.faults = streamFaultPlan();
   return core::makeBackend(core::DesignKind::SwScLfsr, bc);
+}
+
+TEST(FaultRng, IntegerDrawMatchesFaultSiteBernoulli) {
+  // The injector's per-epoch key and integer threshold decide exactly as
+  // faultSiteBernoulli, at the listed rates and at each key's own uniform
+  // and its two neighbouring doubles.
+  std::mt19937_64 eng(31);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t seed = eng();
+    const std::uint64_t lane = eng() % 16;
+    const std::uint64_t epoch = eng() % 100000;
+    const std::uint64_t site = eng() % 1024;
+    const std::uint64_t key = reliability::faultEpochKey(seed, lane, epoch);
+    const double u =
+        reliability::faultSiteUniform(seed, lane, epoch, site);
+    for (const double p : {0.0, 1e-9, 1e-3, 0.03, 0.5, 1.0, 1.5, -0.5, nan,
+                           u, std::nextafter(u, 2.0),
+                           std::nextafter(u, -1.0)}) {
+      ASSERT_EQ(reliability::faultSiteDraw(key, site,
+                                           reliability::faultThreshold(p)),
+                reliability::faultSiteBernoulli(seed, lane, epoch, site, p))
+          << "p=" << p << " seed=" << seed << " site=" << site;
+    }
+  }
 }
 
 TEST(FaultedBackend, DeterministicAcrossInstancesAndActuallyInjects) {
