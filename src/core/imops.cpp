@@ -2,9 +2,7 @@
 
 #include "sc/bernstein.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <stdexcept>
 
 #include "reliability/fault_rng.hpp"
@@ -66,14 +64,13 @@ void ImOps::divideInto(sc::Bitstream& dst, const sc::Bitstream& x,
   scouting_.array().events().add(reram::EventKind::CordivIteration, x.size());
 
   // The mat's frozen 2-row AND probabilities as integer thresholds: a
-  // draw key k flips its term when (k >> 11) < ceil(p * 2^53), i.e. when
+  // draw key k flips its term when (k >> 11) < faultThreshold(p), i.e. when
   // its uniform is below p (all zero on a fault-free mat, which then draws
   // nothing).
   std::array<std::uint64_t, 3> flipBelow{};
   for (int ones = 0; ones <= 2; ++ones) {
-    const double p = scouting_.misdecisionProb(SlOp::And, ones, 2);
-    flipBelow[static_cast<std::size_t>(ones)] = static_cast<std::uint64_t>(
-        std::ceil(std::min(p, 1.0) * 0x1.0p53));
+    flipBelow[static_cast<std::size_t>(ones)] = reliability::faultThreshold(
+        scouting_.misdecisionProb(SlOp::And, ones, 2));
   }
   // Iteration i's terms draw keys mix64(callKey + 2i) and
   // mix64(callKey + 2i + 1).

@@ -23,13 +23,6 @@ void Periphery::captureL1(const sc::Bitstream& v) {
 
 void Periphery::predicateL0ByL1() { l0_ &= l1_; }
 
-void Periphery::accumulateL0(const sc::Bitstream& v) {
-  if (v.size() != array_.cols()) {
-    throw std::invalid_argument("Periphery::accumulateL0: width mismatch");
-  }
-  l0_ |= v;
-}
-
 void Periphery::commit(std::size_t r) { array_.writeRow(r, l0_); }
 
 }  // namespace aimsc::reram

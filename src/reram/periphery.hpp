@@ -45,10 +45,6 @@ class Periphery {
   /// write-driver pair natively computes "data AND modify" (IMSNG-opt).
   void predicateL0ByL1();
 
-  /// Merges a sensed value into L0 with OR (accumulating the greater-than
-  /// terms across bit positions).
-  void accumulateL0(const sc::Bitstream& v);
-
   /// Commits L0 to row \p r (one real write; differential inside the array).
   void commit(std::size_t r);
 

@@ -138,11 +138,12 @@ std::uint64_t quietBelow(std::uint64_t* noFlip, std::size_t c, double invLogQ) {
 /// later draw first meets the no-flip threshold of the ranks left, so only
 /// a draw that places a flip pays a log.  Ranks ascend, so one pass over
 /// the mask words serves every flip, and a select finds each rank's column.
-template <class Select>
-inline void skipRanks(std::uint64_t* out, const std::uint64_t* mask,
-                      std::size_t cnt, std::size_t first,
-                      std::uint64_t classKey, double invLogQ,
-                      std::uint64_t* noFlip) {
+AIMSC_POPCNT_CLONES void flipSkippedRanks(std::uint64_t* out,
+                                          const std::uint64_t* mask,
+                                          std::size_t cnt, std::size_t first,
+                                          std::uint64_t classKey,
+                                          double invLogQ,
+                                          std::uint64_t* noFlip) {
   std::size_t w = 0;
   std::size_t seen = 0;  // set mask bits before word w
   std::size_t inWord = static_cast<std::size_t>(std::popcount(mask[0]));
@@ -152,7 +153,7 @@ inline void skipRanks(std::uint64_t* out, const std::uint64_t* mask,
       seen += inWord;
       inWord = static_cast<std::size_t>(std::popcount(mask[++w]));
     }
-    out[w] ^= Select::bit(mask[w], static_cast<unsigned>(nth - seen));
+    out[w] ^= sc::selectBit(mask[w], static_cast<unsigned>(nth - seen));
     const std::size_t left = cnt - nth - 1;
     if (left == 0) return;
     const std::uint64_t r = drawRank(classKey + d);
@@ -161,25 +162,6 @@ inline void skipRanks(std::uint64_t* out, const std::uint64_t* mask,
     if (gap >= static_cast<double>(left)) return;  // rounding at the edge
     nth += 1 + static_cast<std::size_t>(gap);
   }
-}
-
-// The skip is built for the x86-64 baseline and, where the loader can pick
-// clones, for POPCNT + BMI2 with the pdep select (sc/select.hpp).
-#if AIMSC_SELECT_CLONES
-__attribute__((target("popcnt,bmi2"), flatten)) void flipSkippedRanks(
-    std::uint64_t* out, const std::uint64_t* mask, std::size_t cnt,
-    std::size_t first, std::uint64_t classKey, double invLogQ,
-    std::uint64_t* noFlip) {
-  skipRanks<sc::Bmi2Select>(out, mask, cnt, first, classKey, invLogQ, noFlip);
-}
-__attribute__((target("default")))
-#endif
-void flipSkippedRanks(std::uint64_t* out, const std::uint64_t* mask,
-                      std::size_t cnt, std::size_t first,
-                      std::uint64_t classKey, double invLogQ,
-                      std::uint64_t* noFlip) {
-  skipRanks<sc::PortableSelect>(out, mask, cnt, first, classKey, invLogQ,
-                                noFlip);
 }
 
 /// Mask of the live bits of a width's last word.

@@ -78,10 +78,9 @@ class ScoutingLogic {
   /// against the M = planes.size() random planes, MSB first (1 <= M <= 32,
   /// x <= 2^M): \p result gets bit j = (x > R_j) and \p flag bit j =
   /// (x == R_j), as sensed, misdecisions included (both resized to the
-  /// plane width).  x = 2^M senses
-  /// nothing: result is all ones and flag all zeros.  Otherwise \p flag
-  /// starts all ones and \p result all zeros; then, per plane i with a =
-  /// bit M-1-i of x:
+  /// plane width).  x = 2^M senses nothing: result is all ones and flag
+  /// all zeros.  Otherwise \p flag starts all ones and \p result all
+  /// zeros; then, per plane i with a = bit M-1-i of x:
   ///  * a = 1: one step senses NOR(NOT flag, plane) and ORs it into
   ///    \p result, the next senses flag = AND(flag, plane);
   ///  * a = 0: one step senses flag = NOR(NOT flag, plane).
@@ -152,8 +151,8 @@ class ScoutingLogic {
   std::vector<FlipClass> flipTable_;
   // Per-step scratch of faulty mats (a ScoutingLogic instance is
   // single-threaded — each tile-engine lane owns its own), which only
-  // grows: class masks, up to 6 x words, and the NOR term of the chain's
-  // a = 1 step pair.
+  // grows: class masks, up to 4 x words (the chain keeps one mask and the
+  // saved flag there), and the NOR term of the chain's a = 1 step pair.
   std::vector<std::uint64_t> maskWords_;
   std::vector<std::uint64_t> chainTerm_;
   sc::Bitstream sampled_;

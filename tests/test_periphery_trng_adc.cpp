@@ -31,20 +31,11 @@ TEST(Periphery, PredicatedSensing) {
   EXPECT_EQ(arr.events().counts().rowWrites, 0u);
 }
 
-TEST(Periphery, AccumulateOr) {
-  CrossbarArray arr(4, 8, DeviceParams::ideal());
-  Periphery per(arr);
-  per.captureL0(sc::Bitstream::fromString("11000000"));
-  per.accumulateL0(sc::Bitstream::fromString("00110000"));
-  EXPECT_EQ(per.l0(), sc::Bitstream::fromString("11110000"));
-}
-
 TEST(Periphery, WidthValidation) {
   CrossbarArray arr(4, 8, DeviceParams::ideal());
   Periphery per(arr);
   EXPECT_THROW(per.captureL0(sc::Bitstream(9)), std::invalid_argument);
   EXPECT_THROW(per.captureL1(sc::Bitstream(7)), std::invalid_argument);
-  EXPECT_THROW(per.accumulateL0(sc::Bitstream(9)), std::invalid_argument);
 }
 
 // --- TRNG --------------------------------------------------------------------
