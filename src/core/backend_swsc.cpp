@@ -3,6 +3,7 @@
 #include <array>
 
 #include "img/image.hpp"
+#include "reliability/fault_rng.hpp"
 #include "sc/bernstein.hpp"
 #include "sc/cordiv.hpp"
 #include "sc/ops.hpp"
@@ -36,14 +37,6 @@ constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
 /// Offset separating the constant-stream seed space from the epoch space.
 constexpr std::uint64_t kConstSpace = 0x517ec0de'0000'0000ull;
 
-/// splitmix64 finalizer (Steele et al.): full-avalanche mix so nearby
-/// epoch indices yield unrelated SFMT seeds.
-std::uint64_t splitmix64Fin(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 std::uint32_t swScLfsrSeedForEpoch(std::uint64_t seed, std::uint64_t epoch) {
@@ -62,8 +55,11 @@ SwScSobolEpoch swScSobolForEpoch(std::uint64_t seed, std::uint64_t epoch) {
 
 std::uint32_t swScSfmtSeedForEpoch(std::uint64_t seed, std::uint64_t epoch) {
   // Unlike the LFSR's 254-seed space, the SFMT accepts any 32-bit seed, so
-  // the golden stride can be finalized into a full-width value.
-  return static_cast<std::uint32_t>(splitmix64Fin(seed + kGolden * epoch));
+  // the golden stride can be finalized into a full-width value.  mix64 adds
+  // one golden step before its SplitMix64 finalizer, so the stride starts
+  // at epoch - 1.
+  return static_cast<std::uint32_t>(
+      reliability::mix64(seed + kGolden * (epoch - 1)));
 }
 
 std::unique_ptr<sc::RandomSource> swScConstantSource(const SwScConfig& config,

@@ -14,15 +14,6 @@ void Periphery::captureL0(const sc::Bitstream& v) {
   l0_ = v;
 }
 
-void Periphery::captureL1(const sc::Bitstream& v) {
-  if (v.size() != array_.cols()) {
-    throw std::invalid_argument("Periphery::captureL1: width mismatch");
-  }
-  l1_ = v;
-}
-
-void Periphery::predicateL0ByL1() { l0_ &= l1_; }
-
 void Periphery::commit(std::size_t r) { array_.writeRow(r, l0_); }
 
 }  // namespace aimsc::reram

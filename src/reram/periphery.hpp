@@ -14,7 +14,9 @@
 ///    latch pair itself, eliminating the remaining intermediate writes
 ///    (IMSNG-opt performs zero intermediate writes).
 ///
-/// The class tracks latch contents and charges latch events; commits go
+/// The class holds the two latches and commits L0.  It senses nothing
+/// itself: `ScoutingLogic::greaterThanInto` runs the FFlag chain in L1 and
+/// ORs each step into L0 in place, the predicated AND included.  Commits go
 /// through CrossbarArray::writeRow so write costs stay centralized.
 #pragma once
 
@@ -29,21 +31,13 @@ class Periphery {
   /// Captures a sensed value into the data latch (L0).
   void captureL0(const sc::Bitstream& v);
 
-  /// Captures a value into the mask/flag latch (L1).
-  void captureL1(const sc::Bitstream& v);
-
   /// Latched data, usable as a feedback operand for the next SL step.
   const sc::Bitstream& l0() const { return l0_; }
-  const sc::Bitstream& l1() const { return l1_; }
 
   /// The latches themselves, for a sensing step whose sense-amp output
   /// lands in a latch in place (the IMSNG FFlag chain).
   sc::Bitstream& mutableL0() { return l0_; }
   sc::Bitstream& mutableL1() { return l1_; }
-
-  /// Predicated latch update: L0 &= L1 without any array access — the
-  /// write-driver pair natively computes "data AND modify" (IMSNG-opt).
-  void predicateL0ByL1();
 
   /// Commits L0 to row \p r (one real write; differential inside the array).
   void commit(std::size_t r);

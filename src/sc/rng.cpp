@@ -136,7 +136,7 @@ void Sobol::init() {
   }
   const JoeKuoEntry& e = kJoeKuo[dimension_ - 1];
   const int s = e.s;
-  std::uint32_t m[kBits];
+  std::uint32_t m[kBits] = {};
   for (int k = 0; k < s; ++k) m[k] = e.m[k];
   for (int k = s; k < kBits; ++k) {
     std::uint32_t v = m[k - s] ^ (m[k - s] << s);

@@ -12,20 +12,6 @@ namespace {
 constexpr double kBackoffMultiplier = 2.0;
 constexpr std::uint64_t kJitterSeed = 0x5eedf00dULL;
 
-/// One Ping/Pong exchange on a channel with NO in-flight Execute (anything
-/// else would desync the frame pairing).  Any failure — send, deadline,
-/// decode, wrong kind — reads as a missed beat.
-std::optional<std::uint64_t> heartbeatOn(ShardChannel& ch) {
-  try {
-    ch.send(encodePing());
-    const WireReply reply = decodeReply(ch.receive());
-    if (reply.kind != ReplyKind::Pong) return std::nullopt;
-    return reply.served;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
 }  // namespace
 
 ShardSupervisor::ShardSupervisor(
@@ -107,9 +93,6 @@ WireReply ShardSupervisor::finish(std::size_t shard) {
     if (!st.needRecovery) {
       try {
         WireReply reply = decodeReply(st.channel->receive());
-        if (reply.kind != ReplyKind::Result) {
-          throw DecodeError("Pong where a Result was expected");
-        }
         // ok == false is a DETERMINISTIC execution failure — replaying the
         // same frame yields the same error, so it is returned, not retried.
         st.hasInflight = false;
@@ -156,16 +139,6 @@ WireReply ShardSupervisor::roundTrip(std::size_t shard,
                                      std::vector<std::uint8_t> frame) {
   start(shard, std::move(frame));
   return finish(shard);
-}
-
-std::optional<std::uint64_t> ShardSupervisor::heartbeat(std::size_t shard) {
-  ShardState& st = shards_.at(shard);
-  if (st.dead) return std::nullopt;
-  if (st.hasInflight) {
-    throw std::logic_error("ShardSupervisor: heartbeat with a dispatch in "
-                           "flight would desync the frame pairing");
-  }
-  return heartbeatOn(*st.channel);
 }
 
 bool ShardSupervisor::respawn(std::size_t shard) {

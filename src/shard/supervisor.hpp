@@ -1,6 +1,6 @@
 /// \file supervisor.hpp
 /// \brief Worker lifecycle supervision: deadlines, retry with exponential
-///        backoff + deterministic jitter, bounded respawn, heartbeats.
+///        backoff + deterministic jitter, bounded respawn.
 ///
 /// The `ShardSupervisor` sits between the coordinator and the raw
 /// `ShardChannel`s and upgrades PR-8's "error, not hang" failure story to
@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -109,7 +108,7 @@ class ShardSupervisor {
 
   /// Joins the in-flight dispatch on \p shard, driving the full recovery
   /// loop: receive -> on timeout/garbage/death: kill, backoff, respawn,
-  /// resend -> until a decoded Result reply or the budget runs out
+  /// resend -> until a decoded reply or the budget runs out
   /// (-> marks the shard dead and throws ShardDead).  An `ok == false`
   /// reply is returned as-is: it is a deterministic execution failure and
   /// retrying it would yield the same bytes.
@@ -117,11 +116,6 @@ class ShardSupervisor {
 
   /// One-shot dispatch (start + finish).
   WireReply roundTrip(std::size_t shard, std::vector<std::uint8_t> frame);
-
-  /// Heartbeat: sends Ping and returns the worker's served-frame count, or
-  /// nullopt if the worker failed to Pong within the recv deadline (no
-  /// retry, no state change — callers decide what a missed beat means).
-  std::optional<std::uint64_t> heartbeat(std::size_t shard);
 
   /// The live channel behind \p shard (single-threaded introspection only;
   /// NOT for sending — that would desync the frame pairing).

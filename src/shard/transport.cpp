@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "shard/worker.hpp"
@@ -46,81 +47,65 @@ void closeInheritedParentFds() {
   for (const int inherited : liveParentFds()) ::close(inherited);
 }
 
+/// An absolute frame deadline; nullopt blocks.
+using Deadline = std::optional<SteadyClock::time_point>;
+
+Deadline deadlineAfter(std::chrono::milliseconds budget) {
+  if (budget.count() <= 0) return std::nullopt;
+  return SteadyClock::now() + budget;
+}
+
 /// Remaining milliseconds until \p deadline for poll(), clamped to >= 1 so
 /// a deadline a few microseconds away still polls instead of spinning.
 int pollBudgetMs(SteadyClock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
       deadline - SteadyClock::now());
-  return std::max<long long>(1, left.count()) > 0x7fffffff
-             ? 0x7fffffff
-             : static_cast<int>(std::max<long long>(1, left.count()));
+  return static_cast<int>(std::clamp<long long>(left.count(), 1, 0x7fffffff));
 }
 
-bool readFully(int fd, std::uint8_t* buf, std::size_t n) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, buf + got, n - got, 0);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return false;  // EOF or hard error
-    }
-    got += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-bool writeFully(int fd, const std::uint8_t* buf, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
-    // MSG_NOSIGNAL: a dead peer yields EPIPE here instead of killing the
-    // process with SIGPIPE — the caller turns it into an error ticket.
-    const ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-/// Deadline-bounded reads: poll for readability against the shared frame
-/// deadline before every recv, so a wedged peer costs at most the budget.
-IoResult readFullyWithin(int fd, std::uint8_t* buf, std::size_t n,
-                         SteadyClock::time_point deadline) {
-  std::size_t got = 0;
-  while (got < n) {
-    if (SteadyClock::now() >= deadline) return IoResult::Timeout;
-    struct pollfd p = {fd, POLLIN, 0};
-    const int pr = ::poll(&p, 1, pollBudgetMs(deadline));
+/// Waits until \p fd is ready for \p events or \p limit passes.  Without a
+/// deadline it returns Ok at once: the caller's recv/send blocks instead.
+IoResult awaitReady(int fd, short events, const Deadline& limit) {
+  if (!limit) return IoResult::Ok;
+  for (;;) {
+    if (SteadyClock::now() >= *limit) return IoResult::Timeout;
+    struct pollfd p = {fd, events, 0};
+    const int pr = ::poll(&p, 1, pollBudgetMs(*limit));
+    if (pr > 0) return IoResult::Ok;
     if (pr == 0) return IoResult::Timeout;
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return IoResult::Closed;
-    }
+    if (errno != EINTR) return IoResult::Closed;
+  }
+}
+
+IoResult readFully(int fd, std::uint8_t* buf, std::size_t n,
+                   const Deadline& limit) {
+  std::size_t got = 0;
+  while (got < n) {
+    const IoResult ready = awaitReady(fd, POLLIN, limit);
+    if (ready != IoResult::Ok) return ready;
     const ssize_t r = ::recv(fd, buf + got, n - got, 0);
     if (r <= 0) {
       if (r < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-      return IoResult::Closed;
+      return IoResult::Closed;  // EOF or hard error
     }
     got += static_cast<std::size_t>(r);
   }
   return IoResult::Ok;
 }
 
-IoResult writeFullyWithin(int fd, const std::uint8_t* buf, std::size_t n,
-                          SteadyClock::time_point deadline) {
+IoResult writeFully(int fd, const std::uint8_t* buf, std::size_t n,
+                    const Deadline& limit) {
+  // MSG_NOSIGNAL: a dead peer yields EPIPE here instead of killing the
+  // process with SIGPIPE — the caller turns it into an error ticket.  Under
+  // a deadline, MSG_DONTWAIT too: a blocking send waits until ALL its bytes
+  // fit in the socket buffer, which a peer that stopped reading never
+  // allows; a non-blocking one takes what fits and the loop polls again.
+  const int flags = MSG_NOSIGNAL | (limit ? MSG_DONTWAIT : 0);
   std::size_t sent = 0;
   while (sent < n) {
-    if (SteadyClock::now() >= deadline) return IoResult::Timeout;
-    struct pollfd p = {fd, POLLOUT, 0};
-    const int pr = ::poll(&p, 1, pollBudgetMs(deadline));
-    if (pr == 0) return IoResult::Timeout;
-    if (pr < 0) {
-      if (errno == EINTR) continue;
-      return IoResult::Closed;
-    }
-    const ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
+    const IoResult ready = awaitReady(fd, POLLOUT, limit);
+    if (ready != IoResult::Ok) return ready;
+    const ssize_t r = ::send(fd, buf + sent, n - sent, flags);
     if (r < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
       return IoResult::Closed;
@@ -142,56 +127,32 @@ std::uint32_t decodeLen(const std::uint8_t len[4]) {
 
 }  // namespace
 
-bool readFrame(int fd, std::vector<std::uint8_t>& frame) {
+IoResult readFrame(int fd, std::vector<std::uint8_t>& frame,
+                   std::chrono::milliseconds deadline) {
+  const Deadline limit = deadlineAfter(deadline);
   std::uint8_t len[4];
-  if (!readFully(fd, len, sizeof(len))) return false;
-  const std::uint32_t n = decodeLen(len);
-  if (n > kMaxFrameBytes) return false;
-  frame.resize(n);
-  return n == 0 || readFully(fd, frame.data(), n);
-}
-
-bool writeFrame(int fd, std::span<const std::uint8_t> frame) {
-  if (frame.size() > kMaxFrameBytes) return false;
-  std::uint8_t len[4];
-  encodeLen(static_cast<std::uint32_t>(frame.size()), len);
-  return writeFully(fd, len, sizeof(len)) &&
-         (frame.empty() || writeFully(fd, frame.data(), frame.size()));
-}
-
-IoResult readFrameWithin(int fd, std::vector<std::uint8_t>& frame,
-                         std::chrono::milliseconds deadline) {
-  if (deadline.count() <= 0) {
-    return readFrame(fd, frame) ? IoResult::Ok : IoResult::Closed;
-  }
-  const auto limit = SteadyClock::now() + deadline;
-  std::uint8_t len[4];
-  IoResult r = readFullyWithin(fd, len, sizeof(len), limit);
+  const IoResult r = readFully(fd, len, sizeof(len), limit);
   if (r != IoResult::Ok) return r;
   const std::uint32_t n = decodeLen(len);
   if (n > kMaxFrameBytes) return IoResult::Closed;
   frame.resize(n);
-  return n == 0 ? IoResult::Ok : readFullyWithin(fd, frame.data(), n, limit);
+  return n == 0 ? IoResult::Ok : readFully(fd, frame.data(), n, limit);
 }
 
-IoResult writeFrameWithin(int fd, std::span<const std::uint8_t> frame,
-                          std::chrono::milliseconds deadline) {
-  if (deadline.count() <= 0) {
-    return writeFrame(fd, frame) ? IoResult::Ok : IoResult::Closed;
-  }
+IoResult writeFrame(int fd, std::span<const std::uint8_t> frame,
+                    std::chrono::milliseconds deadline) {
   if (frame.size() > kMaxFrameBytes) return IoResult::Closed;
-  const auto limit = SteadyClock::now() + deadline;
+  const Deadline limit = deadlineAfter(deadline);
   std::uint8_t len[4];
   encodeLen(static_cast<std::uint32_t>(frame.size()), len);
-  IoResult r = writeFullyWithin(fd, len, sizeof(len), limit);
+  const IoResult r = writeFully(fd, len, sizeof(len), limit);
   if (r != IoResult::Ok) return r;
-  return frame.empty()
-             ? IoResult::Ok
-             : writeFullyWithin(fd, frame.data(), frame.size(), limit);
+  return frame.empty() ? IoResult::Ok
+                       : writeFully(fd, frame.data(), frame.size(), limit);
 }
 
 struct LoopbackChannel::Impl {
-  ShardWorker worker{/*exitOnCrashRequest=*/false};
+  ShardWorker worker{/*enactProcessFaults=*/false};
 };
 
 LoopbackChannel::LoopbackChannel() : impl_(std::make_unique<Impl>()) {}
@@ -246,7 +207,7 @@ class FdChannel final : public ShardChannel {
 
   void send(std::span<const std::uint8_t> frame) override {
     if (poisoned_) poison("worker previously failed");
-    switch (writeFrameWithin(fd_, frame, deadlines_.send)) {
+    switch (writeFrame(fd_, frame, deadlines_.send)) {
       case IoResult::Ok:
         return;
       case IoResult::Timeout:
@@ -262,7 +223,7 @@ class FdChannel final : public ShardChannel {
   std::vector<std::uint8_t> receive() override {
     if (poisoned_) poison("worker previously failed");
     std::vector<std::uint8_t> frame;
-    switch (readFrameWithin(fd_, frame, deadlines_.recv)) {
+    switch (readFrame(fd_, frame, deadlines_.recv)) {
       case IoResult::Ok:
         return frame;
       case IoResult::Timeout:

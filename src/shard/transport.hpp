@@ -48,7 +48,7 @@ constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
 /// Deadline budget for one channel operation.  Zero disables the bound for
 /// that operation (blocking I/O — workers waiting for their next request
-/// use that form).
+/// use that form, see readFrame).
 struct ChannelDeadlines {
   std::chrono::milliseconds send{2000};
   std::chrono::milliseconds recv{5000};
@@ -117,18 +117,22 @@ std::vector<std::unique_ptr<ShardChannel>> makeShardChannels(
     ShardTransportKind kind, std::size_t count,
     ChannelDeadlines deadlines = {});
 
-/// Low-level u32-length-framed I/O over a POSIX fd — the worker side of the
-/// process channel (shardWorkerMain's read/write loop).  readFrame returns
-/// false on EOF, an oversized length, or a short read; writeFrame returns
-/// false when the peer is gone (SIGPIPE is suppressed).
-bool readFrame(int fd, std::vector<std::uint8_t>& frame);
-bool writeFrame(int fd, std::span<const std::uint8_t> frame);
+/// Outcome of one framed read or write.
+enum class IoResult : std::uint8_t {
+  Ok,
+  Closed,   ///< EOF, a hard error, or an oversized length prefix
+  Timeout,  ///< the deadline expired first (never at a zero deadline)
+};
 
-/// Deadline-bounded variants (coordinator side).
-enum class IoResult : std::uint8_t { Ok, Closed, Timeout };
-IoResult readFrameWithin(int fd, std::vector<std::uint8_t>& frame,
-                         std::chrono::milliseconds deadline);
-IoResult writeFrameWithin(int fd, std::span<const std::uint8_t> frame,
-                          std::chrono::milliseconds deadline);
+/// u32-length-framed I/O over a POSIX fd — both ends of the process
+/// channel: the coordinator's `FdChannel` with its `ChannelDeadlines`, the
+/// worker's serve loop with a zero deadline.  A positive \p deadline bounds
+/// the whole frame: each transfer waits in `poll()` against it.  A zero
+/// deadline blocks in recv/send directly (no poll, no clock read).
+/// writeFrame suppresses SIGPIPE, so a vanished peer reads as `Closed`.
+IoResult readFrame(int fd, std::vector<std::uint8_t>& frame,
+                   std::chrono::milliseconds deadline);
+IoResult writeFrame(int fd, std::span<const std::uint8_t> frame,
+                    std::chrono::milliseconds deadline);
 
 }  // namespace aimsc::shard

@@ -209,14 +209,6 @@ core::DesignKind readDesignKind(WireReader& r) {
   return static_cast<core::DesignKind>(v);
 }
 
-reliability::Vote readVote(WireReader& r) {
-  const std::uint8_t v = r.u8();
-  if (v > static_cast<std::uint8_t>(reliability::Vote::Median)) {
-    throw DecodeError("wire: unknown Vote rule");
-  }
-  return static_cast<reliability::Vote>(v);
-}
-
 void writeEventCounts(WireWriter& w, const reram::EventCounts& e) {
   w.u64(e.slReads);
   w.u64(e.rowWrites);
@@ -262,8 +254,6 @@ service::Request WireRequest::toRequest() const {
   q.streamLength = streamLength;
   q.seed = seed;
   q.faults = faults;
-  q.redundancy.replicas = replicas;
-  q.redundancy.vote = vote;
   return q;
 }
 
@@ -284,8 +274,6 @@ WireRequest makeWireRequest(const service::Request& q,
   wq.streamLength = static_cast<std::uint32_t>(q.streamLength);
   wq.seed = effectiveSeed;
   wq.faults = q.faults;
-  wq.replicas = static_cast<std::uint32_t>(q.redundancy.replicas);
-  wq.vote = q.redundancy.vote;
   wq.lanes = lanes;
   wq.rowsPerTile = rowsPerTile;
   wq.assignment = assignment;
@@ -302,12 +290,6 @@ WireRequest makeWireRequest(const service::Request& q,
   wq.aux1 = copyFrame(q.aux1);
   wq.aux2 = copyFrame(q.aux2);
   return wq;
-}
-
-std::vector<std::uint8_t> encodePing() {
-  WireRequest ping;
-  ping.kind = MessageKind::Ping;
-  return encodeRequest(ping);
 }
 
 std::vector<std::uint8_t> encodeMisbehave(WorkerFault fault) {
@@ -335,8 +317,6 @@ std::vector<std::uint8_t> encodeRequest(const WireRequest& q) {
     w.u32(q.streamLength);
     w.u64(q.seed);
     writeFaultPlan(w, q.faults);
-    w.u32(q.replicas);
-    w.u8(static_cast<std::uint8_t>(q.vote));
     w.u32(q.lanes);
     w.u32(q.rowsPerTile);
     w.u64(q.assignment.laneSeedBase);
@@ -361,19 +341,15 @@ WireRequest decodeRequest(std::span<const std::uint8_t> bytes) {
   }
   WireRequest q;
   const std::uint8_t kind = r.u8();
-  if (kind < static_cast<std::uint8_t>(MessageKind::Execute) ||
-      kind > static_cast<std::uint8_t>(MessageKind::Misbehave)) {
+  if (kind != static_cast<std::uint8_t>(MessageKind::Execute) &&
+      kind != static_cast<std::uint8_t>(MessageKind::Misbehave)) {
     throw DecodeError("wire: unknown message kind");
   }
   q.kind = static_cast<MessageKind>(kind);
-  if (q.kind == MessageKind::Crash || q.kind == MessageKind::Ping) {
-    r.expectExhausted();
-    return q;
-  }
   if (q.kind == MessageKind::Misbehave) {
     const std::uint8_t fault = r.u8();
     if (fault < static_cast<std::uint8_t>(WorkerFault::CrashBeforeReply) ||
-        fault > static_cast<std::uint8_t>(WorkerFault::DropConnection)) {
+        fault > static_cast<std::uint8_t>(WorkerFault::GarbageReply)) {
       throw DecodeError("wire: unknown worker fault");
     }
     q.fault = static_cast<WorkerFault>(fault);
@@ -389,8 +365,6 @@ WireRequest decodeRequest(std::span<const std::uint8_t> bytes) {
   q.streamLength = r.u32();
   q.seed = r.u64();
   q.faults = readFaultPlan(r);
-  q.replicas = r.u32();
-  q.vote = readVote(r);
   q.lanes = r.u32();
   q.rowsPerTile = r.u32();
   q.assignment.laneSeedBase = r.u64();
@@ -415,11 +389,6 @@ std::vector<std::uint8_t> encodeReply(const WireReply& reply) {
   WireWriter w;
   w.u32(kReplyMagic);
   w.u16(kWireVersion);
-  w.u8(static_cast<std::uint8_t>(reply.kind));
-  if (reply.kind == ReplyKind::Pong) {
-    w.u64(reply.served);
-    return w.finish();
-  }
   w.u8(reply.ok ? 0 : 1);
   if (!reply.ok) {
     const std::size_t n = std::min(reply.error.size(), kMaxErrorLength);
@@ -459,17 +428,6 @@ WireReply decodeReply(std::span<const std::uint8_t> bytes) {
                       std::to_string(version));
   }
   WireReply reply;
-  const std::uint8_t kind = r.u8();
-  if (kind < static_cast<std::uint8_t>(ReplyKind::Result) ||
-      kind > static_cast<std::uint8_t>(ReplyKind::Pong)) {
-    throw DecodeError("wire: unknown reply kind");
-  }
-  reply.kind = static_cast<ReplyKind>(kind);
-  if (reply.kind == ReplyKind::Pong) {
-    reply.served = r.u64();
-    r.expectExhausted();
-    return reply;
-  }
   const std::uint8_t status = r.u8();
   if (status > 1) throw DecodeError("wire: bad reply status");
   reply.ok = status == 0;

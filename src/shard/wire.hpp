@@ -5,8 +5,8 @@
 /// A shard request serializes everything a worker process needs to execute
 /// a slice of one replica of a `service::Request` bit-identically to the
 /// in-process path: the request fields (app, design, stream length, gamma,
-/// upscale factor, the full `reliability::FaultPlan`, `Redundancy`), the
-/// tenant identity + seed namespace (accounting metadata), the pixel
+/// upscale factor, the full `reliability::FaultPlan`), the tenant identity
+/// + seed namespace (accounting metadata), the pixel
 /// payloads of every input frame, the fleet shape (`lanes`, `rowsPerTile` —
 /// part of the bit contract), and a `TileAssignment` naming the lanes this
 /// shard owns.  The reply carries the output rows those lanes produced plus
@@ -48,38 +48,31 @@ class DecodeError : public std::runtime_error {
 
 constexpr std::uint32_t kRequestMagic = 0x41575251u;  ///< "AWRQ" (LE bytes)
 constexpr std::uint32_t kReplyMagic = 0x41575250u;    ///< "AWRP"
-/// Version 2 added the supervision frames: `Ping`/`Pong` heartbeats and
-/// `Misbehave` fault-arming (docs/SHARDING.md "Failure semantics").
-constexpr std::uint16_t kWireVersion = 2;
+/// Version 3 retired the heartbeat and crash request kinds, the
+/// drop-connection fault, the reply's kind byte and the Execute body's
+/// redundancy fields (docs/SHARDING.md "Wire format").
+constexpr std::uint16_t kWireVersion = 3;
 
-/// Shard request kinds.  `Crash` aborts the worker process immediately;
-/// `Ping` asks for a `Pong` heartbeat reply; `Misbehave` arms a
-/// `WorkerFault` that fires on the worker's NEXT Execute frame (the chaos
-/// suite's injection hooks — a loopback worker answers Crash and the
-/// process-level faults with error replies instead).
+/// Shard request kinds.  The coordinator sends `Execute`; the supervisor
+/// sends `Misbehave`, which arms a `WorkerFault` that fires on the
+/// worker's NEXT Execute frame (the chaos suite's injection hook).  Kinds
+/// 2 and 3 are retired and decode as DecodeError.
 enum class MessageKind : std::uint8_t {
   Execute = 1,
-  Crash = 2,
-  Ping = 3,
   Misbehave = 4,
 };
 
 /// A misbehavior a `Misbehave` frame arms for the worker's next Execute.
 /// Each models one real failure: a crash after the work but before the
-/// reply, a wedged worker that never replies, a corrupted reply frame, and
-/// a dropped connection.  `ShardFaultPlan` (fault_plan.hpp) drives these
-/// from counter-based randomness; the supervisor recovers from all of them.
+/// reply, a wedged worker that never replies, and a corrupted reply frame.
+/// `ShardFaultPlan` (fault_plan.hpp) drives these from counter-based
+/// randomness; the supervisor recovers from all of them.
 enum class WorkerFault : std::uint8_t {
   None = 0,
   CrashBeforeReply = 1,  ///< execute, then _exit without replying
   HangBeforeReply = 2,   ///< execute, then sleep forever (needs SIGKILL)
   GarbageReply = 3,      ///< reply with a junk frame, stay alive
-  DropConnection = 4,    ///< close the socket and exit
 };
-
-/// Reply kinds: a `Result` carries an execution outcome; a `Pong` answers a
-/// `Ping` heartbeat with liveness metadata only.
-enum class ReplyKind : std::uint8_t { Result = 1, Pong = 2 };
 
 /// The lane slice a worker executes: lanes `laneBegin, laneBegin +
 /// laneStride, ...` of the request's `lanes`-wide fleet, over image rows
@@ -134,8 +127,6 @@ struct WireRequest {
   std::uint32_t streamLength = 256;
   std::uint64_t seed = 0;  ///< effective (namespaced) request seed
   reliability::FaultPlan faults{};
-  std::uint32_t replicas = 1;
-  reliability::Vote vote = reliability::Vote::Auto;
 
   // Fleet shape — part of the request's bit contract (ServiceConfig role).
   std::uint32_t lanes = 4;
@@ -146,8 +137,10 @@ struct WireRequest {
   WireFrame src, aux1, aux2;
 
   /// Rebuilds the non-owning `service::Request` over this message's frame
-  /// payloads (`out` stays empty — workers stage output internally).  The
-  /// wire request must outlive the returned views.
+  /// payloads (`out` stays empty — workers stage output internally;
+  /// `redundancy` stays at its default — the coordinator runs each replica
+  /// and the service votes).  The wire request must outlive the returned
+  /// views.
   service::Request toRequest() const;
 
   friend bool operator==(const WireRequest&, const WireRequest&) = default;
@@ -175,7 +168,6 @@ struct LaneStats {
 
 /// The decoded (owning) form of a shard reply.
 struct WireReply {
-  ReplyKind kind = ReplyKind::Result;
   bool ok = true;
   std::string error;  ///< set when !ok
 
@@ -184,16 +176,8 @@ struct WireReply {
   std::vector<RowSegment> segments;
   std::vector<LaneStats> laneStats;
 
-  /// Pong payload: Execute frames this worker has served since it started
-  /// (a respawned worker restarts from 0 — the supervisor's liveness and
-  /// warm-state signal).
-  std::uint64_t served = 0;
-
   friend bool operator==(const WireReply&, const WireReply&) = default;
 };
-
-/// Builds a Ping heartbeat request frame.
-std::vector<std::uint8_t> encodePing();
 
 /// Builds a Misbehave frame arming \p fault on the worker's next Execute.
 std::vector<std::uint8_t> encodeMisbehave(WorkerFault fault);

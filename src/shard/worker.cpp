@@ -10,8 +10,8 @@
 
 namespace aimsc::shard {
 
-ShardWorker::ShardWorker(bool exitOnCrashRequest)
-    : exitOnCrashRequest_(exitOnCrashRequest) {}
+ShardWorker::ShardWorker(bool enactProcessFaults)
+    : enactProcessFaults_(enactProcessFaults) {}
 
 std::vector<std::uint8_t> garbageReplyFrame() {
   // Deterministic junk: wrong magic, plausible length.  decodeReply throws
@@ -28,42 +28,25 @@ std::vector<std::uint8_t> ShardWorker::serve(
   WireReply reply;
   try {
     const WireRequest wq = decodeRequest(frame);
-    switch (wq.kind) {
-      case MessageKind::Crash:
-        if (exitOnCrashRequest_) ::_exit(42);
-        reply.ok = false;
-        reply.error = "shard worker: crash requested (loopback refuses)";
-        break;
-      case MessageKind::Ping:
-        reply.kind = ReplyKind::Pong;
-        reply.served = served_;
-        break;
-      case MessageKind::Misbehave:
-        armedFault_ = wq.fault;
-        return {};  // arming frames get no reply (Execute pairing stays 1:1)
-      case MessageKind::Execute: {
-        ++served_;
-        const WorkerFault fault = armedFault_;
-        armedFault_ = WorkerFault::None;  // one-shot: retries are fault-free
-        if (fault == WorkerFault::GarbageReply) return garbageReplyFrame();
-        if (fault == WorkerFault::CrashBeforeReply ||
-            fault == WorkerFault::HangBeforeReply ||
-            fault == WorkerFault::DropConnection) {
-          if (!exitOnCrashRequest_) {
-            reply.ok = false;
-            reply.error = "shard worker: process fault armed (loopback "
-                          "cannot crash/hang/drop)";
-            break;
-          }
-          // Do the work first — the modeled failure is a worker dying
-          // BETWEEN computing and replying, the worst replay case.
-          (void)execute(wq);
-          postAction_ = fault;
-          return {};
-        }
-        reply = execute(wq);
-        break;
-      }
+    if (wq.kind == MessageKind::Misbehave) {
+      armedFault_ = wq.fault;
+      return {};  // arming frames get no reply (Execute pairing stays 1:1)
+    }
+    const WorkerFault fault = armedFault_;
+    armedFault_ = WorkerFault::None;  // one-shot: retries are fault-free
+    if (fault == WorkerFault::GarbageReply) return garbageReplyFrame();
+    if (fault == WorkerFault::None) {
+      reply = execute(wq);
+    } else if (!enactProcessFaults_) {
+      reply.ok = false;
+      reply.error = "shard worker: process fault armed (loopback cannot "
+                    "crash/hang)";
+    } else {
+      // Do the work first — the modeled failure is a worker dying BETWEEN
+      // computing and replying, the worst replay case.
+      (void)execute(wq);
+      postAction_ = fault;
+      return {};
     }
   } catch (const std::exception& e) {
     reply = WireReply{};
@@ -149,24 +132,28 @@ WireReply ShardWorker::execute(const WireRequest& wq) {
 }
 
 int shardWorkerMain(int fd) {
-  ShardWorker worker(/*exitOnCrashRequest=*/true);
+  ShardWorker worker(/*enactProcessFaults=*/true);
+  // A zero deadline blocks: the worker waits for its next frame as long as
+  // the coordinator keeps the socket open.
+  constexpr std::chrono::milliseconds kBlock{0};
   std::vector<std::uint8_t> frame;
   for (;;) {
-    if (!readFrame(fd, frame)) return 0;  // coordinator closed: clean exit
+    if (readFrame(fd, frame, kBlock) != IoResult::Ok) {
+      return 0;  // coordinator closed: clean exit
+    }
     const std::vector<std::uint8_t> reply = worker.serve(frame);
     switch (worker.takePostServeAction()) {
       case WorkerFault::CrashBeforeReply:
         ::_exit(43);
       case WorkerFault::HangBeforeReply:
         for (;;) ::pause();  // wedged until the supervisor SIGKILLs us
-      case WorkerFault::DropConnection:
-        ::close(fd);
-        ::_exit(44);
       default:
         break;
     }
     if (reply.empty()) continue;  // Misbehave arming frames get no reply
-    if (!writeFrame(fd, reply)) return 2;  // coordinator vanished mid-reply
+    if (writeFrame(fd, reply, kBlock) != IoResult::Ok) {
+      return 2;  // coordinator vanished mid-reply
+    }
   }
 }
 

@@ -38,10 +38,12 @@ namespace aimsc::shard {
 
 class ShardWorker {
  public:
-  /// \p exitOnCrashRequest: a `MessageKind::Crash` frame calls `_exit(42)`
-  /// (the subprocess fault-injection hook); false (loopback) answers it
-  /// with an error reply instead.
-  explicit ShardWorker(bool exitOnCrashRequest = false);
+  /// \p enactProcessFaults decides what an armed `CrashBeforeReply` or
+  /// `HangBeforeReply` fault does: true (the subprocess worker) runs it —
+  /// serve() executes, returns empty and leaves the fault to the serve
+  /// loop; false (loopback, which has no process to lose) refuses it with
+  /// an error reply.
+  explicit ShardWorker(bool enactProcessFaults = false);
 
   /// Serves one wire frame: decode -> execute -> encoded reply.  Malformed
   /// frames and execution failures come back as error replies (the frame
@@ -53,18 +55,15 @@ class ShardWorker {
   /// the action in `takePostServeAction()` for the serve loop to perform.
   std::vector<std::uint8_t> serve(std::span<const std::uint8_t> frame);
 
-  /// The process-level fault the last serve() fired (CrashBeforeReply,
-  /// HangBeforeReply or DropConnection), cleared by the call.  The serve
-  /// loop performs it AFTER serve returns — the work has already been done,
-  /// modeling a worker that dies between computing and replying.
+  /// The process-level fault the last serve() fired (CrashBeforeReply or
+  /// HangBeforeReply), cleared by the call.  The serve loop performs it
+  /// AFTER serve returns — the work has already been done, modeling a
+  /// worker that dies between computing and replying.
   WorkerFault takePostServeAction() {
     const WorkerFault a = postAction_;
     postAction_ = WorkerFault::None;
     return a;
   }
-
-  /// Execute frames served since construction (the Pong liveness payload).
-  std::uint64_t served() const { return served_; }
 
   /// Warm-state observability (tests assert cache reuse across requests).
   std::size_t faultCacheHits() const { return faultCache_.hits(); }
@@ -73,12 +72,11 @@ class ShardWorker {
  private:
   WireReply execute(const WireRequest& wq);
 
-  bool exitOnCrashRequest_;
+  bool enactProcessFaults_;
   service::FaultModelCache faultCache_;
   std::vector<std::unique_ptr<core::StreamArena>> arenaPool_;
   WorkerFault armedFault_ = WorkerFault::None;  ///< fires on next Execute
   WorkerFault postAction_ = WorkerFault::None;  ///< fired, process-level
-  std::uint64_t served_ = 0;
 };
 
 /// The deterministic junk frame a `GarbageReply` fault emits (exposed so
@@ -90,8 +88,8 @@ std::vector<std::uint8_t> garbageReplyFrame();
 /// Subprocess entry point: serve length-prefixed frames from \p fd until
 /// EOF (coordinator closed the socket) or a fatal I/O error.  Returns the
 /// process exit code (0 on clean EOF).  Called in the fork()ed child of
-/// every process channel (transport.hpp); never returns on a Crash frame
-/// (`_exit(42)`) or a fired crash/hang/drop fault (43 / hang / 44).
+/// every process channel (transport.hpp); never returns on a fired crash
+/// or hang fault (`_exit(43)` / wedged until SIGKILL).
 int shardWorkerMain(int fd);
 
 }  // namespace aimsc::shard

@@ -21,21 +21,10 @@ TEST(Periphery, LatchCaptureAndCommit) {
   EXPECT_EQ(arr.events().counts().rowWrites, 1u);
 }
 
-TEST(Periphery, PredicatedSensing) {
-  CrossbarArray arr(4, 8, DeviceParams::ideal());
-  Periphery per(arr);
-  per.captureL0(sc::Bitstream::fromString("11110000"));
-  per.captureL1(sc::Bitstream::fromString("10101010"));
-  per.predicateL0ByL1();  // L0 &= L1 without touching the array
-  EXPECT_EQ(per.l0(), sc::Bitstream::fromString("10100000"));
-  EXPECT_EQ(arr.events().counts().rowWrites, 0u);
-}
-
 TEST(Periphery, WidthValidation) {
   CrossbarArray arr(4, 8, DeviceParams::ideal());
   Periphery per(arr);
   EXPECT_THROW(per.captureL0(sc::Bitstream(9)), std::invalid_argument);
-  EXPECT_THROW(per.captureL1(sc::Bitstream(7)), std::invalid_argument);
 }
 
 // --- TRNG --------------------------------------------------------------------

@@ -8,8 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <initializer_list>
 #include <random>
 #include <vector>
 
@@ -27,6 +32,7 @@ namespace {
 
 using service::Request;
 using shard::DecodeError;
+using shard::IoResult;
 using shard::ShardCoordinator;
 using shard::ShardTransportKind;
 using shard::TileAssignment;
@@ -119,8 +125,6 @@ WireRequest randomRequest(std::mt19937_64& rng) {
   wq.faults.transientFlipRate = (rng() % 100) / 1e5;
   wq.faults.wearDriftPerMegaCycle = (rng() % 100) / 1e3;
   wq.faults.wearPreloadCycles = rng() % (1u << 20);
-  wq.replicas = 1 + rng() % 5;
-  wq.vote = static_cast<reliability::Vote>(rng() % 3);
   wq.lanes = 1 + rng() % 16;
   wq.rowsPerTile = 1 + rng() % 8;
   wq.assignment.laneSeedBase = rng();
@@ -208,7 +212,6 @@ TEST(ShardWire, ToRequestPreservesFields) {
   EXPECT_EQ(q.design, wq.design);
   EXPECT_EQ(q.streamLength, wq.streamLength);
   EXPECT_EQ(q.seed, wq.seed);
-  EXPECT_EQ(q.redundancy.replicas, wq.replicas);
   EXPECT_EQ(q.gamma, wq.gamma);
   EXPECT_EQ(q.faults.stuckAtRate, wq.faults.stuckAtRate);
   ASSERT_FALSE(q.src.empty());
@@ -253,6 +256,148 @@ TEST(ShardWire, ChecksumIsFnv1a64) {
             0xcbf29ce484222325ull);
   const std::uint8_t a[] = {'a'};
   EXPECT_EQ(shard::fnv1a64(std::span(a, 1)), 0xaf63dc4c8601ec8cull);
+}
+
+/// A frame built by hand: \p magic, \p version, then \p body and a valid
+/// checksum, so only the decoder's field checks can reject it.
+std::vector<std::uint8_t> handFrame(std::uint32_t magic, std::uint16_t version,
+                                    std::initializer_list<std::uint8_t> body) {
+  std::vector<std::uint8_t> f;
+  const auto put = [&f](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      f.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put(magic, 4);
+  put(version, 2);
+  f.insert(f.end(), body);
+  put(shard::fnv1a64(f), 8);
+  return f;
+}
+
+TEST(ShardWire, RetiredKindsFaultAndVersionAreRejected) {
+  const std::uint32_t rq = shard::kRequestMagic;
+  const std::uint32_t rp = shard::kReplyMagic;
+  // Controls: the hand-built frames are valid at the current version.
+  EXPECT_EQ(shard::decodeRequest(handFrame(rq, 3, {4, 3})).fault,
+            shard::WorkerFault::GarbageReply);
+  EXPECT_FALSE(shard::decodeReply(handFrame(rp, 3, {1, 0, 0, 0, 0})).ok);
+
+  // Request kinds 2 and 3 (retired crash and heartbeat requests, no body)
+  // and worker fault 4 (retired drop-connection) no longer decode.
+  EXPECT_THROW(shard::decodeRequest(handFrame(rq, 3, {2})), DecodeError);
+  EXPECT_THROW(shard::decodeRequest(handFrame(rq, 3, {3})), DecodeError);
+  EXPECT_THROW(shard::decodeRequest(handFrame(rq, 3, {4, 4})), DecodeError);
+
+  // Version-2 frames, checksums intact: a Misbehave request, and an error
+  // reply with the kind byte (1 = Result) that version 2 carried.
+  EXPECT_THROW(shard::decodeRequest(handFrame(rq, 2, {4, 3})), DecodeError);
+  EXPECT_THROW(shard::decodeReply(handFrame(rp, 2, {1, 1, 0, 0, 0, 0})),
+               DecodeError);
+}
+
+/// A connected in-process AF_UNIX stream pair (no fork), closed on scope
+/// exit: the framed I/O under test without a worker behind it.
+struct SocketPair {
+  int fd[2] = {-1, -1};
+  SocketPair() {
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fd) != 0) {
+      throw std::runtime_error("socketpair failed");
+    }
+  }
+  ~SocketPair() {
+    closeEnd(0);
+    closeEnd(1);
+  }
+  SocketPair(const SocketPair&) = delete;
+  SocketPair& operator=(const SocketPair&) = delete;
+  void closeEnd(int i) {
+    if (fd[i] >= 0) ::close(fd[i]);
+    fd[i] = -1;
+  }
+  /// Raw bytes from end 0, outside the framing.
+  void sendRaw(std::initializer_list<std::uint8_t> bytes) const {
+    const std::vector<std::uint8_t> b(bytes);
+    ASSERT_EQ(::send(fd[0], b.data(), b.size(), 0),
+              static_cast<ssize_t>(b.size()));
+  }
+};
+
+using std::chrono::milliseconds;
+constexpr milliseconds kBlock{0};
+constexpr milliseconds kBudget{50};
+
+TEST(ShardFramedIo, FramesRoundTripBlockingAndUnderADeadline) {
+  SocketPair sp;
+  const std::vector<std::uint8_t> frames[] = {{1, 2, 3, 250, 0, 7}, {}};
+  for (const milliseconds deadline : {kBlock, milliseconds{1000}}) {
+    for (const auto& sent : frames) {
+      ASSERT_EQ(shard::writeFrame(sp.fd[0], sent, deadline), IoResult::Ok);
+      std::vector<std::uint8_t> got = {9, 9};
+      ASSERT_EQ(shard::readFrame(sp.fd[1], got, deadline), IoResult::Ok);
+      EXPECT_EQ(got, sent) << "deadline " << deadline.count() << " ms";
+    }
+  }
+}
+
+TEST(ShardFramedIo, SilentPeerTimesOutWithinTheBudget) {
+  using Clock = std::chrono::steady_clock;
+  SocketPair sp;
+  std::vector<std::uint8_t> got;
+  // Nothing sent, then a length prefix whose body never comes: the budget
+  // spans the whole frame, and silence is a timeout, not a closed peer.
+  for (int partial = 0; partial < 2; ++partial) {
+    if (partial == 1) sp.sendRaw({10, 0, 0, 0});
+    const Clock::time_point t0 = Clock::now();
+    EXPECT_EQ(shard::readFrame(sp.fd[1], got, kBudget), IoResult::Timeout);
+    const auto took = Clock::now() - t0;
+    EXPECT_GE(took, kBudget - milliseconds{5});
+    EXPECT_LT(took, kBudget + milliseconds{1000});
+  }
+  // A reader that never reads: the write fills the socket buffer, then
+  // times out.  SO_SNDTIMEO only makes a send that ignores the deadline
+  // fail here slowly instead of hanging the suite.
+  const timeval guard{3, 0};
+  ASSERT_EQ(::setsockopt(sp.fd[1], SOL_SOCKET, SO_SNDTIMEO, &guard,
+                         sizeof(guard)),
+            0);
+  const std::vector<std::uint8_t> big(8u << 20, 0x5a);
+  const Clock::time_point t0 = Clock::now();
+  EXPECT_EQ(shard::writeFrame(sp.fd[1], big, kBudget), IoResult::Timeout);
+  EXPECT_LT(Clock::now() - t0, kBudget + milliseconds{1000});
+}
+
+TEST(ShardFramedIo, ClosedPeerReadsAndWritesAsClosed) {
+  const std::vector<std::uint8_t> frame = {1, 2, 3};
+  for (const milliseconds deadline : {kBlock, milliseconds{1000}}) {
+    SocketPair sp;
+    sp.closeEnd(0);
+    std::vector<std::uint8_t> got;
+    EXPECT_EQ(shard::readFrame(sp.fd[1], got, deadline), IoResult::Closed);
+    // MSG_NOSIGNAL: EPIPE, not a SIGPIPE that kills the test.
+    EXPECT_EQ(shard::writeFrame(sp.fd[1], frame, deadline), IoResult::Closed);
+  }
+  // A peer that closes mid-frame.
+  for (const milliseconds deadline : {kBlock, milliseconds{1000}}) {
+    SocketPair sp;
+    sp.sendRaw({10, 0, 0, 0, 1, 2});
+    sp.closeEnd(0);
+    std::vector<std::uint8_t> got;
+    EXPECT_EQ(shard::readFrame(sp.fd[1], got, deadline), IoResult::Closed);
+  }
+}
+
+TEST(ShardFramedIo, OversizedLengthPrefixReadsAsClosed) {
+  const std::uint32_t n = shard::kMaxFrameBytes + 1;
+  for (const milliseconds deadline : {kBlock, milliseconds{1000}}) {
+    SocketPair sp;
+    sp.sendRaw({static_cast<std::uint8_t>(n), static_cast<std::uint8_t>(n >> 8),
+                static_cast<std::uint8_t>(n >> 16),
+                static_cast<std::uint8_t>(n >> 24)});
+    std::vector<std::uint8_t> got;
+    EXPECT_EQ(shard::readFrame(sp.fd[1], got, deadline), IoResult::Closed);
+    EXPECT_TRUE(got.empty());  // refused before any allocation
+  }
 }
 
 /// One replica through \p coord (tenant 1, no seed namespace), written

@@ -401,34 +401,6 @@ TEST(ShardChaos, FailedTicketStatusCarriesTheError) {
   svc.shutdown();
 }
 
-TEST(ShardChaos, HeartbeatReportsServedCountAndRespawnResetsIt) {
-  auto fabric = shard::makeSupervisedFabric(ShardTransportKind::Subprocess, 1,
-                                            chaosDeadlines(), chaosRetry());
-  const auto beat0 = fabric->heartbeat(0);
-  ASSERT_TRUE(beat0.has_value());
-  EXPECT_EQ(*beat0, 0u);  // fresh worker: no Execute served yet
-
-  ClientJob job = makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
-                          8, 9);
-  ShardCoordinator coord(std::move(fabric), 4, 4);
-  runOn(coord, job);
-  const auto beat1 = coord.fabric().heartbeat(0);
-  ASSERT_TRUE(beat1.has_value());
-  EXPECT_EQ(*beat1, 1u);  // one Execute frame served
-
-  // Kill the worker: the next heartbeat misses, and after the supervisor
-  // respawns (driven by the next dispatch), the served count restarts.
-  const int pid = coord.fabric().channel(0).workerPid();
-  ASSERT_EQ(::kill(pid, SIGKILL), 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(coord.fabric().heartbeat(0).has_value());
-
-  runOn(coord, job);
-  const auto beat2 = coord.fabric().heartbeat(0);
-  ASSERT_TRUE(beat2.has_value());
-  EXPECT_EQ(*beat2, 1u);  // respawned worker: its own first Execute
-}
-
 TEST(ShardChaos, LoopbackFabricRecoversGarbageByRetryInPlace) {
   // Loopback channels have no process to kill; a garbage-reply fault is
   // recovered by replaying on a respawned in-process worker.  Bits are

@@ -30,7 +30,6 @@ std::vector<std::uint8_t> seedRequestFrame(std::mt19937_64& rng) {
   wq.seed = rng();
   wq.faults.deviceVariability = (rng() & 1) != 0;
   wq.faults.stuckAtRate = (rng() % 10) / 1e3;
-  wq.replicas = 1 + rng() % 3;
   wq.lanes = 1 + rng() % 8;
   wq.rowsPerTile = 1 + rng() % 4;
   wq.assignment.laneSeedBase = rng();
