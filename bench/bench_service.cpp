@@ -6,8 +6,8 @@
 // tenants (the Table IV serving scenario) pay the per-mat misdecision
 // Monte-Carlo on EVERY one-shot call, while the service's FaultModelCache
 // pays it once per (tenant plan, mat seed) and serves warm tables after —
-// bit-identically (tests/test_service.cpp).  Batching additionally merges
-// the lane tasks of concurrent requests into shared worker-pool waves.
+// bit-identically (tests/test_service.cpp).  Concurrent requests also share
+// the worker pool: each one's lane tasks run as soon as a worker is free.
 //
 // Phases:
 //   1. solo reference   — maxBatch=1 service run of each traffic item (the
@@ -188,7 +188,6 @@ int main(int argc, char** argv) {
   sc.lanes = 4;
   sc.rowsPerTile = 4;
   sc.maxBatch = 8;
-  sc.flushDeadline = std::chrono::microseconds(500);
   sc.queueCapacity = 64;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   sc.workerThreads = std::min<std::size_t>(hw, sc.lanes);
@@ -246,7 +245,7 @@ int main(int argc, char** argv) {
     for (std::size_t c = 0; c < 3; ++c) {
       clients.emplace_back([&, c] {
         // Submit the whole share first (backpressure-bounded), then drain:
-        // keeps the queue full so the dispatcher can coalesce real batches.
+        // keeps the queue full so the admission window stays full.
         std::vector<service::Ticket> mine;
         for (std::size_t g = c; g < total; g += 3) {
           const TrafficItem& it = items[g % items.size()];

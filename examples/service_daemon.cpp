@@ -1,6 +1,6 @@
 // The always-on accelerator as a client would use it: start the daemon,
 // have three tenants submit mixed frames asynchronously (async tickets +
-// one blocking call), then read the per-tenant bills and batching stats.
+// one blocking call), then read the per-tenant bills and admission stats.
 //
 // Tenant 20 serves with the paper's Table IV device-fault plan: its first
 // frame pays the misdecision Monte-Carlo, every later frame hits the
@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   sc.lanes = 4;
   sc.rowsPerTile = 4;
   sc.maxBatch = 8;
-  sc.flushDeadline = std::chrono::microseconds(500);
   service::AcceleratorService daemon(sc);
-  std::printf("daemon up: %zu lanes, batch<=%zu, queue %zu deep\n\n",
+  std::printf("daemon up: %zu lanes, <=%zu requests in flight, queue %zu "
+              "deep\n\n",
               sc.lanes, sc.maxBatch, sc.queueCapacity);
 
   // Tenant 10: plain gamma frames on the CMOS-SC substrate.
@@ -68,19 +68,19 @@ int main(int argc, char** argv) {
   filterReq.redundancy.replicas = 3;
 
   // Async submits from two tenants, then a blocking run from the third —
-  // all three may coalesce into shared batches.
+  // all three may be in flight at once, sharing the worker pool.
   std::vector<service::Ticket> tickets;
   for (int frame = 0; frame < 3; ++frame) {
     tickets.push_back(daemon.submit(10, gammaReq));
     tickets.push_back(daemon.submit(20, faultyReq));
   }
   const service::RequestResult tmr = daemon.run(30, filterReq);
-  std::printf("tenant 30 (TMR filter): %zu-wide batch, queue %.0fus, exec "
-              "%.0fus\n", tmr.batchSize, tmr.queueMicros, tmr.execMicros);
+  std::printf("tenant 30 (TMR filter): admitted with %zu, queue %.0fus, "
+              "exec %.0fus\n", tmr.batchSize, tmr.queueMicros, tmr.execMicros);
 
   for (const service::Ticket& t : tickets) {
     const service::RequestResult r = daemon.waitOutcome(t).result;
-    std::printf("ticket %llu: batch of %zu, queue %.0fus, exec %.0fus\n",
+    std::printf("ticket %llu: admitted with %zu, queue %.0fus, exec %.0fus\n",
                 static_cast<unsigned long long>(t.id), r.batchSize,
                 r.queueMicros, r.execMicros);
   }
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
   const service::ServiceStats stats = daemon.stats();
   std::printf(
-      "\nservice: %llu requests in %llu batches (mean occupancy %.2f), "
+      "\nservice: %llu requests in %llu admissions (mean %.2f per admission), "
       "fault tables: %llu hits / %llu misses\n",
       static_cast<unsigned long long>(stats.requestsServed),
       static_cast<unsigned long long>(stats.batches), stats.meanOccupancy(),

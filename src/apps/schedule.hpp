@@ -3,7 +3,7 @@
 ///        frames become output bytes on a lane fleet.
 ///
 /// Every executor drives lanes through this file: `apps::runApp` (through
-/// `runTiled`), the service's merged pool waves and the shard worker.  An
+/// `runTiled`), the service's shared worker pool and the shard worker.  An
 /// app is a short sequence of stages.  Stage 0 reads the app's frames and
 /// writes a staging image; each later stage starts from a copy of the
 /// previous stage's image (border pixels pass through) and reads that
@@ -80,7 +80,7 @@ class StagedRun {
   core::TileExecutor::ArenaTileKernel stage(std::size_t s);
 
   /// The lane tasks of stage \p s on \p exec (task i runs lane i), for a
-  /// caller that runs them in its own pool wave.
+  /// caller that runs them on its own pool.
   std::vector<std::function<void()>> laneTasks(core::TileExecutor& exec,
                                                std::size_t s);
 

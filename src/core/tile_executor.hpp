@@ -80,7 +80,7 @@ class TileExecutor {
   /// cross-request batching hook.  Each closure is one lane's full tile
   /// sequence (arena reset before every tile, ascending tile order) and is
   /// self-contained: lanes of different executors never share state, so a
-  /// caller may merge many executors' tasks into one shared-pool wave
+  /// caller may run many executors' tasks, interleaved, on one shared pool
   /// (service::AcceleratorService does) and the bits each executor produces
   /// are identical to a private forEachTile run at any thread count.  The
   /// kernel is copied into the closures; the executor must outlive them.

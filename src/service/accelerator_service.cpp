@@ -1,6 +1,8 @@
 #include "service/accelerator_service.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -51,9 +53,20 @@ std::uint64_t namespacedSeed(std::uint64_t ns, std::uint64_t seed) {
 
 }  // namespace
 
+/// One replica of an in-process request: its lane fleet, the app schedule
+/// running on it, and the lane tasks of its current stage still running.
+struct AcceleratorService::Replica {
+  Replica(std::unique_ptr<core::TileExecutor> f, const apps::AppFrames& frames)
+      : fleet(std::move(f)), run(frames) {}
+
+  std::unique_ptr<core::TileExecutor> fleet;
+  apps::StagedRun run;
+  std::atomic<std::size_t> lanesLeft{0};
+};
+
 /// Everything one queued request carries through the pipeline.  The frame
 /// views alias client memory; replica images are service-owned staging
-/// that dies with the batch (the voted bytes leave through `request.out`).
+/// that dies with the request (the voted bytes leave through `request.out`).
 struct AcceleratorService::Pending {
   TenantId tenant = 0;
   Request request;
@@ -61,16 +74,33 @@ struct AcceleratorService::Pending {
   std::uint64_t effectiveSeed = 0;
   std::uint64_t id = 0;
   Clock::time_point submitTime;
+  Clock::time_point admitTime;
+  std::size_t batchSize = 1;  ///< requests admitted together with this one
 
-  // Batch-local execution state (in-process dispatch only), one entry per
-  // replica: the lane fleet and the app schedule running on it.
-  std::vector<std::unique_ptr<core::TileExecutor>> fleets;
-  std::vector<apps::StagedRun> runs;
+  // In-process execution state.  A deque builds each replica in place and
+  // never moves it, so lane tasks may hold a Replica& until the request
+  // completes.  The lane tasks and the completion synchronize through the
+  // counters alone (acq_rel), never through a service lock.
+  std::deque<Replica> replicas;
+  std::atomic<std::size_t> replicasLeft{0};
+  std::atomic<bool> laneFailed{false};
+  std::string laneError;  ///< written once, by the lane that set laneFailed
 
   // Completion (guarded by the service ticket mutex).
   bool done = false;
   std::string error;
   RequestResult result;
+
+  void recordLaneError(const char* what) {
+    if (!laneFailed.exchange(true)) laneError = what;
+  }
+
+  /// Stamps the serving metadata at the request's own resolution.
+  void stamp(RequestResult& res) const {
+    res.queueMicros = microsSince(submitTime, admitTime);
+    res.execMicros = microsSince(admitTime, Clock::now());
+    res.batchSize = batchSize;
+  }
 };
 
 AcceleratorService::AcceleratorService(const ServiceConfig& config)
@@ -209,142 +239,175 @@ ServiceStats AcceleratorService::stats() const {
 }
 
 void AcceleratorService::pause() {
-  std::lock_guard<std::mutex> lock(pauseMutex_);
+  std::lock_guard<std::mutex> lock(dispatchMutex_);
   paused_ = true;
 }
 
 void AcceleratorService::resume() {
-  std::lock_guard<std::mutex> lock(pauseMutex_);
+  std::lock_guard<std::mutex> lock(dispatchMutex_);
   paused_ = false;
-  pauseCv_.notify_all();
+  dispatchCv_.notify_all();
 }
 
 void AcceleratorService::shutdown() {
   {
-    std::lock_guard<std::mutex> lock(pauseMutex_);
+    std::lock_guard<std::mutex> lock(dispatchMutex_);
     stopping_ = true;
     paused_ = false;  // a paused dispatcher must wake to drain
-    pauseCv_.notify_all();
+    dispatchCv_.notify_all();
   }
   queue_.close();
   if (dispatcher_.joinable()) dispatcher_.join();
+  // The pool thread that resolved the last request may still be leaving its
+  // task; no member may die before it has.
+  pool_.wait();
 }
 
 void AcceleratorService::dispatchLoop() {
   for (;;) {
+    std::size_t room = 0;
     {
-      std::unique_lock<std::mutex> lock(pauseMutex_);
-      pauseCv_.wait(lock, [this] { return !paused_ || stopping_; });
+      std::unique_lock<std::mutex> lock(dispatchMutex_);
+      dispatchCv_.wait(lock, [this] {
+        return (!paused_ || stopping_) && inFlight_ < config_.maxBatch;
+      });
+      room = config_.maxBatch - inFlight_;
     }
-    auto batch = queue_.popBatch(config_.maxBatch, config_.flushDeadline);
-    if (batch.empty()) return;  // queue closed and drained
-    executeBatch(batch);
+    auto batch = queue_.popBatch(room);
+    if (batch.empty()) break;  // queue closed and drained
+    admit(batch);
+  }
+  std::unique_lock<std::mutex> lock(dispatchMutex_);
+  dispatchCv_.wait(lock, [this] { return inFlight_ == 0; });
+}
+
+void AcceleratorService::admit(std::vector<std::shared_ptr<Pending>>& batch) {
+  const auto admitted = Clock::now();
+  countBatch(batch.size());
+  for (auto& p : batch) {
+    p->admitTime = admitted;
+    p->batchSize = batch.size();
+  }
+  if (coordinator_ != nullptr) {
+    for (auto& p : batch) runOnShards(*p);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(dispatchMutex_);
+    inFlight_ += batch.size();
+  }
+  for (auto& p : batch) start(p);
+}
+
+void AcceleratorService::runOnShards(Pending& p) {
+  // Each replica fans out across the shards in turn, and the request
+  // resolves as soon as its own replicas return.
+  const Request& q = p.request;
+  const std::size_t replicas = std::max<std::size_t>(q.redundancy.replicas, 1);
+  std::vector<std::vector<std::uint8_t>> outputs;
+  RequestResult res;
+  try {
+    for (std::size_t r = 0; r < replicas; ++r) {
+      shard::ShardCoordinator::ReplicaRun run = coordinator_->runReplica(
+          q, p.tenant, p.seedNamespace,
+          reliability::replicaSeed(p.effectiveSeed, r));
+      res.events += run.events;
+      res.opCount += run.opCount;
+      res.degraded = res.degraded || run.degraded;
+      outputs.push_back(std::move(run.pixels));
+    }
+  } catch (const std::exception& e) {
+    fail(p, e.what());
+    return;
+  }
+  p.stamp(res);
+  join(p, outputs, res);
+}
+
+void AcceleratorService::start(const std::shared_ptr<Pending>& p) {
+  const Request& q = p->request;
+  const std::size_t replicas = std::max<std::size_t>(q.redundancy.replicas, 1);
+  try {
+    const ExecShape es{config_.lanes, config_.rowsPerTile};
+    for (std::size_t r = 0; r < replicas; ++r) {
+      p->replicas.emplace_back(
+          makeRequestExecutor(es, q,
+                              reliability::replicaSeed(p->effectiveSeed, r),
+                              faultCache_),
+          framesOf(q));
+    }
+  } catch (const std::exception& e) {
+    p->replicas.clear();
+    fail(*p, e.what());
+    retire();
+    return;
+  }
+  // Counted before the first submit: an inline pool runs the request to
+  // completion inside the loop, and a threaded one may complete it before
+  // the loop ends, so the loop must not touch `p` after its last submit.
+  p->replicasLeft = replicas;
+  for (std::size_t r = 0; r < replicas; ++r) {
+    submitStage(p, p->replicas[r], 0);
   }
 }
 
-void AcceleratorService::executeBatch(
-    std::vector<std::shared_ptr<Pending>>& batch) {
-  const auto batchStart = Clock::now();
-  countBatch(batch.size());
-  const auto stamp = [&](const Pending& p, RequestResult& res,
-                         double execMicros) {
-    res.queueMicros = microsSince(p.submitTime, batchStart);
-    res.execMicros = execMicros;
-    res.batchSize = batch.size();
-  };
-
-  if (coordinator_ != nullptr) {
-    // Shard back-end: each replica fans out across the shards in turn, and
-    // a request resolves as soon as its own replicas return.
-    for (auto& p : batch) {
-      const Request& q = p->request;
-      const std::size_t replicas =
-          std::max<std::size_t>(q.redundancy.replicas, 1);
-      std::vector<std::vector<std::uint8_t>> outputs;
-      RequestResult res;
-      try {
-        for (std::size_t r = 0; r < replicas; ++r) {
-          shard::ShardCoordinator::ReplicaRun run = coordinator_->runReplica(
-              q, p->tenant, p->seedNamespace,
-              reliability::replicaSeed(p->effectiveSeed, r));
-          res.events += run.events;
-          res.opCount += run.opCount;
-          res.degraded = res.degraded || run.degraded;
-          outputs.push_back(std::move(run.pixels));
-        }
-      } catch (const std::exception& e) {
-        fail(*p, e.what());
-        continue;
-      }
-      stamp(*p, res, microsSince(batchStart, Clock::now()));
-      join(*p, outputs, res);
-    }
-    return;
-  }
-
-  // In-process back-end.  Every request builds one lane fleet and one app
-  // schedule per replica; stage s of every schedule in the batch then runs
-  // as ONE merged pool wave.  Lane tasks are self-contained (own backends
-  // and arenas, disjoint rows of their own replica's stage image), so wave
-  // composition cannot change any bit.
-  std::size_t stages = 0;
-  for (auto& p : batch) {
-    try {
-      const Request& q = p->request;
-      const std::size_t replicas =
-          std::max<std::size_t>(q.redundancy.replicas, 1);
-      const ExecShape es{config_.lanes, config_.rowsPerTile};
-      p->fleets.reserve(replicas);
-      p->runs.reserve(replicas);
-      for (std::size_t r = 0; r < replicas; ++r) {
-        p->fleets.push_back(makeRequestExecutor(
-            es, q, reliability::replicaSeed(p->effectiveSeed, r),
-            faultCache_));
-        p->runs.emplace_back(framesOf(q));
-      }
-      stages = std::max(stages, p->runs.front().stages());
-    } catch (const std::exception& e) {
-      fail(*p, e.what());
-    }
-  }
+void AcceleratorService::submitStage(const std::shared_ptr<Pending>& p,
+                                     Replica& rep, std::size_t s) {
+  std::vector<std::function<void()>> tasks;
   try {
-    for (std::size_t s = 0; s < stages; ++s) {
-      std::vector<std::function<void()>> wave;
-      for (auto& p : batch) {
-        if (p->done) continue;  // failed in setup
-        for (std::size_t r = 0; r < p->runs.size(); ++r) {
-          if (s >= p->runs[r].stages()) continue;
-          for (auto& t : p->runs[r].laneTasks(*p->fleets[r], s)) {
-            wave.push_back(std::move(t));
-          }
-        }
-      }
-      pool_.run(std::move(wave));
-    }
+    // Never empty: admission refuses zero-row images.
+    tasks = rep.run.laneTasks(*rep.fleet, s);
   } catch (const std::exception& e) {
-    for (auto& p : batch) {
-      if (p->done) continue;
-      fail(*p, std::string("batch execution failed: ") + e.what());
-    }
+    p->recordLaneError(e.what());
+    stageDone(p, rep, s);  // with the error recorded, retires the replica
     return;
   }
-  const double execMicros = microsSince(batchStart, Clock::now());
-
-  for (auto& p : batch) {
-    if (p->done) continue;
-    std::vector<std::vector<std::uint8_t>> outputs;
-    RequestResult res;
-    for (std::size_t r = 0; r < p->runs.size(); ++r) {
-      outputs.push_back(std::move(p->runs[r].output().pixels()));
-      res.events += p->fleets[r]->totalEvents();
-      res.opCount += p->fleets[r]->totalOpCount();
-    }
-    // Free the batch-local execution state before handing the result over.
-    p->runs.clear();
-    p->fleets.clear();
-    stamp(*p, res, execMicros);
-    join(*p, outputs, res);
+  rep.lanesLeft = tasks.size();
+  for (auto& task : tasks) {
+    pool_.submit([this, p, &rep, s, task = std::move(task)]() mutable {
+      try {
+        task();
+      } catch (const std::exception& e) {
+        p->recordLaneError(e.what());
+      } catch (...) {
+        p->recordLaneError("unknown lane failure");
+      }
+      task = nullptr;  // drop the lane closure before its fleet may be freed
+      if (rep.lanesLeft.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        stageDone(p, rep, s);
+      }
+    });
   }
+}
+
+void AcceleratorService::stageDone(const std::shared_ptr<Pending>& p,
+                                   Replica& rep, std::size_t s) {
+  if (s + 1 < rep.run.stages() && !p->laneFailed) {
+    submitStage(p, rep, s + 1);
+    return;
+  }
+  if (p->replicasLeft.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    complete(*p);
+  }
+}
+
+void AcceleratorService::complete(Pending& p) {
+  std::vector<std::vector<std::uint8_t>> outputs;
+  RequestResult res;
+  for (Replica& rep : p.replicas) {
+    outputs.push_back(std::move(rep.run.output().pixels()));
+    res.events += rep.fleet->totalEvents();
+    res.opCount += rep.fleet->totalOpCount();
+  }
+  // Free the execution state before handing the result over.
+  p.replicas.clear();
+  p.stamp(res);
+  if (p.laneFailed) {
+    fail(p, p.laneError);
+  } else {
+    join(p, outputs, res);
+  }
+  retire();
 }
 
 void AcceleratorService::join(Pending& p,
@@ -389,6 +452,12 @@ void AcceleratorService::fail(Pending& p, const std::string& error) {
   p.error = error;
   p.done = true;
   ticketCv_.notify_all();
+}
+
+void AcceleratorService::retire() {
+  std::lock_guard<std::mutex> lock(dispatchMutex_);
+  --inFlight_;
+  dispatchCv_.notify_all();
 }
 
 void AcceleratorService::publishFabricStatsLocked() {

@@ -1,25 +1,31 @@
 /// \file accelerator_service.hpp
 /// \brief The always-on accelerator daemon: a persistent in-process service
 ///        that owns the worker pool and serves concurrent tenants through a
-///        bounded queue with cross-request batching.
+///        bounded queue with continuous admission.
 ///
 /// Serving model (docs/SERVICE.md):
 ///
 ///   clients --submit/trySubmit--> [BoundedQueue] --popBatch--> dispatcher
-///        <--poll/waitOutcome-- tickets <--join/vote/bill-- [stage waves]
+///        <--poll/waitOutcome-- tickets <--join/vote/bill-- [lane tasks]
 ///
 /// * **Queue**: bounded MPMC; `submit` blocks while full (backpressure),
-///   `trySubmit` refuses.  The dispatcher drains up to `maxBatch` requests,
-///   waiting at most `flushDeadline` past the first for stragglers.
-/// * **Batching**: each request builds its own independently-seeded lane
-///   fleet (a `TileExecutor` per replica) and runs the app schedule on it
-///   (apps/schedule.hpp), but the stage-s lane *tasks* of every request in
-///   the batch are merged into ONE worker-pool wave, so a 2-request batch
-///   fills the pool twice as densely as two solo runs.  With `shards > 0`
-///   the replicas go to the shard coordinator instead, one after another.
+///   `trySubmit` refuses.  Whenever fewer than `maxBatch` requests are in
+///   flight, the dispatcher admits what is queued, up to the free room,
+///   without waiting for stragglers.
+/// * **Continuous dispatch**: each admitted request builds its own
+///   independently-seeded lane fleet (a `TileExecutor` per replica) and runs
+///   the app schedule on it (apps/schedule.hpp).  The dispatcher submits
+///   every replica's stage-0 lane tasks to the shared pool and moves on; the
+///   pool thread that finishes a replica's last stage-s lane task submits
+///   its stage s + 1, and the one that finishes the request's last replica
+///   joins it on the spot.  Requests in flight share the pool with no wave
+///   barrier, so each resolves when its own lanes finish, not when the
+///   slowest request admitted with it does.  With `shards > 0` the replicas
+///   go to the shard coordinator instead, one after another on the
+///   dispatcher thread.
 /// * **Determinism**: a lane task is self-contained (own backends, own
 ///   arenas, disjoint output rows in its own request's buffer), so which
-///   pool thread runs it — and which strangers share the wave — cannot
+///   pool thread runs it — and which strangers run beside it — cannot
 ///   change any bit.  Output bytes are a pure function of (request fields,
 ///   tenant seed namespace).  `tests/test_service.cpp` hammers this.
 /// * **Accounting**: both back-ends feed one join: the request's replica
@@ -56,8 +62,9 @@ struct ServiceConfig {
   /// already queued (backpressure).
   std::size_t queueCapacity = 64;
 
-  /// Worker threads executing the merged lane waves; 0 = the dispatcher
-  /// thread runs every lane inline (still fully asynchronous to clients).
+  /// Worker threads running the lane tasks of every request in flight;
+  /// 0 = the dispatcher thread runs each admitted request to completion
+  /// inline (still fully asynchronous to clients).
   std::size_t workerThreads = 0;
 
   /// Lane fleet size per request replica, and the tile height.  These are
@@ -66,10 +73,11 @@ struct ServiceConfig {
   std::size_t lanes = 4;
   std::size_t rowsPerTile = 4;
 
-  /// Cross-request batching: coalesce up to maxBatch requests per wave,
-  /// flushing a partial batch flushDeadline after its first request.
+  /// Admission window: the most requests executing at once.  The
+  /// dispatcher admits queued requests while fewer than this many are in
+  /// flight, so the queue's backpressure also bounds the lane fleets alive
+  /// at once.  1 runs requests strictly one after another.
   std::size_t maxBatch = 8;
-  std::chrono::microseconds flushDeadline{200};
 
   /// Start with the dispatcher paused (tests: fill the queue, observe
   /// backpressure/occupancy deterministically, then resume()).
@@ -145,8 +153,9 @@ class AcceleratorService {
   void pause();
   void resume();
 
-  /// Stops admission, drains every queued request, joins the dispatcher.
-  /// Idempotent; the destructor calls it.
+  /// Stops admission, drains every queued and in-flight request, joins the
+  /// dispatcher and waits for the pool to go idle.  Idempotent; the
+  /// destructor calls it.
   void shutdown();
 
   std::size_t queueDepth() const { return queue_.size(); }
@@ -158,15 +167,35 @@ class AcceleratorService {
 
  private:
   struct Pending;
+  struct Replica;
 
   /// The one redemption path: blocks for at most \p timeout (forever when
   /// empty); nullopt while the ticket is still unresolved.
   std::optional<TicketOutcome> redeem(
       const Ticket& ticket, std::optional<std::chrono::microseconds> timeout);
   void dispatchLoop();
-  /// Runs a batch on the shard coordinator (`shards > 0`) or as merged
-  /// in-process stage waves, then joins every request.
-  void executeBatch(std::vector<std::shared_ptr<Pending>>& batch);
+  /// Admits \p batch: stamps and counts it, then runs each request on the
+  /// shard coordinator (`shards > 0`) or starts it in-process.
+  void admit(std::vector<std::shared_ptr<Pending>>& batch);
+  /// Runs \p p's replicas on the shard coordinator, one after another, and
+  /// joins it.
+  void runOnShards(Pending& p);
+  /// Builds \p p's lane fleets and submits every replica's stage-0 lane
+  /// tasks without waiting for them.
+  void start(const std::shared_ptr<Pending>& p);
+  /// Submits the lane tasks of \p rep's stage \p s; each one, when done,
+  /// counts itself off the stage.  A stage whose tasks cannot be built
+  /// fails the request.
+  void submitStage(const std::shared_ptr<Pending>& p, Replica& rep,
+                   std::size_t s);
+  /// Called by the last lane task of \p rep's stage \p s: submits stage
+  /// s + 1, or (after the last stage or a lane error) retires the replica
+  /// and completes \p p after its last one.
+  void stageDone(const std::shared_ptr<Pending>& p, Replica& rep,
+                 std::size_t s);
+  /// Joins (or fails) an in-process request whose replicas all finished,
+  /// then frees its slot in the admission window.
+  void complete(Pending& p);
   /// The join both back-ends feed: votes \p outputs (one per replica),
   /// writes the voted bytes through the client span, bills the tenant and
   /// resolves the ticket with \p res.
@@ -174,6 +203,8 @@ class AcceleratorService {
             const RequestResult& res);
   /// Resolves \p p's ticket as failed.
   void fail(Pending& p, const std::string& error);
+  /// Frees one slot of the admission window and wakes the dispatcher.
+  void retire();
   /// Copies the shard fabric's cumulative counters into the stats (caller
   /// holds statsMutex_; no-op in-process).  The supervisor is
   /// dispatcher-thread-only, so this copy is the one place they become
@@ -198,7 +229,7 @@ class AcceleratorService {
   core::ThreadPool pool_;
 
   /// Warm misdecision tables shared across requests (bit-preserving memo;
-  /// outlives every per-request executor — they are batch-scoped).
+  /// outlives every per-request executor — each dies with its request).
   FaultModelCache faultCache_;
 
   mutable std::mutex ticketMutex_;
@@ -210,10 +241,13 @@ class AcceleratorService {
   std::unordered_map<TenantId, TenantLedger> ledgers_;
   ServiceStats stats_;
 
-  std::mutex pauseMutex_;
-  std::condition_variable pauseCv_;
+  /// Dispatcher gate: the pause flag, shutdown, and the admission window
+  /// (requests admitted but not yet resolved).
+  std::mutex dispatchMutex_;
+  std::condition_variable dispatchCv_;
   bool paused_ = false;
   bool stopping_ = false;
+  std::size_t inFlight_ = 0;
 
   std::thread dispatcher_;
 };

@@ -30,10 +30,12 @@ struct TenantLedger {
 
 struct ServiceStats {
   std::uint64_t requestsServed = 0;
+  /// Admissions: each one takes every queued request that fits the
+  /// admission window (ServiceConfig::maxBatch) at once.
   std::uint64_t batches = 0;
 
-  /// batchOccupancy[k] = number of batches that coalesced exactly k
-  /// requests (index 0 unused).
+  /// batchOccupancy[k] = number of admissions that took exactly k requests
+  /// (index 0 unused).
   std::vector<std::uint64_t> batchOccupancy;
 
   /// Fault-model cache counters (service::FaultModelCache): hits are

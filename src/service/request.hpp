@@ -84,9 +84,9 @@ struct RequestResult {
   reram::EventCounts events;
   std::uint64_t opCount = 0;
 
-  double queueMicros = 0;  ///< submit -> batch formation
-  double execMicros = 0;   ///< batch wall time (shared by all riders)
-  std::size_t batchSize = 1;  ///< occupancy of the batch this request rode
+  double queueMicros = 0;  ///< submit -> admission
+  double execMicros = 0;   ///< admission -> this request's own resolution
+  std::size_t batchSize = 1;  ///< requests admitted together with this one
 
   /// True when some lane slice ran on a stand-in shard because its owner
   /// was dead (shard fabric only).  The output bytes are identical either

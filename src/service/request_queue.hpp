@@ -1,17 +1,16 @@
 /// \file request_queue.hpp
-/// \brief Bounded MPMC queue with blocking backpressure and deadline-batched
+/// \brief Bounded MPMC queue with blocking backpressure and batched
 ///        draining — the admission layer in front of the tile engine.
 ///
 /// Producers are client threads (`submit` blocks while the queue is full —
 /// that IS the backpressure contract; `trySubmit` refuses instead).  The
 /// consumer is the dispatcher thread, which drains in *batches*:
-/// `popBatch(max, flushDeadline)` blocks for the first item, then keeps
-/// collecting until the batch is full or the deadline since the first item
-/// expires — the flush-on-deadline policy that trades a bounded latency
-/// increment for cross-request coalescing.
+/// `popBatch(max)` blocks for the first item, then takes whatever else is
+/// already queued, up to \p max.  It never waits for stragglers: the
+/// dispatcher admits requests continuously, so waiting would only idle the
+/// workers.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -46,30 +45,16 @@ class BoundedQueue {
     return true;
   }
 
-  /// Blocks for the first item, then collects up to \p max items, waiting
-  /// at most \p flushDeadline past the first pop for stragglers.  Empty
-  /// result means closed-and-drained.
-  std::vector<T> popBatch(std::size_t max,
-                          std::chrono::microseconds flushDeadline) {
+  /// Blocks for the first item, then takes up to \p max of the items
+  /// queued by then.  Empty result means closed-and-drained.
+  std::vector<T> popBatch(std::size_t max) {
     std::vector<T> batch;
     std::unique_lock<std::mutex> lock(mutex_);
     notEmpty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return batch;  // closed and drained
-
-    const auto deadline = std::chrono::steady_clock::now() + flushDeadline;
-    for (;;) {
-      while (!items_.empty() && batch.size() < max) {
-        batch.push_back(std::move(items_.front()));
-        items_.pop_front();
-        notFull_.notify_one();
-      }
-      if (batch.size() >= max || closed_) break;
-      if (notEmpty_.wait_until(lock, deadline, [this] {
-            return closed_ || !items_.empty();
-          })) {
-        continue;  // more arrived (or closed) before the deadline
-      }
-      break;  // deadline expired: flush what we have
+    while (!items_.empty() && batch.size() < max) {
+      batch.push_back(std::move(items_.front()));
+      items_.pop_front();
+      notFull_.notify_one();
     }
     return batch;
   }

@@ -1,7 +1,8 @@
 // Always-on accelerator service: the determinism-under-batching contract
 // (a request's output bytes are a pure function of the request + tenant
 // namespace — solo vs batched, any worker-thread count, any tenant
-// interleaving), queue backpressure, flush-on-deadline batching, per-tenant
+// interleaving), queue backpressure, continuous admission (each request
+// resolves on its own lanes; shutdown drains requests in flight), per-tenant
 // accounting, and bit-equality with the one-shot apps::runApp path.
 #include <gtest/gtest.h>
 
@@ -82,7 +83,6 @@ ServiceConfig smallServiceConfig() {
   sc.lanes = 4;
   sc.rowsPerTile = 4;
   sc.maxBatch = 8;
-  sc.flushDeadline = std::chrono::microseconds(2000);
   return sc;
 }
 
@@ -248,20 +248,23 @@ std::vector<ClientJob> hammerJobs() {
   return jobs;
 }
 
-TEST(Service, DeterministicUnderBatchingAndTenantInterleaving) {
-  // Solo outputs: every request in its own batch, inline execution.
+/// The hammer jobs' solo outputs: one request in flight at a time, inline
+/// execution, tenant i % 3.
+std::vector<std::vector<std::uint8_t>> soloHammerOutputs() {
   std::vector<std::vector<std::uint8_t>> solo;
-  {
-    ServiceConfig sc = smallServiceConfig();
-    sc.maxBatch = 1;
-    sc.flushDeadline = std::chrono::microseconds(0);
-    AcceleratorService svc(sc);
-    auto jobs = hammerJobs();
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      svc.run(static_cast<TenantId>(i % 3), jobs[i].request);
-      solo.push_back(jobs[i].out.pixels());
-    }
+  ServiceConfig sc = smallServiceConfig();
+  sc.maxBatch = 1;
+  AcceleratorService svc(sc);
+  auto jobs = hammerJobs();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    svc.run(static_cast<TenantId>(i % 3), jobs[i].request);
+    solo.push_back(jobs[i].out.pixels());
   }
+  return solo;
+}
+
+TEST(Service, DeterministicUnderBatchingAndTenantInterleaving) {
+  const std::vector<std::vector<std::uint8_t>> solo = soloHammerOutputs();
 
   // Batched: several client threads hammer the same workload concurrently,
   // at different worker-thread counts.  Every output must match its solo
@@ -341,7 +344,7 @@ TEST(Service, BatchingCoalescesQueuedRequests) {
   svc.resume();
   for (const auto& t : tickets) {
     const service::RequestResult res = svc.waitOutcome(t).result;
-    EXPECT_EQ(res.batchSize, 4u);  // all four rode one wave
+    EXPECT_EQ(res.batchSize, 4u);  // all four were admitted together
   }
 
   const service::ServiceStats stats = svc.stats();
@@ -350,6 +353,61 @@ TEST(Service, BatchingCoalescesQueuedRequests) {
   ASSERT_GT(stats.batchOccupancy.size(), 4u);
   EXPECT_EQ(stats.batchOccupancy[4], 1u);
   EXPECT_DOUBLE_EQ(stats.meanOccupancy(), 4.0);
+}
+
+TEST(Service, EachRequestResolvesOnItsOwnLanes) {
+  // A heavy and a light request admitted together.  The heavy one's four
+  // lanes hold four workers; the light one runs on the fifth and resolves
+  // while the heavy one is still running, timed by its own execution.
+  ServiceConfig sc = smallServiceConfig();
+  sc.workerThreads = sc.lanes + 1;
+  sc.startPaused = true;
+  AcceleratorService svc(sc);
+
+  // Table IV faulty ReRAM-SC at 64²: the cold fault table's Monte-Carlo
+  // runs inside the lanes.
+  ClientJob heavy = makeJob(apps::AppKind::Compositing,
+                            core::DesignKind::ReramSc, 64, 11);
+  heavy.request.faults =
+      reliability::FaultPlan::deviceOnly(apps::defaultFaultyDevice());
+  ClientJob light = makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                            8, 12);
+  const Ticket th = svc.submit(1, heavy.request);
+  const Ticket tl = svc.submit(2, light.request);
+  svc.resume();
+
+  const service::TicketOutcome lo = svc.waitOutcome(tl);
+  EXPECT_FALSE(svc.poll(th)) << "the light request waited for the heavy one";
+  const service::TicketOutcome ho = svc.waitOutcome(th);
+  ASSERT_EQ(lo.status, service::TicketStatus::Ok);
+  ASSERT_EQ(ho.status, service::TicketStatus::Ok);
+  EXPECT_EQ(lo.result.batchSize, 2u);
+  EXPECT_EQ(ho.result.batchSize, 2u);
+  EXPECT_LT(lo.result.execMicros, ho.result.execMicros);
+}
+
+TEST(Service, ShutdownDrainsRequestsInFlight) {
+  // shutdown() right after the submits: requests still queued AND requests
+  // whose lanes are running on the pool must all resolve, with solo bytes.
+  const std::vector<std::vector<std::uint8_t>> solo = soloHammerOutputs();
+
+  ServiceConfig sc = smallServiceConfig();
+  sc.workerThreads = 3;
+  AcceleratorService svc(sc);
+  auto jobs = hammerJobs();
+  std::vector<Ticket> tickets;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    tickets.push_back(svc.submit(static_cast<TenantId>(i % 3),
+                                 jobs[i].request));
+  }
+  svc.shutdown();
+
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(svc.waitOutcome(tickets[i]).status, service::TicketStatus::Ok)
+        << "job " << i;
+    EXPECT_EQ(jobs[i].out.pixels(), solo[i]) << "job " << i;
+  }
+  EXPECT_EQ(svc.stats().requestsServed, jobs.size());
 }
 
 TEST(Service, TenantLedgersBillCostAndNamespacesReseed) {
