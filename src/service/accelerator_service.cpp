@@ -83,16 +83,22 @@ struct AcceleratorService::Pending {
   // counters alone (acq_rel), never through a service lock.
   std::deque<Replica> replicas;
   std::atomic<std::size_t> replicasLeft{0};
-  std::atomic<bool> laneFailed{false};
-  std::string laneError;  ///< written once, by the lane that set laneFailed
+  std::atomic<bool> failed{false};
+  std::string failure;  ///< written once, by whoever set `failed`
+
+  // What the join reads: one output per replica (in replica order) and
+  // their summed ledgers.  The sharded back-end fills them on the
+  // dispatcher thread as replicas merge, the in-process one at completion.
+  std::vector<std::vector<std::uint8_t>> outputs;
+  RequestResult totals;
 
   // Completion (guarded by the service ticket mutex).
   bool done = false;
   std::string error;
   RequestResult result;
 
-  void recordLaneError(const char* what) {
-    if (!laneFailed.exchange(true)) laneError = what;
+  void recordFailure(const std::string& what) {
+    if (!failed.exchange(true)) failure = what;
   }
 
   /// Stamps the serving metadata at the request's own resolution.
@@ -147,6 +153,7 @@ Ticket AcceleratorService::submit(TenantId tenant, const Request& request) {
     tickets_.erase(ticket.id);
     throw std::runtime_error("AcceleratorService: stopped");
   }
+  if (coordinator_ != nullptr) coordinator_->wake();
   return ticket;
 }
 
@@ -160,6 +167,7 @@ std::optional<Ticket> AcceleratorService::trySubmit(TenantId tenant,
     tickets_.erase(ticket.id);
     return std::nullopt;
   }
+  if (coordinator_ != nullptr) coordinator_->wake();
   return ticket;
 }
 
@@ -244,9 +252,12 @@ void AcceleratorService::pause() {
 }
 
 void AcceleratorService::resume() {
-  std::lock_guard<std::mutex> lock(dispatchMutex_);
-  paused_ = false;
-  dispatchCv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(dispatchMutex_);
+    paused_ = false;
+    dispatchCv_.notify_all();
+  }
+  if (coordinator_ != nullptr) coordinator_->wake();
 }
 
 void AcceleratorService::shutdown() {
@@ -257,6 +268,7 @@ void AcceleratorService::shutdown() {
     dispatchCv_.notify_all();
   }
   queue_.close();
+  if (coordinator_ != nullptr) coordinator_->wake();
   if (dispatcher_.joinable()) dispatcher_.join();
   // The pool thread that resolved the last request may still be leaving its
   // task; no member may die before it has.
@@ -264,6 +276,10 @@ void AcceleratorService::shutdown() {
 }
 
 void AcceleratorService::dispatchLoop() {
+  if (coordinator_ != nullptr) {
+    shardLoop();
+    return;
+  }
   for (;;) {
     std::size_t room = 0;
     {
@@ -281,6 +297,28 @@ void AcceleratorService::dispatchLoop() {
   dispatchCv_.wait(lock, [this] { return inFlight_ == 0; });
 }
 
+void AcceleratorService::shardLoop() {
+  // Writes to the wake fd are level-triggered: one that lands after a look
+  // at the queue below makes the next pump() return at once, so no
+  // submission is missed between the look and the wait.
+  for (;;) {
+    std::size_t room = 0;
+    bool idleStop = false;
+    {
+      std::lock_guard<std::mutex> lock(dispatchMutex_);
+      if (!paused_ || stopping_) room = config_.maxBatch - inFlight_;
+      idleStop = stopping_ && inFlight_ == 0;
+    }
+    auto batch = queue_.tryPopBatch(room);
+    if (!batch.empty()) {
+      admit(batch);
+    } else if (idleStop && queue_.drained()) {
+      return;
+    }
+    coordinator_->pump();
+  }
+}
+
 void AcceleratorService::admit(std::vector<std::shared_ptr<Pending>>& batch) {
   const auto admitted = Clock::now();
   countBatch(batch.size());
@@ -288,40 +326,47 @@ void AcceleratorService::admit(std::vector<std::shared_ptr<Pending>>& batch) {
     p->admitTime = admitted;
     p->batchSize = batch.size();
   }
-  if (coordinator_ != nullptr) {
-    for (auto& p : batch) runOnShards(*p);
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(dispatchMutex_);
     inFlight_ += batch.size();
   }
-  for (auto& p : batch) start(p);
+  for (auto& p : batch) {
+    if (coordinator_ != nullptr) {
+      runOnShards(p);
+    } else {
+      start(p);
+    }
+  }
 }
 
-void AcceleratorService::runOnShards(Pending& p) {
-  // Each replica fans out across the shards in turn, and the request
-  // resolves as soon as its own replicas return.
-  const Request& q = p.request;
+void AcceleratorService::runOnShards(const std::shared_ptr<Pending>& p) {
+  const Request& q = p->request;
   const std::size_t replicas = std::max<std::size_t>(q.redundancy.replicas, 1);
-  std::vector<std::vector<std::uint8_t>> outputs;
-  RequestResult res;
-  try {
-    for (std::size_t r = 0; r < replicas; ++r) {
-      shard::ShardCoordinator::ReplicaRun run = coordinator_->runReplica(
-          q, p.tenant, p.seedNamespace,
-          reliability::replicaSeed(p.effectiveSeed, r));
-      res.events += run.events;
-      res.opCount += run.opCount;
-      res.degraded = res.degraded || run.degraded;
-      outputs.push_back(std::move(run.pixels));
+  p->outputs.resize(replicas);
+  // Counted before the first submit: with no live shard left, submit()
+  // completes a replica on the spot.
+  p->replicasLeft = replicas;
+  for (std::size_t r = 0; r < replicas; ++r) {
+    const auto merged = [this, p, r](
+                            shard::ShardCoordinator::ReplicaRun&& run,
+                            const std::string& error) {
+      if (!error.empty()) p->recordFailure(error);
+      p->outputs[r] = std::move(run.pixels);
+      p->totals.events += run.events;
+      p->totals.opCount += run.opCount;
+      p->totals.degraded = p->totals.degraded || run.degraded;
+      if (p->replicasLeft.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        resolve(*p);
+      }
+    };
+    try {
+      coordinator_->submit(q, p->tenant, p->seedNamespace,
+                           reliability::replicaSeed(p->effectiveSeed, r),
+                           merged);
+    } catch (const std::exception& e) {
+      merged({}, e.what());
     }
-  } catch (const std::exception& e) {
-    fail(p, e.what());
-    return;
   }
-  p.stamp(res);
-  join(p, outputs, res);
 }
 
 void AcceleratorService::start(const std::shared_ptr<Pending>& p) {
@@ -358,7 +403,7 @@ void AcceleratorService::submitStage(const std::shared_ptr<Pending>& p,
     // Never empty: admission refuses zero-row images.
     tasks = rep.run.laneTasks(*rep.fleet, s);
   } catch (const std::exception& e) {
-    p->recordLaneError(e.what());
+    p->recordFailure(e.what());
     stageDone(p, rep, s);  // with the error recorded, retires the replica
     return;
   }
@@ -368,9 +413,9 @@ void AcceleratorService::submitStage(const std::shared_ptr<Pending>& p,
       try {
         task();
       } catch (const std::exception& e) {
-        p->recordLaneError(e.what());
+        p->recordFailure(e.what());
       } catch (...) {
-        p->recordLaneError("unknown lane failure");
+        p->recordFailure("unknown lane failure");
       }
       task = nullptr;  // drop the lane closure before its fleet may be freed
       if (rep.lanesLeft.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -382,7 +427,7 @@ void AcceleratorService::submitStage(const std::shared_ptr<Pending>& p,
 
 void AcceleratorService::stageDone(const std::shared_ptr<Pending>& p,
                                    Replica& rep, std::size_t s) {
-  if (s + 1 < rep.run.stages() && !p->laneFailed) {
+  if (s + 1 < rep.run.stages() && !p->failed) {
     submitStage(p, rep, s + 1);
     return;
   }
@@ -392,28 +437,31 @@ void AcceleratorService::stageDone(const std::shared_ptr<Pending>& p,
 }
 
 void AcceleratorService::complete(Pending& p) {
-  std::vector<std::vector<std::uint8_t>> outputs;
-  RequestResult res;
   for (Replica& rep : p.replicas) {
-    outputs.push_back(std::move(rep.run.output().pixels()));
-    res.events += rep.fleet->totalEvents();
-    res.opCount += rep.fleet->totalOpCount();
+    p.outputs.push_back(std::move(rep.run.output().pixels()));
+    p.totals.events += rep.fleet->totalEvents();
+    p.totals.opCount += rep.fleet->totalOpCount();
   }
   // Free the execution state before handing the result over.
   p.replicas.clear();
-  p.stamp(res);
-  if (p.laneFailed) {
-    fail(p, p.laneError);
+  resolve(p);
+}
+
+void AcceleratorService::resolve(Pending& p) {
+  p.stamp(p.totals);
+  if (p.failed) {
+    fail(p, p.failure);
   } else {
-    join(p, outputs, res);
+    join(p);
   }
   retire();
 }
 
-void AcceleratorService::join(Pending& p,
-                              std::vector<std::vector<std::uint8_t>>& outputs,
-                              const RequestResult& res) {
+void AcceleratorService::join(Pending& p) {
   const Request& q = p.request;
+  // Moved out so the replica images die with the join.
+  std::vector<std::vector<std::uint8_t>> outputs = std::move(p.outputs);
+  const RequestResult& res = p.totals;
   try {
     const std::vector<std::uint8_t> voted =
         outputs.size() == 1

@@ -20,9 +20,11 @@
 ///   its stage s + 1, and the one that finishes the request's last replica
 ///   joins it on the spot.  Requests in flight share the pool with no wave
 ///   barrier, so each resolves when its own lanes finish, not when the
-///   slowest request admitted with it does.  With `shards > 0` the replicas
-///   go to the shard coordinator instead, one after another on the
-///   dispatcher thread.
+///   slowest request admitted with it does.  With `shards > 0` the
+///   dispatcher thread runs the shard coordinator's event loop instead: it
+///   queues every replica of each admitted request on the shards at once,
+///   keeps each worker fed from its FIFO, and joins a request when its last
+///   replica merges.
 /// * **Determinism**: a lane task is self-contained (own backends, own
 ///   arenas, disjoint output rows in its own request's buffer), so which
 ///   pool thread runs it — and which strangers run beside it — cannot
@@ -73,10 +75,11 @@ struct ServiceConfig {
   std::size_t lanes = 4;
   std::size_t rowsPerTile = 4;
 
-  /// Admission window: the most requests executing at once.  The
-  /// dispatcher admits queued requests while fewer than this many are in
-  /// flight, so the queue's backpressure also bounds the lane fleets alive
-  /// at once.  1 runs requests strictly one after another.
+  /// Admission window: the most requests executing at once, in-process or
+  /// on the shards.  The dispatcher admits queued requests while fewer than
+  /// this many are in flight, so the queue's backpressure also bounds the
+  /// lane fleets (or queued shard frames) alive at once.  1 runs requests
+  /// strictly one after another.
   std::size_t maxBatch = 8;
 
   /// Start with the dispatcher paused (tests: fill the queue, observe
@@ -174,12 +177,16 @@ class AcceleratorService {
   std::optional<TicketOutcome> redeem(
       const Ticket& ticket, std::optional<std::chrono::microseconds> timeout);
   void dispatchLoop();
-  /// Admits \p batch: stamps and counts it, then runs each request on the
-  /// shard coordinator (`shards > 0`) or starts it in-process.
+  /// The dispatcher with `shards > 0`: admits queued requests into the
+  /// window and pumps the shard coordinator's event loop, which `submit`,
+  /// `trySubmit`, `resume` and `shutdown` wake.
+  void shardLoop();
+  /// Admits \p batch: stamps and counts it, then queues each request on
+  /// the shard coordinator (`shards > 0`) or starts it in-process.
   void admit(std::vector<std::shared_ptr<Pending>>& batch);
-  /// Runs \p p's replicas on the shard coordinator, one after another, and
-  /// joins it.
-  void runOnShards(Pending& p);
+  /// Queues every replica of \p p on the shard coordinator; the last one
+  /// to merge completes \p p.
+  void runOnShards(const std::shared_ptr<Pending>& p);
   /// Builds \p p's lane fleets and submits every replica's stage-0 lane
   /// tasks without waiting for them.
   void start(const std::shared_ptr<Pending>& p);
@@ -193,14 +200,16 @@ class AcceleratorService {
   /// and completes \p p after its last one.
   void stageDone(const std::shared_ptr<Pending>& p, Replica& rep,
                  std::size_t s);
-  /// Joins (or fails) an in-process request whose replicas all finished,
-  /// then frees its slot in the admission window.
+  /// Collects the outputs of an in-process request whose replicas all
+  /// finished and resolves it.
   void complete(Pending& p);
-  /// The join both back-ends feed: votes \p outputs (one per replica),
-  /// writes the voted bytes through the client span, bills the tenant and
-  /// resolves the ticket with \p res.
-  void join(Pending& p, std::vector<std::vector<std::uint8_t>>& outputs,
-            const RequestResult& res);
+  /// Joins (or fails) \p p once every replica output is in, then frees its
+  /// slot in the admission window.
+  void resolve(Pending& p);
+  /// The join both back-ends feed: votes \p p's replica outputs, writes
+  /// the voted bytes through the client span, bills the tenant and
+  /// resolves the ticket.
+  void join(Pending& p);
   /// Resolves \p p's ticket as failed.
   void fail(Pending& p, const std::string& error);
   /// Frees one slot of the admission window and wakes the dispatcher.

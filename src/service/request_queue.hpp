@@ -8,7 +8,8 @@
 /// `popBatch(max)` blocks for the first item, then takes whatever else is
 /// already queued, up to \p max.  It never waits for stragglers: the
 /// dispatcher admits requests continuously, so waiting would only idle the
-/// workers.
+/// workers.  A dispatcher that waits elsewhere (the shard event loop, on
+/// its wake fd) takes what is queued with `tryPopBatch` instead.
 #pragma once
 
 #include <condition_variable>
@@ -48,15 +49,21 @@ class BoundedQueue {
   /// Blocks for the first item, then takes up to \p max of the items
   /// queued by then.  Empty result means closed-and-drained.
   std::vector<T> popBatch(std::size_t max) {
-    std::vector<T> batch;
     std::unique_lock<std::mutex> lock(mutex_);
     notEmpty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    while (!items_.empty() && batch.size() < max) {
-      batch.push_back(std::move(items_.front()));
-      items_.pop_front();
-      notFull_.notify_one();
-    }
-    return batch;
+    return takeLocked(max);
+  }
+
+  /// Takes up to \p max of the items queued now, without waiting.
+  std::vector<T> tryPopBatch(std::size_t max) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return takeLocked(max);
+  }
+
+  /// True once the queue is closed and every item has been taken.
+  bool drained() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return closed_ && items_.empty();
   }
 
   /// Wakes every producer/consumer; push() fails from now on, popBatch()
@@ -76,6 +83,16 @@ class BoundedQueue {
   std::size_t capacity() const { return capacity_; }
 
  private:
+  std::vector<T> takeLocked(std::size_t max) {
+    std::vector<T> batch;
+    while (!items_.empty() && batch.size() < max) {
+      batch.push_back(std::move(items_.front()));
+      items_.pop_front();
+      notFull_.notify_one();
+    }
+    return batch;
+  }
+
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable notFull_;

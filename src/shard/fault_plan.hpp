@@ -11,11 +11,12 @@
 ///    exactly the same faults at exactly the same dispatches every time,
 ///    on any machine, so a chaos-suite failure replays deterministically.
 ///  * **Guaranteed convergence** — the plan is consulted ONLY when the
-///    supervisor first dispatches a request (`ShardSupervisor::start`),
-///    never on retries or degraded re-dispatches.  A retry is therefore
-///    always fault-free at the injection layer, so bounded retries always
-///    reach a clean execution (the worker may still genuinely die — the
-///    supervisor handles that too, it just isn't the plan's doing).
+///    supervisor dispatches a frame to a shard (`ShardSupervisor::start`;
+///    a frame moved to a stand-in shard is a new dispatch there), never on
+///    retries.  A retry is therefore always fault-free at the injection
+///    layer, so bounded retries always reach a clean execution (the worker
+///    may still genuinely die — the supervisor handles that too, it just
+///    isn't the plan's doing).
 ///
 /// The five sites cover both ends of the channel: the two drop sites are
 /// enacted by the supervisor itself (killing the worker before the send /

@@ -42,11 +42,13 @@ void ShardSupervisor::start(std::size_t shard, std::vector<std::uint8_t> frame) 
   st.hasInflight = true;
   st.needRecovery = false;
   st.currentDispatch = st.dispatches++;
+  st.attempt = 1;
   st.dispatchStart = std::chrono::steady_clock::now();
+  st.sentAt = st.dispatchStart;
 
-  // Chaos strikes ONLY here, at the original dispatch — finish()'s
-  // recovery loop never re-consults the plan, so retries are fault-free
-  // and bounded recovery always converges.
+  // Chaos strikes ONLY here, at dispatch — collect()'s recovery steps
+  // never re-consult the plan, so retries are fault-free and bounded
+  // recovery always converges.
   bool dropAtRecv = false;
   if (const auto site = faults_.faultFor(shard, st.currentDispatch)) {
     ++stats_.faultsInjected;
@@ -81,64 +83,79 @@ void ShardSupervisor::start(std::size_t shard, std::vector<std::uint8_t> frame) 
   }
 }
 
-WireReply ShardSupervisor::finish(std::size_t shard) {
+int ShardSupervisor::pollFd(std::size_t shard) const {
+  const ShardState& st = shards_.at(shard);
+  return st.needRecovery ? -1 : st.channel->pollFd();
+}
+
+std::chrono::steady_clock::time_point ShardSupervisor::replyDue(
+    std::size_t shard) const {
+  const ShardState& st = shards_.at(shard);
+  const std::chrono::milliseconds budget = st.channel->recvDeadline();
+  if (budget.count() <= 0) return std::chrono::steady_clock::time_point::max();
+  return st.sentAt + budget;
+}
+
+std::optional<WireReply> ShardSupervisor::collect(std::size_t shard,
+                                                  bool overdue) {
   ShardState& st = shards_.at(shard);
   if (st.dead) throw ShardDead(shard, "join on a dead shard");
   if (!st.hasInflight) {
-    throw std::logic_error("ShardSupervisor: finish with nothing in flight");
+    throw std::logic_error("ShardSupervisor: collect with nothing in flight");
   }
-  std::uint32_t attempt = 1;
-  std::string lastError = "send failed at dispatch";
-  for (;;) {
-    if (!st.needRecovery) {
-      try {
-        WireReply reply = decodeReply(st.channel->receive());
-        // ok == false is a DETERMINISTIC execution failure — replaying the
-        // same frame yields the same error, so it is returned, not retried.
-        st.hasInflight = false;
-        return reply;
-      } catch (const ChannelTimeout& e) {
-        ++stats_.timeouts;
-        lastError = e.what();
-      } catch (const DecodeError& e) {
-        ++stats_.garbageReplies;
-        lastError = e.what();
-      } catch (const std::exception& e) {
-        lastError = e.what();
-      }
-      st.needRecovery = true;
+  std::string why = "send failed at dispatch";
+  if (overdue) {
+    ++stats_.timeouts;
+    why = "shard channel: recv deadline expired";
+  } else if (!st.needRecovery) {
+    try {
+      WireReply reply = decodeReply(st.channel->receive());
+      // ok == false is a DETERMINISTIC execution failure — replaying the
+      // same frame yields the same error, so it is returned, not retried.
+      st.hasInflight = false;
+      return reply;
+    } catch (const ChannelTimeout& e) {
+      ++stats_.timeouts;
+      why = e.what();
+    } catch (const DecodeError& e) {
+      ++stats_.garbageReplies;
+      why = e.what();
+    } catch (const std::exception& e) {
+      why = e.what();
     }
+  }
+  st.needRecovery = true;
+  recover(shard, std::move(why));
+  return std::nullopt;
+}
 
-    if (attempt >= policy_.maxAttempts) {
+void ShardSupervisor::recover(std::size_t shard, std::string why) {
+  ShardState& st = shards_[shard];
+  for (;;) {
+    if (st.attempt >= policy_.maxAttempts) {
       markDead(shard);
-      throw ShardDead(shard, "attempt budget exhausted (" + lastError + ")");
+      throw ShardDead(shard, "attempt budget exhausted (" + why + ")");
     }
     if (std::chrono::steady_clock::now() - st.dispatchStart >=
         policy_.totalDeadline) {
       markDead(shard);
-      throw ShardDead(shard, "total deadline exceeded (" + lastError + ")");
+      throw ShardDead(shard, "total deadline exceeded (" + why + ")");
     }
-
-    const std::uint32_t retry = attempt;  // 1-based retry ordinal
-    ++attempt;
+    const std::uint32_t retry = st.attempt++;  // 1-based retry ordinal
     ++stats_.retries;
     std::this_thread::sleep_for(backoffFor(shard, st, retry));
     if (!respawn(shard)) {
-      throw ShardDead(shard, "respawn budget exhausted (" + lastError + ")");
+      throw ShardDead(shard, "no worker to retry on (" + why + ")");
     }
     try {
       st.channel->send(st.inflight);  // byte-identical replay
       st.needRecovery = false;
+      st.sentAt = std::chrono::steady_clock::now();
+      return;
     } catch (const std::exception& e) {
-      lastError = e.what();  // burns another attempt next iteration
+      why = e.what();  // burns another attempt
     }
   }
-}
-
-WireReply ShardSupervisor::roundTrip(std::size_t shard,
-                                     std::vector<std::uint8_t> frame) {
-  start(shard, std::move(frame));
-  return finish(shard);
 }
 
 bool ShardSupervisor::respawn(std::size_t shard) {
@@ -158,7 +175,12 @@ bool ShardSupervisor::respawn(std::size_t shard) {
   }
   st.channel->terminate();  // SIGKILL — the answer to hung AND dead alike
   st.pid->store(-1, std::memory_order_relaxed);
-  st.channel = respawn_();
+  try {
+    st.channel = respawn_();
+  } catch (const std::exception&) {
+    markDead(shard);  // socketpair or fork failed: no replacement to run
+    return false;
+  }
   st.pid->store(st.channel->workerPid(), std::memory_order_relaxed);
   ++st.respawns;
   ++stats_.respawns;

@@ -21,13 +21,15 @@
 /// determinism contract extends over crashes.
 ///
 /// **Retries are fault-free.**  The `ShardFaultPlan` is consulted only in
-/// `start()` (the original dispatch); `finish()`'s recovery loop never
-/// re-injects, so chaos runs converge within the retry budget unless the
-/// environment genuinely keeps killing workers.
+/// `start()`; `collect()`'s recovery steps never re-inject, so chaos runs
+/// converge within the retry budget unless the environment genuinely keeps
+/// killing workers.
 ///
-/// The start()/finish() split preserves the coordinator's pipelined
-/// fan-out: all sends go out back-to-back, recovery work happens at the
-/// join, serialized only for the shard that actually failed.
+/// The start()/collect() split serves the coordinator's event loop
+/// (coordinator.hpp), which keeps one frame in flight on every shard and
+/// waits on them all at once: collect() runs only once a reply is readable
+/// or overdue, and a recovery step holds the loop only for its backoff,
+/// respawn and resend.
 #pragma once
 
 #include <atomic>
@@ -35,6 +37,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -99,23 +102,30 @@ class ShardSupervisor {
   const FabricStats& stats() const { return stats_; }
   const RetryPolicy& policy() const { return policy_; }
 
-  /// Dispatches \p frame to \p shard: evaluates the fault plan (original
-  /// dispatch only), stores the frame for replay, sends.  Never blocks on
-  /// recovery — a failed send is recorded and handled in finish(), so the
-  /// coordinator's fan-out stays pipelined.  Throws ShardDead only if the
+  /// Dispatches \p frame to \p shard: evaluates the fault plan, stores the
+  /// frame for replay, sends.  Never blocks on recovery — a failed send is
+  /// recorded and handled in collect().  Throws ShardDead only if the
   /// shard is already dead (callers check dead() first).
   void start(std::size_t shard, std::vector<std::uint8_t> frame);
 
-  /// Joins the in-flight dispatch on \p shard, driving the full recovery
-  /// loop: receive -> on timeout/garbage/death: kill, backoff, respawn,
-  /// resend -> until a decoded reply or the budget runs out
-  /// (-> marks the shard dead and throws ShardDead).  An `ok == false`
-  /// reply is returned as-is: it is a deterministic execution failure and
-  /// retrying it would yield the same bytes.
-  WireReply finish(std::size_t shard);
+  /// What to poll for \p shard's in-flight reply: its channel's pollFd(),
+  /// or -1 when collect() may run at once (a loopback reply, or a failed
+  /// send that awaits recovery).
+  int pollFd(std::size_t shard) const;
 
-  /// One-shot dispatch (start + finish).
-  WireReply roundTrip(std::size_t shard, std::vector<std::uint8_t> frame);
+  /// When the recv deadline of \p shard's current attempt, counted from its
+  /// send, expires (`time_point::max()` when unbounded).
+  std::chrono::steady_clock::time_point replyDue(std::size_t shard) const;
+
+  /// Collects \p shard's in-flight reply once pollFd() is readable (or
+  /// -1), or — with \p overdue — once replyDue() passed without one.  An
+  /// `ok == false` reply is returned as-is: it is a deterministic execution
+  /// failure and replaying the frame would yield the same bytes.  A
+  /// timeout, garbage or a dead worker instead runs one recovery step —
+  /// kill, backoff, respawn, byte-identical resend — and returns nullopt
+  /// with the frame in flight again.  Past the attempt, respawn or total
+  /// deadline budget the shard is marked dead and ShardDead is thrown.
+  std::optional<WireReply> collect(std::size_t shard, bool overdue);
 
   /// The live channel behind \p shard (single-threaded introspection only;
   /// NOT for sending — that would desync the frame pairing).
@@ -144,11 +154,16 @@ class ShardSupervisor {
     bool needRecovery = false;  ///< send failed / fault enacted pre-reply
     std::uint64_t dispatches = 0;
     std::uint64_t currentDispatch = 0;
+    std::uint32_t attempt = 1;  ///< of the in-flight dispatch, 1-based
     std::uint32_t respawns = 0;
     bool dead = false;
     std::chrono::steady_clock::time_point dispatchStart;
+    std::chrono::steady_clock::time_point sentAt;  ///< current attempt
   };
 
+  /// Recovery after a failed attempt (\p why): retries until a resend goes
+  /// out, or marks the shard dead and throws ShardDead.
+  void recover(std::size_t shard, std::string why);
   [[nodiscard]] bool respawn(std::size_t shard);
   void markDead(std::size_t shard);
   std::chrono::milliseconds backoffFor(std::size_t shard, const ShardState& st,

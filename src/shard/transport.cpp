@@ -23,24 +23,25 @@ using SteadyClock = std::chrono::steady_clock;
 /// Parent-side fds of every live process-backed channel.  A newly fork()ed
 /// worker inherits copies of these and MUST close them: otherwise it holds
 /// a sibling's socket write-end open, that sibling never sees EOF when its
-/// channel closes, and shutdown deadlocks in waitpid.  The child iterates
-/// its fork-time copy without locking (it is single-threaded); parent-side
-/// mutations are mutex-guarded.
+/// channel closes, and shutdown deadlocks in waitpid.  The mutex orders
+/// every change to the parent's socket fds against every fork: a spawn
+/// holds it from socketpair through fork to registering its end, and a
+/// channel holds it while it unregisters and closes its fd, so a worker
+/// forked on another thread never inherits an fd the list misses.  The
+/// child iterates its fork-time copy without locking (it is
+/// single-threaded).
 std::mutex parentFdsMutex;
 std::vector<int>& liveParentFds() {
   static std::vector<int> fds;
   return fds;
 }
 
-void registerParentFd(int fd) {
-  std::lock_guard<std::mutex> lock(parentFdsMutex);
-  liveParentFds().push_back(fd);
-}
-
-void unregisterParentFd(int fd) {
+/// Unregisters and closes \p fd in one step against concurrent spawns.
+void closeParentFd(int fd) {
   std::lock_guard<std::mutex> lock(parentFdsMutex);
   auto& fds = liveParentFds();
   fds.erase(std::remove(fds.begin(), fds.end(), fd), fds.end());
+  ::close(fd);
 }
 
 void closeInheritedParentFds() {
@@ -187,15 +188,10 @@ namespace {
 class FdChannel final : public ShardChannel {
  public:
   FdChannel(int fd, int pid, ChannelDeadlines deadlines)
-      : deadlines_(deadlines), fd_(fd), pid_(pid) {
-    registerParentFd(fd_);
-  }
+      : deadlines_(deadlines), fd_(fd), pid_(pid) {}
 
   ~FdChannel() override {
-    if (fd_ >= 0) {
-      unregisterParentFd(fd_);
-      ::close(fd_);  // worker sees EOF and exits cleanly
-    }
+    if (fd_ >= 0) closeParentFd(fd_);  // worker sees EOF and exits cleanly
     if (pid_ > 0) {
       int status = 0;
       ::waitpid(pid_, &status, 0);
@@ -243,12 +239,15 @@ class FdChannel final : public ShardChannel {
       pid_ = -1;
     }
     if (fd_ >= 0) {
-      unregisterParentFd(fd_);
-      ::close(fd_);
+      closeParentFd(fd_);
       fd_ = -1;
     }
   }
 
+  int pollFd() const override { return poisoned_ ? -1 : fd_; }
+  std::chrono::milliseconds recvDeadline() const override {
+    return deadlines_.recv;
+  }
   int workerPid() const override { return pid_; }
   bool healthy() const override { return !poisoned_; }
 
@@ -268,24 +267,32 @@ class FdChannel final : public ShardChannel {
 std::unique_ptr<ShardChannel> spawnSocketpairWorker(
     ChannelDeadlines deadlines) {
   int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    throw std::runtime_error("spawnSocketpairWorker: socketpair failed");
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
+  pid_t pid = -1;
+  {
+    // Held until the pair's parent end is registered and the child end
+    // closed: a fork on another thread in between would copy both ends into
+    // a sibling worker, and this worker would never see EOF.
+    std::lock_guard<std::mutex> lock(parentFdsMutex);
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      throw std::runtime_error("spawnSocketpairWorker: socketpair failed");
+    }
+    pid = ::fork();
+    if (pid < 0) {
+      ::close(fds[0]);
+      ::close(fds[1]);
+      throw std::runtime_error("spawnSocketpairWorker: fork failed");
+    }
+    if (pid == 0) {
+      // Worker child: serve frames until the parent closes its end.  _exit,
+      // never return — unwinding into a fork()ed copy of the parent's state
+      // (atexit handlers, buffered streams) must not happen.
+      closeInheritedParentFds();
+      ::close(fds[0]);
+      ::_exit(shardWorkerMain(fds[1]));
+    }
     ::close(fds[1]);
-    throw std::runtime_error("spawnSocketpairWorker: fork failed");
+    liveParentFds().push_back(fds[0]);
   }
-  if (pid == 0) {
-    // Worker child: serve frames until the parent closes its end.  _exit,
-    // never return — unwinding into a fork()ed copy of the parent's state
-    // (atexit handlers, buffered streams) must not happen.
-    closeInheritedParentFds();
-    ::close(fds[0]);
-    ::_exit(shardWorkerMain(fds[1]));
-  }
-  ::close(fds[1]);
   return std::make_unique<FdChannel>(fds[0], pid, deadlines);
 }
 

@@ -82,6 +82,16 @@ class ShardChannel {
   /// The supervisor's answer to a hung worker; a no-op for loopback.
   virtual void terminate() {}
 
+  /// The fd that turns readable when the reply to the last send() (or EOF)
+  /// arrives, for `poll()`; -1 when a reply is ready as soon as send()
+  /// returns (loopback) or the channel is poisoned.
+  virtual int pollFd() const { return -1; }
+
+  /// How long a reply may take after its send() (zero = unbounded).
+  virtual std::chrono::milliseconds recvDeadline() const {
+    return std::chrono::milliseconds{0};
+  }
+
   /// Pid of the backing worker process, -1 when in-process (chaos tests
   /// kill -9 through this).
   virtual int workerPid() const { return -1; }

@@ -13,9 +13,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <initializer_list>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "apps/runner.hpp"
@@ -464,6 +466,28 @@ TEST(ShardDifferential, ByteIdenticalAcrossShardCountsOnAllSubstrates) {
   }
 }
 
+TEST(ShardFramedIo, ConcurrentSpawnsLeaveNoWorkerHoldingASiblingsSocket) {
+  // Four threads spawn and destroy subprocess channels at once.  A worker
+  // forked on one thread must not inherit another spawn's new socketpair or
+  // a socket closing mid-fork: that sibling's worker would then never see
+  // EOF, and its channel's destructor would wait in waitpid forever.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4;  // one channel per thread: at most 4 workers
+  std::atomic<int> spawned{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&spawned] {
+      for (int r = 0; r < kRounds; ++r) {
+        const auto channels =
+            shard::makeShardChannels(ShardTransportKind::Subprocess, 1);
+        if (channels.front()->workerPid() > 0) ++spawned;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(spawned.load(), kThreads * kRounds);
+}
+
 TEST(ShardDifferential, AllTransportsAgree) {
   ClientJob job = makeJob(apps::AppKind::Compositing, core::DesignKind::ReramSc,
                           12, 5);
@@ -726,6 +750,90 @@ TEST(ShardService, ShardedServiceMatchesUnshardedBitExactly) {
       EXPECT_EQ(sharded.opCount, solo.opCount);
       EXPECT_EQ(sharded.slReads, solo.slReads);
     }
+  }
+}
+
+TEST(ShardService, PipelinedClientsMatchInProcessBytesAndLedgers) {
+  // The event loop keeps the replicas of every admitted request on the
+  // workers at once, so frames of different requests queue behind each
+  // other on each shard.  Which frames share a worker must not move a byte
+  // or a bill: three clients, each cycling through a two-stage morphology,
+  // a 3-replica filter and a faulty ReRAM compositing request, must get
+  // the in-process service's bytes, results and tenant ledgers.
+  constexpr std::size_t kClients = 3;
+  const auto makeJobs = [] {
+    std::vector<ClientJob> jobs;
+    jobs.push_back(makeJob(apps::AppKind::Morphology,
+                           core::DesignKind::SwScSimd, 16, 11));
+    jobs.push_back(makeJob(apps::AppKind::Filters, core::DesignKind::SwScLfsr,
+                           16, 12, 3));
+    jobs.push_back(makeJob(apps::AppKind::Compositing,
+                           core::DesignKind::ReramSc, 16, 13));
+    jobs.back().request.faults = reliability::FaultPlan::deviceOnly(
+        apps::defaultFaultyDevice(), 2000);
+    return jobs;
+  };
+  struct Served {
+    std::vector<std::vector<std::vector<std::uint8_t>>> bytes;  // [client][job]
+    std::vector<std::vector<std::uint64_t>> opCounts;
+    std::vector<service::TenantLedger> ledgers;
+    std::size_t largestAdmission = 0;
+  };
+  const auto serve = [&](std::size_t shards) {
+    service::ServiceConfig sc;
+    sc.lanes = 4;
+    sc.rowsPerTile = 4;
+    sc.shards = shards;
+    sc.shardTransport = ShardTransportKind::Subprocess;
+    sc.startPaused = true;
+    service::AcceleratorService svc(sc);
+    Served out;
+    out.bytes.resize(kClients);
+    out.opCounts.resize(kClients);
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        std::vector<ClientJob> jobs = makeJobs();
+        out.bytes[c].resize(jobs.size());
+        out.opCounts[c].resize(jobs.size());
+        // Client c starts at job c, so the first admission mixes all three.
+        for (std::size_t k = 0; k < jobs.size(); ++k) {
+          const std::size_t j = (c + k) % jobs.size();
+          const service::TicketOutcome o = svc.waitOutcome(
+              svc.submit(static_cast<service::TenantId>(c), jobs[j].request));
+          EXPECT_EQ(o.status, service::TicketStatus::Ok) << o.error;
+          out.bytes[c][j] = jobs[j].out.pixels();
+          out.opCounts[c][j] = o.result.opCount;
+        }
+      });
+    }
+    while (svc.queueDepth() < kClients) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    svc.resume();
+    for (auto& th : clients) th.join();
+    for (std::size_t c = 0; c < kClients; ++c) {
+      out.ledgers.push_back(svc.tenantLedger(static_cast<service::TenantId>(c)));
+    }
+    const service::ServiceStats st = svc.stats();
+    for (std::size_t k = 0; k < st.batchOccupancy.size(); ++k) {
+      if (st.batchOccupancy[k] > 0) out.largestAdmission = k;
+    }
+    return out;
+  };
+
+  const Served solo = serve(0);
+  const Served sharded = serve(4);
+  EXPECT_GE(sharded.largestAdmission, 2u);
+  EXPECT_EQ(sharded.bytes, solo.bytes);
+  EXPECT_EQ(sharded.opCounts, solo.opCounts);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(sharded.ledgers[c].requests, solo.ledgers[c].requests);
+    EXPECT_EQ(sharded.ledgers[c].pixels, solo.ledgers[c].pixels);
+    EXPECT_EQ(sharded.ledgers[c].replicasRun, solo.ledgers[c].replicasRun);
+    EXPECT_EQ(sharded.ledgers[c].opCount, solo.ledgers[c].opCount);
+    EXPECT_TRUE(sharded.ledgers[c].events == solo.ledgers[c].events)
+        << "tenant " << c;
   }
 }
 

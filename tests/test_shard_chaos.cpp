@@ -364,6 +364,104 @@ TEST(ShardChaos, DegradedTicketStatusPropagatesThroughService) {
   svc.shutdown();
 }
 
+TEST(ShardChaos, DeadShardHandsEveryQueuedFrameToTheSurvivor) {
+  // No retry budget: shard 0's worker is killed while four requests wait
+  // in a paused service.  On resume their frames queue on both shards; the
+  // first failure on shard 0 marks it dead, and its in-flight frame and
+  // every frame queued behind it move verbatim to shard 1.  Each ticket
+  // reads Degraded with oracle bytes, and each frame shard 0 owned is
+  // served exactly once by the stand-in.
+  service::ServiceConfig sc;
+  sc.lanes = 4;
+  sc.rowsPerTile = 4;
+  sc.shards = 2;
+  sc.shardTransport = ShardTransportKind::Subprocess;
+  sc.shardDeadlines = chaosDeadlines();
+  sc.shardRetry = chaosRetry();
+  sc.shardRetry.maxAttempts = 1;
+  sc.shardRetry.maxRespawns = 0;
+  sc.startPaused = true;
+  service::AcceleratorService svc(sc);
+
+  const std::size_t size = 12;
+  const std::size_t replicas[] = {1, 3, 1, 3};
+  std::vector<ClientJob> jobs;
+  std::vector<apps::RunResult> oracles;
+  std::vector<service::Ticket> tickets;
+  for (const std::size_t r : replicas) {
+    jobs.push_back(makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                           size, 91, r));
+    oracles.push_back(oracleRun(jobs.back(), size));
+  }
+  for (ClientJob& job : jobs) tickets.push_back(svc.submit(1, job.request));
+
+  const int pid = svc.shardCoordinator()->fabric().workerPid(0);
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  svc.resume();
+
+  std::uint64_t framesShard0Owned = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const service::TicketOutcome outcome = svc.waitOutcome(tickets[i]);
+    EXPECT_EQ(outcome.status, service::TicketStatus::Degraded)
+        << "request " << i << ": " << outcome.error;
+    EXPECT_EQ(jobs[i].out.pixels(), oracles[i].output.pixels())
+        << "request " << i;
+    framesShard0Owned += replicas[i];  // one frame per replica (lanes 0, 2)
+  }
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.deadShards, 1u);
+  EXPECT_EQ(stats.degradedRequests, jobs.size());
+  EXPECT_EQ(stats.reassignedDispatches, framesShard0Owned);
+  svc.shutdown();
+}
+
+TEST(ShardChaos, HungWorkersUnderPipelinedLoadCostOneDeadlineEach) {
+  // Every original dispatch wedges its worker after executing.  With three
+  // requests admitted together, frames queue behind each other on both
+  // shards; each hang must cost exactly one recv deadline, counted from its
+  // own dispatch, and the respawned worker's replay the oracle bytes.
+  service::ServiceConfig sc;
+  sc.lanes = 4;
+  sc.rowsPerTile = 4;
+  sc.shards = 2;
+  sc.shardTransport = ShardTransportKind::Subprocess;
+  sc.shardDeadlines = chaosDeadlines();
+  sc.shardRetry = chaosRetry();
+  sc.shardFaults = singleSitePlan(FaultSite::HangBeforeReply, 1.0, 0x4a96);
+  sc.startPaused = true;
+  service::AcceleratorService svc(sc);
+
+  const std::size_t size = 12;
+  std::vector<ClientJob> jobs;
+  std::vector<apps::RunResult> oracles;
+  jobs.push_back(makeJob(apps::AppKind::Gamma, core::DesignKind::SwScLfsr,
+                         size, 101));
+  jobs.push_back(makeJob(apps::AppKind::Compositing, core::DesignKind::ReramSc,
+                         size, 102));
+  jobs.push_back(makeJob(apps::AppKind::Filters, core::DesignKind::SwScSimd,
+                         size, 103));
+  std::vector<service::Ticket> tickets;
+  for (ClientJob& job : jobs) {
+    oracles.push_back(oracleRun(job, size));
+    tickets.push_back(svc.submit(1, job.request));
+  }
+  svc.resume();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const service::TicketOutcome outcome = svc.waitOutcome(tickets[i]);
+    EXPECT_EQ(outcome.status, service::TicketStatus::Ok)
+        << "request " << i << ": " << outcome.error;
+    EXPECT_EQ(jobs[i].out.pixels(), oracles[i].output.pixels())
+        << "request " << i;
+  }
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.shardFaultsInjected, 2 * jobs.size());  // 2 frames each
+  EXPECT_EQ(stats.shardTimeouts, stats.shardFaultsInjected);
+  EXPECT_EQ(stats.shardRespawns, stats.shardFaultsInjected);
+  EXPECT_EQ(stats.deadShards, 0u);
+  svc.shutdown();
+}
+
 TEST(ShardChaos, FailedTicketStatusCarriesTheError) {
   // Both shards dead with no budgets left: the ticket reads Failed with a
   // reason — data, not an exception — while run() throws for clients that
