@@ -80,15 +80,23 @@ void BM_ImsngConversionFaulty(benchmark::State& state) {
 }
 BENCHMARK(BM_ImsngConversionFaulty);
 
-// One warm Table IV encode row: the compositing kernel's own
+// One warm faulty encode row: the compositing kernel's own
 // encodePixelsInto call, 64 pixels through the faulty IMSNG dataflow.
+// hrs125 picks the device: Table IV (0) or its sigma_HRS x 1.25 corner (1).
+// matte picks the row: a natural-scene row (0) or the middle row of the
+// 64x64 compositing alpha matte (1), whose zeros and 255s sense no plane.
 void BM_ReramEncodeRowFaulty(benchmark::State& state) {
   core::AcceleratorConfig cfg;
   cfg.streamLength = 256;
   cfg.deviceVariability = true;
   cfg.device = apps::defaultFaultyDevice();
+  if (state.range(0) != 0) cfg.device.sigmaHrs *= 1.25;
   core::ReramScBackend b(cfg);
-  const std::vector<std::uint8_t> row = img::naturalScene(64, 1, 5).pixels();
+  std::vector<std::uint8_t> row = img::naturalScene(64, 1, 5).pixels();
+  if (state.range(1) != 0) {
+    const img::Image alpha = apps::makeCompositingScene(64, 64, 5).alpha;
+    for (std::size_t x = 0; x < row.size(); ++x) row[x] = alpha.at(x, 32);
+  }
   std::vector<core::ScValue> values(row.size());
   b.encodePixelsInto(row, values);  // freeze the misdecision table
   for (auto _ : state) {
@@ -99,7 +107,9 @@ void BM_ReramEncodeRowFaulty(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(row.size()));
 }
-BENCHMARK(BM_ReramEncodeRowFaulty);
+BENCHMARK(BM_ReramEncodeRowFaulty)
+    ->ArgNames({"hrs125", "matte"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_Cordiv(benchmark::State& state) {
   sc::Mt19937Source src(3);

@@ -95,7 +95,8 @@ void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
   // place: complemented latch operands are free (the periphery drives the
   // bitline voltage, Fig. 1c) and the AND with FFlag is predicated sensing
   // in the latch pair.  x = 2^M (p = 1.0) senses nothing: the comparator
-  // network degenerates to constant true.
+  // network degenerates to constant true.  The chain's steps past x's
+  // lowest set bit are charged but not sensed: they only move L1.
   std::array<const sc::Bitstream*, 16> planes{};
   for (int i = 0; i < m; ++i) {
     planes[static_cast<std::size_t>(i)] =
@@ -109,8 +110,9 @@ void Imsng::generateThresholdInto(std::uint32_t x, sc::Bitstream& dst) {
       static_cast<std::size_t>(scouting_.steps() - before);
   dst = periphery_.l0();
 
-  // Cost parity with the paper's operation count: the dataflow above issued
-  // `dataflowReads` <= 2·M sensing steps; top up to the 5·M schedule.
+  // Cost parity with the paper's operation count: the dataflow above
+  // charged `dataflowReads` <= 2·M sensing steps; top up to the 5·M
+  // schedule.
   auto& log = array_.events();
   log.add(reram::EventKind::SlRead, stepsPerConversion() - dataflowReads);
   // Naive variant: intermediate results hit the cells (2 writes per bit

@@ -88,8 +88,11 @@ class Imsng {
   /// Converts integer threshold \p x in [0, 2^M] to an SBS into \p dst
   /// (resized to the array width, buffer reused): bit j = 1 iff x > RN_j.
   /// The stream is also committed to the configured output row.  One
-  /// ScoutingLogic::greaterThanInto call senses the flag chain into the
-  /// periphery latches in place, so a warm call allocates nothing.
+  /// ScoutingLogic::greaterThanInto call runs the flag chain in the
+  /// periphery latches in place, so a warm call allocates nothing.  It
+  /// charges every step of the chain but senses only those that reach the
+  /// stream, up to the NOR term of x's lowest set bit (none for x = 0 or
+  /// 2^M), so latch L1 is left holding FFlag as sensed up to that point.
   void generateThresholdInto(std::uint32_t x, sc::Bitstream& dst);
 
   /// Batched conversion: every threshold is converted against the CURRENT
@@ -104,7 +107,9 @@ class Imsng {
   /// values re-use the computed stream but still charge their conversion).
   /// Probabilistic sensing and M > 8 run one greater-than chain per
   /// element (ScoutingLogic::greaterThanInto), so every conversion draws
-  /// its own keyed misdecisions.  The call performs no heap allocation once
+  /// its own keyed misdecisions on the steps that reach its stream, and
+  /// advances the mat's step ordinal by its whole chain as the hardware
+  /// senses it.  The call performs no heap allocation once
   /// the destination buffers, the memo table and the scouting scratch are
   /// warm — the tile engine's per-row hot path.
   void encodeBatchInto(std::span<const std::uint32_t> thresholds,

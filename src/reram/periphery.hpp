@@ -16,8 +16,11 @@
 ///
 /// The class holds the two latches and commits L0.  It senses nothing
 /// itself: `ScoutingLogic::greaterThanInto` runs the FFlag chain in L1 and
-/// ORs each step into L0 in place, the predicated AND included.  Commits go
-/// through CrossbarArray::writeRow so write costs stay centralized.
+/// ORs each step into L0 in place, the predicated AND included.  It senses
+/// only the steps that reach L0, so after a conversion L1 holds FFlag as
+/// sensed up to the threshold's lowest set bit (all ones for a zero
+/// threshold); nothing reads L1 after a conversion.  Commits go through
+/// CrossbarArray::writeRow so write costs stay centralized.
 #pragma once
 
 #include "reram/array.hpp"

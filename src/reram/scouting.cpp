@@ -81,7 +81,8 @@ AIMSC_POPCNT_CLONES void senseWords(const std::uint64_t* const* in, int rows,
 /// One pass of a greater-than chain step over flag F and plane R: F is
 /// saved to \p prev, the ideal NOR(NOT F, R) = F AND NOT R goes to \p nor
 /// and, for an a = 1 step pair (\p pair), the ideal AND(F, R) to \p flag
-/// (\p nor is \p flag for an a = 0 step).  \p counts gets |F AND NOT R|,
+/// (\p nor is \p flag for an a = 0 step; the last live a = 1 step senses
+/// its NOR term alone).  \p counts gets |F AND NOT R|,
 /// |NOT F AND R| and |F AND R|, which with the width give every class count
 /// of both steps.  The tails of F and R are zero, so no word needs a mask.
 AIMSC_POPCNT_CLONES void senseChainWords(std::uint64_t* flag,
@@ -133,27 +134,31 @@ std::uint64_t quietBelow(std::uint64_t* noFlip, std::size_t c, double invLogQ) {
   return t;
 }
 
-/// Toggles, in \p out, the columns of \p mask (\p cnt set bits) at the
-/// ranks the keyed geometric skip visits, starting at rank \p first.  Each
-/// later draw first meets the no-flip threshold of the ranks left, so only
-/// a draw that places a flip pays a log.  Ranks ascend, so one pass over
-/// the mask words serves every flip, and a select finds each rank's column.
+/// Toggles, in \p out, the columns of \p mask (\p words long, \p cnt set
+/// bits) at the ranks the keyed geometric skip visits, starting at rank
+/// \p first.  Each later draw first meets the no-flip threshold of the
+/// ranks left, so only a draw that places a flip pays a log.  \p before
+/// (scratch, \p words long) gets the set mask bits below each word, so
+/// rank n lies in word #{w > 0 : before[w] <= n}, and a select finds its
+/// column there.
 AIMSC_POPCNT_CLONES void flipSkippedRanks(std::uint64_t* out,
                                           const std::uint64_t* mask,
-                                          std::size_t cnt, std::size_t first,
+                                          std::size_t words, std::size_t cnt,
+                                          std::size_t first,
                                           std::uint64_t classKey,
                                           double invLogQ,
-                                          std::uint64_t* noFlip) {
-  std::size_t w = 0;
-  std::size_t seen = 0;  // set mask bits before word w
-  std::size_t inWord = static_cast<std::size_t>(std::popcount(mask[0]));
+                                          std::uint64_t* noFlip,
+                                          std::size_t* before) {
+  std::size_t seen = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    before[w] = seen;
+    seen += static_cast<std::size_t>(std::popcount(mask[w]));
+  }
   std::size_t nth = first;
   for (std::uint64_t d = 1;; ++d) {
-    while (seen + inWord <= nth) {
-      seen += inWord;
-      inWord = static_cast<std::size_t>(std::popcount(mask[++w]));
-    }
-    out[w] ^= sc::selectBit(mask[w], static_cast<unsigned>(nth - seen));
+    std::size_t w = 0;
+    for (std::size_t v = 1; v < words; ++v) w += before[v] <= nth ? 1 : 0;
+    out[w] ^= sc::selectBit(mask[w], static_cast<unsigned>(nth - before[w]));
     const std::size_t left = cnt - nth - 1;
     if (left == 0) return;
     const std::uint64_t r = drawRank(classKey + d);
@@ -265,6 +270,7 @@ void ScoutingLogic::executeInto(SlOp op, Operands operands,
     }
     const std::size_t maskLen = static_cast<std::size_t>(rows + 1) * words;
     if (maskWords_.size() < maskLen) maskWords_.resize(maskLen);
+    if (wordRanks_.size() < words) wordRanks_.resize(words);
   }
   // An aliased dst already has the operand width, so it is not cleared
   // before the pass reads it.
@@ -319,8 +325,15 @@ void ScoutingLogic::greaterThanInto(std::uint32_t x, Operands planes,
   result.assign(width, false);
   std::uint64_t* f = flag.mutableWords().data();
   std::uint64_t* res = result.mutableWords().data();
-  array_.events().add(reram::EventKind::SlRead,
-                      m + static_cast<std::size_t>(std::popcount(x)));
+  // Every step of the chain is charged and keeps its ordinal, but only the
+  // steps up to the NOR term of x's lowest set bit are sensed: the later
+  // ones only move FFlag, which nothing reads after a conversion.
+  const std::size_t charged = m + static_cast<std::size_t>(std::popcount(x));
+  array_.events().add(reram::EventKind::SlRead, charged);
+  std::uint64_t step = step_;
+  step_ += charged;
+  if (x == 0) return;
+  const std::size_t live = m - static_cast<std::size_t>(std::countr_zero(x));
 
   // A faulty mat looks up its six (op, class) entries once.  A class's
   // entry is read from the model the first time the class has columns, as
@@ -333,18 +346,19 @@ void ScoutingLogic::greaterThanInto(std::uint32_t x, Operands planes,
     cls[3 + k] = &entry(SlOp::And, k, 2);
   }
   if (maskWords_.size() < 2 * words) maskWords_.resize(2 * words);
+  if (wordRanks_.size() < words) wordRanks_.resize(words);
   if (chainTerm_.size() < words) chainTerm_.resize(words);
   std::uint64_t* mask = maskWords_.data();
   const std::uint64_t* prev = mask + words;
   const std::uint64_t tail = tailMask(width);
-  for (std::size_t i = 0; i < m; ++i) {
-    const bool pair = ((x >> (m - 1 - i)) & 1u) != 0;
+  for (std::size_t i = 0; i < live; ++i) {
+    const bool aBit = ((x >> (m - 1 - i)) & 1u) != 0;
+    // The last live plane holds x's lowest set bit: its AND is not sensed.
+    const bool pair = aBit && i + 1 < live;
     const std::uint64_t* r = planes[i]->words().data();
-    std::uint64_t* nor = pair ? chainTerm_.data() : f;
+    std::uint64_t* nor = aBit ? chainTerm_.data() : f;
     std::size_t c[3];
     senseChainWords(f, r, nor, mask + words, pair, words, c);
-    const std::uint64_t step = step_;
-    step_ += pair ? 2 : 1;
     if (faulty) {
       const std::size_t counts[6] = {c[0], width - c[0] - c[1], c[1],
                                      width - c[0] - c[1] - c[2], c[0] + c[1],
@@ -362,7 +376,8 @@ void ScoutingLogic::greaterThanInto(std::uint32_t x, Operands planes,
                     [&](int k) { return maskOf(3 + k); });
       }
     }
-    if (pair) {
+    step += aBit ? 2 : 1;
+    if (aBit) {
       for (std::size_t w = 0; w < words; ++w) res[w] |= nor[w];
     }
   }
@@ -415,8 +430,9 @@ void ScoutingLogic::flipClasses(std::uint64_t* out, SlOp op, int rows,
     if (r <= quietBelow(f.noFlip.data(), cnt, f.invLogQ)) continue;
     const double first = gapOf(r, f.invLogQ);
     if (first >= static_cast<double>(cnt)) continue;  // rounding at the edge
-    flipSkippedRanks(out, maskOf(k), cnt, static_cast<std::size_t>(first),
-                     classKey, f.invLogQ, f.noFlip.data());
+    flipSkippedRanks(out, maskOf(k), words, cnt,
+                     static_cast<std::size_t>(first), classKey, f.invLogQ,
+                     f.noFlip.data(), wordRanks_.data());
   }
 }
 

@@ -24,8 +24,9 @@
 /// way one sensing step = one slReads event.  A step activates one to three
 /// rows: the paper's ops (IMSNG's AND / NOR flag chain, the AND/OR/XOR/MAJ3
 /// arithmetic) never sense more.  The op forms sense one step per call;
-/// greaterThanInto() senses IMSNG's whole flag chain for one threshold, the
-/// same steps under the same keys, in one call.
+/// greaterThanInto() charges IMSNG's whole flag chain for one threshold in
+/// one call and senses the steps of it that reach the stream, under the
+/// same keys.
 #pragma once
 
 #include <array>
@@ -76,18 +77,25 @@ class ScoutingLogic {
 
   /// IMSNG's greater-than flag chain (Sec. III-A) for threshold \p x
   /// against the M = planes.size() random planes, MSB first (1 <= M <= 32,
-  /// x <= 2^M): \p result gets bit j = (x > R_j) and \p flag bit j =
-  /// (x == R_j), as sensed, misdecisions included (both resized to the
-  /// plane width).  x = 2^M senses nothing: result is all ones and flag
-  /// all zeros.  Otherwise \p flag starts all ones and \p result all
-  /// zeros; then, per plane i with a = bit M-1-i of x:
+  /// x <= 2^M): \p result gets bit j = (x > R_j), as sensed, misdecisions
+  /// included (resized to the plane width, as is \p flag).  x = 2^M senses
+  /// nothing: result is all ones and flag all zeros.  Otherwise \p flag
+  /// starts all ones and \p result all zeros; then, per plane i with
+  /// a = bit M-1-i of x:
   ///  * a = 1: one step senses NOR(NOT flag, plane) and ORs it into
   ///    \p result, the next senses flag = AND(flag, plane);
   ///  * a = 0: one step senses flag = NOR(NOT flag, plane).
-  /// Those M + popcount(x) steps take the ordinals, keys and SlRead events
-  /// the same op2NotAInto / op2Into sequence would, so the bits match it;
-  /// the two steps of a = 1 share one pass over the words.  Ideal and
-  /// Probabilistic mats only: MonteCarlo throws std::invalid_argument.
+  /// All M + popcount(x) steps are charged as SlRead events and advance
+  /// steps() by M + popcount(x), but only those that reach \p result are
+  /// sensed: the chain stops after the NOR term of x's lowest set bit
+  /// (x = 0 senses nothing), since every later step only moves the flag.
+  /// The sensed steps take the ordinals and keys the same op2NotAInto /
+  /// op2Into sequence would, so \p result matches it bit for bit; the two
+  /// steps of a = 1 share one pass over the words.  \p flag is FFlag as
+  /// sensed up to that point: bit j is set iff R_j agrees with x on every
+  /// bit above x's lowest set bit, misdecisions included (all ones for
+  /// x = 0).  Ideal and Probabilistic mats only: MonteCarlo throws
+  /// std::invalid_argument.
   void greaterThanInto(std::uint32_t x, Operands planes, sc::Bitstream& flag,
                        sc::Bitstream& result);
 
@@ -152,9 +160,11 @@ class ScoutingLogic {
   // Per-step scratch of faulty mats (a ScoutingLogic instance is
   // single-threaded — each tile-engine lane owns its own), which only
   // grows: class masks, up to 4 x words (the chain keeps one mask and the
-  // saved flag there), and the NOR term of the chain's a = 1 step pair.
+  // saved flag there), the NOR term of the chain's a = 1 steps, and a flip
+  // episode's per-word prefix counts of its class mask.
   std::vector<std::uint64_t> maskWords_;
   std::vector<std::uint64_t> chainTerm_;
+  std::vector<std::size_t> wordRanks_;
   sc::Bitstream sampled_;
 };
 

@@ -3,15 +3,29 @@
 ///
 /// Faulty scouting places each misdecision flip at a rank among a pattern
 /// class's columns (docs/ARCHITECTURE.md §4.2) and finds the column with a
-/// broadword select: byte counts summed by one multiply, then a walk inside
-/// one byte (Vigna, "Broadword implementation of rank/select queries",
-/// WEA 2008).  It needs nothing beyond the x86-64 baseline.
+/// broadword select: byte counts summed by one multiply pick the byte, and
+/// a 2 KB table gives the bit inside it (Vigna, "Broadword implementation
+/// of rank/select queries", WEA 2008).  It needs nothing beyond the x86-64
+/// baseline and has no data-dependent loop.
 #pragma once
 
-#include <bit>
+#include <array>
 #include <cstdint>
 
 namespace aimsc::sc {
+
+/// kSelectInByte[b * 8 + r]: position of the set bit of rank r (0 = lowest)
+/// in byte b; 0 where b has no such bit.
+inline constexpr std::array<std::uint8_t, 256 * 8> kSelectInByte = [] {
+  std::array<std::uint8_t, 256 * 8> t{};
+  for (unsigned b = 0; b < 256; ++b) {
+    unsigned r = 0;
+    for (unsigned i = 0; i < 8; ++i) {
+      if ((b >> i) & 1u) t[b * 8 + r++] = static_cast<std::uint8_t>(i);
+    }
+  }
+  return t;
+}();
 
 /// One-bit mask of the set bit of rank \p rank (0 = lowest) in \p word;
 /// \p rank must be below popcount(word).
@@ -30,10 +44,8 @@ inline std::uint64_t selectBit(std::uint64_t word, unsigned rank) {
       static_cast<unsigned>(((passed >> 7) * kOnes) >> 56) * 8;
   // Set bits below that byte: byte shift / 8 - 1 of upTo (0 for byte 0).
   const auto before = static_cast<unsigned>((upTo << 8 >> shift) & 0xff);
-  std::uint64_t byte = (word >> shift) & 0xff;
-  for (unsigned r = rank - before; r > 0; --r) byte &= byte - 1;
-  return std::uint64_t{1}
-         << (shift + static_cast<unsigned>(std::countr_zero(byte)));
+  const auto byte = static_cast<unsigned>((word >> shift) & 0xff);
+  return std::uint64_t{1} << (shift + kSelectInByte[byte * 8 + rank - before]);
 }
 
 }  // namespace aimsc::sc

@@ -1,10 +1,12 @@
 // ScoutingLogic::greaterThanInto, IMSNG's whole flag chain in one call,
 // against the per-step sequence it replaces: on two identically seeded
 // mats, the chain and the op2NotAInto / OR / op2Into loop must give the same
-// stream, flag, step count and event ledger, at every device corner that
-// exercises a different flip path.  Also holds the select that places each
-// flip to the clear-lowest-bit walk, and an Imsng on a MonteCarlo mat to
-// its construction-time rejection.
+// stream, step count and event ledger, at every device corner that
+// exercises a different flip path.  The loop senses every step; the chain
+// senses only those that reach the stream, so its flag is held to the
+// loop's flag just before the AND step of x's lowest set bit.  Also holds
+// the select that places each flip to the clear-lowest-bit walk, and an
+// Imsng on a MonteCarlo mat to its construction-time rejection.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,7 +24,9 @@
 namespace aimsc::reram {
 namespace {
 
-/// The chain as one sensing step per call: today's IMSNG loop.
+/// The chain as one sensing step per call, every step sensed.  \p flag
+/// gets FFlag as it stood just before the AND step of x's lowest set bit
+/// (all ones for x = 0): the last flag a step that reaches the stream read.
 void perStepChain(ScoutingLogic& sl, std::uint32_t x,
                   const std::vector<const sc::Bitstream*>& planes,
                   sc::Bitstream& flag, sc::Bitstream& result) {
@@ -33,17 +37,22 @@ void perStepChain(ScoutingLogic& sl, std::uint32_t x,
     result.assign(width, true);
     return;
   }
-  flag.assign(width, true);
+  sc::Bitstream chainFlag;
+  chainFlag.assign(width, true);
+  flag = chainFlag;
   result.assign(width, false);
+  const std::size_t lowest =
+      x == 0 ? m : m - 1 - static_cast<std::size_t>(std::countr_zero(x));
   sc::Bitstream sensed;
   for (std::size_t i = 0; i < m; ++i) {
     const sc::Bitstream& rn = *planes[i];
     if ((x >> (m - 1 - i)) & 1u) {
-      sl.op2NotAInto(SlOp::Nor, sensed, flag, rn);
+      sl.op2NotAInto(SlOp::Nor, sensed, chainFlag, rn);
       result |= sensed;
-      sl.op2Into(SlOp::And, flag, flag, rn);
+      if (i == lowest) flag = chainFlag;
+      sl.op2Into(SlOp::And, chainFlag, chainFlag, rn);
     } else {
-      sl.op2NotAInto(SlOp::Nor, flag, flag, rn);
+      sl.op2NotAInto(SlOp::Nor, chainFlag, chainFlag, rn);
     }
   }
 }
@@ -231,6 +240,11 @@ TEST(Select, MatchesClearLowestBitWalkAtEveryRank) {
                                       std::uint64_t{1} << 63,
                                       0x8000000000000001ull,
                                       0x00ff00ff00ff00ffull};
+  // Every one-byte word at every byte position: each entry of the in-byte
+  // table at every rank.
+  for (std::uint64_t b = 1; b < 256; ++b) {
+    for (unsigned pos = 0; pos < 64; pos += 8) words.push_back(b << pos);
+  }
   for (int i = 0; i < 3000; ++i) {
     std::uint64_t w = eng();
     if (i % 3 == 1) w &= eng();  // sparse
